@@ -10,8 +10,6 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from switchgame import game as gm
@@ -38,17 +36,11 @@ def main():
     bundle = simulate_paths(cfg.spec, sim)
     i0, j0 = cfg.start_modes
 
-    saddle1 = gm.saddle_strategy_player1(field1, cfg.spec, bundle, i0)
-    saddle2 = gm.saddle_strategy_player2(field2, cfg.spec, bundle, j0)
-    level0 = int(np.argmin(np.abs(grid.times - sim.t0)))
-    pde_value = float(field1.interp_x(i0, level0, np.array([sim.x0]))[0]
-                      + field2.interp_x(j0, level0, np.array([sim.x0]))[0])
-
-    report = gm.verify_saddle(
-        cfg.spec, bundle, saddle1, saddle2,
+    report = gm.verify_saddle_from_fields(
+        cfg.spec, bundle, field1, field2,
         gm.default_challengers(cfg.spec, 1, i0, sim.seed + 1, sim.n_steps),
         gm.default_challengers(cfg.spec, 2, j0, sim.seed + 2, sim.n_steps),
-        start=(sim.t0, sim.x0, i0, j0), pde_value=pde_value, pde_allowance=2e-2,
+        start=(sim.t0, sim.x0, i0, j0),
     )
 
     print(f"paths = {bundle.n_paths}, steps = {bundle.n_steps}, seed = {sim.seed}")

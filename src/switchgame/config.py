@@ -186,6 +186,10 @@ def parse_config(doc: dict, where: str = "<config>") -> RunConfig:
         nt, nx = int(grid_doc["nt"]), int(grid_doc["nx"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{where}.grid", "must carry integer 'nt' and 'nx'") from exc
+    if nt < 2:
+        raise ConfigError(f"{where}.grid.nt", "must be at least 2")
+    if nx < 3:
+        raise ConfigError(f"{where}.grid.nx", "must be at least 3")
 
     pen_doc = doc.get("penalties", {})
     try:
@@ -221,14 +225,20 @@ def parse_config(doc: dict, where: str = "<config>") -> RunConfig:
         start_modes = (int(m1), int(m2))
 
     val_doc = doc.get("validation", {})
-    validation = ValidationParams(
-        t_samples=int(val_doc.get("t_samples", 5)),
-        x_samples=int(val_doc.get("x_samples", 21)),
-        loop_length_bound=(
-            int(val_doc["loop_length_bound"])
-            if val_doc.get("loop_length_bound") is not None else None
-        ),
-    )
+    try:
+        validation = ValidationParams(
+            t_samples=int(val_doc.get("t_samples", 5)),
+            x_samples=int(val_doc.get("x_samples", 21)),
+            loop_length_bound=(
+                int(val_doc["loop_length_bound"])
+                if val_doc.get("loop_length_bound") is not None else None
+            ),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}.validation", str(exc)) from exc
+    for key in ("t_samples", "x_samples"):
+        if getattr(validation, key) < 1:
+            raise ConfigError(f"{where}.validation.{key}", "must be at least 1")
 
     output = _need(doc, "output", where)
     if not isinstance(output, str):

@@ -35,6 +35,7 @@ from .solver import ValueField
 
 SWITCH_CAP = 64
 TRIGGER_TOL = 1e-9
+_COLUMN_BLOCK = 32  # steps per transposed block of path states
 
 
 # ---------------------------------------------------------------------------
@@ -47,13 +48,15 @@ class RealizedStrategy:
     """A strategy materialized against one path bundle.
 
     modes[p, k] is the player's mode at grid step k on path p (left-limit
-    convention: a switch declared at step s shows from step s+1).  The flat
-    switch arrays carry every declaration, including ones at the final step
-    that never show in ``modes``.
+    convention: a switch declared at step s shows from step s+1).  It is a
+    transposed view of a step-major track, in the smallest integer dtype
+    that holds the player's mode labels.  The flat switch arrays carry every
+    declaration, including ones at the final step that never show in
+    ``modes``.
     """
 
     player: int
-    modes: np.ndarray          # (n_paths, n_steps + 1) int
+    modes: np.ndarray          # (n_paths, n_steps + 1)
     switch_path: np.ndarray    # flat declaration records
     switch_step: np.ndarray
     switch_source: np.ndarray
@@ -76,9 +79,43 @@ class SwitchingStrategy:
     switch_cap: int = SWITCH_CAP
 
     def realize(self, spec: ProblemSpec, bundle: PathBundle) -> RealizedStrategy:
+        if self.start_mode not in _player_modes(spec, self.player):
+            raise ValueError(f"start mode {self.start_mode} is not a mode of player {self.player}")
         if self.feedback_field is not None:
             return _realize_feedback(self, spec, bundle)
         return _realize_explicit(self, spec, bundle)
+
+
+def _player_modes(spec: ProblemSpec, player: int) -> tuple[int, ...]:
+    return spec.modes.modes1 if player == 1 else spec.modes.modes2
+
+
+_LABEL_DTYPES = (np.uint8, np.int8, np.uint16, np.int16, np.uint32, np.int32, np.int64)
+
+
+def _label_dtype(labels) -> np.dtype:
+    """Smallest integer dtype that holds every label."""
+    lo, hi = min(labels), max(labels)
+    return next(np.dtype(dt) for dt in _LABEL_DTYPES
+                if np.iinfo(dt).min <= lo and hi <= np.iinfo(dt).max)
+
+
+def _positions(track: np.ndarray, labels, dtype) -> np.ndarray:
+    """Index into ``labels`` of every entry of ``track`` (entries are labels)."""
+    out = np.zeros(track.shape, dtype=dtype)
+    for pos, label in enumerate(labels[1:], 1):
+        out[track == label] = pos
+    return out
+
+
+def _columns(array: np.ndarray, stop: int):
+    """Yield array[:, 0], ..., array[:, stop - 1] as contiguous rows.
+
+    A block of columns is transposed at a time, so a path-major array is
+    read in one strided pass per block rather than one per column.
+    """
+    for k0 in range(0, stop, _COLUMN_BLOCK):
+        yield from np.ascontiguousarray(array[:, k0:min(k0 + _COLUMN_BLOCK, stop)].T)
 
 
 def never_switch(player: int, start_mode: int) -> SwitchingStrategy:
@@ -87,7 +124,7 @@ def never_switch(player: int, start_mode: int) -> SwitchingStrategy:
 
 def switch_at_start(spec: ProblemSpec, player: int, start_mode: int) -> SwitchingStrategy:
     """Jump to the next mode label at the first grid time, then hold."""
-    modes = spec.modes.modes1 if player == 1 else spec.modes.modes2
+    modes = _player_modes(spec, player)
     others = [m for m in modes if m != start_mode]
     if not others:
         return never_switch(player, start_mode)
@@ -98,7 +135,7 @@ def switch_at_start(spec: ProblemSpec, player: int, start_mode: int) -> Switchin
 def switch_every_step(spec: ProblemSpec, player: int, start_mode: int,
                       cap: int = SWITCH_CAP) -> SwitchingStrategy:
     """Cost-bleeding challenger: alternate between two modes every step."""
-    modes = spec.modes.modes1 if player == 1 else spec.modes.modes2
+    modes = _player_modes(spec, player)
     others = [m for m in modes if m != start_mode]
     if not others:
         return never_switch(player, start_mode)
@@ -115,7 +152,7 @@ def random_switch(spec: ProblemSpec, player: int, start_mode: int, seed: int,
                   n_steps: int, rate: float = 0.05) -> SwitchingStrategy:
     """Seeded random challenger: at each step switch to a uniform other mode
     with probability ``rate``."""
-    modes = spec.modes.modes1 if player == 1 else spec.modes.modes2
+    modes = _player_modes(spec, player)
     others = [m for m in modes if m != start_mode]
     if not others:
         return never_switch(player, start_mode)
@@ -134,6 +171,7 @@ def _realize_explicit(strategy: SwitchingStrategy, spec: ProblemSpec,
                       bundle: PathBundle) -> RealizedStrategy:
     n_paths = bundle.n_paths
     n_steps = bundle.n_steps
+    modes = _player_modes(spec, strategy.player)
     schedule = list(strategy.schedule or ())
     if any(s2 < s1 for (s1, _), (s2, _) in zip(schedule, schedule[1:])):
         raise ValueError("switch steps must be non-decreasing")
@@ -146,13 +184,15 @@ def _realize_explicit(strategy: SwitchingStrategy, spec: ProblemSpec,
     for step, target in schedule:
         if not (0 <= step <= n_steps):
             raise ValueError(f"switch step {step} outside the simulation grid")
+        if target not in modes:
+            raise ValueError(f"switch target {target} is not a mode of player {strategy.player}")
         if step in deduped:
             dupes = True
         deduped[step] = target
     if dupes:
         warnings.warn("multiple switches declared at one step; the last one wins")
 
-    mode_track = np.full((n_paths, n_steps + 1), strategy.start_mode, dtype=np.int64)
+    track = np.full((n_steps + 1, n_paths), strategy.start_mode, dtype=_label_dtype(modes))
     sw_steps, sw_sources, sw_targets = [], [], []
     cur = strategy.start_mode
     for step in sorted(deduped):
@@ -162,14 +202,13 @@ def _realize_explicit(strategy: SwitchingStrategy, spec: ProblemSpec,
         sw_steps.append(step)
         sw_sources.append(cur)
         sw_targets.append(target)
-        if step + 1 <= n_steps:
-            mode_track[:, step + 1:] = target
+        track[step + 1:] = target
         cur = target
 
     reps = len(sw_steps)
     return RealizedStrategy(
         player=strategy.player,
-        modes=mode_track,
+        modes=track.T,
         switch_path=np.repeat(np.arange(n_paths), reps),
         switch_step=np.tile(np.array(sw_steps, dtype=np.int64), n_paths),
         switch_source=np.tile(np.array(sw_sources, dtype=np.int64), n_paths),
@@ -194,32 +233,29 @@ def _realize_feedback(strategy: SwitchingStrategy, spec: ProblemSpec,
     """
     fld = strategy.feedback_field
     player = strategy.player
-    modes = spec.modes.modes1 if player == 1 else spec.modes.modes2
+    modes = _player_modes(spec, player)
     cost_table = spec.costs.costs1 if player == 1 else spec.costs.costs2
     n_paths, n_steps = bundle.n_paths, bundle.n_steps
 
-    cur = np.full(n_paths, strategy.start_mode, dtype=np.int64)
+    cur = np.full(n_paths, strategy.start_mode, dtype=_label_dtype(modes))
     counts = np.zeros(n_paths, dtype=np.int64)
-    mode_track = np.empty((n_paths, n_steps + 1), dtype=np.int64)
-    mode_track[:, 0] = cur
+    track = np.empty((n_steps + 1, n_paths), dtype=cur.dtype)
+    track[0] = cur
     sw_path, sw_step, sw_src, sw_tgt = [], [], [], []
 
     if len(modes) > 1:
-        for k in range(n_steps):
+        rows = {m: fld.index_of(m) for m in modes}
+        for k, xk in enumerate(_columns(bundle.states, n_steps)):
             t = float(bundle.times[k])
-            xk = bundle.states[:, k]
-            level = _nearest_level(fld.grid.times, t)
-            values = {m: fld.interp_x(m, level, xk) for m in modes}
+            values = fld.interp_modes(_nearest_level(fld.grid.times, t), xk)
             # snapshot: triggers fire at most once per grid time per path
             cur_at_step = cur.copy()
             for mode in modes:
-                sel = cur_at_step == mode
-                if not np.any(sel):
+                sel = np.flatnonzero(cur_at_step == mode)
+                if sel.size == 0:
                     continue
-                own = values[mode][sel]
+                own = values[rows[mode], sel]
                 best = None
-                best_target = np.full(int(sel.sum()), -1, dtype=np.int64)
-                best_cost = np.zeros(int(sel.sum()))
                 for other in modes:
                     if other == mode:
                         continue
@@ -227,19 +263,18 @@ def _realize_feedback(strategy: SwitchingStrategy, spec: ProblemSpec,
                         evaluate(cost_table[(mode, other)], EvalContext(t, xk[sel])), dtype=float
                     ), own.shape)
                     if player == 1:
-                        cand = values[other][sel] - cost
-                        better = cand > best if best is not None else np.ones_like(own, dtype=bool)
+                        cand = values[rows[other], sel] - cost
                     else:
-                        cand = values[other][sel] + cost
-                        better = cand < best if best is not None else np.ones_like(own, dtype=bool)
+                        cand = values[rows[other], sel] + cost
                     if best is None:
-                        best = cand.copy()
-                        best_target[:] = other
-                        best_cost[:] = cost
-                    else:
-                        best = np.where(better, cand, best)
-                        best_target = np.where(better, other, best_target)
-                        best_cost = np.where(better, cost, best_cost)
+                        best = cand
+                        best_target = np.full(sel.size, other, dtype=np.int64)
+                        best_cost = cost
+                        continue
+                    better = cand > best if player == 1 else cand < best
+                    best = np.where(better, cand, best)
+                    best_target = np.where(better, other, best_target)
+                    best_cost = np.where(better, cost, best_cost)
                 tol = strategy.trigger_tol
                 # a touch with an essentially free switch is pure indifference
                 # (both modes then carry the same value forever), so only a
@@ -253,7 +288,7 @@ def _realize_feedback(strategy: SwitchingStrategy, spec: ProblemSpec,
                 fire = touch & (strict | (best_cost > tol))
                 if not np.any(fire):
                     continue
-                idx = np.flatnonzero(sel)[fire]
+                idx = sel[fire]
                 counts[idx] += 1
                 over = idx[counts[idx] > strategy.switch_cap]
                 if over.size:
@@ -262,24 +297,20 @@ def _realize_feedback(strategy: SwitchingStrategy, spec: ProblemSpec,
                     )
                 targets = best_target[fire]
                 cur[idx] = targets
-                sw_path.extend(idx.tolist())
-                sw_step.extend([k] * idx.size)
-                sw_src.extend([mode] * idx.size)
-                sw_tgt.extend(targets.tolist())
-            mode_track[:, k + 1] = cur
+                sw_path.append(idx)
+                sw_step.append(np.full(idx.size, k, dtype=np.int64))
+                sw_src.append(np.full(idx.size, mode, dtype=np.int64))
+                sw_tgt.append(targets)
+            track[k + 1] = cur
     else:
-        mode_track[:, :] = strategy.start_mode
+        track[:] = strategy.start_mode
 
-    order = np.lexsort((np.array(sw_step, dtype=np.int64), np.array(sw_path, dtype=np.int64))) \
-        if sw_path else np.array([], dtype=np.int64)
-    return RealizedStrategy(
-        player=player,
-        modes=mode_track,
-        switch_path=np.array(sw_path, dtype=np.int64)[order],
-        switch_step=np.array(sw_step, dtype=np.int64)[order],
-        switch_source=np.array(sw_src, dtype=np.int64)[order],
-        switch_target=np.array(sw_tgt, dtype=np.int64)[order],
-    )
+    records = [np.concatenate(part) if part else np.array([], dtype=np.int64)
+               for part in (sw_path, sw_step, sw_src, sw_tgt)]
+    order = np.lexsort((records[1], records[0]))
+    path, step, src, tgt = (np.asarray(r, dtype=np.int64)[order] for r in records)
+    return RealizedStrategy(player=player, modes=track.T, switch_path=path,
+                            switch_step=step, switch_source=src, switch_target=tgt)
 
 
 def saddle_strategy_player1(field: ValueField, spec: ProblemSpec, bundle: PathBundle,
@@ -320,18 +351,26 @@ def indicator_process(strategy: SwitchingStrategy, spec: ProblemSpec,
 
 def _switch_costs(realized: RealizedStrategy, spec: ProblemSpec,
                   bundle: PathBundle) -> np.ndarray:
-    """Total switching cost per path; declarations at the final step count."""
+    """Total switching cost per path; declarations at the final step count.
+
+    Costs are added pair by pair, in the player's mode order of the
+    (source, target) pairs, and in record order within a pair.
+    """
     table = spec.costs.costs1 if realized.player == 1 else spec.costs.costs2
+    modes = _player_modes(spec, realized.player)
     out = np.zeros(bundle.n_paths)
     if realized.switch_path.size == 0:
         return out
     t_at = bundle.times[realized.switch_step]
     x_at = bundle.states[realized.switch_path, realized.switch_step]
-    for (src, tgt) in {(int(s), int(g)) for s, g in
-                       zip(realized.switch_source, realized.switch_target)}:
-        mask = (realized.switch_source == src) & (realized.switch_target == tgt)
+    n = len(modes)
+    codes = (_positions(realized.switch_source, modes, np.int64) * n
+             + _positions(realized.switch_target, modes, np.int64))
+    for code in np.unique(codes):
+        mask = codes == code
+        pair = (modes[code // n], modes[code % n])
         costs = np.asarray(
-            evaluate(table[(src, tgt)], EvalContext(t_at[mask], x_at[mask])), dtype=float
+            evaluate(table[pair], EvalContext(t_at[mask], x_at[mask])), dtype=float
         )
         np.add.at(out, realized.switch_path[mask], np.broadcast_to(costs, (int(mask.sum()),)))
     return out
@@ -354,40 +393,63 @@ class PayoffEstimate:
     switches2: np.ndarray
 
 
+def _realized(strategy: SwitchingStrategy | RealizedStrategy, spec: ProblemSpec,
+              bundle: PathBundle) -> RealizedStrategy:
+    if not isinstance(strategy, RealizedStrategy):
+        return strategy.realize(spec, bundle)
+    if strategy.modes.shape != (bundle.n_paths, bundle.n_steps + 1):
+        raise ValueError("realized strategy does not match the path bundle")
+    return strategy
+
+
+def _pair_codes(spec: ProblemSpec, r1: RealizedStrategy, r2: RealizedStrategy) -> np.ndarray:
+    """Index into spec.modes.pairs of the pair prevailing on each interval
+    [t_k, t_{k+1}): a contiguous (n_steps, n_paths) array."""
+    modes1, modes2 = spec.modes.modes1, spec.modes.modes2
+    dtype = np.min_scalar_type(len(modes1) * len(modes2) - 1)
+    codes = _positions(r1.modes.T[1:], modes1, dtype)
+    codes *= len(modes2)
+    codes += _positions(r2.modes.T[1:], modes2, dtype)
+    return codes
+
+
 def payoff_estimate(spec: ProblemSpec, bundle: PathBundle,
-                    strategy1: SwitchingStrategy, strategy2: SwitchingStrategy) -> PayoffEstimate:
-    """Monte Carlo payoff of a strategy pair on a common path bundle."""
-    r1 = strategy1.realize(spec, bundle)
-    r2 = strategy2.realize(spec, bundle)
+                    strategy1: SwitchingStrategy | RealizedStrategy,
+                    strategy2: SwitchingStrategy | RealizedStrategy) -> PayoffEstimate:
+    """Monte Carlo payoff of a strategy pair on a common path bundle.
+
+    Either strategy may come already realized against this bundle; it is
+    then used as is.
+    """
+    r1 = _realized(strategy1, spec, bundle)
+    r2 = _realized(strategy2, spec, bundle)
     n_paths, n_steps = bundle.n_paths, bundle.n_steps
     dt = float(bundle.times[1] - bundle.times[0]) if n_steps else 0.0
+    pairs = spec.modes.pairs
+    codes = _pair_codes(spec, r1, r2)
 
-    # interval modes: the pair prevailing on [t_k, t_{k+1})
-    m1 = r1.modes[:, 1:]
-    m2 = r2.modes[:, 1:]
     reward = np.zeros(n_paths)
-    for k in range(n_steps):
+    step_reward = np.empty(n_paths)
+    for k, xk in enumerate(_columns(bundle.states, n_steps)):
         tk = float(bundle.times[k])
-        xk = bundle.states[:, k]
-        for (i, j) in spec.modes.pairs:
-            mask = (m1[:, k] == i) & (m2[:, k] == j)
-            if not np.any(mask):
+        for code, pair in enumerate(pairs):
+            idx = np.flatnonzero(codes[k] == code)
+            if idx.size == 0:
                 continue
-            vals = np.asarray(
-                evaluate(spec.drivers.f[(i, j)], EvalContext(tk, xk[mask])), dtype=float
-            )
-            reward[mask] += np.broadcast_to(vals, (int(mask.sum()),)) * dt
+            vals = np.asarray(evaluate(spec.drivers.f[pair], EvalContext(tk, xk[idx])), dtype=float)
+            step_reward[idx] = np.broadcast_to(vals, idx.shape) * dt
+        reward += step_reward
 
+    # the final interval's pair is the pair at the terminal step
     terminal = np.zeros(n_paths)
     xT = bundle.states[:, -1]
-    for (i, j) in spec.modes.pairs:
-        mask = (r1.modes[:, -1] == i) & (r2.modes[:, -1] == j)
-        if not np.any(mask):
+    for code, pair in enumerate(pairs):
+        idx = np.flatnonzero(codes[-1] == code)
+        if idx.size == 0:
             continue
-        vals = np.asarray(
-            evaluate(spec.terminals.h[(i, j)], EvalContext(spec.horizon, xT[mask])), dtype=float
-        )
-        terminal[mask] = np.broadcast_to(vals, (int(mask.sum()),))
+        vals = np.asarray(evaluate(spec.terminals.h[pair], EvalContext(spec.horizon, xT[idx])),
+                          dtype=float)
+        terminal[idx] = np.broadcast_to(vals, idx.shape)
 
     cost1 = _switch_costs(r1, spec, bundle)
     cost2 = _switch_costs(r2, spec, bundle)
@@ -462,7 +524,10 @@ def verify_saddle(
     saddle payoff to a PDE value within z * stderr + pde_allowance.
     """
     t0, x0, i0, j0 = start
-    base = payoff_estimate(spec, bundle, saddle1, saddle2)
+    # each saddle strategy is realized once and reused across the roster
+    real1 = saddle1.realize(spec, bundle)
+    real2 = saddle2.realize(spec, bundle)
+    base = payoff_estimate(spec, bundle, real1, real2)
     report = GameReport(start={"t": t0, "x": x0, "mode1": i0, "mode2": j0}, z=z)
     report.saddle_mean = base.mean
     report.saddle_stderr = base.stderr
@@ -484,10 +549,10 @@ def verify_saddle(
         }
 
     for name, challenger in challengers1:
-        attempt = payoff_estimate(spec, bundle, challenger, saddle2)
+        attempt = payoff_estimate(spec, bundle, challenger, real2)
         report.challenger1.append(diff_entry(name, base.per_path - attempt.per_path, attempt))
     for name, challenger in challengers2:
-        attempt = payoff_estimate(spec, bundle, saddle1, challenger)
+        attempt = payoff_estimate(spec, bundle, real1, challenger)
         report.challenger2.append(diff_entry(name, attempt.per_path - base.per_path, attempt))
 
     if pde_value is not None:

@@ -60,10 +60,14 @@ class PathBundle:
 def normal_increments(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
     """Standard normals keyed by (seed, path, step), independent of call order."""
     out = np.empty((n_paths, n_steps))
+    bg = np.random.Philox(key=seed)
+    gen = np.random.Generator(bg)
+    state = bg.state
     for p in range(n_paths):
-        bg = np.random.Philox(key=seed)
-        bg.advance(p * _PATH_STRIDE)
-        out[p, :] = np.random.Generator(bg).standard_normal(n_steps)
+        # path p's stream starts p * _PATH_STRIDE blocks into the keyed stream
+        state["state"]["counter"] = np.array([p * _PATH_STRIDE, 0, 0, 0], dtype=np.uint64)
+        bg.state = state
+        gen.standard_normal(n_steps, out=out[p])
     return out
 
 
@@ -97,7 +101,8 @@ def simulate_paths(spec: ProblemSpec, params: SimParams) -> PathBundle:
         normals[1::2] = -base[: n // 2]
     else:
         normals = normal_increments(params.seed, n, steps)
-    increments = normals * sqrt_dt
+    normals *= sqrt_dt
+    increments = normals
 
     lo, hi = spec.domain
     mid = 0.5 * (lo + hi)

@@ -88,6 +88,34 @@ class ValueField:
         """Linear interpolation in x of one mode's values at a time level."""
         return np.interp(x, self.grid.xs, self.values[self.index_of(label), level, :])
 
+    def interp_modes(self, level: int, x: np.ndarray) -> np.ndarray:
+        """Every mode's values at a time level, interpolated linearly in x.
+
+        Row m equals ``interp_x(mode_labels[m], level, x)`` bit for bit for
+        finite x.  The grid is uniform, so one cell lookup serves every mode:
+        the floor guess from the spacing is corrected by one cell against
+        ``xs``.  The arithmetic is np.interp's: the cell's slope
+        (y[j+1] - y[j]) / (x[j+1] - x[j]), then slope * (x - x[j]) + y[j];
+        a node hit returns the node value and points outside the grid the
+        end value.
+        """
+        xs, nx = self.grid.xs, self.grid.nx
+        ys = self.values[:, level, :]
+        cell = np.clip((x - xs[0]) / self.grid.dx, 0, nx - 2).astype(np.intp)
+        cell -= xs.take(cell) > x
+        cell += xs.take(cell + 1) <= x
+        # cell is -1 below the grid and nx - 1 at or above its last node
+        j = np.clip(cell, 0, nx - 2)
+        xj = xs.take(j)
+        slopes = (ys[:, 1:] - ys[:, :-1]) / (xs[1:] - xs[:-1])
+        # far outside the grid the formula may overflow; those points are
+        # replaced by the end values below
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = slopes.take(j, axis=1) * (x - xj) + ys.take(j, axis=1)
+        exact = np.flatnonzero((cell < 0) | (cell == nx - 1) | (xj == x))
+        out[:, exact] = ys.take(np.clip(cell[exact], 0, nx - 1), axis=1)
+        return out
+
     def meta_dict(self) -> dict:
         return {
             "system": self.system,

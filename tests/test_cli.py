@@ -69,6 +69,26 @@ def test_schema_error_exits_2(tmp_path):
     assert main(["validate", str(path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "command,section,key,value",
+    [
+        ("game", "grid", "nt", 1),
+        ("solve", "grid", "nx", 2),
+        ("validate", "validation", "t_samples", 0),
+        ("validate", "validation", "x_samples", -1),
+    ],
+)
+def test_out_of_range_parameter_exits_2_with_location(tmp_path, capsys, command, section,
+                                                       key, value):
+    doc = _small_game_doc()
+    doc.setdefault(section, {})[key] = value
+    path, _ = _stage(tmp_path, doc)
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{section}.{key}" in err
+    assert "Traceback" not in err
+
+
 def test_bad_expression_reports_location(tmp_path, capsys):
     doc = _load("e0_heat.json")
     doc["drivers"] = {"1,1": "x +"}

@@ -3,6 +3,7 @@ import pytest
 
 from switchgame.errors import AdmissibilityError, PreconditionError
 from switchgame.game import (
+    RealizedStrategy,
     SwitchingStrategy,
     cumulative_cost,
     default_challengers,
@@ -73,6 +74,16 @@ def test_indicator_rejects_off_grid_steps():
     with pytest.raises(ValueError):
         indicator_process(SwitchingStrategy(player=1, start_mode=1, schedule=((11, 2),)),
                           spec, bundle)
+
+
+@pytest.mark.parametrize("strategy", [
+    SwitchingStrategy(player=1, start_mode=3, schedule=()),
+    SwitchingStrategy(player=2, start_mode=1, schedule=((2, 300),)),
+])
+def test_realize_rejects_labels_outside_the_mode_set(strategy):
+    spec = _plain_spec()
+    with pytest.raises(ValueError):
+        strategy.realize(spec, _frozen_bundle(spec))
 
 
 def test_explicit_schedule_over_cap_is_inadmissible():
@@ -372,3 +383,86 @@ def test_saddle_payoff_between_matrix_extremes(small_game):
     base = payoff_estimate(spec, bundle, saddle1, saddle2).mean
     matrix = [payoff_estimate(spec, bundle, a, b).mean for a in strategies1 for b in strategies2]
     assert min(matrix) - 1e-12 <= base <= max(matrix) + 1e-12
+
+
+def test_payoff_on_realized_strategies_matches_strategy_call(small_game):
+    spec, _, _, _, bundle, saddle1, saddle2 = small_game
+    challenger = switch_at_start(spec, 2, 1)
+    direct = payoff_estimate(spec, bundle, saddle1, challenger)
+    real1 = saddle1.realize(spec, bundle)
+    real2 = challenger.realize(spec, bundle)
+    for first, second in ((real1, real2), (real1, challenger), (saddle1, real2)):
+        again = payoff_estimate(spec, bundle, first, second)
+        for name in ("per_path", "cost1_per_path", "cost2_per_path", "switches1", "switches2"):
+            assert np.array_equal(getattr(again, name), getattr(direct, name))
+        assert (again.mean, again.stderr) == (direct.mean, direct.stderr)
+
+
+def test_payoff_rejects_strategy_realized_on_another_bundle(small_game):
+    spec, _, _, _, bundle, saddle1, saddle2 = small_game
+    other = simulate_paths(spec, SimParams(n_paths=10, n_steps=bundle.n_steps, seed=3))
+    with pytest.raises(ValueError):
+        payoff_estimate(spec, bundle, saddle1.realize(spec, other), saddle2)
+
+
+def test_verify_saddle_realizes_each_strategy_once(small_game, monkeypatch):
+    spec, _, _, _, bundle, saddle1, saddle2 = small_game
+    calls = {}
+    original = SwitchingStrategy.realize
+
+    def counting(self, spec, bundle):
+        calls[id(self)] = calls.get(id(self), 0) + 1
+        return original(self, spec, bundle)
+
+    monkeypatch.setattr(SwitchingStrategy, "realize", counting)
+    challengers1 = default_challengers(spec, 1, 1, 23, bundle.n_steps)
+    challengers2 = default_challengers(spec, 2, 1, 24, bundle.n_steps)
+    verify_saddle(spec, bundle, saddle1, saddle2, challengers1, challengers2,
+                  start=(0.0, 0.0, 1, 1))
+    strategies = [saddle1, saddle2] + [s for _, s in challengers1 + challengers2]
+    assert calls == {id(s): 1 for s in strategies}
+
+
+def _relabel(track, labels, mapping):
+    out = np.empty(track.shape, dtype=np.int64)
+    for old, new in zip(labels, mapping):
+        out[track == old] = new
+    return out
+
+
+@pytest.mark.parametrize("labels", [(-3, 300), (1, 70000), (-200, 5)])
+def test_realization_keeps_labels_outside_uint8(labels):
+    f1 = ("0", "0.5 + 0.3*x")
+    ref_spec = _separated_game_spec(costs1_value=0.1, f1=f1, volatility="0.4")
+    a, b = labels
+    spec = build_spec(
+        modes1=labels, modes2=(1, 2),
+        costs1={(a, b): 0.1, (b, a): 0.1}, costs2={(1, 2): 10.0, (2, 1): 10.0},
+        drivers={(m, j): f1[i] for i, m in enumerate(labels) for j in (1, 2)},
+        terminals={(m, j): "0" for m in labels for j in (1, 2)},
+        volatility="0.4",
+    )
+    bundle = simulate_paths(ref_spec, SimParams(n_paths=200, n_steps=40, seed=9))
+    ref_grid = build_grid(ref_spec, 41, 33)
+    grid = build_grid(spec, 41, 33)
+    ref_field = solve_single_obstacle(ref_spec, ref_grid, 1)
+    field = solve_single_obstacle(spec, grid, 1)
+    cases = [
+        (saddle_strategy_player1(ref_field, ref_spec, bundle, 1),
+         saddle_strategy_player1(field, spec, bundle, a)),
+        (SwitchingStrategy(player=1, start_mode=1, schedule=((3, 2), (17, 1))),
+         SwitchingStrategy(player=1, start_mode=a, schedule=((3, b), (17, a)))),
+    ]
+    for ref_strategy, strategy in cases:
+        ref = ref_strategy.realize(ref_spec, bundle)
+        got = strategy.realize(spec, bundle)
+        assert np.iinfo(got.modes.dtype).min <= min(labels)
+        assert max(labels) <= np.iinfo(got.modes.dtype).max
+        assert np.array_equal(got.modes, _relabel(ref.modes, (1, 2), labels))
+        assert got.switch_path.size > 0
+        assert np.array_equal(got.switch_path, ref.switch_path)
+        assert np.array_equal(got.switch_step, ref.switch_step)
+        assert np.array_equal(got.switch_target, _relabel(ref.switch_target, (1, 2), labels))
+        ref_pay = payoff_estimate(ref_spec, bundle, ref, never_switch(2, 1))
+        pay = payoff_estimate(spec, bundle, got, never_switch(2, 1))
+        assert np.array_equal(pay.per_path, ref_pay.per_path)

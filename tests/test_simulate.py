@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from switchgame.simulate import (
+    _PATH_STRIDE,
     SimParams,
     load_bundle,
     moment_estimate,
@@ -55,6 +56,15 @@ def test_increments_keyed_by_path():
     small = normal_increments(7, 4, 16)
     large = normal_increments(7, 9, 16)
     assert np.array_equal(small, large[:4])
+
+
+def test_increments_match_independent_per_path_streams():
+    # the stream of path p is the keyed Philox stream advanced p * _PATH_STRIDE blocks
+    rows = normal_increments(3, 12, 25)
+    for p in (0, 1, 11):
+        bg = np.random.Philox(key=3)
+        bg.advance(p * _PATH_STRIDE)
+        assert np.array_equal(rows[p], np.random.Generator(bg).standard_normal(25))
 
 
 def test_antithetic_mean_exact_for_constant_volatility():

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from switchgame.errors import ConvergenceError, PreconditionError
 from switchgame.expressions import EvalContext, evaluate
 from switchgame.game import deterministic_dp_oracle
-from switchgame.grid import build_grid
+from switchgame.grid import Grid, build_grid
 from switchgame.solver import (
     PenaltySchedule,
+    ValueField,
     barrier_respect_check,
     decomposition_check,
     penalty_excess_diagnostic,
@@ -410,3 +412,35 @@ def test_fixed_point_budget_exhaustion_raises():
     with pytest.raises(ConvergenceError) as err:
         solve_minmax(spec, grid, tight)
     assert err.value.residual > 0
+
+
+# ---------------------------------------------------------------------------
+# Shared-index interpolation
+# ---------------------------------------------------------------------------
+
+
+@given(
+    nx=st.integers(3, 200),
+    lo=st.floats(-10, 10),
+    width=st.floats(1e-3, 20),
+    scale=st.floats(1e-6, 1e6),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_interp_modes_bitwise_equal_to_np_interp(nx, lo, width, scale, seed):
+    rng = np.random.default_rng(seed)
+    xs = np.linspace(lo, lo + width, nx)
+    grid = Grid(nt=2, nx=nx, times=np.array([0.0, 1.0]), xs=xs)
+    values = scale * rng.standard_normal((3, 2, nx))
+    values[0, 1, ::4] = -0.0  # a node hit must return the node value itself
+    values[1, 1, 1::3] = values[1, 1, ::3][: values[1, 1, 1::3].size]  # flat cells
+    field = ValueField("single_lower", (4, 1, 7), values, grid)
+    points = np.concatenate([
+        xs, np.nextafter(xs, np.inf), np.nextafter(xs, -np.inf),
+        [xs[0] - 1.0, xs[-1] + 1.0, np.nextafter(xs[-1], np.inf), -1e300, 1e300],
+        rng.uniform(lo - 0.1 * width, lo + 1.1 * width, 500),
+    ])
+    got = field.interp_modes(1, points)
+    for row, label in enumerate(field.mode_labels):
+        want = field.interp_x(label, 1, points)
+        assert np.array_equal(got[row].view(np.int64), want.view(np.int64))
