@@ -11,7 +11,6 @@ from .expressions import (
     EvalContext,
     ExpressionTree,
     evaluate,
-    evaluate_tx,
     free_variables,
     parse_expression,
     to_source,
@@ -24,15 +23,16 @@ from .model import (
     ProblemSpec,
     SwitchCostTable,
     TerminalTable,
+    ceiling,
     check_separation,
-    eval_obstacle_lower,
-    eval_obstacle_upper,
+    cost_array,
+    floor,
     run_all_checks,
     validate_consistency,
     validate_costs,
     validate_triangle,
 )
-from .grid import Grid, GeneratorStencil, apply_backward_step, build_grid, discretize_generator
+from .grid import Grid, GeneratorStencil, build_grid, discretize_generator
 from .simulate import MomentEstimate, PathBundle, SimParams, moment_estimate, simulate_paths
 from .solver import (
     PenaltySchedule,
@@ -40,7 +40,6 @@ from .solver import (
     ValueField,
     barrier_respect_check,
     decomposition_check,
-    penalty_excess_diagnostic,
     solve_clamped,
     solve_maxmin,
     solve_minmax,

@@ -12,11 +12,10 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .config import RunConfig, load_config, worker_count
+from .config import RunConfig, load_config
 from .errors import ConfigError, ConvergenceError, PreconditionError, SwitchgameError
 from .grid import build_grid
 from .model import run_all_checks, validate_consistency, validate_costs
@@ -63,21 +62,9 @@ def cmd_solve(config: RunConfig, system: str) -> int:
     wanted = ["minmax", "maxmin"] if system == "both" else [system]
     results = {}
     try:
-        if len(wanted) == 2 and worker_count() > 1:
-            with ThreadPoolExecutor(max_workers=2) as pool:
-                futs = {
-                    name: pool.submit(
-                        solve_minmax if name == "minmax" else solve_maxmin,
-                        config.spec, grid, config.schedule,
-                    )
-                    for name in wanted
-                }
-                for name, fut in futs.items():
-                    results[name] = fut.result()
-        else:
-            for name in wanted:
-                solver = solve_minmax if name == "minmax" else solve_maxmin
-                results[name] = solver(config.spec, grid, config.schedule)
+        for name in wanted:
+            solver = solve_minmax if name == "minmax" else solve_maxmin
+            results[name] = solver(config.spec, grid, config.schedule)
     except ConvergenceError as exc:
         _write_json(os.path.join(out, "solve_error.json"),
                     {"error": str(exc), "residual": exc.residual})

@@ -25,7 +25,6 @@ Expressions use the closed grammar of switchgame.expressions.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 
 from .errors import ConfigError, ExpressionSyntaxError, SpecificationError
@@ -74,6 +73,16 @@ def _need(doc: dict, key: str, where: str):
     if key not in doc:
         raise ConfigError(where, f"missing required key {key!r}")
     return doc[key]
+
+
+def _section(doc: dict, key: str, where: str, required: bool = True) -> dict:
+    """The JSON object under ``key``; an optional section defaults to {}."""
+    if key not in doc and not required:
+        return {}
+    section = _need(doc, key, where)
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where}.{key}", "must be a JSON object")
+    return section
 
 
 def _parse_expr(text, where: str):
@@ -125,32 +134,32 @@ def load_config(path: str) -> RunConfig:
 
 
 def parse_config(doc: dict, where: str = "<config>") -> RunConfig:
-    modes_doc = _need(doc, "modes", where)
+    modes_doc = _section(doc, "modes", where)
     modes = ModeSets(
         modes1=_mode_list(_need(modes_doc, "player1", f"{where}.modes"), f"{where}.modes.player1"),
         modes2=_mode_list(_need(modes_doc, "player2", f"{where}.modes"), f"{where}.modes.player2"),
     )
 
-    costs_doc = _need(doc, "costs", where)
+    costs_doc = _section(doc, "costs", where)
     costs1 = {
         _transition_key(k, f"{where}.costs.player1"): _parse_expr(v, f"{where}.costs.player1.{k}")
-        for k, v in _need(costs_doc, "player1", f"{where}.costs").items()
+        for k, v in _section(costs_doc, "player1", f"{where}.costs").items()
     }
     costs2 = {
         _transition_key(k, f"{where}.costs.player2"): _parse_expr(v, f"{where}.costs.player2.{k}")
-        for k, v in _need(costs_doc, "player2", f"{where}.costs").items()
+        for k, v in _section(costs_doc, "player2", f"{where}.costs").items()
     }
 
     drivers = {
         _pair_key(k, f"{where}.drivers"): _parse_expr(v, f"{where}.drivers.{k}")
-        for k, v in _need(doc, "drivers", where).items()
+        for k, v in _section(doc, "drivers", where).items()
     }
     terminals = {
         _pair_key(k, f"{where}.terminals"): _parse_expr(v, f"{where}.terminals.{k}")
-        for k, v in _need(doc, "terminals", where).items()
+        for k, v in _section(doc, "terminals", where).items()
     }
 
-    diff_doc = _need(doc, "diffusion", where)
+    diff_doc = _section(doc, "diffusion", where)
     diffusion = DiffusionCoefficients(
         drift=_parse_expr(_need(diff_doc, "drift", f"{where}.diffusion"), f"{where}.diffusion.drift"),
         volatility=_parse_expr(
@@ -162,7 +171,7 @@ def parse_config(doc: dict, where: str = "<config>") -> RunConfig:
     if not isinstance(horizon, (int, float)) or horizon <= 0:
         raise ConfigError(f"{where}.horizon", "must be a positive number")
 
-    domain_doc = _need(doc, "domain", where)
+    domain_doc = _section(doc, "domain", where)
     try:
         domain = (float(domain_doc["min"]), float(domain_doc["max"]))
     except (KeyError, TypeError, ValueError) as exc:
@@ -181,7 +190,7 @@ def parse_config(doc: dict, where: str = "<config>") -> RunConfig:
     except SpecificationError as exc:
         raise ConfigError(where, str(exc)) from exc
 
-    grid_doc = _need(doc, "grid", where)
+    grid_doc = _section(doc, "grid", where)
     try:
         nt, nx = int(grid_doc["nt"]), int(grid_doc["nx"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -191,7 +200,7 @@ def parse_config(doc: dict, where: str = "<config>") -> RunConfig:
     if nx < 3:
         raise ConfigError(f"{where}.grid.nx", "must be at least 3")
 
-    pen_doc = doc.get("penalties", {})
+    pen_doc = _section(doc, "penalties", where, required=False)
     try:
         schedule = PenaltySchedule(
             levels=tuple(float(v) for v in pen_doc.get("levels", (1.0, 4.0, 16.0, 64.0, 256.0))),
@@ -199,14 +208,14 @@ def parse_config(doc: dict, where: str = "<config>") -> RunConfig:
             max_iterations=int(pen_doc.get("max_iterations", 500)),
             penalizer=pen_doc.get("penalizer", "sum"),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}.penalties", str(exc)) from exc
 
     sim = None
     start_modes = None
     if "simulation" in doc:
-        sim_doc = doc["simulation"]
-        start = sim_doc.get("start", {})
+        sim_doc = _section(doc, "simulation", where)
+        start = _section(sim_doc, "start", f"{where}.simulation", required=False)
         try:
             sim = SimParams(
                 n_paths=int(_need(sim_doc, "paths", f"{where}.simulation")),
@@ -224,7 +233,7 @@ def parse_config(doc: dict, where: str = "<config>") -> RunConfig:
             raise ConfigError(f"{where}.simulation.start", "start modes must belong to the mode sets")
         start_modes = (int(m1), int(m2))
 
-    val_doc = doc.get("validation", {})
+    val_doc = _section(doc, "validation", where, required=False)
     try:
         validation = ValidationParams(
             t_samples=int(val_doc.get("t_samples", 5)),
@@ -248,12 +257,3 @@ def parse_config(doc: dict, where: str = "<config>") -> RunConfig:
         spec=spec, nt=nt, nx=nx, schedule=schedule, sim=sim,
         start_modes=start_modes, validation=validation, output=output,
     )
-
-
-def worker_count() -> int:
-    """Worker count for embarrassingly-parallel stages, from the environment."""
-    raw = os.environ.get("SWITCHGAME_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1

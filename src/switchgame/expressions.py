@@ -271,11 +271,6 @@ def evaluate(tree: ExpressionTree, ctx: EvalContext):
     return out
 
 
-def evaluate_tx(tree: ExpressionTree, t, x):
-    """Shorthand for evaluate() without building an EvalContext."""
-    return evaluate(tree, EvalContext(t, x))
-
-
 def free_variables(tree: ExpressionTree) -> set[str]:
     """Exact set of variable names that occur in the tree."""
     if isinstance(tree, Var):

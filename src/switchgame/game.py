@@ -21,7 +21,6 @@ against it by entering the payoff with a plus sign.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -29,7 +28,7 @@ import numpy as np
 
 from .errors import AdmissibilityError, PreconditionError
 from .expressions import EvalContext, evaluate
-from .model import ProblemSpec
+from .model import ProblemSpec, ceiling, clamp_sweep, cost_array, floor
 from .simulate import PathBundle
 from .solver import ValueField
 
@@ -624,55 +623,30 @@ def deterministic_dp_oracle(spec: ProblemSpec, nt: int, x: float) -> dict:
         raise PreconditionError(f"oracle limited to {ORACLE_MAX_MODES} modes per player")
     out = {}
     for variant in ("minmax", "maxmin"):
-        table = _oracle_tables(spec, nt, x, variant)
-        out[variant] = {pair: table[0][pair] for pair in spec.modes.pairs}
+        levels = _oracle_tables(spec, nt, x, variant)
+        out[variant] = {pair: float(value) for pair, value in zip(spec.modes.pairs, levels[0].flat)}
     return out
 
 
-def _oracle_tables(spec: ProblemSpec, nt: int, x: float, variant: str) -> list[dict]:
-    """Per-level value dictionaries, terminal last."""
+def _oracle_costs(spec: ProblemSpec, t: float, x: float):
+    ctx = EvalContext(t, x)
+    return (cost_array(spec.costs.costs1, spec.modes.modes1, ctx),
+            cost_array(spec.costs.costs2, spec.modes.modes2, ctx))
+
+
+def _oracle_tables(spec: ProblemSpec, nt: int, x: float, variant: str) -> np.ndarray:
+    """Values per level and mode position, shape (nt, n1, n2), terminal last."""
     times = np.linspace(0.0, spec.horizon, nt)
-    dt = float(times[1] - times[0])
-    pairs = spec.modes.pairs
     modes1, modes2 = spec.modes.modes1, spec.modes.modes2
-
-    levels = [dict() for _ in range(nt)]
-    for pair in pairs:
-        levels[nt - 1][pair] = float(
-            evaluate(spec.terminals.h[pair], EvalContext(spec.horizon, x))
-        )
-
+    levels = np.empty((nt, len(modes1), len(modes2)))
+    for a, b in np.ndindex(levels.shape[1:]):
+        levels[nt - 1, a, b] = evaluate(spec.terminals.h[(modes1[a], modes2[b])],
+                                        EvalContext(spec.horizon, x))
     for k in range(nt - 2, -1, -1):
-        t = float(times[k])
-        ctx = EvalContext(t, x)
-        g1 = {key: float(evaluate(expr, ctx)) for key, expr in spec.costs.costs1.items()}
-        g2 = {key: float(evaluate(expr, ctx)) for key, expr in spec.costs.costs2.items()}
-        cont = {
-            (i, j): levels[k + 1][(i, j)] + dt * float(evaluate(spec.drivers.f[(i, j)], ctx))
-            for (i, j) in pairs
-        }
-        values = dict(cont)
-        for _ in range(64):
-            changed = False
-            for (i, j) in pairs:
-                floor = max(
-                    (values[(q, j)] - g1[(i, q)] for q in modes1 if q != i),
-                    default=-math.inf,
-                )
-                ceiling = min(
-                    (values[(i, l)] + g2[(j, l)] for l in modes2 if l != j),
-                    default=math.inf,
-                )
-                if variant == "minmax":
-                    new = min(max(cont[(i, j)], floor), ceiling)
-                else:
-                    new = max(min(cont[(i, j)], ceiling), floor)
-                if new != values[(i, j)]:
-                    values[(i, j)] = new
-                    changed = True
-            if not changed:
-                break
-        levels[k] = values
+        cont = np.array([[_continuation(levels, spec, times, k, a, b, x)
+                          for b in range(len(modes2))] for a in range(len(modes1))])
+        levels[k] = clamp_sweep(cont, *_oracle_costs(spec, float(times[k]), x),
+                                floor_last=variant == "maxmin")
     return levels
 
 
@@ -689,50 +663,37 @@ def oracle_optimal_strategies(spec: ProblemSpec, nt: int, x: float,
     levels = _oracle_tables(spec, nt, x, variant)
     times = np.linspace(0.0, spec.horizon, nt)
     modes1, modes2 = spec.modes.modes1, spec.modes.modes2
-    i, j = start
+    a, b = modes1.index(start[0]), modes2.index(start[1])
+    start_value = float(levels[0, a, b])
     sched1: list[tuple[int, int]] = []
     sched2: list[tuple[int, int]] = []
     tol = 1e-11
     for k in range(nt - 1):
         values = levels[k]
-        ctx = EvalContext(float(times[k]), x)
-        g1 = {key: float(evaluate(expr, ctx)) for key, expr in spec.costs.costs1.items()}
-        g2 = {key: float(evaluate(expr, ctx)) for key, expr in spec.costs.costs2.items()}
+        g1, g2 = _oracle_costs(spec, float(times[k]), x)
         for _ in range(len(modes1) + len(modes2) + 2):
-            moved = False
-            if _binds_floor(levels, spec, times, k, i, j, x, tol):
-                floor_targets = [q for q in modes1 if q != i
-                                 and abs(values[(i, j)] - (values[(q, j)] - g1[(i, q)])) <= tol]
-                if floor_targets:
-                    target = min(floor_targets)
-                    sched1.append((k, target))
-                    i = target
-                    moved = True
-            elif _binds_ceiling(levels, spec, times, k, i, j, x, tol):
-                ceil_targets = [l for l in modes2 if l != j
-                                and abs(values[(i, j)] - (values[(i, l)] + g2[(j, l)])) <= tol]
-                if ceil_targets:
-                    target = min(ceil_targets)
-                    sched2.append((k, target))
-                    j = target
-                    moved = True
-            if not moved:
+            cont = _continuation(levels, spec, times, k, a, b, x)
+            # a binding obstacle's targets are the candidates the value sits on
+            if values[a, b] > cont + tol:
+                cands, labels, sched = floor(values, g1, (a, b), each=True), modes1, sched1
+            elif values[a, b] < cont - tol:
+                cands, labels, sched = ceiling(values, g2, (a, b), each=True), modes2, sched2
+            else:
                 break
-    return sched1, sched2, levels[0][start]
+            hits = np.flatnonzero(np.abs(values[a, b] - cands) <= tol)
+            if hits.size == 0:
+                break
+            m = min(hits, key=labels.__getitem__)
+            sched.append((k, labels[m]))
+            a, b = (m, b) if sched is sched1 else (a, m)
+    return sched1, sched2, start_value
 
 
-def _continuation(levels, spec, times, k, i, j, x) -> float:
+def _continuation(levels, spec, times, k, a, b, x) -> float:
+    """Level k + 1's value of the pair at positions (a, b) plus one step of its reward."""
     dt = float(times[1] - times[0])
-    ctx = EvalContext(float(times[k]), x)
-    return levels[k + 1][(i, j)] + dt * float(evaluate(spec.drivers.f[(i, j)], ctx))
-
-
-def _binds_floor(levels, spec, times, k, i, j, x, tol) -> bool:
-    return levels[k][(i, j)] > _continuation(levels, spec, times, k, i, j, x) + tol
-
-
-def _binds_ceiling(levels, spec, times, k, i, j, x, tol) -> bool:
-    return levels[k][(i, j)] < _continuation(levels, spec, times, k, i, j, x) - tol
+    f = spec.drivers.f[(spec.modes.modes1[a], spec.modes.modes2[b])]
+    return levels[k + 1, a, b] + dt * float(evaluate(f, EvalContext(float(times[k]), x)))
 
 
 def default_challengers(spec: ProblemSpec, player: int, start_mode: int, seed: int,

@@ -114,15 +114,3 @@ def solve_implicit(
     ab[2, :-1] = -dt * stencil.lower[1:]
     return solve_banded((1, 1), ab, rhs)
 
-
-def apply_backward_step(
-    field_next: np.ndarray,
-    stencil: GeneratorStencil,
-    source: np.ndarray,
-    dt: float,
-) -> np.ndarray:
-    """One implicit Euler step of dv/dt + L v + source = 0, backward in time."""
-    if field_next.shape != stencil.center.shape:
-        raise ValueError("field and stencil sizes disagree")
-    rhs = field_next + dt * np.broadcast_to(source, field_next.shape)
-    return solve_implicit(stencil, dt, rhs)

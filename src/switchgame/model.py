@@ -23,7 +23,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import SpecificationError
+from .errors import ConvergenceError, SpecificationError
 from .expressions import ZERO, EvalContext, ExpressionTree, evaluate, free_variables
 
 SEPARATION_TOL = 1e-12
@@ -350,26 +350,22 @@ def validate_consistency(spec: ProblemSpec, x_samples: list[float]) -> Assumptio
         if not (lo <= x <= hi):
             raise ValueError(f"sample x={x} outside domain")
     T = spec.horizon
+    modes = spec.modes
     result = CheckResult("terminal_consistency", True)
     for x in x_samples:
         ctx = EvalContext(T, x)
-        h = {pair: float(evaluate(spec.terminals.h[pair], ctx)) for pair in spec.modes.pairs}
-        for i, j in spec.modes.pairs:
-            lower = max(
-                (h[(k, j)] - float(evaluate(spec.costs.costs1[(i, k)], ctx))
-                 for k in spec.modes.modes1 if k != i),
-                default=-math.inf,
-            )
-            upper = min(
-                (h[(i, l)] + float(evaluate(spec.costs.costs2[(j, l)], ctx))
-                 for l in spec.modes.modes2 if l != j),
-                default=math.inf,
-            )
-            slack = 1e-12 * (1.0 + abs(h[(i, j)]))
-            if h[(i, j)] < lower - slack or h[(i, j)] > upper + slack:
+        h = np.array([[float(evaluate(spec.terminals.h[(i, j)], ctx)) for j in modes.modes2]
+                      for i in modes.modes1])
+        lower = floor(h, cost_array(spec.costs.costs1, modes.modes1, ctx))
+        upper = ceiling(h, cost_array(spec.costs.costs2, modes.modes2, ctx))
+        for a, b in np.ndindex(h.shape):
+            value = float(h[a, b])
+            slack = 1e-12 * (1.0 + abs(value))
+            if value < lower[a, b] - slack or value > upper[a, b] + slack:
                 result.passed = False
                 result.witnesses.append(
-                    {"pair": [i, j], "x": x, "lower": lower, "value": h[(i, j)], "upper": upper}
+                    {"pair": [modes.modes1[a], modes.modes2[b]], "x": x,
+                     "lower": float(lower[a, b]), "value": value, "upper": float(upper[a, b])}
                 )
     report = AssumptionReport()
     report.add(result)
@@ -504,41 +500,88 @@ def run_all_checks(
 
 
 # ---------------------------------------------------------------------------
-# Obstacle evaluators
+# Obstacle operators
 # ---------------------------------------------------------------------------
 
-
-def eval_obstacle_lower(values, costs: SwitchCostTable, i: int, j: int, t, x, modes1=None):
-    """Best value player 1 can reach from mode i by one switch, net of cost:
-    max_{k != i} values[k, j] - costs1[i, k](t, x).  Returns -inf when player 1
-    has no alternative mode (degenerate single-mode case)."""
-    if modes1 is None:
-        modes1 = sorted({k for k, _ in values})
-    ctx = EvalContext(t, x)
-    best = None
-    for k in modes1:
-        if k == i:
-            continue
-        candidate = values[(k, j)] - evaluate(costs.costs1[(i, k)], ctx)
-        best = candidate if best is None else np.maximum(best, candidate)
-    if best is None:
-        return -math.inf
-    return best
+SWEEP_CAP = 64  # Gauss-Seidel sweeps clamp_sweep may make before it gives up
 
 
-def eval_obstacle_upper(values, costs: SwitchCostTable, i: int, j: int, t, x, modes2=None):
-    """Cheapest value player 2 can impose from mode j by one switch, cost in:
-    min_{l != j} values[i, l] + costs2[j, l](t, x).  Returns +inf when player 2
-    has no alternative mode."""
-    if modes2 is None:
-        modes2 = sorted({l for _, l in values})
-    ctx = EvalContext(t, x)
-    best = None
-    for l in modes2:
-        if l == j:
-            continue
-        candidate = values[(i, l)] + evaluate(costs.costs2[(j, l)], ctx)
-        best = candidate if best is None else np.minimum(best, candidate)
-    if best is None:
-        return math.inf
-    return best
+def cost_array(table: Mapping[tuple[int, int], ExpressionTree], modes: tuple[int, ...],
+               ctx: EvalContext) -> np.ndarray:
+    """Switching costs at ctx as an array: out[a, b] = table[modes[a], modes[b]],
+    broadcast to the shape of ctx.x.  The diagonal is +inf and never evaluated
+    (staying put is not a switch), so the own mode drops out of both
+    obstacles and a single-mode player gets the obstacle -inf or +inf."""
+    n = len(modes)
+    out = np.full((n, n) + np.shape(ctx.x), math.inf)
+    for a, i in enumerate(modes):
+        for b, k in enumerate(modes):
+            if a != b:
+                out[a, b] = evaluate(table[(i, k)], ctx)
+    return out
+
+
+def floor(values: np.ndarray, costs1: np.ndarray, pair: tuple[int, int] | None = None,
+          each: bool = False):
+    """Player 1's switching floor max_{k != i} values[k, j] - costs1[i, k].
+
+    values is indexed (i, j, ...) by mode position and costs1 (i, k, ...) is
+    a cost_array; trailing axes broadcast.  The result is indexed like
+    values, or is the floor of pair=(i, j) alone.  each=True returns the
+    candidates values[k, j] - costs1[i, k] for every k (the own mode's at
+    -inf) on a new first axis instead of their maximum.
+    """
+    if pair is None:
+        terms = values[:, np.newaxis] - np.swapaxes(costs1, 0, 1)[:, :, np.newaxis]
+    else:
+        i, j = pair
+        terms = values[:, j] - costs1[i]
+    return terms if each else terms.max(axis=0)
+
+
+def ceiling(values: np.ndarray, costs2: np.ndarray, pair: tuple[int, int] | None = None,
+            each: bool = False):
+    """Player 2's switching ceiling min_{l != j} values[i, l] + costs2[j, l].
+
+    The mirror of floor: costs2 (j, l, ...) is a cost_array, the own mode's
+    candidate is +inf, and each=True returns the candidates for every l on
+    a new first axis instead of their minimum.
+    """
+    if pair is None:
+        terms = (np.moveaxis(values, 1, 0)[:, :, np.newaxis]
+                 + np.moveaxis(costs2, 1, 0)[:, np.newaxis])
+    else:
+        i, j = pair
+        terms = values[i] + costs2[j]
+    return terms if each else terms.min(axis=0)
+
+
+def clamp_sweep(base: np.ndarray, costs1: np.ndarray | None = None,
+                costs2: np.ndarray | None = None, floor_last: bool = False) -> np.ndarray:
+    """Gauss-Seidel fixed point of v[p] = clamp(base[p]) over the pairs p of
+    values indexed (i, j, ...), in lexicographic order.
+
+    The clamp lifts to the floor when costs1 is given and cuts at the
+    ceiling when costs2 is given, both formed from the current iterate.
+    With both, min(max(base, floor), ceiling) is taken, or
+    max(min(base, ceiling), floor) when floor_last.  Raises ConvergenceError
+    when SWEEP_CAP sweeps still change a value.
+    """
+    cur = base.copy()
+    for _ in range(SWEEP_CAP):
+        changed, residual = False, 0.0
+        for p in np.ndindex(base.shape[:2]):
+            lo = -math.inf if costs1 is None else floor(cur, costs1, p)
+            hi = math.inf if costs2 is None else ceiling(cur, costs2, p)
+            if floor_last:
+                new = np.maximum(np.minimum(base[p], hi), lo)
+            else:
+                new = np.minimum(np.maximum(base[p], lo), hi)
+            if np.any(new != cur[p]):
+                residual = max(residual, float(np.max(np.abs(new - cur[p]))))
+                cur[p] = new
+                changed = True
+        if not changed:
+            return cur
+    raise ConvergenceError(f"clamp sweep still moving after {SWEEP_CAP} sweeps",
+                           residual=residual)

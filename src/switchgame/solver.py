@@ -40,7 +40,7 @@ from scipy.linalg import solve_banded
 from .errors import ConvergenceError, PreconditionError
 from .expressions import EvalContext, evaluate
 from .grid import Grid, GeneratorStencil, discretize_generator, solve_implicit
-from .model import ProblemSpec, check_separation
+from .model import ProblemSpec, ceiling, check_separation, clamp_sweep, cost_array, floor
 
 _ACTIVE_SET_CAP = 64
 
@@ -184,31 +184,31 @@ class _LevelCache:
         self.modes1 = spec.modes.modes1
         self.modes2 = spec.modes.modes2
         n1, n2, nx = len(self.modes1), len(self.modes2), grid.nx
-        nt = grid.nt
-        self.f = np.empty((nt, n1, n2, nx))
-        self.g1 = np.empty((nt, n1, n1, nx))  # player-1 switch costs
-        self.g2 = np.empty((nt, n2, n2, nx))  # player-2 switch costs
+        self.f = np.empty((grid.nt, n1, n2, nx))
         self.stencils: list[GeneratorStencil] = []
         xs = grid.xs
-        for k in range(nt):
-            t = grid.times[k]
+        for k, t in enumerate(grid.times):
             ctx = EvalContext(t, xs)
             for a, i in enumerate(self.modes1):
                 for b, j in enumerate(self.modes2):
                     self.f[k, a, b, :] = evaluate(spec.drivers.f[(i, j)], ctx)
-            for a, i in enumerate(self.modes1):
-                for b, k2 in enumerate(self.modes1):
-                    self.g1[k, a, b, :] = evaluate(spec.costs.costs1[(i, k2)], ctx)
-            for a, j in enumerate(self.modes2):
-                for b, l in enumerate(self.modes2):
-                    self.g2[k, a, b, :] = evaluate(spec.costs.costs2[(j, l)], ctx)
             self.stencils.append(discretize_generator(spec, grid, t))
+        self.g1, self.g2 = _grid_costs(spec, grid)  # (nt, n, n, nx) switch costs
         self.terminal = np.empty((n1, n2, nx))
         for a, i in enumerate(self.modes1):
             for b, j in enumerate(self.modes2):
                 self.terminal[a, b, :] = evaluate(
                     spec.terminals.h[(i, j)], EvalContext(spec.horizon, xs)
                 )
+
+
+def _grid_costs(spec: ProblemSpec, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Both players' cost_array at every grid time, time first."""
+    return tuple(
+        np.stack([cost_array(table, modes, EvalContext(t, grid.xs)) for t in grid.times])
+        for table, modes in ((spec.costs.costs1, spec.modes.modes1),
+                             (spec.costs.costs2, spec.modes.modes2))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -265,16 +265,15 @@ def _pair_step(stencil, dt, rhs, thresholds, weight, bound, side, w0):
         max( w - bound,  (I - dt L) w - dt*weight * sum_d (d - w)^+ - rhs ) = 0
 
     with bound the floor (resp. ceiling) built from the current iterate of
-    the other mode pairs, or None in the single-pair case.  The obstacle is
-    enforced row-by-row through a policy iteration on the contact set (each
-    trial policy solved exactly by _solve_reaction_rows); enforcing it
-    inside the rows rather than projecting afterwards is what makes the
+    the other mode pairs; it is -inf (resp. +inf) for a single-mode player,
+    which leaves the contact set empty.  The obstacle is enforced
+    row-by-row through a policy iteration on the contact set (each trial
+    policy solved exactly by _solve_reaction_rows); enforcing it inside the
+    rows rather than projecting afterwards is what makes the
     discrete comparison between the two schemes exact.  A visited-policy
     set guards against the rare contact/reaction cycling at large
     weight * dt.
     """
-    if bound is None:
-        return _solve_reaction_rows(stencil, dt, rhs, thresholds, weight, side, None, None, w0)
     w = w0
     contact = (w0 < bound) if side == "above" else (w0 > bound)
     seen = set()
@@ -299,66 +298,6 @@ def _pair_step(stencil, dt, rhs, thresholds, weight, bound, side, w0):
         seen.add(key)
         contact = new_contact
     return w
-
-
-def _thresholds_minmax(cur, a, b, g2_level, penalizer):
-    """Ceiling candidates for pair (a, b): cur[a, l] + costs2[b, l], l != b."""
-    n2 = cur.shape[1]
-    cands = [cur[a, l] + g2_level[b, l] for l in range(n2) if l != b]
-    if not cands:
-        return []
-    if penalizer == "max":
-        return [np.minimum.reduce(cands)]
-    return cands
-
-
-def _thresholds_maxmin(cur, a, b, g1_level, penalizer):
-    """Floor candidates for pair (a, b): cur[k, b] - costs1[a, k], k != a."""
-    n1 = cur.shape[0]
-    cands = [cur[k, b] - g1_level[a, k] for k in range(n1) if k != a]
-    if not cands:
-        return []
-    if penalizer == "max":
-        return [np.maximum.reduce(cands)]
-    return cands
-
-
-def _project_floor(cur, g1_level):
-    """Gauss-Seidel projection v^{ij} := max(v^{ij}, floor) until stable."""
-    n1, n2 = cur.shape[0], cur.shape[1]
-    for _ in range(2 * (n1 + n2) + 4):
-        changed = False
-        for a in range(n1):
-            for b in range(n2):
-                if n1 == 1:
-                    continue
-                floor = np.maximum.reduce([cur[k, b] - g1_level[a, k] for k in range(n1) if k != a])
-                lifted = np.maximum(cur[a, b], floor)
-                if np.any(lifted > cur[a, b]):
-                    cur[a, b] = lifted
-                    changed = True
-        if not changed:
-            return
-    raise ConvergenceError("floor projection did not stabilize", residual=math.nan)
-
-
-def _project_ceiling(cur, g2_level):
-    """Gauss-Seidel projection v^{ij} := min(v^{ij}, ceiling) until stable."""
-    n1, n2 = cur.shape[0], cur.shape[1]
-    for _ in range(2 * (n1 + n2) + 4):
-        changed = False
-        for a in range(n1):
-            for b in range(n2):
-                if n2 == 1:
-                    continue
-                ceiling = np.minimum.reduce([cur[a, l] + g2_level[b, l] for l in range(n2) if l != b])
-                cut = np.minimum(cur[a, b], ceiling)
-                if np.any(cut < cur[a, b]):
-                    cur[a, b] = cut
-                    changed = True
-        if not changed:
-            return
-    raise ConvergenceError("ceiling projection did not stabilize", residual=math.nan)
 
 
 def _solve_penalized(cache: _LevelCache, penalty: float, direction: str,
@@ -390,29 +329,23 @@ def _solve_penalized(cache: _LevelCache, penalty: float, direction: str,
         for _ in range(schedule.max_iterations):
             total_iters += 1
             residual = 0.0
-            for a in range(n1):
-                for b in range(n2):
-                    rhs = vnext[a, b] + dt * f_k[a, b]
-                    if direction == "minmax":
-                        thresholds = _thresholds_minmax(cur, a, b, g2_k, schedule.penalizer)
-                        floor = (
-                            np.maximum.reduce([cur[q, b] - g1_k[a, q] for q in range(n1) if q != a])
-                            if n1 > 1 else None
-                        )
-                        w = _pair_step(
-                            stencil, dt, rhs, thresholds, penalty, floor, "above", cur[a, b]
-                        )
-                    else:
-                        thresholds = _thresholds_maxmin(cur, a, b, g1_k, schedule.penalizer)
-                        ceiling = (
-                            np.minimum.reduce([cur[a, l] + g2_k[b, l] for l in range(n2) if l != b])
-                            if n2 > 1 else None
-                        )
-                        w = _pair_step(
-                            stencil, dt, rhs, thresholds, penalty, ceiling, "below", cur[a, b]
-                        )
-                    residual = max(residual, float(np.max(np.abs(w - cur[a, b]))))
-                    cur[a, b] = w
+            for a, b in np.ndindex(n1, n2):
+                rhs = vnext[a, b] + dt * f_k[a, b]
+                if direction == "minmax":
+                    bound, side = floor(cur, g1_k, (a, b)), "above"
+                    soft, own, costs = ceiling, b, g2_k
+                else:
+                    bound, side = ceiling(cur, g2_k, (a, b)), "below"
+                    soft, own, costs = floor, a, g1_k
+                # the penalized obstacle's candidates, own mode left out, or
+                # the obstacle itself; none at all for a single-mode player
+                cands = soft(cur, costs, (a, b), each=True)
+                thresholds = [c for m, c in enumerate(cands) if m != own]
+                if schedule.penalizer == "max" and thresholds:
+                    thresholds = [soft(cur, costs, (a, b))]
+                w = _pair_step(stencil, dt, rhs, thresholds, penalty, bound, side, cur[a, b])
+                residual = max(residual, float(np.max(np.abs(w - cur[a, b]))))
+                cur[a, b] = w
             if residual < schedule.fixed_point_tol:
                 converged = True
                 break
@@ -422,36 +355,30 @@ def _solve_penalized(cache: _LevelCache, penalty: float, direction: str,
             )
 
         if direction == "minmax":
-            _project_floor(cur, g1_k)
+            cur = clamp_sweep(cur, costs1=g1_k)
         else:
-            _project_ceiling(cur, g2_k)
+            cur = clamp_sweep(cur, costs2=g2_k)
         v[:, :, k, :] = cur
 
     return v, total_iters
 
 
 def _excess_by_pair(values, cache: _LevelCache, penalty: float, direction: str) -> dict:
-    """Max over the grid of penalty * sum of obstacle excesses, per mode pair."""
-    n1, n2 = len(cache.modes1), len(cache.modes2)
-    nt = cache.grid.nt
+    """Max over the grid of penalty * sum of obstacle excesses, per mode pair.
+
+    The excesses are the reaction term's: (v^{ij} - v^{il} - costs2_{jl})^+
+    descending, (v^{kj} - costs1_{ik} - v^{ij})^+ ascending; the own mode's
+    is 0 through the infinite diagonal cost.
+    """
+    g1, g2 = np.moveaxis(cache.g1, 0, 2), np.moveaxis(cache.g2, 0, 2)  # (n, n, nt, nx)
     out = {}
-    for a in range(n1):
-        for b in range(n2):
-            worst = 0.0
-            for k in range(nt):
-                if direction == "minmax":
-                    terms = [
-                        np.maximum(values[a, b, k] - values[a, l, k] - cache.g2[k, b, l], 0.0)
-                        for l in range(n2) if l != b
-                    ]
-                else:
-                    terms = [
-                        np.maximum(values[q, b, k] - cache.g1[k, a, q] - values[a, b, k], 0.0)
-                        for q in range(n1) if q != a
-                    ]
-                if terms:
-                    worst = max(worst, penalty * float(np.max(sum(terms))))
-            out[f"{cache.modes1[a]},{cache.modes2[b]}"] = worst
+    for a, b in np.ndindex(values.shape[:2]):
+        if direction == "minmax":
+            excess = values[a, b] - values[a] - g2[b]
+        else:
+            excess = floor(values, g1, (a, b), each=True) - values[a, b]
+        total = np.maximum(excess, 0.0).sum(axis=0)
+        out[f"{cache.modes1[a]},{cache.modes2[b]}"] = max(0.0, penalty * float(np.max(total)))
     return out
 
 
@@ -515,36 +442,13 @@ def solve_clamped(spec: ProblemSpec, grid: Grid, order: str = "minmax") -> Value
     v = np.empty((n1, n2, nt, nx))
     v[:, :, nt - 1, :] = cache.terminal
     for k in range(nt - 2, -1, -1):
-        stencil = cache.stencils[k]
         stepped = np.empty((n1, n2, nx))
-        for a in range(n1):
-            for b in range(n2):
-                stepped[a, b] = solve_implicit(
-                    stencil, dt, v[a, b, k + 1] + dt * cache.f[k, a, b]
-                )
-        cur = stepped.copy()
-        for _ in range(4 * (n1 + n2) + 8):
-            changed = False
-            for a in range(n1):
-                for b in range(n2):
-                    floor = (
-                        np.maximum.reduce([cur[q, b] - cache.g1[k, a, q] for q in range(n1) if q != a])
-                        if n1 > 1 else np.full(nx, -math.inf)
-                    )
-                    ceiling = (
-                        np.minimum.reduce([cur[a, l] + cache.g2[k, b, l] for l in range(n2) if l != b])
-                        if n2 > 1 else np.full(nx, math.inf)
-                    )
-                    if order == "minmax":
-                        new = np.maximum(np.minimum(stepped[a, b], ceiling), floor)
-                    else:
-                        new = np.minimum(np.maximum(stepped[a, b], floor), ceiling)
-                    if np.any(new != cur[a, b]):
-                        cur[a, b] = new
-                        changed = True
-            if not changed:
-                break
-        v[:, :, k, :] = cur
+        for a, b in np.ndindex(n1, n2):
+            stepped[a, b] = solve_implicit(
+                cache.stencils[k], dt, v[a, b, k + 1] + dt * cache.f[k, a, b]
+            )
+        v[:, :, k, :] = clamp_sweep(stepped, cache.g1[k], cache.g2[k],
+                                    floor_last=order == "minmax")
     return ValueField(system=f"clamped_{order}", mode_labels=spec.modes.pairs,
                       values=v.reshape(n1 * n2, nt, nx), grid=grid, penalty=None)
 
@@ -579,52 +483,29 @@ def solve_single_obstacle(spec: ProblemSpec, grid: Grid, which: int) -> ValueFie
     stencils = [discretize_generator(spec, grid, grid.times[k]) for k in range(nt - 1)]
 
     if which == 1:
-        modes = spec.modes.modes1
-        f_funcs = components.f1
-        h_funcs = components.h1
+        modes, f_funcs, h_funcs = spec.modes.modes1, components.f1, components.h1
         cost_table = spec.costs.costs1
     elif which == 2:
-        modes = spec.modes.modes2
-        f_funcs = components.f2
-        h_funcs = components.h2
+        modes, f_funcs, h_funcs = spec.modes.modes2, components.f2, components.h2
         cost_table = spec.costs.costs2
     else:
         raise ValueError("which must be 1 or 2")
 
     n = len(modes)
+    shape = (n, 1, nx) if which == 1 else (1, n, nx)  # a one-sided pair array
     v = np.empty((n, nt, nx))
     for a, mode in enumerate(modes):
         v[a, nt - 1, :] = np.broadcast_to(np.asarray(h_funcs[mode](xs), dtype=float), xs.shape)
 
     for k in range(nt - 2, -1, -1):
         t = grid.times[k]
-        ctx = EvalContext(t, xs)
-        costs = {
-            (a, b): np.broadcast_to(
-                np.asarray(evaluate(cost_table[(modes[a], modes[b])], ctx), dtype=float), xs.shape)
-            for a in range(n) for b in range(n) if a != b
-        }
+        costs = cost_array(cost_table, modes, EvalContext(t, xs))
+        obstacle = (costs, None) if which == 1 else (None, costs)
         cur = np.empty((n, nx))
         for a, mode in enumerate(modes):
             src = np.broadcast_to(np.asarray(f_funcs[mode](t, xs), dtype=float), xs.shape)
             cur[a] = solve_implicit(stencils[k], dt, v[a, k + 1] + dt * src)
-        for _ in range(2 * n + 4):
-            changed = False
-            for a in range(n):
-                if n == 1:
-                    continue
-                if which == 1:
-                    bound = np.maximum.reduce([cur[b] - costs[(a, b)] for b in range(n) if b != a])
-                    new = np.maximum(cur[a], bound)
-                else:
-                    bound = np.minimum.reduce([cur[b] + costs[(a, b)] for b in range(n) if b != a])
-                    new = np.minimum(cur[a], bound)
-                if np.any(new != cur[a]):
-                    cur[a] = new
-                    changed = True
-            if not changed:
-                break
-        v[:, k, :] = cur
+        v[:, k, :] = clamp_sweep(cur.reshape(shape), *obstacle).reshape(n, nx)
 
     system = "single_lower" if which == 1 else "single_upper"
     return ValueField(system=system, mode_labels=tuple(modes), values=v, grid=grid)
@@ -646,16 +527,6 @@ def sup_gap(field_a: ValueField, field_b: ValueField, region: float = 0.5) -> fl
     return float(np.max(np.abs(field_a.values[:, :, mask] - field_b.values[:, :, mask])))
 
 
-def penalty_excess_diagnostic(field: ValueField, spec: ProblemSpec, grid: Grid,
-                              penalty: float) -> dict:
-    """Max over the grid of penalty * sum_l (v^{ij} - v^{il} - costs2_{jl})^+,
-    per mode pair.  Bounded along the penalty sweep when the scheme behaves."""
-    cache = _LevelCache(spec, grid)
-    n1, n2 = len(cache.modes1), len(cache.modes2)
-    values = field.values.reshape(n1, n2, grid.nt, grid.nx)
-    return _excess_by_pair(values, cache, penalty, "minmax")
-
-
 @dataclass
 class BarrierVerdict:
     passed: bool
@@ -667,42 +538,24 @@ class BarrierVerdict:
 def barrier_respect_check(field: ValueField, spec: ProblemSpec, grid: Grid,
                           tol: float) -> BarrierVerdict:
     """Check floor - tol <= v <= ceiling + tol at every inner node and pair."""
-    cache = _LevelCache(spec, grid)
-    n1, n2 = len(cache.modes1), len(cache.modes2)
-    values = field.values.reshape(n1, n2, grid.nt, grid.nx)
+    modes1, modes2 = spec.modes.modes1, spec.modes.modes2
+    values = field.values.reshape(len(modes1), len(modes2), grid.nt, grid.nx)
+    g1, g2 = (np.moveaxis(g, 0, 2) for g in _grid_costs(spec, grid))  # (n, n, nt, nx)
     mask = grid.inner_mask(0.5)
-    verdict = BarrierVerdict(passed=True, max_floor_violation=0.0, max_ceiling_violation=0.0)
-    for k in range(grid.nt):
-        for a in range(n1):
-            for b in range(n2):
-                own = values[a, b, k][mask]
-                if n1 > 1:
-                    floor = np.maximum.reduce(
-                        [values[q, b, k] - cache.g1[k, a, q] for q in range(n1) if q != a]
-                    )[mask]
-                    viol = float(np.max(floor - own))
-                    verdict.max_floor_violation = max(verdict.max_floor_violation, viol)
-                    if viol > tol:
-                        verdict.passed = False
-                        idx = int(np.argmax(floor - own))
-                        verdict.witnesses.append(
-                            {"side": "floor", "pair": [cache.modes1[a], cache.modes2[b]],
-                             "t_index": k, "violation": viol, "x": float(grid.xs[mask][idx])}
-                        )
-                if n2 > 1:
-                    ceiling = np.minimum.reduce(
-                        [values[a, l, k] + cache.g2[k, b, l] for l in range(n2) if l != b]
-                    )[mask]
-                    viol = float(np.max(own - ceiling))
-                    verdict.max_ceiling_violation = max(verdict.max_ceiling_violation, viol)
-                    if viol > tol:
-                        verdict.passed = False
-                        idx = int(np.argmax(own - ceiling))
-                        verdict.witnesses.append(
-                            {"side": "ceiling", "pair": [cache.modes1[a], cache.modes2[b]],
-                             "t_index": k, "violation": viol, "x": float(grid.xs[mask][idx])}
-                        )
-    return verdict
+    worst_by_side, witnesses = {}, []
+    for side, excess in (("floor", floor(values, g1) - values),
+                         ("ceiling", values - ceiling(values, g2))):
+        excess = np.moveaxis(excess[..., mask], 2, 0)  # (nt, n1, n2, inner x)
+        worst = excess.max(axis=-1)
+        worst_by_side[side] = max(0.0, float(np.max(worst)))
+        for k, a, b in np.argwhere(worst > tol):
+            witnesses.append(
+                {"side": side, "pair": [modes1[a], modes2[b]], "t_index": int(k),
+                 "violation": float(worst[k, a, b]),
+                 "x": float(grid.xs[mask][np.argmax(excess[k, a, b])])}
+            )
+    return BarrierVerdict(passed=not witnesses, max_floor_violation=worst_by_side["floor"],
+                          max_ceiling_violation=worst_by_side["ceiling"], witnesses=witnesses)
 
 
 def decomposition_check(spec: ProblemSpec, grid: Grid, schedule: PenaltySchedule) -> float:

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 
+from switchgame.expressions import EvalContext, evaluate
 from switchgame.expressions import parse_expression as pe
 from switchgame.model import (
     DiffusionCoefficients,
@@ -81,24 +82,25 @@ def bilevel_tree_value(spec, nt, x, start, outer, memo=False):
     reverse.  With memo=False the recursion literally enumerates all
     (|modes1|*|modes2|)^(nt-1) schedules.
     """
-    from switchgame.expressions import evaluate_tx as ev
-
     times = np.linspace(0.0, spec.horizon, nt)
     dt = float(times[1] - times[0])
     m1, m2 = spec.modes.modes1, spec.modes.modes2
     f = {
-        (i, j, k): float(ev(spec.drivers.f[(i, j)], float(times[k]), x)) * dt
+        (i, j, k): float(evaluate(spec.drivers.f[(i, j)], EvalContext(float(times[k]), x))) * dt
         for (i, j) in spec.modes.pairs for k in range(nt - 1)
     }
     g1 = {
-        (a, b, k): float(ev(spec.costs.costs1[(a, b)], float(times[k]), x))
+        (a, b, k): float(evaluate(spec.costs.costs1[(a, b)], EvalContext(float(times[k]), x)))
         for a in m1 for b in m1 for k in range(nt - 1)
     }
     g2 = {
-        (a, b, k): float(ev(spec.costs.costs2[(a, b)], float(times[k]), x))
+        (a, b, k): float(evaluate(spec.costs.costs2[(a, b)], EvalContext(float(times[k]), x)))
         for a in m2 for b in m2 for k in range(nt - 1)
     }
-    h = {(i, j): float(ev(spec.terminals.h[(i, j)], spec.horizon, x)) for (i, j) in spec.modes.pairs}
+    h = {
+        (i, j): float(evaluate(spec.terminals.h[(i, j)], EvalContext(spec.horizon, x)))
+        for (i, j) in spec.modes.pairs
+    }
 
     cache: dict = {}
 
@@ -136,8 +138,6 @@ def single_player_schedule_oracle(spec, nt, x, player, start_mode, max_switches=
     switch schedule (times x target sequences) and take the best payoff."""
     from itertools import combinations, product
 
-    from switchgame.expressions import evaluate_tx as ev
-
     times = np.linspace(0.0, spec.horizon, nt)
     dt = float(times[1] - times[0])
     modes = spec.modes.modes1 if player == 1 else spec.modes.modes2
@@ -150,18 +150,18 @@ def single_player_schedule_oracle(spec, nt, x, player, start_mode, max_switches=
 
     def reward(mode, k):
         if player == 1:
-            return float(ev(spec.drivers.f[(mode, anchor2)], float(times[k]), x))
+            return float(evaluate(spec.drivers.f[(mode, anchor2)], EvalContext(float(times[k]), x)))
         return float(
-            ev(spec.drivers.f[(anchor1, mode)], float(times[k]), x)
-            - ev(spec.drivers.f[(anchor1, anchor2)], float(times[k]), x)
+            evaluate(spec.drivers.f[(anchor1, mode)], EvalContext(float(times[k]), x))
+            - evaluate(spec.drivers.f[(anchor1, anchor2)], EvalContext(float(times[k]), x))
         )
 
     def terminal(mode):
         if player == 1:
-            return float(ev(spec.terminals.h[(mode, anchor2)], spec.horizon, x))
+            return float(evaluate(spec.terminals.h[(mode, anchor2)], EvalContext(spec.horizon, x)))
         return float(
-            ev(spec.terminals.h[(anchor1, mode)], spec.horizon, x)
-            - ev(spec.terminals.h[(anchor1, anchor2)], spec.horizon, x)
+            evaluate(spec.terminals.h[(anchor1, mode)], EvalContext(spec.horizon, x))
+            - evaluate(spec.terminals.h[(anchor1, anchor2)], EvalContext(spec.horizon, x))
         )
 
     best = None
@@ -182,7 +182,8 @@ def single_player_schedule_oracle(spec, nt, x, player, start_mode, max_switches=
                 sw = dict(zip(steps, targets))
                 for k in range(nt - 1):
                     if k in sw:
-                        cost = float(ev(table[(mode, sw[k])], float(times[k]), x))
+                        ctx = EvalContext(float(times[k]), x)
+                        cost = float(evaluate(table[(mode, sw[k])], ctx))
                         total -= sign * cost
                         mode = sw[k]
                     total += reward(mode, k) * dt

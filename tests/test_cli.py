@@ -89,6 +89,18 @@ def test_out_of_range_parameter_exits_2_with_location(tmp_path, capsys, command,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("section", ["validation", "penalties", "simulation", "drivers",
+                                     "terminals"])
+def test_section_of_wrong_json_type_exits_2_with_location(tmp_path, capsys, section):
+    doc = _small_game_doc()
+    doc[section] = [5]
+    path, _ = _stage(tmp_path, doc)
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f".{section}: must be a JSON object" in err
+    assert "Traceback" not in err
+
+
 def test_bad_expression_reports_location(tmp_path, capsys):
     doc = _load("e0_heat.json")
     doc["drivers"] = {"1,1": "x +"}
@@ -131,18 +143,6 @@ def test_solve_both_writes_gap_file(tmp_path):
     assert meta["system"] == "minmax" and meta["penalty"] == 4
     gap_rows = list(csv.DictReader(open(out / "gap_minmax_maxmin.csv")))
     assert max(float(r["gap"]) for r in gap_rows) <= report["final_gap"] + 1e-15
-
-
-def test_worker_env_var_leaves_outputs_identical(tmp_path, monkeypatch):
-    doc = _load("e1_equality_2x2.json")
-    doc["grid"] = {"nt": 16, "nx": 17}
-    doc["penalties"] = {"levels": [1, 4], "fixed_point_tol": 1e-12}
-    path_serial, out_serial = _stage(tmp_path / "serial", doc)
-    assert main(["solve", str(path_serial)]) == 0
-    monkeypatch.setenv("SWITCHGAME_WORKERS", "2")
-    path_par, out_par = _stage(tmp_path / "parallel", doc)
-    assert main(["solve", str(path_par)]) == 0
-    assert _file_bytes(out_serial) == _file_bytes(out_par)
 
 
 def test_solve_gate_rejects_invalid_costs(tmp_path):

@@ -9,7 +9,6 @@ from switchgame.errors import ExpressionDomainError, ExpressionSyntaxError
 from switchgame.expressions import (
     EvalContext,
     evaluate,
-    evaluate_tx,
     free_variables,
     parse_expression,
     to_source,
@@ -17,10 +16,10 @@ from switchgame.expressions import (
 
 
 def test_parse_and_eval_basic():
-    assert evaluate_tx(parse_expression("x^2 + 1"), 0.0, 2.0) == 5.0
-    assert evaluate_tx(parse_expression("min(x, 0) * exp(t)"), 3.0, 1.0) == 0.0
-    assert evaluate_tx(parse_expression("2*t + x"), 1.0, 3.0) == 5.0
-    assert evaluate_tx(parse_expression("max(x, t)"), 2.0, -1.0) == 2.0
+    assert evaluate(parse_expression("x^2 + 1"), EvalContext(0.0, 2.0)) == 5.0
+    assert evaluate(parse_expression("min(x, 0) * exp(t)"), EvalContext(3.0, 1.0)) == 0.0
+    assert evaluate(parse_expression("2*t + x"), EvalContext(1.0, 3.0)) == 5.0
+    assert evaluate(parse_expression("max(x, t)"), EvalContext(2.0, -1.0)) == 2.0
 
 
 def test_syntax_error_offset():
@@ -32,12 +31,12 @@ def test_syntax_error_offset():
 
 def test_domain_errors():
     with pytest.raises(ExpressionDomainError):
-        evaluate_tx(parse_expression("1/x"), 0.0, 0.0)
+        evaluate(parse_expression("1/x"), EvalContext(0.0, 0.0))
     with pytest.raises(ExpressionDomainError):
-        evaluate_tx(parse_expression("sqrt(x)"), 0.0, -1.0)
+        evaluate(parse_expression("sqrt(x)"), EvalContext(0.0, -1.0))
     with pytest.raises(ExpressionDomainError):
         # overflow must not leak a silent inf
-        evaluate_tx(parse_expression("exp(exp(x))"), 0.0, 100.0)
+        evaluate(parse_expression("exp(exp(x))"), EvalContext(0.0, 100.0))
 
 
 def test_unknown_identifier_and_arity():
@@ -54,7 +53,7 @@ def test_power_restricted_to_nonnegative_integers():
         parse_expression("x^-2")
     with pytest.raises(ExpressionSyntaxError):
         parse_expression("x^1.5")
-    assert evaluate_tx(parse_expression("x^0"), 0.0, 7.0) == 1.0
+    assert evaluate(parse_expression("x^0"), EvalContext(0.0, 7.0)) == 1.0
 
 
 def test_free_variables():
@@ -65,9 +64,9 @@ def test_free_variables():
 
 def test_precedence():
     a, b, c = 2.0, 3.0, 4.0
-    assert evaluate_tx(parse_expression("2 + 3 * 4"), 0, 0) == a + (b * c)
-    assert evaluate_tx(parse_expression("-x^2"), 0.0, 3.0) == -(3.0 ** 2)
-    assert evaluate_tx(parse_expression("2 - 3 - 4"), 0, 0) == (a - b) - c
+    assert evaluate(parse_expression("2 + 3 * 4"), EvalContext(0, 0)) == a + (b * c)
+    assert evaluate(parse_expression("-x^2"), EvalContext(0.0, 3.0)) == -(3.0 ** 2)
+    assert evaluate(parse_expression("2 - 3 - 4"), EvalContext(0, 0)) == (a - b) - c
 
 
 def test_vectorized_evaluation_matches_scalar():
@@ -75,13 +74,13 @@ def test_vectorized_evaluation_matches_scalar():
     xs = np.linspace(-2, 2, 17)
     vec = evaluate(tree, EvalContext(0.3, xs))
     for xv, out in zip(xs, vec):
-        assert out == evaluate_tx(tree, 0.3, float(xv))
+        assert out == evaluate(tree, EvalContext(0.3, float(xv)))
 
 
 def test_evaluation_is_pure():
     tree = parse_expression("x*t - cos(x)")
-    first = evaluate_tx(tree, 0.7, -1.3)
-    assert evaluate_tx(tree, 0.7, -1.3) == first
+    first = evaluate(tree, EvalContext(0.7, -1.3))
+    assert evaluate(tree, EvalContext(0.7, -1.3)) == first
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +219,7 @@ def test_differential_against_shunting_yard():
         source = gen(4)
         t, x = float(rng.uniform(0, 1)), float(rng.uniform(-2, 2))
         try:
-            mine = float(evaluate_tx(parse_expression(source), t, x))
+            mine = float(evaluate(parse_expression(source), EvalContext(t, x)))
         except ExpressionDomainError:
             continue
         ref = _shunting_yard_eval(source, t, x)

@@ -6,14 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from switchgame.errors import SpecificationError
+from switchgame.expressions import EvalContext
 from switchgame.expressions import parse_expression as pe
 from switchgame.model import (
     ModeSets,
     SwitchCostTable,
+    ceiling,
     check_separation,
+    cost_array,
     enumerate_product_loops,
-    eval_obstacle_lower,
-    eval_obstacle_upper,
+    floor,
     loop_signed_sum,
     validate_consistency,
     validate_costs,
@@ -248,43 +250,58 @@ def _table(costs1, costs2, modes1=(1, 2), modes2=(1, 2)):
     return SwitchCostTable.full(modes, c1, c2)
 
 
+def _lower(values, costs, pair, modes1=(1, 2)):
+    """Floor of one pair (mode positions), checked against the whole-field form."""
+    g1 = cost_array(costs.costs1, modes1, EvalContext(0.0, 0.0))
+    value = floor(values, g1, pair)
+    assert floor(values, g1)[pair] == value
+    return value
+
+
+def _upper(values, costs, pair, modes2=(1, 2)):
+    g2 = cost_array(costs.costs2, modes2, EvalContext(0.0, 0.0))
+    value = ceiling(values, g2, pair)
+    assert ceiling(values, g2)[pair] == value
+    return value
+
+
 def test_obstacle_lower_examples():
     costs = _table({(1, 2): 1.0, (2, 1): 2.0}, {(1, 2): 1.0, (2, 1): 1.0})
-    values = {(1, 1): 5.0, (2, 1): 3.0, (1, 2): 0.0, (2, 2): 0.0}
-    assert eval_obstacle_lower(values, costs, 1, 1, 0.0, 0.0, modes1=(1, 2)) == 2.0
-    assert eval_obstacle_lower(values, costs, 2, 1, 0.0, 0.0, modes1=(1, 2)) == 3.0
+    values = np.array([[5.0, 0.0], [3.0, 0.0]])  # rows: player-1 mode, columns: player-2 mode
+    assert _lower(values, costs, (0, 0)) == 2.0
+    assert _lower(values, costs, (1, 0)) == 3.0
 
     costs3 = _table(
         {(1, 2): 1.0, (1, 3): 4.0, (2, 1): 1.0, (2, 3): 1.0, (3, 1): 1.0, (3, 2): 1.0},
         {(1, 2): 1.0, (2, 1): 1.0},
         modes1=(1, 2, 3),
     )
-    values3 = {(1, 1): 0.0, (2, 1): 4.0, (3, 1): 6.0}
-    assert eval_obstacle_lower(values3, costs3, 1, 1, 0.0, 0.0, modes1=(1, 2, 3)) == 3.0
+    values3 = np.array([[0.0], [4.0], [6.0]])
+    assert _lower(values3, costs3, (0, 0), modes1=(1, 2, 3)) == 3.0
 
 
 def test_obstacle_upper_examples():
     costs = _table({(1, 2): 1.0, (2, 1): 1.0}, {(1, 2): 1.0, (2, 1): 2.0})
-    values = {(1, 1): 5.0, (1, 2): 3.0, (2, 1): 0.0, (2, 2): 0.0}
-    assert eval_obstacle_upper(values, costs, 1, 1, 0.0, 0.0, modes2=(1, 2)) == 4.0
-    assert eval_obstacle_upper(values, costs, 1, 2, 0.0, 0.0, modes2=(1, 2)) == 7.0
+    values = np.array([[5.0, 3.0], [0.0, 0.0]])
+    assert _upper(values, costs, (0, 0)) == 4.0
+    assert _upper(values, costs, (0, 1)) == 7.0
 
     costs3 = _table(
         {(1, 2): 1.0, (2, 1): 1.0},
         {(1, 2): 2.0, (1, 3): 1.0, (2, 1): 1.0, (2, 3): 1.0, (3, 1): 1.0, (3, 2): 1.0},
         modes2=(1, 2, 3),
     )
-    values3 = {(1, 1): 0.0, (1, 2): 0.0, (1, 3): 10.0}
-    assert eval_obstacle_upper(values3, costs3, 1, 1, 0.0, 0.0, modes2=(1, 2, 3)) == 2.0
+    values3 = np.array([[0.0, 0.0, 10.0]])
+    assert _upper(values3, costs3, (0, 0), modes2=(1, 2, 3)) == 2.0
 
 
 def test_obstacle_sentinels_for_single_mode():
     costs = _table({}, {(1, 2): 1.0, (2, 1): 1.0}, modes1=(1,))
-    values = {(1, 1): 5.0, (1, 2): 3.0}
-    assert eval_obstacle_lower(values, costs, 1, 1, 0.0, 0.0, modes1=(1,)) == -math.inf
+    values = np.array([[5.0, 3.0]])
+    assert _lower(values, costs, (0, 0), modes1=(1,)) == -math.inf
     costs_u = _table({(1, 2): 1.0, (2, 1): 1.0}, {}, modes2=(1,))
-    values_u = {(1, 1): 5.0, (2, 1): 3.0}
-    assert eval_obstacle_upper(values_u, costs_u, 1, 1, 0.0, 0.0, modes2=(1,)) == math.inf
+    values_u = np.array([[5.0], [3.0]])
+    assert _upper(values_u, costs_u, (0, 0), modes2=(1,)) == math.inf
 
 
 @given(
@@ -295,9 +312,9 @@ def test_obstacle_sentinels_for_single_mode():
 @settings(max_examples=60, deadline=None)
 def test_constant_vector_sits_between_obstacles(value, c1, c2):
     costs = _table({(1, 2): c1, (2, 1): c1}, {(1, 2): c2, (2, 1): c2})
-    values = {p: value for p in ((1, 1), (1, 2), (2, 1), (2, 2))}
-    low = eval_obstacle_lower(values, costs, 1, 1, 0.0, 0.0, modes1=(1, 2))
-    up = eval_obstacle_upper(values, costs, 1, 1, 0.0, 0.0, modes2=(1, 2))
+    values = np.full((2, 2), value)
+    low = _lower(values, costs, (0, 0))
+    up = _upper(values, costs, (0, 0))
     assert low <= value <= up
 
 
@@ -308,14 +325,12 @@ def test_constant_vector_sits_between_obstacles(value, c1, c2):
 @settings(max_examples=60, deadline=None)
 def test_obstacles_monotone_in_values(base, bump):
     costs = _table({(1, 2): 1.0, (2, 1): 1.0}, {(1, 2): 1.0, (2, 1): 1.0})
-    values = {(1, 1): 0.0, (2, 1): base, (1, 2): base, (2, 2): 0.0}
-    bumped = dict(values)
-    bumped[(2, 1)] = base + bump
-    bumped[(1, 2)] = base + bump
-    assert eval_obstacle_lower(bumped, costs, 1, 1, 0, 0, modes1=(1, 2)) >= \
-        eval_obstacle_lower(values, costs, 1, 1, 0, 0, modes1=(1, 2))
-    assert eval_obstacle_upper(bumped, costs, 1, 1, 0, 0, modes2=(1, 2)) >= \
-        eval_obstacle_upper(values, costs, 1, 1, 0, 0, modes2=(1, 2))
+    values = np.array([[0.0, base], [base, 0.0]])
+    bumped = values.copy()
+    bumped[1, 0] = base + bump
+    bumped[0, 1] = base + bump
+    assert _lower(bumped, costs, (0, 0)) >= _lower(values, costs, (0, 0))
+    assert _upper(bumped, costs, (0, 0)) >= _upper(values, costs, (0, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from switchgame.errors import ConvergenceError, PreconditionError
 from switchgame.expressions import EvalContext, evaluate
+from switchgame import model
 from switchgame.game import deterministic_dp_oracle
 from switchgame.grid import Grid, build_grid
 from switchgame.solver import (
@@ -11,7 +12,6 @@ from switchgame.solver import (
     ValueField,
     barrier_respect_check,
     decomposition_check,
-    penalty_excess_diagnostic,
     solve_clamped,
     solve_maxmin,
     solve_minmax,
@@ -105,6 +105,24 @@ def test_clamped_cross_check_scheme():
             assert clamped.values[idx, 0, 2] == pytest.approx(oracle[order][pair], abs=1e-9)
 
 
+@pytest.mark.parametrize("solve", [
+    lambda spec: solve_clamped(spec, build_grid(spec, 11, 5), order="minmax"),
+    lambda spec: solve_clamped(spec, build_grid(spec, 11, 5), order="maxmin"),
+    lambda spec: solve_single_obstacle(spec, build_grid(spec, 11, 5), 1),
+    lambda spec: deterministic_dp_oracle(spec, 11, 0.0),
+], ids=["clamped_minmax", "clamped_maxmin", "single_obstacle", "oracle"])
+def test_clamp_sweep_raises_at_its_cap(monkeypatch, solve):
+    # player 1 gains 1 per unit time in mode 1 and pays 0.25 to reach it, so
+    # the floor binds and a level needs a second sweep to settle
+    costs1, costs2 = uniform_costs((1, 2), (1, 2), 0.25, 0.45)
+    spec = build_spec(costs1=costs1, costs2=costs2,
+                      drivers={(1, 1): "1", (1, 2): "1", (2, 1): "0", (2, 2): "0"})
+    solve(spec)
+    monkeypatch.setattr(model, "SWEEP_CAP", 1)
+    with pytest.raises(ConvergenceError, match="clamp sweep"):
+        solve(spec)
+
+
 # ---------------------------------------------------------------------------
 # Penalty sweep structure
 # ---------------------------------------------------------------------------
@@ -154,17 +172,15 @@ def test_penalty_excess_zero_when_ceiling_inactive():
     spec = build_spec(costs1=costs1, costs2=costs2,
                       drivers={(1, 1): "1", (1, 2): "0", (2, 1): "0", (2, 2): "1"})
     grid = build_grid(spec, 11, 9)
-    field, _ = solve_minmax(spec, grid, SCHED)
-    diag = penalty_excess_diagnostic(field, spec, grid, SCHED.levels[-1])
-    assert all(v == 0.0 for v in diag.values())
+    _, report = solve_minmax(spec, grid, SCHED)
+    assert all(v == 0.0 for v in report.penalty_excess[-1].values())
 
 
 def test_penalty_excess_zero_for_single_mode():
     spec = heat_spec()
     grid = build_grid(spec, 11, 9)
-    field, _ = solve_minmax(spec, grid, PenaltySchedule(levels=(4.0,)))
-    diag = penalty_excess_diagnostic(field, spec, grid, 4.0)
-    assert all(v == 0.0 for v in diag.values())
+    _, report = solve_minmax(spec, grid, PenaltySchedule(levels=(4.0,)))
+    assert all(v == 0.0 for v in report.penalty_excess[-1].values())
 
 
 def test_barrier_respect(sweep_results):
@@ -182,7 +198,8 @@ def test_barrier_check_flags_injected_fault(sweep_results):
                      grid=grid, penalty=fmin.penalty)
     verdict = barrier_respect_check(bad, spec, grid, 1e-3)
     assert not verdict.passed
-    assert verdict.witnesses
+    where = [(w["side"], w["pair"], w["t_index"], w["x"]) for w in verdict.witnesses]
+    assert ("floor", [1, 1], grid.nt // 2, float(grid.xs[grid.nx // 2])) in where
 
 
 def test_sup_gap_basics(sweep_results):
@@ -237,6 +254,40 @@ def test_maxmin_sum_and_max_forms_agree_in_the_limit():
     a, _ = solve_maxmin(spec, grid, big)
     b, _ = solve_maxmin(spec, grid, big_max)
     assert sup_gap(a, b) <= 5e-3
+
+
+@pytest.mark.parametrize("direction", ["minmax", "maxmin"])
+def test_penalty_excess_matches_termwise_loop(direction):
+    # 3x3 modes with cheap switches, so several excess terms per pair are active
+    modes = (1, 2, 3)
+    costs1 = {(a, b): 0.05 * (1 + abs(a - b)) for a in modes for b in modes if a != b}
+    costs2 = {(a, b): 0.04 * (1 + abs(a - b)) for a in modes for b in modes if a != b}
+    drivers = {(i, j): f"0.5*({i}-2)*sin(x) - 0.4*({j}-2)*cos(x)" for i in modes for j in modes}
+    spec = build_spec(modes1=modes, modes2=modes, costs1=costs1, costs2=costs2,
+                      drivers=drivers, volatility="0.4", domain=(-2.0, 2.0))
+    grid = build_grid(spec, 11, 13)
+    solve = solve_minmax if direction == "minmax" else solve_maxmin
+    field, report = solve(spec, grid, PenaltySchedule(levels=(8.0,), fixed_point_tol=1e-12))
+    m1, m2 = spec.modes.modes1, spec.modes.modes2
+    v = field.values.reshape(len(m1), len(m2), grid.nt, grid.nx)
+    expected = {}
+    for a, i in enumerate(m1):
+        for b, j in enumerate(m2):
+            worst = 0.0
+            for k, t in enumerate(grid.times):
+                ctx = EvalContext(t, grid.xs)
+                if direction == "minmax":
+                    terms = [np.maximum(v[a, b, k] - v[a, c, k]
+                                        - evaluate(spec.costs.costs2[(j, l)], ctx), 0.0)
+                             for c, l in enumerate(m2) if l != j]
+                else:
+                    terms = [np.maximum(v[c, b, k] - evaluate(spec.costs.costs1[(i, q)], ctx)
+                                        - v[a, b, k], 0.0)
+                             for c, q in enumerate(m1) if q != i]
+                worst = max(worst, 8.0 * float(np.max(sum(terms))))
+            expected[f"{i},{j}"] = worst
+    assert report.penalty_excess[-1] == expected
+    assert any(w > 0 for w in expected.values())
 
 
 # ---------------------------------------------------------------------------
