@@ -20,7 +20,7 @@ from .errors import ConfigError, ConvergenceError, PreconditionError, Switchgame
 from .grid import build_grid
 from .model import run_all_checks, validate_consistency, validate_costs
 from .simulate import simulate_paths
-from .solver import solve_maxmin, solve_minmax, solve_single_obstacle, sup_gap
+from .solver import csv_rows, solve_maxmin, solve_minmax, solve_single_obstacle, sup_gap
 from . import game as game_mod
 
 
@@ -81,16 +81,12 @@ def cmd_solve(config: RunConfig, system: str) -> int:
         fb, _ = results["maxmin"]
         gap = sup_gap(fa, fb, region=0.5)
         mask = grid.inner_mask(0.5)
+        x_texts = [repr(x) for x in grid.xs[mask].tolist()]
+        diff = np.max(np.abs(fa.values - fb.values), axis=0)[:, mask]
         with open(os.path.join(out, "gap_minmax_maxmin.csv"), "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["t", "x", "gap"])
-            diff = np.max(np.abs(fa.values - fb.values), axis=0)
-            for k in range(grid.nt):
-                for idx in np.flatnonzero(mask):
-                    writer.writerow([
-                        repr(float(grid.times[k])), repr(float(grid.xs[idx])),
-                        repr(float(diff[k, idx])),
-                    ])
+            handle.write("t,x,gap\r\n")
+            for t, row in zip(grid.times.tolist(), diff):
+                handle.write(csv_rows(f"{t!r},", x_texts, row))
         for name in wanted:
             report = results[name][1]
             report.final_gap = gap

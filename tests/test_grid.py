@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from switchgame.grid import build_grid, discretize_generator, solve_implicit
+from scipy.linalg import solve_banded
+
+from switchgame.grid import build_grid, discretize_generator, solve_implicit, solve_tridiagonal
 
 from helpers import build_spec
 
@@ -142,3 +144,70 @@ def test_backward_step_sup_stability(seed):
     dt = 0.25
     out = solve_implicit(stencil, dt, v + dt * src)
     assert np.max(np.abs(out)) <= np.max(np.abs(v)) + dt * np.max(np.abs(src)) + 1e-11
+
+
+def _tridiagonal_system(rng, nx, pinned):
+    """A diagonally dominant system in solve_banded's (1, 1) layout, built
+    like a level solve: off-diagonals and diagonal terms over several scales,
+    then the rows in ``pinned`` made identity rows."""
+    ab = np.zeros((3, nx))
+    scale = 10.0 ** rng.uniform(-4, 4)
+    ab[0, 1:] = -scale * rng.random(nx - 1)
+    ab[2, :-1] = -scale * rng.random(nx - 1)
+    ab[1] = 1.0 + 2.0 * scale + 10.0 ** rng.uniform(-6, 6, nx) * (rng.random(nx) < 0.5)
+    b = rng.standard_normal(nx) * 10.0 ** rng.uniform(-3, 3, nx)
+    ab[0, 1:][pinned[:-1]] = 0.0
+    ab[1][pinned] = 1.0
+    ab[2, :-1][pinned[1:]] = 0.0
+    b = np.where(pinned, rng.standard_normal(nx), b)
+    return ab, b
+
+
+@given(seed=st.integers(0, 2**32 - 1), nx=st.integers(3, 300),
+       pinned_share=st.sampled_from([0.0, 0.3, 1.0]))
+@settings(max_examples=80, deadline=None)
+def test_solve_tridiagonal_bitwise_equal_to_solve_banded(seed, nx, pinned_share):
+    rng = np.random.default_rng(seed)
+    ab, b = _tridiagonal_system(rng, nx, rng.random(nx) < pinned_share)
+    kept = ab.copy(), b.copy()
+    got = solve_tridiagonal(ab, b)
+    assert got.tobytes() == solve_banded((1, 1), ab, b).tobytes()
+    assert ab.tobytes() == kept[0].tobytes() and b.tobytes() == kept[1].tobytes()
+
+
+def test_solve_implicit_bitwise_equal_to_solve_banded():
+    spec = _simple_spec(drift="0.5*x", volatility="1 + 0.1*x^2")
+    grid = build_grid(spec, 11, 51)
+    stencil = discretize_generator(spec, grid, 0.3)
+    ab = np.zeros((3, grid.nx))
+    ab[0, 1:] = -grid.dt * stencil.upper[:-1]
+    ab[1, :] = 1.0 - grid.dt * stencil.center
+    ab[2, :-1] = -grid.dt * stencil.lower[1:]
+    rhs = np.cos(grid.xs)
+    assert stencil.implicit_bands(grid.dt).tobytes() == ab.tobytes()
+    assert (solve_implicit(stencil, grid.dt, rhs).tobytes()
+            == solve_banded((1, 1), ab, rhs).tobytes())
+
+
+@pytest.mark.parametrize("row,col", [(1, 0), (1, 4), (0, 3), (2, 2), (0, 0), (2, 5), (None, 2)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_solve_tridiagonal_rejects_non_finite_input(row, col, bad):
+    # (0, 0) and (2, 5) are the layout's unused corners, which solve_banded checks too
+    ab, b = _tridiagonal_system(np.random.default_rng(0), 6, np.zeros(6, dtype=bool))
+    if row is None:
+        b[col] = bad
+    else:
+        ab[row, col] = bad
+    with pytest.raises(ValueError):
+        solve_banded((1, 1), ab, b)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        solve_tridiagonal(ab, b)
+
+
+def test_solve_tridiagonal_rejects_singular_system():
+    ab = np.array([[0.0, 1.0, 1.0], [0.0, 1.0, 1.0], [0.0, 1.0, 0.0]])  # first column zero
+    b = np.ones(3)
+    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+        solve_banded((1, 1), ab, b)
+    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+        solve_tridiagonal(ab, b)

@@ -1,7 +1,11 @@
+import csv
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from switchgame.config import load_config
 from switchgame.errors import ConvergenceError, PreconditionError
 from switchgame.expressions import EvalContext, evaluate
 from switchgame import model
@@ -21,6 +25,7 @@ from switchgame.solver import (
 
 from helpers import build_spec, frozen_diag_spec, heat_spec, single_player_schedule_oracle, uniform_costs
 
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SCHED = PenaltySchedule(levels=(1.0, 4.0, 16.0), fixed_point_tol=1e-12)
 SCHED_FULL = PenaltySchedule(levels=(1.0, 4.0, 16.0, 64.0, 256.0), fixed_point_tol=1e-12)
 
@@ -349,6 +354,34 @@ def test_monotone_in_driver():
     assert np.min(fb.values[0] - fa.values[0]) >= -1e-11
 
 
+def test_cap_exits_are_counted_and_left_out_of_the_report_dict():
+    # the unbumped spec of test_monotone_in_driver: the active-set iteration
+    # runs out of solves at large weight * dt
+    costs1, costs2 = uniform_costs((1, 2), (1, 2), 0.07, 0.05)
+    spec = build_spec(costs1=costs1, costs2=costs2,
+                      drivers={(1, 1): "0.1", (1, 2): "0", (2, 1): "0.05", (2, 2): "0.15"},
+                      terminals={p: "0.1*x^2" for p in ((1, 1), (1, 2), (2, 1), (2, 2))},
+                      volatility="0.5")
+    _, report = solve_minmax(spec, build_grid(spec, 21, 21), SCHED)
+    assert report.active_set_cap_hits > 0
+    assert "active_set_cap_hits" not in report.to_dict()
+    assert "contact_cycle_exits" not in report.to_dict()
+    # G1's data on a coarse grid: the contact policy of the ascending scheme
+    # comes back to one it has tried
+    g1 = load_config(str(CONFIG_DIR / "g1_game_2x2.json"))
+    _, report = solve_maxmin(g1.spec, build_grid(g1.spec, 21, 21), g1.schedule)
+    assert report.contact_cycle_exits > 0
+
+
+def test_shipped_e1_solve_hits_no_cap():
+    e1 = load_config(str(CONFIG_DIR / "e1_equality_2x2.json"))
+    grid = build_grid(e1.spec, e1.nt, e1.nx)
+    assert (e1.nt, e1.nx) == (151, 121)
+    for solve in (solve_minmax, solve_maxmin):
+        _, report = solve(e1.spec, grid, e1.schedule)
+        assert (report.active_set_cap_hits, report.contact_cycle_exits) == (0, 0)
+
+
 # ---------------------------------------------------------------------------
 # Single-player systems
 # ---------------------------------------------------------------------------
@@ -495,3 +528,54 @@ def test_interp_modes_bitwise_equal_to_np_interp(nx, lo, width, scale, seed):
     for row, label in enumerate(field.mode_labels):
         want = field.interp_x(label, 1, points)
         assert np.array_equal(got[row].view(np.int64), want.view(np.int64))
+
+
+# ---------------------------------------------------------------------------
+# Value CSV
+# ---------------------------------------------------------------------------
+
+
+def _csv_writer_reference(field, path):
+    """ValueField.to_csv as it was written with csv.writer, one row per node."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["i", "j", "t_index", "x_index", "t", "x", "value"])
+        for m_idx, label in enumerate(field.mode_labels):
+            i, j = label if isinstance(label, tuple) else (label, "")
+            for t_idx in range(field.grid.nt):
+                t = field.grid.times[t_idx]
+                for x_idx in range(field.grid.nx):
+                    writer.writerow([
+                        i, j, t_idx, x_idx, repr(float(t)),
+                        repr(float(field.grid.xs[x_idx])),
+                        repr(float(field.values[m_idx, t_idx, x_idx])),
+                    ])
+
+
+_CSV_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -2.5e-310, 1e16, -1e16,
+                     1e-5, 1e-4, 0.1, 1 / 3, 1e300]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+)
+
+
+@given(
+    data=st.data(),
+    labels=st.one_of(
+        st.lists(st.tuples(st.integers(-3, 12), st.integers(-3, 12)), min_size=1, max_size=3),
+        st.lists(st.integers(-3, 12), min_size=1, max_size=3),
+    ),
+    nt=st.integers(1, 3),
+    nx=st.integers(1, 4),
+)
+@settings(max_examples=60, deadline=None)
+def test_to_csv_writes_csv_writer_bytes(tmp_path_factory, data, labels, nt, nx):
+    floats = lambda n: np.array(data.draw(st.lists(_CSV_FLOATS, min_size=n, max_size=n)))
+    grid = Grid(nt=nt, nx=nx, times=floats(nt), xs=floats(nx))
+    values = floats(len(labels) * nt * nx).reshape(len(labels), nt, nx)
+    system = "minmax" if isinstance(labels[0], tuple) else "single_lower"
+    field = ValueField(system, tuple(labels), values, grid)
+    folder = tmp_path_factory.mktemp("csv")
+    field.to_csv(folder / "fast.csv")
+    _csv_writer_reference(field, folder / "reference.csv")
+    assert (folder / "fast.csv").read_bytes() == (folder / "reference.csv").read_bytes()
