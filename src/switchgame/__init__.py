@@ -50,10 +50,8 @@ from .game import (
     GameReport,
     PayoffEstimate,
     SwitchingStrategy,
-    cumulative_cost,
     default_challengers,
     deterministic_dp_oracle,
-    indicator_process,
     never_switch,
     oracle_optimal_strategies,
     payoff_estimate,

@@ -25,6 +25,8 @@ Expressions use the closed grammar of switchgame.expressions.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass
 
 from .errors import ConfigError, ExpressionSyntaxError, SpecificationError
@@ -83,6 +85,17 @@ def _section(doc: dict, key: str, where: str, required: bool = True) -> dict:
     if not isinstance(section, dict):
         raise ConfigError(f"{where}.{key}", "must be a JSON object")
     return section
+
+
+def _finite(doc: dict, key: str, where: str) -> float:
+    """The number under ``key`` as a finite float."""
+    try:
+        value = float(_need(doc, key, where))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{where}.{key}", "must be a finite number") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}.{key}", "must be a finite number")
+    return value
 
 
 def _parse_expr(text, where: str):
@@ -171,14 +184,12 @@ def parse_config(doc: dict, where: str = "<config>") -> RunConfig:
     )
 
     horizon = _need(doc, "horizon", where)
-    if not isinstance(horizon, (int, float)) or horizon <= 0:
-        raise ConfigError(f"{where}.horizon", "must be a positive number")
+    # an integer beyond the float range is not a finite float either
+    if not isinstance(horizon, (int, float)) or not 0 < horizon <= sys.float_info.max:
+        raise ConfigError(f"{where}.horizon", "must be a positive finite number")
 
     domain_doc = _section(doc, "domain", where)
-    try:
-        domain = (float(domain_doc["min"]), float(domain_doc["max"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}.domain", "must carry numeric 'min' and 'max'") from exc
+    domain = tuple(_finite(domain_doc, key, f"{where}.domain") for key in ("min", "max"))
 
     try:
         spec = ProblemSpec(
@@ -196,7 +207,7 @@ def parse_config(doc: dict, where: str = "<config>") -> RunConfig:
     grid_doc = _section(doc, "grid", where)
     try:
         nt, nx = int(grid_doc["nt"]), int(grid_doc["nx"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where}.grid", "must carry integer 'nt' and 'nx'") from exc
     if nt < 2:
         raise ConfigError(f"{where}.grid.nt", "must be at least 2")
@@ -205,16 +216,23 @@ def parse_config(doc: dict, where: str = "<config>") -> RunConfig:
 
     pen_doc = _section(doc, "penalties", where, required=False)
     try:
-        schedule = PenaltySchedule(
-            levels=tuple(float(v) for v in pen_doc.get("levels", (1.0, 4.0, 16.0, 64.0, 256.0))),
-            fixed_point_tol=float(pen_doc.get("fixed_point_tol", 1e-10)),
-            max_iterations=int(pen_doc.get("max_iterations", 500)),
-            penalizer=pen_doc.get("penalizer", "sum"),
-        )
-    except (TypeError, ValueError) as exc:
+        levels = tuple(float(v) for v in pen_doc.get("levels", (1.0, 4.0, 16.0, 64.0, 256.0)))
+        fixed_point_tol = float(pen_doc.get("fixed_point_tol", 1e-10))
+        max_iterations = int(pen_doc.get("max_iterations", 500))
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where}.penalties", str(exc)) from exc
-    if schedule.max_iterations < 1:
+    if not all(math.isfinite(m) for m in levels):
+        raise ConfigError(f"{where}.penalties.levels", "entries must be finite numbers")
+    if not 0 < fixed_point_tol < math.inf:
+        raise ConfigError(f"{where}.penalties.fixed_point_tol", "must be a positive finite number")
+    if max_iterations < 1:
         raise ConfigError(f"{where}.penalties.max_iterations", "must be at least 1")
+    try:
+        schedule = PenaltySchedule(levels=levels, fixed_point_tol=fixed_point_tol,
+                                   max_iterations=max_iterations,
+                                   penalizer=pen_doc.get("penalizer", "sum"))
+    except ValueError as exc:
+        raise ConfigError(f"{where}.penalties", str(exc)) from exc
 
     sim = None
     start_modes = None
@@ -230,10 +248,12 @@ def parse_config(doc: dict, where: str = "<config>") -> RunConfig:
                 x0=float(start.get("x", 0.0)),
                 antithetic=bool(sim_doc.get("antithetic", False)),
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{where}.simulation", str(exc)) from exc
         if not 0.0 <= sim.t0 < spec.horizon:
             raise ConfigError(f"{where}.simulation.start.t", "must lie in [0, horizon)")
+        if not math.isfinite(sim.x0):
+            raise ConfigError(f"{where}.simulation.start.x", "must be a finite number")
         m1 = start.get("mode1", modes.modes1[0])
         m2 = start.get("mode2", modes.modes2[0])
         if m1 not in modes.modes1 or m2 not in modes.modes2:
@@ -250,7 +270,7 @@ def parse_config(doc: dict, where: str = "<config>") -> RunConfig:
                 if val_doc.get("loop_length_bound") is not None else None
             ),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where}.validation", str(exc)) from exc
     for key in ("t_samples", "x_samples"):
         if getattr(validation, key) < 1:

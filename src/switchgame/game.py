@@ -312,8 +312,8 @@ def _realize_feedback(strategy: SwitchingStrategy, spec: ProblemSpec,
                             switch_step=step, switch_source=src, switch_target=tgt)
 
 
-def saddle_strategy_player1(field: ValueField, spec: ProblemSpec, bundle: PathBundle,
-                            start_mode: int, trigger_tol: float = TRIGGER_TOL) -> SwitchingStrategy:
+def saddle_strategy_player1(field: ValueField, start_mode: int,
+                            trigger_tol: float = TRIGGER_TOL) -> SwitchingStrategy:
     """Feedback rule that switches when player 1's own value touches its
     switching floor; built from the single_lower field."""
     if field.system != "single_lower":
@@ -322,8 +322,8 @@ def saddle_strategy_player1(field: ValueField, spec: ProblemSpec, bundle: PathBu
                              trigger_tol=trigger_tol)
 
 
-def saddle_strategy_player2(field: ValueField, spec: ProblemSpec, bundle: PathBundle,
-                            start_mode: int, trigger_tol: float = TRIGGER_TOL) -> SwitchingStrategy:
+def saddle_strategy_player2(field: ValueField, start_mode: int,
+                            trigger_tol: float = TRIGGER_TOL) -> SwitchingStrategy:
     """Mirror rule for player 2 against its switching ceiling (single_upper)."""
     if field.system != "single_upper":
         raise PreconditionError("saddle_strategy_player2 needs a single_upper field")
@@ -332,20 +332,8 @@ def saddle_strategy_player2(field: ValueField, spec: ProblemSpec, bundle: PathBu
 
 
 # ---------------------------------------------------------------------------
-# Indicator, costs, payoff
+# Costs, payoff
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class IndicatorProcess:
-    player: int
-    modes: np.ndarray  # (n_paths, n_steps + 1)
-
-
-def indicator_process(strategy: SwitchingStrategy, spec: ProblemSpec,
-                      bundle: PathBundle) -> IndicatorProcess:
-    realized = strategy.realize(spec, bundle)
-    return IndicatorProcess(player=strategy.player, modes=realized.modes)
 
 
 def _switch_costs(realized: RealizedStrategy, spec: ProblemSpec,
@@ -373,11 +361,6 @@ def _switch_costs(realized: RealizedStrategy, spec: ProblemSpec,
         )
         np.add.at(out, realized.switch_path[mask], np.broadcast_to(costs, (int(mask.sum()),)))
     return out
-
-
-def cumulative_cost(strategy: SwitchingStrategy, spec: ProblemSpec,
-                    bundle: PathBundle) -> np.ndarray:
-    return _switch_costs(strategy.realize(spec, bundle), spec, bundle)
 
 
 @dataclass(frozen=True, eq=False)
@@ -578,8 +561,8 @@ def verify_saddle_from_fields(
     """verify_saddle with the saddle pair built from the two single-player
     fields and the PDE comparison value taken as their sum at the start."""
     t0, x0, i0, j0 = start
-    saddle1 = saddle_strategy_player1(field1, spec, bundle, i0)
-    saddle2 = saddle_strategy_player2(field2, spec, bundle, j0)
+    saddle1 = saddle_strategy_player1(field1, i0)
+    saddle2 = saddle_strategy_player2(field2, j0)
     level = _nearest_level(field1.grid.times, t0)
     pde_value = float(
         field1.interp_x(i0, level, np.array([x0]))[0]
@@ -697,20 +680,11 @@ def _continuation(levels, spec, times, k, a, b, x) -> float:
 
 
 def default_challengers(spec: ProblemSpec, player: int, start_mode: int, seed: int,
-                        n_steps: int, frozen_start: tuple[int, int] | None = None,
-                        nt_oracle: int | None = None, x: float = 0.0):
-    """The stock challenger roster: never switch, switch at the start,
-    seeded random switching, and (frozen dynamics only) the oracle's own play."""
-    roster = [
+                        n_steps: int):
+    """The stock challenger roster: never switch, switch at the start, and
+    seeded random switching."""
+    return [
         ("never_switch", never_switch(player, start_mode)),
         ("switch_at_start", switch_at_start(spec, player, start_mode)),
         ("random_switch", random_switch(spec, player, start_mode, seed, n_steps)),
     ]
-    if frozen_start is not None and nt_oracle is not None:
-        sched1, sched2, _ = oracle_optimal_strategies(spec, nt_oracle, x, frozen_start)
-        sched = sched1 if player == 1 else sched2
-        roster.append((
-            "oracle_optimal",
-            SwitchingStrategy(player=player, start_mode=start_mode, schedule=tuple(sched)),
-        ))
-    return roster

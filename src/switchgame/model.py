@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -209,32 +209,16 @@ def _require_samples(spec: ProblemSpec, samples):
 # ---------------------------------------------------------------------------
 
 
-def enumerate_product_loops(modes: ModeSets, max_len: int | None = None):
-    """Yield simple loops in the product mode graph.
+def _simple_loops(nodes, neighbors, max_len: int):
+    """Yield the simple loops of a directed graph with at most max_len steps.
 
-    A loop is a sequence of mode pairs returning to its start, with all
-    intermediate pairs distinct and each step changing exactly one player's
-    mode.  max_len bounds the number of steps (defaults to |modes1|+|modes2|).
-    Each loop is enumerated once per orientation, anchored at its smallest
-    pair, so signed sums over both traversal directions are covered.
+    Depth-first from each node in the order of ``nodes``; a loop is anchored
+    at its first node in that order and yielded once per orientation.
     """
-    if max_len is None:
-        max_len = len(modes.modes1) + len(modes.modes2)
-    nodes = modes.pairs
     order = {node: idx for idx, node in enumerate(nodes)}
 
-    def neighbors(node):
-        i, j = node
-        for k in modes.modes1:
-            if k != i:
-                yield (k, j)
-        for l in modes.modes2:
-            if l != j:
-                yield (i, l)
-
     def walk(start, path, visited):
-        cur = path[-1]
-        for nb in neighbors(cur):
+        for nb in neighbors(path[-1]):
             if nb == start and len(path) >= 2:
                 yield path + [start]
             elif nb not in visited and order[nb] > order[start] and len(path) < max_len:
@@ -246,24 +230,29 @@ def enumerate_product_loops(modes: ModeSets, max_len: int | None = None):
         yield from walk(start, [start], {start})
 
 
+def enumerate_product_loops(modes: ModeSets, max_len: int | None = None):
+    """Yield simple loops in the product mode graph.
+
+    A loop is a sequence of mode pairs returning to its start, with all
+    intermediate pairs distinct and each step changing exactly one player's
+    mode.  max_len bounds the number of steps (defaults to |modes1|+|modes2|).
+    Each loop is enumerated once per orientation, anchored at its smallest
+    pair, so signed sums over both traversal directions are covered.
+    """
+    if max_len is None:
+        max_len = len(modes.modes1) + len(modes.modes2)
+
+    def neighbors(node):
+        i, j = node
+        yield from ((k, j) for k in modes.modes1 if k != i)
+        yield from ((i, l) for l in modes.modes2 if l != j)
+
+    return _simple_loops(modes.pairs, neighbors, max_len)
+
+
 def enumerate_single_loops(modes: tuple[int, ...]):
     """Yield simple loops within one player's mode set."""
-    order = {m: idx for idx, m in enumerate(modes)}
-
-    def walk(start, path, visited):
-        cur = path[-1]
-        for nb in modes:
-            if nb == cur:
-                continue
-            if nb == start and len(path) >= 2:
-                yield path + [start]
-            elif nb not in visited and order[nb] > order[start] and len(path) < len(modes):
-                visited.add(nb)
-                yield from walk(start, path + [nb], visited)
-                visited.remove(nb)
-
-    for start in modes:
-        yield from walk(start, [start], {start})
+    return _simple_loops(modes, lambda cur: (m for m in modes if m != cur), len(modes))
 
 
 def loop_signed_sum(spec: ProblemSpec, loop, t: float, x: float) -> float:
@@ -404,33 +393,18 @@ def validate_triangle(spec: ProblemSpec, samples: list[tuple[float, float]]) -> 
     return report
 
 
-@dataclass(frozen=True)
-class SeparatedComponents:
-    """Per-player reward components extracted by check_separation.
-
-    f1[i](t, x) + f2[j](t, x) reproduces the driver of pair (i, j), and
-    likewise h1[i](x) + h2[j](x) for the terminal rewards.  The player-2
-    components vanish at the anchor mode (first player-2 mode)."""
-
-    f1: Mapping[int, Callable]
-    f2: Mapping[int, Callable]
-    h1: Mapping[int, Callable]
-    h2: Mapping[int, Callable]
-
-
-def check_separation(
-    spec: ProblemSpec, samples: list[tuple[float, float]]
-) -> tuple[AssumptionReport, SeparatedComponents | None]:
+def check_separation(spec: ProblemSpec, samples: list[tuple[float, float]]) -> AssumptionReport:
     """Check that rewards split as f^{ij} = f1^i + f2^j and h^{ij} = h1^i + h2^j.
 
     Numerically: f^{ij} - f^{i j0} must not depend on i (and likewise for h)
     at every sample, within absolute tolerance 1e-12, with j0 the first
-    player-2 mode.  On success the extracted components are returned as
-    callables: f1^i := f^{i j0} and f2^j := f^{i0 j} - f^{i0 j0}.
+    player-2 mode.  The components are then f1^i = f^{i j0} and
+    f2^j = f^{i0 j} - f^{i0 j0}, with i0 the first player-1 mode, as
+    solver.solve_single_obstacle reads them.
     """
     _require_samples(spec, samples)
     modes1, modes2 = spec.modes.modes1, spec.modes.modes2
-    i0, j0 = modes1[0], modes2[0]
+    j0 = modes2[0]
     result = CheckResult("separation", True)
 
     for t, x in samples:
@@ -449,36 +423,7 @@ def check_separation(
 
     report = AssumptionReport()
     report.add(result)
-    if not result.passed:
-        return report, None
-
-    def make_f1(i):
-        expr = spec.drivers.f[(i, j0)]
-        return lambda t, x: evaluate(expr, EvalContext(t, x))
-
-    def make_f2(j):
-        expr_j = spec.drivers.f[(i0, j)]
-        expr_0 = spec.drivers.f[(i0, j0)]
-        return lambda t, x: evaluate(expr_j, EvalContext(t, x)) - evaluate(expr_0, EvalContext(t, x))
-
-    def make_h1(i):
-        expr = spec.terminals.h[(i, j0)]
-        return lambda x: evaluate(expr, EvalContext(spec.horizon, x))
-
-    def make_h2(j):
-        expr_j = spec.terminals.h[(i0, j)]
-        expr_0 = spec.terminals.h[(i0, j0)]
-        return lambda x: evaluate(expr_j, EvalContext(spec.horizon, x)) - evaluate(
-            expr_0, EvalContext(spec.horizon, x)
-        )
-
-    components = SeparatedComponents(
-        f1={i: make_f1(i) for i in modes1},
-        f2={j: make_f2(j) for j in modes2},
-        h1={i: make_h1(i) for i in modes1},
-        h2={j: make_h2(j) for j in modes2},
-    )
-    return report, components
+    return report
 
 
 def run_all_checks(
@@ -492,7 +437,7 @@ def run_all_checks(
     for fragment in (
         validate_consistency(spec, x_samples),
         validate_triangle(spec, samples),
-        check_separation(spec, samples)[0],
+        check_separation(spec, samples),
     ):
         for check in fragment.checks.values():
             report.add(check)

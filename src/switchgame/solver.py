@@ -450,6 +450,28 @@ def solve_maxmin(spec: ProblemSpec, grid: Grid, schedule: PenaltySchedule):
     return _sweep(spec, grid, schedule, "maxmin")
 
 
+def _clamp_pass(cache: _LevelCache, f: np.ndarray, terminal: np.ndarray,
+                costs1: np.ndarray | None = None, costs2: np.ndarray | None = None,
+                floor_last: bool = False) -> np.ndarray:
+    """Backward pass over values indexed (i, j, t, x): per pair one plain
+    implicit step from the next level with source f[k, i, j], then
+    clamp_sweep with the level's costs1[k] and costs2[k] (either may be None,
+    leaving that obstacle out).  f is indexed (t, i, j, x) and terminal
+    (i, j, x), like the cache's own arrays, of which they may be slices.
+    """
+    n1, n2, nx = terminal.shape
+    nt, dt = cache.grid.nt, cache.grid.dt
+    v = np.empty((n1, n2, nt, nx))
+    v[:, :, nt - 1, :] = terminal
+    for k in range(nt - 2, -1, -1):
+        stepped = np.empty((n1, n2, nx))
+        for a, b in np.ndindex(n1, n2):
+            stepped[a, b] = solve_implicit(cache.stencils[k], dt, v[a, b, k + 1] + dt * f[k, a, b])
+        v[:, :, k, :] = clamp_sweep(stepped, None if costs1 is None else costs1[k],
+                                    None if costs2 is None else costs2[k], floor_last)
+    return v
+
+
 def solve_clamped(spec: ProblemSpec, grid: Grid, order: str = "minmax") -> ValueField:
     """Direct double-obstacle cross-check: plain implicit step, then clamp.
 
@@ -458,21 +480,10 @@ def solve_clamped(spec: ProblemSpec, grid: Grid, order: str = "minmax") -> Value
     Clamps are swept Gauss-Seidel to a fixed point at each level.
     """
     cache = _LevelCache(spec, grid)
-    n1, n2 = len(cache.modes1), len(cache.modes2)
-    nt, nx = grid.nt, grid.nx
-    dt = grid.dt
-    v = np.empty((n1, n2, nt, nx))
-    v[:, :, nt - 1, :] = cache.terminal
-    for k in range(nt - 2, -1, -1):
-        stepped = np.empty((n1, n2, nx))
-        for a, b in np.ndindex(n1, n2):
-            stepped[a, b] = solve_implicit(
-                cache.stencils[k], dt, v[a, b, k + 1] + dt * cache.f[k, a, b]
-            )
-        v[:, :, k, :] = clamp_sweep(stepped, cache.g1[k], cache.g2[k],
-                                    floor_last=order == "minmax")
+    v = _clamp_pass(cache, cache.f, cache.terminal, cache.g1, cache.g2,
+                    floor_last=order == "minmax")
     return ValueField(system=f"clamped_{order}", mode_labels=spec.modes.pairs,
-                      values=v.reshape(n1 * n2, nt, nx), grid=grid, penalty=None)
+                      values=v.reshape(-1, grid.nt, grid.nx), grid=grid, penalty=None)
 
 
 # ---------------------------------------------------------------------------
@@ -489,48 +500,32 @@ def _grid_samples(spec: ProblemSpec, grid: Grid):
 def solve_single_obstacle(spec: ProblemSpec, grid: Grid, which: int) -> ValueField:
     """Backward induction for one player's own switching system.
 
-    which == 1: player 1 alone, floor obstacle with costs1, data f1/h1.
-    which == 2: player 2 alone, ceiling obstacle with costs2, data f2/h2.
+    With separated rewards f^{ij} = f1^i + f2^j (and likewise h) the
+    coupled value is v1^i + v2^j, each a one-sided slice of the coupled
+    level data, with the anchors i0, j0 the first modes:
+    which == 1: player 1 alone, floor obstacle with costs1, f1^i = f^{i j0};
+    which == 2: player 2 alone, ceiling obstacle with costs2,
+    f2^j = f^{i0 j} - f^{i0 j0}.
     Requires separated rewards; raises PreconditionError otherwise.
     """
-    report, components = check_separation(spec, _grid_samples(spec, grid))
-    if components is None:
+    report = check_separation(spec, _grid_samples(spec, grid))
+    if not report.all_passed():
         raise PreconditionError(
             "rewards are not separated across players",
             witness=report.checks["separation"].witnesses[:1],
         )
-    nt, nx = grid.nt, grid.nx
-    dt = grid.dt
-    xs = grid.xs
-    stencils = [discretize_generator(spec, grid, grid.times[k]) for k in range(nt - 1)]
-
-    if which == 1:
-        modes, f_funcs, h_funcs = spec.modes.modes1, components.f1, components.h1
-        cost_table = spec.costs.costs1
-    elif which == 2:
-        modes, f_funcs, h_funcs = spec.modes.modes2, components.f2, components.h2
-        cost_table = spec.costs.costs2
-    else:
+    if which not in (1, 2):
         raise ValueError("which must be 1 or 2")
-
-    n = len(modes)
-    shape = (n, 1, nx) if which == 1 else (1, n, nx)  # a one-sided pair array
-    v = np.empty((n, nt, nx))
-    for a, mode in enumerate(modes):
-        v[a, nt - 1, :] = np.broadcast_to(np.asarray(h_funcs[mode](xs), dtype=float), xs.shape)
-
-    for k in range(nt - 2, -1, -1):
-        t = grid.times[k]
-        costs = cost_array(cost_table, modes, EvalContext(t, xs))
-        obstacle = (costs, None) if which == 1 else (None, costs)
-        cur = np.empty((n, nx))
-        for a, mode in enumerate(modes):
-            src = np.broadcast_to(np.asarray(f_funcs[mode](t, xs), dtype=float), xs.shape)
-            cur[a] = solve_implicit(stencils[k], dt, v[a, k + 1] + dt * src)
-        v[:, k, :] = clamp_sweep(cur.reshape(shape), *obstacle).reshape(n, nx)
-
-    system = "single_lower" if which == 1 else "single_upper"
-    return ValueField(system=system, mode_labels=tuple(modes), values=v, grid=grid)
+    cache = _LevelCache(spec, grid)
+    if which == 1:
+        system, modes = "single_lower", cache.modes1
+        v = _clamp_pass(cache, cache.f[:, :, :1], cache.terminal[:, :1], costs1=cache.g1)
+    else:
+        system, modes = "single_upper", cache.modes2
+        v = _clamp_pass(cache, cache.f[:, :1] - cache.f[:, :1, :1],
+                        cache.terminal[:1] - cache.terminal[:1, :1], costs2=cache.g2)
+    return ValueField(system=system, mode_labels=tuple(modes),
+                      values=v.reshape(-1, grid.nt, grid.nx), grid=grid)
 
 
 # ---------------------------------------------------------------------------

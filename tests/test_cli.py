@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 from pathlib import Path
 
@@ -77,16 +78,49 @@ def test_schema_error_exits_2(tmp_path):
         ("validate", "validation", "t_samples", 0),
         ("validate", "validation", "x_samples", -1),
         ("solve", "penalties", "max_iterations", 0),
+        ("solve", "penalties", "fixed_point_tol", 0.0),
+        ("solve", "penalties", "fixed_point_tol", math.nan),
+        ("solve", "penalties", "levels", [1.0, math.nan, 16.0]),
+        ("solve", "penalties", "levels", [1.0, 4.0, math.inf]),
+        ("validate", None, "horizon", math.inf),
+        ("validate", "domain", "max", math.inf),
+        pytest.param("validate", None, "horizon", 10**400, id="validate-horizon-huge-int"),
+        pytest.param("validate", "domain", "min", -10**400, id="validate-domain-min-huge-int"),
+        ("game", "simulation.start", "x", math.nan),
+        ("game", "simulation.start", "x", math.inf),
     ],
 )
 def test_out_of_range_parameter_exits_2_with_location(tmp_path, capsys, command, section,
                                                        key, value):
+    # non-finite values go through json.dumps as the NaN/Infinity literals
+    # that json.load accepts
     doc = _small_game_doc()
-    doc.setdefault(section, {})[key] = value
+    target = doc
+    for part in section.split(".") if section else ():
+        target = target.setdefault(part, {})
+    target[key] = value
     path, _ = _stage(tmp_path, doc)
     assert main([command, str(path)]) == 2
     err = capsys.readouterr().err
-    assert f"{section}.{key}" in err
+    location = f"{section}.{key}" if section else key
+    assert f".{location}: " in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,section,key", [
+    ("game", "grid", "nt"),
+    ("game", "simulation", "paths"),
+    ("solve", "penalties", "max_iterations"),
+    ("validate", "validation", "x_samples"),
+])
+def test_infinite_integer_parameter_exits_2_with_location(tmp_path, capsys, command, section,
+                                                          key):
+    doc = _small_game_doc()
+    doc.setdefault(section, {})[key] = math.inf
+    path, _ = _stage(tmp_path, doc)
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f".{section}" in err
     assert "Traceback" not in err
 
 

@@ -5,10 +5,8 @@ from switchgame.errors import AdmissibilityError, PreconditionError
 from switchgame.game import (
     RealizedStrategy,
     SwitchingStrategy,
-    cumulative_cost,
     default_challengers,
     deterministic_dp_oracle,
-    indicator_process,
     never_switch,
     oracle_optimal_strategies,
     payoff_estimate,
@@ -37,24 +35,23 @@ def _plain_spec(**kw):
 
 
 # ---------------------------------------------------------------------------
-# Indicator process
+# Indicator process (RealizedStrategy.modes)
 # ---------------------------------------------------------------------------
 
 
 def test_indicator_constant_without_switches():
     spec = _plain_spec()
     bundle = _frozen_bundle(spec)
-    process = indicator_process(never_switch(1, 2), spec, bundle)
-    assert np.all(process.modes == 2)
+    assert np.all(never_switch(1, 2).realize(spec, bundle).modes == 2)
 
 
 def test_indicator_switch_effective_strictly_after_declaration():
     spec = _plain_spec()
     bundle = _frozen_bundle(spec, n_steps=10)
     strategy = SwitchingStrategy(player=1, start_mode=1, schedule=((5, 2),))
-    process = indicator_process(strategy, spec, bundle)
+    modes = strategy.realize(spec, bundle).modes
     expected = [1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2]
-    assert process.modes[0].tolist() == expected
+    assert modes[0].tolist() == expected
 
 
 def test_indicator_same_step_duplicate_warns_and_last_wins():
@@ -64,16 +61,15 @@ def test_indicator_same_step_duplicate_warns_and_last_wins():
     bundle = _frozen_bundle(spec)
     strategy = SwitchingStrategy(player=1, start_mode=1, schedule=((4, 2), (4, 3)))
     with pytest.warns(UserWarning):
-        process = indicator_process(strategy, spec, bundle)
-    assert process.modes[0, 5] == 3
+        modes = strategy.realize(spec, bundle).modes
+    assert modes[0, 5] == 3
 
 
 def test_indicator_rejects_off_grid_steps():
     spec = _plain_spec()
     bundle = _frozen_bundle(spec, n_steps=10)
     with pytest.raises(ValueError):
-        indicator_process(SwitchingStrategy(player=1, start_mode=1, schedule=((11, 2),)),
-                          spec, bundle)
+        SwitchingStrategy(player=1, start_mode=1, schedule=((11, 2),)).realize(spec, bundle)
 
 
 @pytest.mark.parametrize("strategy", [
@@ -91,22 +87,30 @@ def test_explicit_schedule_over_cap_is_inadmissible():
     bundle = _frozen_bundle(spec, n_steps=200)
     schedule = tuple((k, 2 if k % 2 == 0 else 1) for k in range(80))
     with pytest.raises(AdmissibilityError):
-        indicator_process(SwitchingStrategy(player=1, start_mode=1, schedule=schedule),
-                          spec, bundle)
+        SwitchingStrategy(player=1, start_mode=1, schedule=schedule).realize(spec, bundle)
 
 
 # ---------------------------------------------------------------------------
-# Costs
+# Costs (PayoffEstimate.cost1_per_path / cost2_per_path)
 # ---------------------------------------------------------------------------
+
+
+def _cost1(strategy, spec, bundle):
+    return payoff_estimate(spec, bundle, strategy, never_switch(2, 1)).cost1_per_path
 
 
 def test_cumulative_cost_examples():
     spec = _plain_spec()
     bundle = _frozen_bundle(spec)
-    assert np.all(cumulative_cost(never_switch(1, 1), spec, bundle) == 0.0)
+    assert np.all(_cost1(never_switch(1, 1), spec, bundle) == 0.0)
 
     two = SwitchingStrategy(player=1, start_mode=1, schedule=((2, 2), (5, 1)))
-    assert np.all(cumulative_cost(two, spec, bundle) == 2.0)
+    assert np.all(_cost1(two, spec, bundle) == 2.0)
+    # player 2's costs (2 per switch here) land in cost2_per_path
+    two2 = SwitchingStrategy(player=2, start_mode=1, schedule=((2, 2), (5, 1)))
+    est = payoff_estimate(spec, bundle, never_switch(1, 1), two2)
+    assert np.all(est.cost1_per_path == 0.0)
+    assert np.all(est.cost2_per_path == 4.0)
 
 
 def test_cumulative_cost_state_dependent():
@@ -114,16 +118,15 @@ def test_cumulative_cost_state_dependent():
     spec = build_spec(costs1=costs1, costs2={(1, 2): 1.0, (2, 1): 1.0}, domain=(-4.0, 4.0))
     bundle = _frozen_bundle(spec, x0=2.0)
     one = SwitchingStrategy(player=1, start_mode=1, schedule=((3, 2),))
-    assert np.all(cumulative_cost(one, spec, bundle) == 2.0)
+    assert np.all(_cost1(one, spec, bundle) == 2.0)
 
 
 def test_cost_charged_for_terminal_step_declaration():
     spec = _plain_spec()
     bundle = _frozen_bundle(spec, n_steps=10)
     at_end = SwitchingStrategy(player=1, start_mode=1, schedule=((10, 2),))
-    process = indicator_process(at_end, spec, bundle)
-    assert np.all(process.modes == 1)  # never shows in the indicator
-    assert np.all(cumulative_cost(at_end, spec, bundle) == 1.0)  # but costs
+    assert np.all(at_end.realize(spec, bundle).modes == 1)  # never shows in the indicator
+    assert np.all(_cost1(at_end, spec, bundle) == 1.0)  # but costs
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +273,7 @@ def test_saddle_strategy_prohibitive_costs_never_switch():
     grid = build_grid(spec, 11, 9)
     field = solve_single_obstacle(spec, grid, 1)
     bundle = _frozen_bundle(spec, n_steps=10)
-    strategy = saddle_strategy_player1(field, spec, bundle, 1)
+    strategy = saddle_strategy_player1(field, 1)
     realized = strategy.realize(spec, bundle)
     assert realized.switch_path.size == 0
 
@@ -280,7 +283,7 @@ def test_saddle_strategy_cheap_switch_fires_once_at_start():
     grid = build_grid(spec, 11, 9)
     field = solve_single_obstacle(spec, grid, 1)
     bundle = _frozen_bundle(spec, n_paths=6, n_steps=10)
-    strategy = saddle_strategy_player1(field, spec, bundle, 1)
+    strategy = saddle_strategy_player1(field, 1)
     realized = strategy.realize(spec, bundle)
     assert realized.switch_path.size == bundle.n_paths
     assert np.all(realized.switch_step == 0)
@@ -295,7 +298,7 @@ def test_saddle_strategy_single_mode_is_empty():
     grid = build_grid(spec, 11, 9)
     field = solve_single_obstacle(spec, grid, 1)
     bundle = _frozen_bundle(spec)
-    strategy = saddle_strategy_player1(field, spec, bundle, 1)
+    strategy = saddle_strategy_player1(field, 1)
     assert strategy.realize(spec, bundle).switch_path.size == 0
 
 
@@ -305,7 +308,7 @@ def test_saddle_strategy_requires_matching_field():
     field1 = solve_single_obstacle(spec, grid, 1)
     bundle = _frozen_bundle(spec)
     with pytest.raises(PreconditionError):
-        saddle_strategy_player2(field1, spec, bundle, 1)
+        saddle_strategy_player2(field1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +331,8 @@ def small_game():
     field1 = solve_single_obstacle(spec, grid, 1)
     field2 = solve_single_obstacle(spec, grid, 2)
     bundle = simulate_paths(spec, SimParams(n_paths=4000, n_steps=100, seed=17))
-    saddle1 = saddle_strategy_player1(field1, spec, bundle, 1)
-    saddle2 = saddle_strategy_player2(field2, spec, bundle, 1)
+    saddle1 = saddle_strategy_player1(field1, 1)
+    saddle2 = saddle_strategy_player2(field2, 1)
     return spec, grid, field1, field2, bundle, saddle1, saddle2
 
 
@@ -448,8 +451,8 @@ def test_realization_keeps_labels_outside_uint8(labels):
     ref_field = solve_single_obstacle(ref_spec, ref_grid, 1)
     field = solve_single_obstacle(spec, grid, 1)
     cases = [
-        (saddle_strategy_player1(ref_field, ref_spec, bundle, 1),
-         saddle_strategy_player1(field, spec, bundle, a)),
+        (saddle_strategy_player1(ref_field, 1),
+         saddle_strategy_player1(field, a)),
         (SwitchingStrategy(player=1, start_mode=1, schedule=((3, 2), (17, 1))),
          SwitchingStrategy(player=1, start_mode=a, schedule=((3, b), (17, a)))),
     ]

@@ -437,6 +437,64 @@ def test_single_obstacle_requires_separation():
         solve_single_obstacle(spec, grid, 1)
 
 
+def _one_sided_spec(modes1, modes2, base_cost="0.05"):
+    # the other player has one mode, so its obstacle never binds; its anchor
+    # pair carries zero data, so player 2's components f^{1j} - f^{11} are
+    # the drivers themselves
+    modes = modes1 if len(modes1) > 1 else modes2
+    costs = {(a, b): f"{base_cost} + 0.02*{abs(a - b)}*(1 + t) + 0.01*x^2"
+             for a in modes for b in modes if a != b}
+    data = {m: ("0", "0") if m == modes[0] else
+            (f"0.3*sin(x + {m}) - 0.1*{m}*t", f"0.05*{m}*x") for m in modes}
+    pairs = [(i, j) for i in modes1 for j in modes2]
+    other = (lambda p: p[0]) if len(modes1) > 1 else (lambda p: p[1])
+    return build_spec(modes1=modes1, modes2=modes2,
+                      costs1=costs if modes is modes1 else {},
+                      costs2=costs if modes is modes2 else {},
+                      drivers={p: data[other(p)][0] for p in pairs},
+                      terminals={p: data[other(p)][1] for p in pairs},
+                      drift="0.3*(0.2 - x)", volatility="0.4", domain=(-2.0, 2.0))
+
+
+@pytest.mark.parametrize("which,modes1,modes2", [(1, (1, 2, 3), (1,)), (2, (1,), (1, 2, 3))])
+@pytest.mark.parametrize("order", ["minmax", "maxmin"])
+def test_single_obstacle_equals_clamped_when_other_player_has_one_mode(which, modes1, modes2,
+                                                                       order):
+    spec = _one_sided_spec(modes1, modes2)
+    grid = build_grid(spec, 21, 25)
+    single = solve_single_obstacle(spec, grid, which)
+    clamped = solve_clamped(spec, grid, order)
+    assert single.system == ("single_lower" if which == 1 else "single_upper")
+    assert single.mode_labels == (modes1 if which == 1 else modes2)
+    assert single.values.shape == clamped.values.shape
+    assert np.array_equal(single.values.view(np.int64), clamped.values.view(np.int64))
+    # the obstacle binds: with prohibitive costs the field is different
+    free = solve_clamped(_one_sided_spec(modes1, modes2, base_cost="100"), grid, order)
+    assert np.max(np.abs(free.values - clamped.values)) > 1e-3
+
+
+@pytest.mark.parametrize("drivers", [
+    {(i, j): f"{i}*x + {j}*t" for i in (1, 2) for j in (1, 2)},
+    {p: "sin(x)*t" for p in ((1, 1), (1, 2), (2, 1), (2, 2))},
+], ids=["additive", "identical"])
+def test_single_player_sum_rebuilds_unbound_pairs(drivers):
+    # with costs too large to bind, each pair's value is the plain backward
+    # solve of its own driver, which separates into the two players' solves
+    costs1, costs2 = uniform_costs((1, 2), (1, 2), 100.0, 100.0)
+    terminals = {(i, j): f"0.1*{i}*x^2 - 0.05*{j}*x" for i in (1, 2) for j in (1, 2)}
+    spec = build_spec(costs1=costs1, costs2=costs2, drivers=drivers, terminals=terminals,
+                      volatility="0.3")
+    grid = build_grid(spec, 21, 17)
+    field1 = solve_single_obstacle(spec, grid, 1)
+    field2 = solve_single_obstacle(spec, grid, 2)
+    clamped = solve_clamped(spec, grid, "minmax")
+    for idx, (i, j) in enumerate(clamped.mode_labels):
+        summed = field1.values[field1.index_of(i)] + field2.values[field2.index_of(j)]
+        assert np.max(np.abs(summed - clamped.values[idx])) <= 1e-12
+    # player 2's component vanishes at the anchor mode
+    assert np.all(field2.values[field2.index_of(1)] == 0.0)
+
+
 def test_decomposition_single_pair_is_tight():
     spec = build_spec(modes1=(1,), modes2=(1,), drivers={(1, 1): "0.3"},
                       terminals={(1, 1): "0.1*x^2"}, volatility="0.5")
