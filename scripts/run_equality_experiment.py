@@ -29,7 +29,7 @@ def main():
     print(f"grid {cfg.nt} x {cfg.nx}, dt = {grid.dt:.5f}, dx = {grid.dx:.5f}")
     print(f"{'penalty':>10} {'inner gap':>12} {'desc excess':>12} {'asc excess':>12}")
     for idx, m in enumerate(rmin.penalty_levels):
-        gap = sup_gap(rmin.sweep_fields[idx], rmax.sweep_fields[idx], region=0.5)
+        gap = sup_gap(rmin.sweep_fields[idx], rmax.sweep_fields[idx])
         exc_d = max(rmin.penalty_excess[idx].values())
         exc_a = max(rmax.penalty_excess[idx].values())
         print(f"{m:>10.0f} {gap:>12.6f} {exc_d:>12.5f} {exc_a:>12.5f}")
@@ -40,7 +40,6 @@ def main():
         worst = max(verdict.max_floor_violation, verdict.max_ceiling_violation)
         print(f"{name} barriers at {tol}: {'ok' if verdict.passed else 'VIOLATED'} "
               f"(worst {worst:.2e})")
-    print(f"solve wall time: descending {rmin.wall_time:.2f}s, ascending {rmax.wall_time:.2f}s")
 
 
 if __name__ == "__main__":

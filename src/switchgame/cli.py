@@ -65,6 +65,8 @@ def cmd_solve(config: RunConfig, system: str) -> int:
         for name in wanted:
             solver = solve_minmax if name == "minmax" else solve_maxmin
             results[name] = solver(config.spec, grid, config.schedule)
+            # only the last level's field is written; let the others go
+            results[name][1].sweep_fields.clear()
     except ConvergenceError as exc:
         _write_json(os.path.join(out, "solve_error.json"),
                     {"error": str(exc), "residual": exc.residual})
@@ -79,8 +81,8 @@ def cmd_solve(config: RunConfig, system: str) -> int:
     if system == "both":
         fa, _ = results["minmax"]
         fb, _ = results["maxmin"]
-        gap = sup_gap(fa, fb, region=0.5)
-        mask = grid.inner_mask(0.5)
+        gap = sup_gap(fa, fb)
+        mask = grid.inner_mask()
         x_texts = [repr(x) for x in grid.xs[mask].tolist()]
         diff = np.max(np.abs(fa.values - fb.values), axis=0)[:, mask]
         with open(os.path.join(out, "gap_minmax_maxmin.csv"), "w", newline="") as handle:

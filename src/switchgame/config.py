@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass
 
 from .errors import ConfigError, ExpressionSyntaxError, SpecificationError
@@ -71,10 +70,13 @@ class RunConfig:
         return [(t, x) for t in ts for x in xs]
 
 
-def _need(doc: dict, key: str, where: str):
-    if key not in doc:
+def _need(doc: dict, key: str, where: str, default=None):
+    """doc[key]; ``default`` instead when the key is absent and a default is given."""
+    if key in doc:
+        return doc[key]
+    if default is None:
         raise ConfigError(where, f"missing required key {key!r}")
-    return doc[key]
+    return default
 
 
 def _section(doc: dict, key: str, where: str, required: bool = True) -> dict:
@@ -87,14 +89,31 @@ def _section(doc: dict, key: str, where: str, required: bool = True) -> dict:
     return section
 
 
-def _finite(doc: dict, key: str, where: str) -> float:
-    """The number under ``key`` as a finite float."""
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _finite(doc: dict, key: str, where: str, default=None) -> float:
+    """The JSON number under ``key`` as a finite float; a string, a bool or
+    an integer beyond the float range is not one."""
+    value = _need(doc, key, where, default)
     try:
-        value = float(_need(doc, key, where))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{where}.{key}", "must be a finite number") from exc
-    if not math.isfinite(value):
+        number = float(value) if _is_int(value) or isinstance(value, float) else math.nan
+    except OverflowError:
+        number = math.nan
+    if not math.isfinite(number):
         raise ConfigError(f"{where}.{key}", "must be a finite number")
+    return number
+
+
+def _integer(doc: dict, key: str, where: str, minimum: int, default=None) -> int:
+    """The JSON integer under ``key``, at least ``minimum``; a fraction, a
+    bool or an infinity is not one."""
+    value = _need(doc, key, where, default)
+    if not _is_int(value):
+        raise ConfigError(f"{where}.{key}", "must be an integer")
+    if value < minimum:
+        raise ConfigError(f"{where}.{key}", f"must be at least {minimum}")
     return value
 
 
@@ -108,8 +127,7 @@ def _parse_expr(text, where: str):
 
 
 def _mode_list(raw, where: str) -> tuple[int, ...]:
-    if not isinstance(raw, list) or not raw or not all(
-            isinstance(m, int) and not isinstance(m, bool) for m in raw):
+    if not isinstance(raw, list) or not raw or not all(_is_int(m) for m in raw):
         raise ConfigError(where, "must be a non-empty list of integers")
     if len(set(raw)) != len(raw):
         raise ConfigError(where, "mode labels must be distinct")
@@ -134,6 +152,14 @@ def _transition_key(key: str, where: str) -> tuple[int, int]:
         return int(parts[0]), int(parts[1])
     except ValueError as exc:
         raise ConfigError(where, f"key {key!r} must hold integers") from exc
+
+
+def _start_mode(start: dict, key: str, labels: tuple[int, ...], where: str) -> int:
+    """The start mode under ``key``, the player's first mode by default."""
+    mode = _need(start, key, where, labels[0])
+    if not _is_int(mode) or mode not in labels:
+        raise ConfigError(f"{where}.{key}", f"must be one of the mode labels {list(labels)}")
+    return mode
 
 
 def load_config(path: str) -> RunConfig:
@@ -183,9 +209,8 @@ def parse_config(doc: dict, where: str = "<config>") -> RunConfig:
         ),
     )
 
-    horizon = _need(doc, "horizon", where)
-    # an integer beyond the float range is not a finite float either
-    if not isinstance(horizon, (int, float)) or not 0 < horizon <= sys.float_info.max:
+    horizon = _finite(doc, "horizon", where)
+    if horizon <= 0:
         raise ConfigError(f"{where}.horizon", "must be a positive finite number")
 
     domain_doc = _section(doc, "domain", where)
@@ -198,35 +223,27 @@ def parse_config(doc: dict, where: str = "<config>") -> RunConfig:
             drivers=DriverTable(drivers),
             terminals=TerminalTable(terminals),
             diffusion=diffusion,
-            horizon=float(horizon),
+            horizon=horizon,
             domain=domain,
         )
     except SpecificationError as exc:
         raise ConfigError(where, str(exc)) from exc
 
     grid_doc = _section(doc, "grid", where)
-    try:
-        nt, nx = int(grid_doc["nt"]), int(grid_doc["nx"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{where}.grid", "must carry integer 'nt' and 'nx'") from exc
-    if nt < 2:
-        raise ConfigError(f"{where}.grid.nt", "must be at least 2")
-    if nx < 3:
-        raise ConfigError(f"{where}.grid.nx", "must be at least 3")
+    nt = _integer(grid_doc, "nt", f"{where}.grid", 2)
+    nx = _integer(grid_doc, "nx", f"{where}.grid", 3)
 
     pen_doc = _section(doc, "penalties", where, required=False)
     try:
         levels = tuple(float(v) for v in pen_doc.get("levels", (1.0, 4.0, 16.0, 64.0, 256.0)))
-        fixed_point_tol = float(pen_doc.get("fixed_point_tol", 1e-10))
-        max_iterations = int(pen_doc.get("max_iterations", 500))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where}.penalties", str(exc)) from exc
     if not all(math.isfinite(m) for m in levels):
         raise ConfigError(f"{where}.penalties.levels", "entries must be finite numbers")
-    if not 0 < fixed_point_tol < math.inf:
+    fixed_point_tol = _finite(pen_doc, "fixed_point_tol", f"{where}.penalties", 1e-10)
+    if fixed_point_tol <= 0:
         raise ConfigError(f"{where}.penalties.fixed_point_tol", "must be a positive finite number")
-    if max_iterations < 1:
-        raise ConfigError(f"{where}.penalties.max_iterations", "must be at least 1")
+    max_iterations = _integer(pen_doc, "max_iterations", f"{where}.penalties", 1, 500)
     try:
         schedule = PenaltySchedule(levels=levels, fixed_point_tol=fixed_point_tol,
                                    max_iterations=max_iterations,
@@ -237,44 +254,39 @@ def parse_config(doc: dict, where: str = "<config>") -> RunConfig:
     sim = None
     start_modes = None
     if "simulation" in doc:
+        at = f"{where}.simulation"
         sim_doc = _section(doc, "simulation", where)
-        start = _section(sim_doc, "start", f"{where}.simulation", required=False)
-        try:
-            sim = SimParams(
-                n_paths=int(_need(sim_doc, "paths", f"{where}.simulation")),
-                n_steps=int(_need(sim_doc, "steps", f"{where}.simulation")),
-                seed=int(_need(sim_doc, "seed", f"{where}.simulation")),
-                t0=float(start.get("t", 0.0)),
-                x0=float(start.get("x", 0.0)),
-                antithetic=bool(sim_doc.get("antithetic", False)),
-            )
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"{where}.simulation", str(exc)) from exc
-        if not 0.0 <= sim.t0 < spec.horizon:
-            raise ConfigError(f"{where}.simulation.start.t", "must lie in [0, horizon)")
-        if not math.isfinite(sim.x0):
-            raise ConfigError(f"{where}.simulation.start.x", "must be a finite number")
-        m1 = start.get("mode1", modes.modes1[0])
-        m2 = start.get("mode2", modes.modes2[0])
-        if m1 not in modes.modes1 or m2 not in modes.modes2:
-            raise ConfigError(f"{where}.simulation.start", "start modes must belong to the mode sets")
-        start_modes = (int(m1), int(m2))
+        start = _section(sim_doc, "start", at, required=False)
+        # the challengers draw from seed + 1 and seed + 2, and Philox keys
+        # lie in [0, 2**128)
+        seed = _integer(sim_doc, "seed", at, 0)
+        if seed + 2 >= 2**128:
+            raise ConfigError(f"{at}.seed", "must be below 2**128 - 2")
+        antithetic = _need(sim_doc, "antithetic", at, False)
+        if not isinstance(antithetic, bool):
+            raise ConfigError(f"{at}.antithetic", "must be true or false")
+        t0 = _finite(start, "t", f"{at}.start", 0.0)
+        if not 0.0 <= t0 < spec.horizon:
+            raise ConfigError(f"{at}.start.t", "must lie in [0, horizon)")
+        x0 = _finite(start, "x", f"{at}.start", 0.0)
+        if not domain[0] <= x0 <= domain[1]:
+            raise ConfigError(f"{at}.start.x", f"must lie in the domain {list(domain)}")
+        sim = SimParams(n_paths=_integer(sim_doc, "paths", at, 1),
+                        n_steps=_integer(sim_doc, "steps", at, 1),
+                        seed=seed, t0=t0, x0=x0, antithetic=antithetic)
+        start_modes = tuple(
+            _start_mode(start, key, labels, f"{at}.start")
+            for key, labels in (("mode1", modes.modes1), ("mode2", modes.modes2)))
 
     val_doc = _section(doc, "validation", where, required=False)
-    try:
-        validation = ValidationParams(
-            t_samples=int(val_doc.get("t_samples", 5)),
-            x_samples=int(val_doc.get("x_samples", 21)),
-            loop_length_bound=(
-                int(val_doc["loop_length_bound"])
-                if val_doc.get("loop_length_bound") is not None else None
-            ),
-        )
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{where}.validation", str(exc)) from exc
-    for key in ("t_samples", "x_samples"):
-        if getattr(validation, key) < 1:
-            raise ConfigError(f"{where}.validation.{key}", "must be at least 1")
+    at = f"{where}.validation"
+    validation = ValidationParams(
+        t_samples=_integer(val_doc, "t_samples", at, 1, 5),
+        x_samples=_integer(val_doc, "x_samples", at, 1, 21),
+        # the shortest switching loop has 2 steps
+        loop_length_bound=(None if val_doc.get("loop_length_bound") is None
+                           else _integer(val_doc, "loop_length_bound", at, 2)),
+    )
 
     output = _need(doc, "output", where)
     if not isinstance(output, str):

@@ -12,7 +12,7 @@ NUMBER is a decimal literal with optional fraction and exponent.  The
 function set is fixed and closed: min/max (binary), exp/abs/sqrt/sin/cos
 (unary).  Exponents are non-negative integers only; general powers are
 deliberately unsupported.  Trees are immutable and evaluation is pure, so
-parsed expressions are safe to share across workers.
+results never depend on call order.
 """
 
 from __future__ import annotations
@@ -72,7 +72,6 @@ class Call:
 ExpressionTree = Const | Var | Neg | BinOp | Pow | Call
 
 ZERO = Const(0.0)
-ONE = Const(1.0)
 
 
 @dataclass(frozen=True)

@@ -32,8 +32,11 @@ from .model import ProblemSpec, ceiling, clamp_sweep, cost_array, floor
 from .simulate import PathBundle
 from .solver import ValueField
 
-SWITCH_CAP = 64
-TRIGGER_TOL = 1e-9
+SWITCH_CAP = 64  # declarations per path
+TRIGGER_TOL = 1e-9  # feedback trigger tolerance on value comparisons
+RANDOM_SWITCH_RATE = 0.05  # per-step switch probability of the random challenger
+Z_SCORE = 3.0  # standard errors a saddle inequality or the PDE comparison may miss by
+PDE_ALLOWANCE = 2e-2  # added to the PDE comparison's tolerance
 _COLUMN_BLOCK = 32  # steps per transposed block of path states
 
 
@@ -74,8 +77,6 @@ class SwitchingStrategy:
     start_mode: int
     schedule: tuple[tuple[int, int], ...] | None = None
     feedback_field: ValueField | None = None
-    trigger_tol: float = TRIGGER_TOL
-    switch_cap: int = SWITCH_CAP
 
     def realize(self, spec: ProblemSpec, bundle: PathBundle) -> RealizedStrategy:
         if self.start_mode not in _player_modes(spec, self.player):
@@ -148,9 +149,9 @@ def switch_every_step(spec: ProblemSpec, player: int, start_mode: int,
 
 
 def random_switch(spec: ProblemSpec, player: int, start_mode: int, seed: int,
-                  n_steps: int, rate: float = 0.05) -> SwitchingStrategy:
+                  n_steps: int) -> SwitchingStrategy:
     """Seeded random challenger: at each step switch to a uniform other mode
-    with probability ``rate``."""
+    with probability RANDOM_SWITCH_RATE."""
     modes = _player_modes(spec, player)
     others = [m for m in modes if m != start_mode]
     if not others:
@@ -159,7 +160,7 @@ def random_switch(spec: ProblemSpec, player: int, start_mode: int, seed: int,
     schedule = []
     cur = start_mode
     for step in range(n_steps):
-        if rng.random() < rate and len(schedule) < SWITCH_CAP:
+        if rng.random() < RANDOM_SWITCH_RATE and len(schedule) < SWITCH_CAP:
             choices = [m for m in modes if m != cur]
             cur = choices[rng.integers(len(choices))]
             schedule.append((step, cur))
@@ -174,7 +175,7 @@ def _realize_explicit(strategy: SwitchingStrategy, spec: ProblemSpec,
     schedule = list(strategy.schedule or ())
     if any(s2 < s1 for (s1, _), (s2, _) in zip(schedule, schedule[1:])):
         raise ValueError("switch steps must be non-decreasing")
-    if len(schedule) > strategy.switch_cap:
+    if len(schedule) > SWITCH_CAP:
         raise AdmissibilityError("explicit schedule exceeds switch cap", path_index=0)
 
     # same-step duplicates: the last declaration wins
@@ -225,7 +226,7 @@ def _realize_feedback(strategy: SwitchingStrategy, spec: ProblemSpec,
 
     At each grid step (the terminal step excluded: a switch there can only
     bleed cost) the rule fires when the current mode's value is dominated,
-    within trigger_tol, by the best reachable value net of switching cost;
+    within TRIGGER_TOL, by the best reachable value net of switching cost;
     the target is the smallest maximizing (player 1) or minimizing
     (player 2) mode label.  Field values are interpolated linearly in x and
     looked up at the nearest field time level.
@@ -274,7 +275,7 @@ def _realize_feedback(strategy: SwitchingStrategy, spec: ProblemSpec,
                     best = np.where(better, cand, best)
                     best_target = np.where(better, other, best_target)
                     best_cost = np.where(better, cost, best_cost)
-                tol = strategy.trigger_tol
+                tol = TRIGGER_TOL
                 # a touch with an essentially free switch is pure indifference
                 # (both modes then carry the same value forever), so only a
                 # strict gain or a touch backed by a real cost fires
@@ -289,7 +290,7 @@ def _realize_feedback(strategy: SwitchingStrategy, spec: ProblemSpec,
                     continue
                 idx = sel[fire]
                 counts[idx] += 1
-                over = idx[counts[idx] > strategy.switch_cap]
+                over = idx[counts[idx] > SWITCH_CAP]
                 if over.size:
                     raise AdmissibilityError(
                         "feedback strategy exceeded the switch cap", path_index=int(over[0])
@@ -312,23 +313,19 @@ def _realize_feedback(strategy: SwitchingStrategy, spec: ProblemSpec,
                             switch_step=step, switch_source=src, switch_target=tgt)
 
 
-def saddle_strategy_player1(field: ValueField, start_mode: int,
-                            trigger_tol: float = TRIGGER_TOL) -> SwitchingStrategy:
+def saddle_strategy_player1(field: ValueField, start_mode: int) -> SwitchingStrategy:
     """Feedback rule that switches when player 1's own value touches its
     switching floor; built from the single_lower field."""
     if field.system != "single_lower":
         raise PreconditionError("saddle_strategy_player1 needs a single_lower field")
-    return SwitchingStrategy(player=1, start_mode=start_mode, feedback_field=field,
-                             trigger_tol=trigger_tol)
+    return SwitchingStrategy(player=1, start_mode=start_mode, feedback_field=field)
 
 
-def saddle_strategy_player2(field: ValueField, start_mode: int,
-                            trigger_tol: float = TRIGGER_TOL) -> SwitchingStrategy:
+def saddle_strategy_player2(field: ValueField, start_mode: int) -> SwitchingStrategy:
     """Mirror rule for player 2 against its switching ceiling (single_upper)."""
     if field.system != "single_upper":
         raise PreconditionError("saddle_strategy_player2 needs a single_upper field")
-    return SwitchingStrategy(player=2, start_mode=start_mode, feedback_field=field,
-                             trigger_tol=trigger_tol)
+    return SwitchingStrategy(player=2, start_mode=start_mode, feedback_field=field)
 
 
 # ---------------------------------------------------------------------------
@@ -495,22 +492,20 @@ def verify_saddle(
     challengers2: list[tuple[str, SwitchingStrategy]],
     start: tuple[float, float, int, int],
     pde_value: float | None = None,
-    pde_allowance: float = 0.0,
-    z: float = 3.0,
 ) -> GameReport:
     """Test the saddle inequalities under common random numbers.
 
     For every player-1 challenger d: J(d, s2) <= J(s1, s2), and for every
-    player-2 challenger n: J(s1, s2) <= J(s1, n), each up to z standard
-    errors of the per-path payoff difference.  Optionally compares the
-    saddle payoff to a PDE value within z * stderr + pde_allowance.
+    player-2 challenger n: J(s1, s2) <= J(s1, n), each up to Z_SCORE
+    standard errors of the per-path payoff difference.  Optionally compares
+    the saddle payoff to a PDE value within Z_SCORE * stderr + PDE_ALLOWANCE.
     """
     t0, x0, i0, j0 = start
     # each saddle strategy is realized once and reused across the roster
     real1 = saddle1.realize(spec, bundle)
     real2 = saddle2.realize(spec, bundle)
     base = payoff_estimate(spec, bundle, real1, real2)
-    report = GameReport(start={"t": t0, "x": x0, "mode1": i0, "mode2": j0}, z=z)
+    report = GameReport(start={"t": t0, "x": x0, "mode1": i0, "mode2": j0}, z=Z_SCORE)
     report.saddle_mean = base.mean
     report.saddle_stderr = base.stderr
     report.saddle_payoff = base
@@ -518,7 +513,7 @@ def verify_saddle(
     def diff_entry(name, gain, attempt):
         mean = float(np.mean(gain))
         sem = float(np.std(gain, ddof=1) / np.sqrt(gain.size)) if gain.size > 1 else 0.0
-        slack = z * sem if sem > 0 else 1e-9 * (1.0 + abs(base.mean))
+        slack = Z_SCORE * sem if sem > 0 else 1e-9 * (1.0 + abs(base.mean))
         return {
             "name": name,
             "estimate": attempt.mean,
@@ -539,7 +534,7 @@ def verify_saddle(
 
     if pde_value is not None:
         gap = abs(base.mean - pde_value)
-        tolerance = z * base.stderr + pde_allowance
+        tolerance = Z_SCORE * base.stderr + PDE_ALLOWANCE
         report.pde_value = float(pde_value)
         report.pde_gap = float(gap)
         report.pde_tolerance = float(tolerance)
@@ -555,8 +550,6 @@ def verify_saddle_from_fields(
     challengers1: list[tuple[str, SwitchingStrategy]],
     challengers2: list[tuple[str, SwitchingStrategy]],
     start: tuple[float, float, int, int],
-    pde_allowance: float = 2e-2,
-    z: float = 3.0,
 ) -> GameReport:
     """verify_saddle with the saddle pair built from the two single-player
     fields and the PDE comparison value taken as their sum at the start."""
@@ -568,10 +561,8 @@ def verify_saddle_from_fields(
         field1.interp_x(i0, level, np.array([x0]))[0]
         + field2.interp_x(j0, level, np.array([x0]))[0]
     )
-    return verify_saddle(
-        spec, bundle, saddle1, saddle2, challengers1, challengers2,
-        start=start, pde_value=pde_value, pde_allowance=pde_allowance, z=z,
-    )
+    return verify_saddle(spec, bundle, saddle1, saddle2, challengers1, challengers2,
+                         start=start, pde_value=pde_value)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,8 @@ from scipy.linalg.lapack import dgtsv
 from .model import ProblemSpec
 from .expressions import EvalContext, evaluate
 
+INNER_FRACTION = 0.5  # central share of the space nodes where diagnostics are read
+
 
 @dataclass(frozen=True, eq=False)
 class Grid:
@@ -40,11 +42,11 @@ class Grid:
     def dx(self) -> float:
         return float(self.xs[1] - self.xs[0])
 
-    def inner_mask(self, fraction: float = 0.5) -> np.ndarray:
-        """Boolean mask selecting the central ``fraction`` of the space nodes."""
+    def inner_mask(self) -> np.ndarray:
+        """Boolean mask selecting the central INNER_FRACTION of the space nodes."""
         lo, hi = self.xs[0], self.xs[-1]
         mid = 0.5 * (lo + hi)
-        half = 0.5 * fraction * (hi - lo)
+        half = 0.5 * INNER_FRACTION * (hi - lo)
         return np.abs(self.xs - mid) <= half + 1e-12 * (hi - lo)
 
 

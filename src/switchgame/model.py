@@ -43,10 +43,6 @@ class ModeSets:
             raise SpecificationError("mode labels must be distinct")
 
     @property
-    def pair_count(self) -> int:
-        return len(self.modes1) * len(self.modes2)
-
-    @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple((i, j) for i in self.modes1 for j in self.modes2)
 
@@ -152,15 +148,6 @@ class ProblemSpec:
 # ---------------------------------------------------------------------------
 # Assumption reports
 # ---------------------------------------------------------------------------
-
-CHECK_NAMES = (
-    "cost_nonnegativity",
-    "non_free_loop",
-    "terminal_consistency",
-    "strict_triangle",
-    "separation",
-)
-
 
 @dataclass
 class CheckResult:

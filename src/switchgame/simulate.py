@@ -2,15 +2,14 @@
 counter-based RNG so increments are a pure function of (seed, path, step).
 
 Each path draws its normals from a Philox stream whose counter is advanced
-by path index; generation order therefore never affects the numbers, and
-the same bundle can be rebuilt chunk-by-chunk in parallel.  Bundles are
-immutable after construction and reused across every payoff evaluation in
-a comparison (common random numbers).
+by path index, so the numbers of a path do not depend on how many paths are
+generated or in which order.  Bundles are immutable after construction and
+reused across every payoff evaluation in a comparison (common random
+numbers).
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,6 @@ from .expressions import EvalContext, evaluate
 from .model import ProblemSpec
 
 _PATH_STRIDE = 1 << 20  # Philox counter blocks reserved per path
-_MAGIC = b"SWGBUN01"
 
 
 @dataclass(frozen=True)
@@ -42,9 +40,8 @@ class SimParams:
 
 @dataclass(frozen=True, eq=False)
 class PathBundle:
-    states: np.ndarray      # (n_paths, n_steps + 1)
-    increments: np.ndarray  # (n_paths, n_steps)
-    times: np.ndarray       # (n_steps + 1,)
+    states: np.ndarray  # (n_paths, n_steps + 1)
+    times: np.ndarray   # (n_steps + 1,)
     params: SimParams
     clamp_events: int = 0
 
@@ -54,7 +51,7 @@ class PathBundle:
 
     @property
     def n_steps(self) -> int:
-        return self.increments.shape[1]
+        return self.states.shape[1] - 1
 
 
 def normal_increments(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
@@ -101,8 +98,7 @@ def simulate_paths(spec: ProblemSpec, params: SimParams) -> PathBundle:
         normals[1::2] = -base[: n // 2]
     else:
         normals = normal_increments(params.seed, n, steps)
-    normals *= sqrt_dt
-    increments = normals
+    normals *= sqrt_dt  # now the Brownian increments dB_k
 
     lo, hi = spec.domain
     mid = 0.5 * (lo + hi)
@@ -123,85 +119,9 @@ def simulate_paths(spec: ProblemSpec, params: SimParams) -> PathBundle:
             raise ExpressionDomainError(
                 f"coefficient failed at step {k}, path {path}: {exc}", exc.offset
             ) from exc
-        nxt = xk + b * dt + sig * increments[:, k]
+        nxt = xk + b * dt + sig * normals[:, k]
         clipped = np.clip(nxt, box_lo, box_hi)
         clamp_events += int(np.sum(clipped != nxt))
         states[:, k + 1] = clipped
 
-    return PathBundle(states=states, increments=increments, times=times, params=params,
-                      clamp_events=clamp_events)
-
-
-@dataclass(frozen=True)
-class MomentEstimate:
-    value: float
-    stderr: float
-    n_paths: int
-
-
-def moment_estimate(bundle: PathBundle, p: float) -> MomentEstimate:
-    """Monte Carlo estimate of E[sup_s |X_s|^p] with its standard error."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    per_path = np.max(np.abs(bundle.states), axis=1) ** p
-    mean = float(np.mean(per_path))
-    if bundle.n_paths > 1:
-        stderr = float(np.std(per_path, ddof=1) / np.sqrt(bundle.n_paths))
-    else:
-        stderr = 0.0
-    return MomentEstimate(value=mean, stderr=stderr, n_paths=bundle.n_paths)
-
-
-# ---------------------------------------------------------------------------
-# Binary bundle dump
-#
-# Little-endian layout:
-#   8 bytes  magic "SWGBUN01"
-#   u64      n_paths
-#   u64      n_steps
-#   u64      seed
-#   u64      flags (bit 0: antithetic)
-#   u64      clamp_events
-#   f64      t0, x0, clamp_factor
-#   f64[n_steps + 1]                 times
-#   f64[n_paths * (n_steps + 1)]     states, row-major
-#   f64[n_paths * n_steps]           increments, row-major
-# ---------------------------------------------------------------------------
-
-
-def save_bundle(bundle: PathBundle, path) -> None:
-    header = _MAGIC + struct.pack(
-        "<QQQQQddd",
-        bundle.n_paths,
-        bundle.n_steps,
-        bundle.params.seed,
-        1 if bundle.params.antithetic else 0,
-        bundle.clamp_events,
-        bundle.params.t0,
-        bundle.params.x0,
-        bundle.params.clamp_factor,
-    )
-    with open(path, "wb") as handle:
-        handle.write(header)
-        handle.write(bundle.times.astype("<f8").tobytes())
-        handle.write(bundle.states.astype("<f8").tobytes())
-        handle.write(bundle.increments.astype("<f8").tobytes())
-
-
-def load_bundle(path) -> PathBundle:
-    with open(path, "rb") as handle:
-        magic = handle.read(8)
-        if magic != _MAGIC:
-            raise ValueError("not a path bundle file")
-        n, steps, seed, flags, clamp_events, t0, x0, clamp_factor = struct.unpack(
-            "<QQQQQddd", handle.read(8 * 8)
-        )
-        times = np.frombuffer(handle.read(8 * (steps + 1)), dtype="<f8").copy()
-        states = np.frombuffer(handle.read(8 * n * (steps + 1)), dtype="<f8").reshape(n, steps + 1).copy()
-        increments = np.frombuffer(handle.read(8 * n * steps), dtype="<f8").reshape(n, steps).copy()
-    params = SimParams(
-        n_paths=int(n), n_steps=int(steps), seed=int(seed), t0=t0, x0=x0,
-        antithetic=bool(flags & 1), clamp_factor=clamp_factor,
-    )
-    return PathBundle(states=states, increments=increments, times=times, params=params,
-                      clamp_events=int(clamp_events))
+    return PathBundle(states=states, times=times, params=params, clamp_events=clamp_events)

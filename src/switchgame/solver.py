@@ -30,7 +30,6 @@ that matches the system being approximated.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -159,7 +158,6 @@ class SolveReport:
     iterations: list[int] = field(default_factory=list)
     monotonicity_violation: float = 0.0
     final_gap: float | None = None
-    wall_time: float = 0.0
     sweep_fields: list[ValueField] = field(default_factory=list)
     # loops of the level solve that stopped without settling, over the whole
     # sweep: active-set iterations that ran _ACTIVE_SET_CAP solves, and
@@ -169,8 +167,7 @@ class SolveReport:
     contact_cycle_exits: int = 0
 
     def to_dict(self) -> dict:
-        # wall_time is left out so that reruns of a configuration write the
-        # same bytes, the cap counts so that reports keep the bytes they had
+        # the cap counts are left out so that reports keep the bytes they had
         # before the counts existed
         return {
             "system": self.system,
@@ -404,7 +401,6 @@ def _excess_by_pair(values, cache: _LevelCache, penalty: float, direction: str) 
 
 
 def _sweep(spec: ProblemSpec, grid: Grid, schedule: PenaltySchedule, direction: str):
-    started = time.perf_counter()
     cache = _LevelCache(spec, grid)
     report = SolveReport(system=direction)
     prev = None
@@ -431,7 +427,6 @@ def _sweep(spec: ProblemSpec, grid: Grid, schedule: PenaltySchedule, direction: 
         report.sweep_fields.append(fld)
         prev = values
         prev_field = fld
-    report.wall_time = time.perf_counter() - started
     return prev_field, report
 
 
@@ -533,14 +528,14 @@ def solve_single_obstacle(spec: ProblemSpec, grid: Grid, which: int) -> ValueFie
 # ---------------------------------------------------------------------------
 
 
-def sup_gap(field_a: ValueField, field_b: ValueField, region: float = 0.5) -> float:
-    """Sup-norm of the difference over the central ``region`` of space,
+def sup_gap(field_a: ValueField, field_b: ValueField) -> float:
+    """Sup-norm of the difference over the inner nodes (Grid.inner_mask),
     all time levels and all mode pairs."""
     if field_a.values.shape != field_b.values.shape:
         raise ValueError("fields have different shapes")
     if field_a.mode_labels != field_b.mode_labels:
         raise ValueError("fields have different mode labels")
-    mask = field_a.grid.inner_mask(region)
+    mask = field_a.grid.inner_mask()
     return float(np.max(np.abs(field_a.values[:, :, mask] - field_b.values[:, :, mask])))
 
 
@@ -558,7 +553,7 @@ def barrier_respect_check(field: ValueField, spec: ProblemSpec, grid: Grid,
     modes1, modes2 = spec.modes.modes1, spec.modes.modes2
     values = field.values.reshape(len(modes1), len(modes2), grid.nt, grid.nx)
     g1, g2 = (np.moveaxis(g, 0, 2) for g in _grid_costs(spec, grid))  # (n, n, nt, nx)
-    mask = grid.inner_mask(0.5)
+    mask = grid.inner_mask()
     worst_by_side, witnesses = {}, []
     for side, excess in (("floor", floor(values, g1) - values),
                          ("ceiling", values - ceiling(values, g2))):
@@ -582,7 +577,7 @@ def decomposition_check(spec: ProblemSpec, grid: Grid, schedule: PenaltySchedule
     field1 = solve_single_obstacle(spec, grid, 1)
     field2 = solve_single_obstacle(spec, grid, 2)
     coupled, _ = solve_minmax(spec, grid, schedule)
-    mask = grid.inner_mask(0.5)
+    mask = grid.inner_mask()
     gap = 0.0
     for p_idx, (i, j) in enumerate(coupled.mode_labels):
         summed = field1.values[field1.index_of(i)] + field2.values[field2.index_of(j)]

@@ -68,8 +68,7 @@ def test_e0_heat_sanity(tmp_path):
 
 def test_e1_equality_of_the_two_schemes(e1):
     _, _, _, rmin, _, rmax, elapsed = e1
-    gaps = [sup_gap(a, b, region=0.5)
-            for a, b in zip(rmin.sweep_fields, rmax.sweep_fields)]
+    gaps = [sup_gap(a, b) for a, b in zip(rmin.sweep_fields, rmax.sweep_fields)]
     assert gaps[-1] <= 1e-2
     assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
     assert elapsed < 60.0

@@ -27,6 +27,11 @@ def _stage(tmp_path, doc, name="config.json"):
     return path, Path(doc["output"])
 
 
+def _csv_rows(path):
+    with open(path) as handle:
+        return list(csv.DictReader(handle))
+
+
 def _small_heat(tmp_path):
     doc = _load("e0_heat.json")
     doc["grid"] = {"nt": 41, "nx": 41}
@@ -88,6 +93,18 @@ def test_schema_error_exits_2(tmp_path):
         pytest.param("validate", "domain", "min", -10**400, id="validate-domain-min-huge-int"),
         ("game", "simulation.start", "x", math.nan),
         ("game", "simulation.start", "x", math.inf),
+        ("game", "simulation.start", "x", 50.0),
+        ("game", "simulation", "seed", -1),
+        pytest.param("game", "simulation", "seed", 2**128 - 2, id="game-simulation-seed-2**128-2"),
+        ("game", "simulation", "seed", 1.5),
+        ("game", "simulation", "paths", 1.5),
+        ("solve", "grid", "nt", 2.9),
+        ("solve", "penalties", "max_iterations", 2.7),
+        ("game", "simulation", "antithetic", "no"),
+        ("validate", None, "horizon", True),
+        ("game", "simulation.start", "mode1", True),
+        ("validate", "validation", "loop_length_bound", 0),
+        ("validate", "validation", "loop_length_bound", -3),
     ],
 )
 def test_out_of_range_parameter_exits_2_with_location(tmp_path, capsys, command, section,
@@ -176,7 +193,7 @@ def test_invalid_system_name_exits_2(tmp_path):
 def test_solve_heat_writes_value_near_one(tmp_path):
     path, out = _small_heat(tmp_path)
     assert main(["solve", str(path), "--system", "minmax"]) == 0
-    rows = list(csv.DictReader(open(out / "value_minmax.csv")))
+    rows = _csv_rows(out / "value_minmax.csv")
     at_origin = [r for r in rows if r["t_index"] == "0" and abs(float(r["x"])) < 1e-9]
     assert len(at_origin) == 1
     assert float(at_origin[0]["value"]) == pytest.approx(1.0, abs=1e-2)
@@ -198,7 +215,7 @@ def test_solve_both_writes_gap_file(tmp_path):
     assert report["final_gap"] is not None
     meta = json.loads((out / "value_minmax_meta.json").read_text())
     assert meta["system"] == "minmax" and meta["penalty"] == 4
-    gap_rows = list(csv.DictReader(open(out / "gap_minmax_maxmin.csv")))
+    gap_rows = _csv_rows(out / "gap_minmax_maxmin.csv")
     assert max(float(r["gap"]) for r in gap_rows) <= report["final_gap"] + 1e-15
 
 
@@ -248,7 +265,7 @@ def test_game_small_run_passes(tmp_path):
     assert main(["game", str(path)]) == 0
     report = json.loads((out / "game_report.json").read_text())
     assert report["all_passed"]
-    payoffs = list(csv.DictReader(open(out / "payoffs.csv")))
+    payoffs = _csv_rows(out / "payoffs.csv")
     assert len(payoffs) == 1500
     mean = np.mean([float(r["payoff"]) for r in payoffs])
     assert mean == pytest.approx(report["saddle_mean"], abs=1e-9)

@@ -352,7 +352,7 @@ def test_verify_saddle_standard_roster(small_game):
     challengers1 = default_challengers(spec, 1, 1, 23, bundle.n_steps)
     challengers2 = default_challengers(spec, 2, 1, 24, bundle.n_steps)
     report = verify_saddle(spec, bundle, saddle1, saddle2, challengers1, challengers2,
-                           start=(0.0, 0.0, 1, 1), pde_value=pde_value, pde_allowance=2e-2)
+                           start=(0.0, 0.0, 1, 1), pde_value=pde_value)
     assert report.all_passed(), report.to_dict()
 
 
