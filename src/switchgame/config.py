@@ -93,14 +93,18 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _finite(doc: dict, key: str, where: str, default=None) -> float:
-    """The JSON number under ``key`` as a finite float; a string, a bool or
-    an integer beyond the float range is not one."""
-    value = _need(doc, key, where, default)
+def _number(value) -> float:
+    """A JSON number as a float; nan for a string, a bool or an integer
+    beyond the float range."""
     try:
-        number = float(value) if _is_int(value) or isinstance(value, float) else math.nan
+        return float(value) if _is_int(value) or isinstance(value, float) else math.nan
     except OverflowError:
-        number = math.nan
+        return math.nan
+
+
+def _finite(doc: dict, key: str, where: str, default=None) -> float:
+    """The JSON number under ``key`` as a finite float."""
+    number = _number(_need(doc, key, where, default))
     if not math.isfinite(number):
         raise ConfigError(f"{where}.{key}", "must be a finite number")
     return number
@@ -234,12 +238,10 @@ def parse_config(doc: dict, where: str = "<config>") -> RunConfig:
     nx = _integer(grid_doc, "nx", f"{where}.grid", 3)
 
     pen_doc = _section(doc, "penalties", where, required=False)
-    try:
-        levels = tuple(float(v) for v in pen_doc.get("levels", (1.0, 4.0, 16.0, 64.0, 256.0)))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{where}.penalties", str(exc)) from exc
-    if not all(math.isfinite(m) for m in levels):
-        raise ConfigError(f"{where}.penalties.levels", "entries must be finite numbers")
+    levels = _need(pen_doc, "levels", f"{where}.penalties", [1.0, 4.0, 16.0, 64.0, 256.0])
+    if not isinstance(levels, list) or not all(math.isfinite(_number(m)) for m in levels):
+        raise ConfigError(f"{where}.penalties.levels", "must be a list of finite numbers")
+    levels = tuple(float(m) for m in levels)
     fixed_point_tol = _finite(pen_doc, "fixed_point_tol", f"{where}.penalties", 1e-10)
     if fixed_point_tol <= 0:
         raise ConfigError(f"{where}.penalties.fixed_point_tol", "must be a positive finite number")

@@ -41,6 +41,8 @@ from .grid import (Grid, GeneratorStencil, discretize_generator, solve_banded,  
 from .model import ProblemSpec, ceiling, check_separation, clamp_sweep, cost_array, floor
 
 _ACTIVE_SET_CAP = 64
+# relative width of a rounding-level tie in a policy decision (_next_policy)
+TIE_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -159,16 +161,8 @@ class SolveReport:
     monotonicity_violation: float = 0.0
     final_gap: float | None = None
     sweep_fields: list[ValueField] = field(default_factory=list)
-    # loops of the level solve that stopped without settling, over the whole
-    # sweep: active-set iterations that ran _ACTIVE_SET_CAP solves, and
-    # contact-policy iterations that revisited a policy or ran
-    # _ACTIVE_SET_CAP policies.  The returned iterate is then the last solve's.
-    active_set_cap_hits: int = 0
-    contact_cycle_exits: int = 0
 
     def to_dict(self) -> dict:
-        # the cap counts are left out so that reports keep the bytes they had
-        # before the counts existed
         return {
             "system": self.system,
             "penalty_levels": self.penalty_levels,
@@ -226,8 +220,24 @@ def _grid_costs(spec: ProblemSpec, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def _solve_reaction_rows(bands, dt, rhs, thresholds, weight, side, contact, bound, w0,
-                         report):
+def _next_policy(policy, proposed, lhs, rhs, tie):
+    """The boolean policy for the next solve of a policy iteration; the
+    ``policy`` object itself once it has settled.
+
+    ``proposed`` is the policy that the decision margins lhs - rhs of the
+    last solve ask for.  A row whose margin lies within ``tie`` keeps its
+    current policy: clamp_sweep leaves values exactly on their obstacles,
+    so margins tie at rounding level, and a plain comparison can flip such
+    rows back and forth without end.  The tie test runs only when the plain
+    comparison asks for a change.
+    """
+    if proposed.tobytes() == policy.tobytes():
+        return policy
+    proposed = np.where(np.abs(lhs - rhs) <= tie, policy, proposed)
+    return policy if np.array_equal(proposed, policy) else proposed
+
+
+def _solve_reaction_rows(bands, dt, rhs, thresholds, weight, side, contact, bound, w, tie):
     """Newton iteration on the penalty active sets with a frozen contact set.
 
     Contact rows are identity rows pinned to the obstacle; the remaining
@@ -235,20 +245,13 @@ def _solve_reaction_rows(bands, dt, rhs, thresholds, weight, side, contact, boun
     ``bands``, and the piecewise-linear reaction linearized on its current
     active set.  The reaction is convex (side "above") or concave (side
     "below") in w, so the active-set iteration is monotone and settles in a
-    few tridiagonal solves; running out of solves counts in ``report``.
+    few tridiagonal solves, rows within ``tie`` of a threshold keeping
+    their side (_next_policy).  Raises ConvergenceError when
+    _ACTIVE_SET_CAP solves leave the active set unsettled.
     """
     nx = rhs.shape[0]
-    w = w0
-    prev_key = None
+    active = [w > c for c in thresholds] if side == "above" else [w < c for c in thresholds]
     for _ in range(_ACTIVE_SET_CAP):
-        if side == "above":
-            active = [w > c for c in thresholds]
-        else:
-            active = [w < d for d in thresholds]
-        key = tuple(a.tobytes() for a in active)
-        if key == prev_key:
-            break
-        prev_key = key
         diag = np.zeros(nx)
         extra = np.zeros(nx)
         for act, c in zip(active, thresholds):
@@ -262,13 +265,17 @@ def _solve_reaction_rows(bands, dt, rhs, thresholds, weight, side, contact, boun
             ab[1][contact] = 1.0
             ab[2, :-1][contact[1:]] = 0.0
             b = np.where(contact, bound, b)
-        w = solve_tridiagonal(ab, b)
-    else:
-        report.active_set_cap_hits += 1
-    return w
+        prev, w = w, solve_tridiagonal(ab, b)
+        proposed = [_next_policy(a, w > c if side == "above" else w < c, w, c, tie)
+                    for a, c in zip(active, thresholds)]
+        if all(p is a for p, a in zip(proposed, active)):
+            return w
+        active = proposed
+    raise ConvergenceError(f"reaction active set still changing after {_ACTIVE_SET_CAP} solves",
+                           residual=float(np.max(np.abs(w - prev))))
 
 
-def _pair_step(stencil, bands, dt, rhs, thresholds, weight, bound, side, w0, report):
+def _pair_step(stencil, bands, dt, rhs, thresholds, weight, bound, side, w, tie):
     """Solve one pair's implicit step with its reaction term and hard obstacle.
 
     side == "above" (descending scheme):
@@ -282,16 +289,15 @@ def _pair_step(stencil, bands, dt, rhs, thresholds, weight, bound, side, w0, rep
     row-by-row through a policy iteration on the contact set (each trial
     policy solved exactly by _solve_reaction_rows); enforcing it inside the
     rows rather than projecting afterwards is what makes the
-    discrete comparison between the two schemes exact.  A visited-policy
-    set guards against the rare contact/reaction cycling at large
-    weight * dt; leaving on it, or on the policy cap, counts in ``report``.
+    discrete comparison between the two schemes exact.  A row where
+    w - bound and the residual tie within ``tie`` keeps its policy
+    (_next_policy).  Raises ConvergenceError when _ACTIVE_SET_CAP policies
+    leave the contact set unsettled.
     """
-    w = w0
-    contact = (w0 < bound) if side == "above" else (w0 > bound)
-    seen = set()
+    contact = w < bound if side == "above" else w > bound
     for _ in range(_ACTIVE_SET_CAP):
-        w = _solve_reaction_rows(bands, dt, rhs, thresholds, weight, side, contact, bound, w,
-                                 report)
+        prev = w
+        w = _solve_reaction_rows(bands, dt, rhs, thresholds, weight, side, contact, bound, w, tie)
         reaction = np.zeros_like(rhs)
         for c in thresholds:
             if side == "above":
@@ -299,28 +305,21 @@ def _pair_step(stencil, bands, dt, rhs, thresholds, weight, bound, side, w0, rep
             else:
                 reaction -= dt * weight * np.maximum(c - w, 0.0)
         resid = w - dt * stencil.apply(w) + reaction - rhs
-        if side == "above":
-            new_contact = (w - bound) < resid
-        else:
-            new_contact = (w - bound) > resid
-        if np.array_equal(new_contact, contact):
+        gap = w - bound
+        proposed = _next_policy(contact, gap < resid if side == "above" else gap > resid,
+                                gap, resid, tie)
+        if proposed is contact:
             return w
-        key = new_contact.tobytes()
-        if key in seen:
-            break
-        seen.add(key)
-        contact = new_contact
-    report.contact_cycle_exits += 1
-    return w
+        contact = proposed
+    raise ConvergenceError(f"contact policy still changing after {_ACTIVE_SET_CAP} policies",
+                           residual=float(np.max(np.abs(w - prev))))
 
 
 def _solve_penalized(cache: _LevelCache, penalty: float, direction: str,
-                     schedule: PenaltySchedule, warm: np.ndarray | None,
-                     report: SolveReport):
+                     schedule: PenaltySchedule, warm: np.ndarray | None):
     """One full backward pass at a fixed penalty level.
 
     Returns (values, iteration_count): values has shape (n1, n2, nt, nx).
-    Loops that stop at a cap are counted in ``report``.
     """
     grid = cache.grid
     n1 = len(cache.modes1)
@@ -340,8 +339,8 @@ def _solve_penalized(cache: _LevelCache, penalty: float, direction: str,
         g2_k = cache.g2[k]
         vnext = v[:, :, k + 1, :]
         cur = (warm[:, :, k, :] if warm is not None else vnext).copy()
+        tie = TIE_TOL * (1.0 + float(np.max(np.abs(cur))))
 
-        converged = False
         residual = math.inf
         for _ in range(schedule.max_iterations):
             total_iters += 1
@@ -361,13 +360,12 @@ def _solve_penalized(cache: _LevelCache, penalty: float, direction: str,
                 if schedule.penalizer == "max" and thresholds:
                     thresholds = [soft(cur, costs, (a, b))]
                 w = _pair_step(stencil, bands, dt, rhs, thresholds, penalty, bound, side,
-                               cur[a, b], report)
+                               cur[a, b], tie)
                 residual = max(residual, float(np.max(np.abs(w - cur[a, b]))))
                 cur[a, b] = w
             if residual < schedule.fixed_point_tol:
-                converged = True
                 break
-        if not converged:
+        else:
             raise ConvergenceError(
                 f"{direction} fixed point stalled at time level {k}", residual=residual
             )
@@ -407,8 +405,7 @@ def _sweep(spec: ProblemSpec, grid: Grid, schedule: PenaltySchedule, direction: 
     prev_field = None
     labels = spec.modes.pairs
     for m in schedule.levels:
-        values, iters = _solve_penalized(cache, m, direction, schedule, warm=prev,
-                                         report=report)
+        values, iters = _solve_penalized(cache, m, direction, schedule, warm=prev)
         field_values = values.reshape(len(labels), grid.nt, grid.nx)
         fld = ValueField(system=direction, mode_labels=labels, values=field_values,
                          grid=grid, penalty=m)

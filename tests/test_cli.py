@@ -87,6 +87,10 @@ def test_schema_error_exits_2(tmp_path):
         ("solve", "penalties", "fixed_point_tol", math.nan),
         ("solve", "penalties", "levels", [1.0, math.nan, 16.0]),
         ("solve", "penalties", "levels", [1.0, 4.0, math.inf]),
+        ("solve", "penalties", "levels", [True, 4.0, 16.0]),
+        ("solve", "penalties", "levels", [1.0, "4", 16.0]),
+        ("solve", "penalties", "levels", "1248"),
+        ("solve", "penalties", "levels", 16.0),
         ("validate", None, "horizon", math.inf),
         ("validate", "domain", "max", math.inf),
         pytest.param("validate", None, "horizon", 10**400, id="validate-horizon-huge-int"),
@@ -223,6 +227,27 @@ def test_solve_gate_rejects_invalid_costs(tmp_path):
     path, out = _stage(tmp_path, _load("fail_zero_cost_loop.json"))
     assert main(["solve", str(path)]) == 1
     assert (out / "solve_gate_report.json").exists()
+
+
+@pytest.mark.parametrize("max_iterations,cap,message", [
+    (1, None, "fixed point stalled"),
+    (500, 1, "still changing after 1 "),
+])
+def test_solve_that_does_not_converge_exits_1_with_its_residual(tmp_path, capsys, monkeypatch,
+                                                                 max_iterations, cap, message):
+    # the fixed-point budget of a level, and the level solve's policy cap
+    if cap is not None:
+        monkeypatch.setattr("switchgame.solver._ACTIVE_SET_CAP", cap)
+    doc = _load("e1_equality_2x2.json")
+    doc["grid"] = {"nt": 11, "nx": 9}
+    doc["penalties"]["max_iterations"] = max_iterations
+    path, out = _stage(tmp_path, doc)
+    assert main(["solve", str(path)]) == 1
+    error = json.loads((out / "solve_error.json").read_text())
+    assert message in error["error"]
+    assert math.isfinite(error["residual"]) and error["residual"] > 0
+    assert "did not converge" in capsys.readouterr().err
+    assert not (out / "value_minmax.csv").exists()
 
 
 def test_oracle_command_and_solver_deltas(tmp_path):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from switchgame.config import load_config
 from switchgame.errors import ConvergenceError, PreconditionError
 from switchgame.expressions import EvalContext, evaluate
-from switchgame import model
+from switchgame import model, solver
 from switchgame.game import deterministic_dp_oracle
 from switchgame.grid import Grid, build_grid
 from switchgame.solver import (
@@ -354,32 +354,59 @@ def test_monotone_in_driver():
     assert np.min(fb.values[0] - fa.values[0]) >= -1e-11
 
 
-def test_cap_exits_are_counted_and_left_out_of_the_report_dict():
-    # the unbumped spec of test_monotone_in_driver: the active-set iteration
-    # runs out of solves at large weight * dt
-    costs1, costs2 = uniform_costs((1, 2), (1, 2), 0.07, 0.05)
-    spec = build_spec(costs1=costs1, costs2=costs2,
-                      drivers={(1, 1): "0.1", (1, 2): "0", (2, 1): "0.05", (2, 2): "0.15"},
-                      terminals={p: "0.1*x^2" for p in ((1, 1), (1, 2), (2, 1), (2, 2))},
-                      volatility="0.5")
-    _, report = solve_minmax(spec, build_grid(spec, 21, 21), SCHED)
-    assert report.active_set_cap_hits > 0
-    assert "active_set_cap_hits" not in report.to_dict()
-    assert "contact_cycle_exits" not in report.to_dict()
-    # G1's data on a coarse grid: the contact policy of the ascending scheme
-    # comes back to one it has tried
+@pytest.mark.parametrize("spec,message", [
+    # player 1 has one mode, so only the penalized ceiling's active set moves
+    (build_spec(modes1=(1,), costs2={(1, 2): 0.05, (2, 1): 0.05},
+                drivers={(1, 1): "1", (1, 2): "0"}), "reaction active set"),
+    # player 2 has one mode, so only the contact set of the hard floor moves
+    (build_spec(modes2=(1,), costs1={(1, 2): 0.25, (2, 1): 0.25},
+                drivers={(1, 1): "1", (2, 1): "0"}), "contact policy"),
+], ids=["active_set", "contact_policy"])
+def test_level_solve_raises_at_its_cap(monkeypatch, spec, message):
+    grid = build_grid(spec, 11, 5)
+    solve_minmax(spec, grid, SCHED)
+    monkeypatch.setattr(solver, "_ACTIVE_SET_CAP", 1)
+    with pytest.raises(ConvergenceError, match=message) as err:
+        solve_minmax(spec, grid, SCHED)
+    assert 0 < err.value.residual < np.inf
+
+
+def test_g1_data_on_a_coarse_grid_settles_every_policy():
+    # rows of the ascending scheme's contact policy tie at rounding level here
+    # (clamp_sweep leaves values exactly on their obstacles)
     g1 = load_config(str(CONFIG_DIR / "g1_game_2x2.json"))
-    _, report = solve_maxmin(g1.spec, build_grid(g1.spec, 21, 21), g1.schedule)
-    assert report.contact_cycle_exits > 0
-
-
-def test_shipped_e1_solve_hits_no_cap():
-    e1 = load_config(str(CONFIG_DIR / "e1_equality_2x2.json"))
-    grid = build_grid(e1.spec, e1.nt, e1.nx)
-    assert (e1.nt, e1.nx) == (151, 121)
+    grid = build_grid(g1.spec, 21, 21)
     for solve in (solve_minmax, solve_maxmin):
-        _, report = solve(e1.spec, grid, e1.schedule)
-        assert (report.active_set_cap_hits, report.contact_cycle_exits) == (0, 0)
+        _, report = solve(g1.spec, grid, g1.schedule)
+        assert report.monotonicity_violation <= g1.schedule.fixed_point_tol
+
+
+@st.composite
+def _generated_specs(draw):
+    """1-3 modes per player, one uniform switching cost per player, affine
+    drivers, one quadratic terminal shared by every pair (so terminal
+    consistency holds) and a constant volatility."""
+    def number(lo, hi):
+        return draw(st.floats(lo, hi).map(lambda v: round(v, 3)))
+
+    modes1 = tuple(range(1, draw(st.integers(1, 3)) + 1))
+    modes2 = tuple(range(1, draw(st.integers(1, 3)) + 1))
+    costs1, costs2 = uniform_costs(modes1, modes2, number(0.02, 0.5), number(0.02, 0.5))
+    drivers = {(i, j): f"({number(-1, 1)}) + ({number(-1, 1)})*x"
+               for i in modes1 for j in modes2}
+    terminal = f"{number(0, 1)}*x^2 + ({number(-1, 1)})*x"
+    return build_spec(modes1=modes1, modes2=modes2, costs1=costs1, costs2=costs2,
+                      drivers=drivers, terminals={p: terminal for p in drivers},
+                      volatility=number(0.1, 1), domain=(-2.0, 2.0))
+
+
+@given(spec=_generated_specs(), nt=st.integers(11, 40), nx=st.integers(11, 40))
+@settings(max_examples=10, deadline=None)
+def test_generated_specs_converge_with_a_monotone_sweep(spec, nt, nx):
+    grid = build_grid(spec, nt, nx)
+    for solve in (solve_minmax, solve_maxmin):
+        _, report = solve(spec, grid, SCHED)
+        assert report.monotonicity_violation <= SCHED.fixed_point_tol
 
 
 # ---------------------------------------------------------------------------
