@@ -122,17 +122,19 @@ def cmd_game(config: RunConfig) -> int:
     )
     _write_json(os.path.join(out, "game_report.json"), report.to_dict())
 
-    payoff = report.saddle_payoff
-    with open(os.path.join(out, "payoffs.csv"), "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["path", "payoff", "switches1", "switches2", "costA", "costB"])
-        for p in range(payoff.n_paths):
-            writer.writerow([
-                p, repr(float(payoff.per_path[p])),
-                int(payoff.switches1[p]), int(payoff.switches2[p]),
-                repr(float(payoff.cost1_per_path[p])), repr(float(payoff.cost2_per_path[p])),
-            ])
+    _write_payoffs(os.path.join(out, "payoffs.csv"), report.saddle_payoff)
     return 0 if report.all_passed() else 1
+
+
+def _write_payoffs(path, payoff: game_mod.PayoffEstimate) -> None:
+    """payoffs.csv: path, payoff, switches1, switches2, costA, costB per path,
+    as one block of csv.writer's rows."""
+    cells = [f"{p},{v!r},{a},{b},{c!r}" for p, (v, a, b, c) in enumerate(zip(
+        payoff.per_path.tolist(), payoff.switches1.tolist(), payoff.switches2.tolist(),
+        payoff.cost1_per_path.tolist()))]
+    with open(path, "w", newline="") as handle:
+        handle.write("path,payoff,switches1,switches2,costA,costB\r\n")
+        handle.write(csv_rows("", cells, payoff.cost2_per_path))
 
 
 def cmd_oracle(config: RunConfig) -> int:

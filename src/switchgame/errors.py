@@ -41,6 +41,7 @@ class ConvergenceError(SwitchgameError):
     """Raised when a nonlinear fixed point does not settle within its iteration budget."""
 
     def __init__(self, message: str, residual: float):
+        self.message = message
         self.residual = residual
         super().__init__(f"{message} (residual {residual:.3e})")
 

@@ -37,7 +37,6 @@ TRIGGER_TOL = 1e-9  # feedback trigger tolerance on value comparisons
 RANDOM_SWITCH_RATE = 0.05  # per-step switch probability of the random challenger
 Z_SCORE = 3.0  # standard errors a saddle inequality or the PDE comparison may miss by
 PDE_ALLOWANCE = 2e-2  # added to the PDE comparison's tolerance
-_COLUMN_BLOCK = 32  # steps per transposed block of path states
 
 
 # ---------------------------------------------------------------------------
@@ -52,9 +51,10 @@ class RealizedStrategy:
     modes[p, k] is the player's mode at grid step k on path p (left-limit
     convention: a switch declared at step s shows from step s+1).  It is a
     transposed view of a step-major track, in the smallest integer dtype
-    that holds the player's mode labels.  The flat switch arrays carry every
-    declaration, including ones at the final step that never show in
-    ``modes``.
+    that holds the player's mode labels.  An explicit schedule's track is
+    one (n_steps + 1,) row broadcast over the paths, read-only.  The flat
+    switch arrays carry every declaration, including ones at the final step
+    that never show in ``modes``.
     """
 
     player: int
@@ -100,22 +100,13 @@ def _label_dtype(labels) -> np.dtype:
                 if np.iinfo(dt).min <= lo and hi <= np.iinfo(dt).max)
 
 
-def _positions(track: np.ndarray, labels, dtype) -> np.ndarray:
-    """Index into ``labels`` of every entry of ``track`` (entries are labels)."""
-    out = np.zeros(track.shape, dtype=dtype)
+def _positions(track: np.ndarray, labels, scale: int = 1) -> np.ndarray:
+    """scale times the index into ``labels`` of every entry of ``track``
+    (entries are labels)."""
+    out = np.zeros(track.shape, dtype=np.intp)
     for pos, label in enumerate(labels[1:], 1):
-        out[track == label] = pos
+        out[track == label] = pos * scale
     return out
-
-
-def _columns(array: np.ndarray, stop: int):
-    """Yield array[:, 0], ..., array[:, stop - 1] as contiguous rows.
-
-    A block of columns is transposed at a time, so a path-major array is
-    read in one strided pass per block rather than one per column.
-    """
-    for k0 in range(0, stop, _COLUMN_BLOCK):
-        yield from np.ascontiguousarray(array[:, k0:min(k0 + _COLUMN_BLOCK, stop)].T)
 
 
 def never_switch(player: int, start_mode: int) -> SwitchingStrategy:
@@ -192,7 +183,7 @@ def _realize_explicit(strategy: SwitchingStrategy, spec: ProblemSpec,
     if dupes:
         warnings.warn("multiple switches declared at one step; the last one wins")
 
-    track = np.full((n_steps + 1, n_paths), strategy.start_mode, dtype=_label_dtype(modes))
+    track = np.full(n_steps + 1, strategy.start_mode, dtype=_label_dtype(modes))
     sw_steps, sw_sources, sw_targets = [], [], []
     cur = strategy.start_mode
     for step in sorted(deduped):
@@ -208,7 +199,7 @@ def _realize_explicit(strategy: SwitchingStrategy, spec: ProblemSpec,
     reps = len(sw_steps)
     return RealizedStrategy(
         player=strategy.player,
-        modes=track.T,
+        modes=np.broadcast_to(track[:, None], (n_steps + 1, n_paths)).T,
         switch_path=np.repeat(np.arange(n_paths), reps),
         switch_step=np.tile(np.array(sw_steps, dtype=np.int64), n_paths),
         switch_source=np.tile(np.array(sw_sources, dtype=np.int64), n_paths),
@@ -245,7 +236,7 @@ def _realize_feedback(strategy: SwitchingStrategy, spec: ProblemSpec,
 
     if len(modes) > 1:
         rows = {m: fld.index_of(m) for m in modes}
-        for k, xk in enumerate(_columns(bundle.states, n_steps)):
+        for k, xk in enumerate(bundle.states.T[:n_steps]):
             t = float(bundle.times[k])
             values = fld.interp_modes(_nearest_level(fld.grid.times, t), xk)
             # snapshot: triggers fire at most once per grid time per path
@@ -348,8 +339,8 @@ def _switch_costs(realized: RealizedStrategy, spec: ProblemSpec,
     t_at = bundle.times[realized.switch_step]
     x_at = bundle.states[realized.switch_path, realized.switch_step]
     n = len(modes)
-    codes = (_positions(realized.switch_source, modes, np.int64) * n
-             + _positions(realized.switch_target, modes, np.int64))
+    codes = (_positions(realized.switch_source, modes, n)
+             + _positions(realized.switch_target, modes))
     for code in np.unique(codes):
         mask = codes == code
         pair = (modes[code // n], modes[code % n])
@@ -381,17 +372,6 @@ def _realized(strategy: SwitchingStrategy | RealizedStrategy, spec: ProblemSpec,
     return strategy
 
 
-def _pair_codes(spec: ProblemSpec, r1: RealizedStrategy, r2: RealizedStrategy) -> np.ndarray:
-    """Index into spec.modes.pairs of the pair prevailing on each interval
-    [t_k, t_{k+1}): a contiguous (n_steps, n_paths) array."""
-    modes1, modes2 = spec.modes.modes1, spec.modes.modes2
-    dtype = np.min_scalar_type(len(modes1) * len(modes2) - 1)
-    codes = _positions(r1.modes.T[1:], modes1, dtype)
-    codes *= len(modes2)
-    codes += _positions(r2.modes.T[1:], modes2, dtype)
-    return codes
-
-
 def payoff_estimate(spec: ProblemSpec, bundle: PathBundle,
                     strategy1: SwitchingStrategy | RealizedStrategy,
                     strategy2: SwitchingStrategy | RealizedStrategy) -> PayoffEstimate:
@@ -400,46 +380,65 @@ def payoff_estimate(spec: ProblemSpec, bundle: PathBundle,
     Either strategy may come already realized against this bundle; it is
     then used as is.
     """
-    r1 = _realized(strategy1, spec, bundle)
-    r2 = _realized(strategy2, spec, bundle)
+    return payoff_estimates(spec, bundle, [(strategy1, strategy2)])[0]
+
+
+def payoff_estimates(spec: ProblemSpec, bundle: PathBundle, roster) -> list[PayoffEstimate]:
+    """payoff_estimate of every (strategy1, strategy2) entry of ``roster``,
+    in one pass over the steps.
+
+    At each step every pair's driver (at the terminal step, its terminal)
+    is evaluated once, on the union of the paths that some entry places in
+    that pair, into a (pair, path) table from which each entry takes its
+    own values.  Switching costs are computed once per realized strategy.
+    """
+    roster = [(_realized(s1, spec, bundle), _realized(s2, spec, bundle)) for s1, s2 in roster]
     n_paths, n_steps = bundle.n_paths, bundle.n_steps
-    dt = float(bundle.times[1] - bundle.times[0]) if n_steps else 0.0
+    dt = float(bundle.times[1] - bundle.times[0])
     pairs = spec.modes.pairs
-    codes = _pair_codes(spec, r1, r2)
+    distinct = {id(r): r for entry in roster for r in entry}
+    # a path's flat index into the (pair, path) table is
+    # (position1 * n2 + position2) * n_paths + path; each player's share:
+    scale = {1: len(spec.modes.modes2) * n_paths, 2: n_paths}
+    paths = {1: 0, 2: np.arange(n_paths)}
+    table = np.empty((len(pairs), n_paths))
 
-    reward = np.zeros(n_paths)
-    step_reward = np.empty(n_paths)
-    for k, xk in enumerate(_columns(bundle.states, n_steps)):
-        tk = float(bundle.times[k])
-        for code, pair in enumerate(pairs):
-            idx = np.flatnonzero(codes[k] == code)
-            if idx.size == 0:
-                continue
-            vals = np.asarray(evaluate(spec.drivers.f[pair], EvalContext(tk, xk[idx])), dtype=float)
-            step_reward[idx] = np.broadcast_to(vals, idx.shape) * dt
-        reward += step_reward
+    def entry_values(step: int, exprs, t: float, x: np.ndarray, factor: float):
+        offsets = {key: _positions(r.modes.T[step], _player_modes(spec, r.player), scale[r.player])
+                   + paths[r.player] for key, r in distinct.items()}
+        flats = [offsets[id(r1)] + offsets[id(r2)] for r1, r2 in roster]
+        visited = np.zeros(table.size, dtype=bool)
+        for flat in flats:
+            visited[flat] = True
+        for pair, row, hit in zip(pairs, table, visited.reshape(table.shape)):
+            idx = np.flatnonzero(hit)
+            if idx.size:
+                vals = np.asarray(evaluate(exprs[pair], EvalContext(t, x[idx])), dtype=float)
+                row[idx] = np.broadcast_to(vals, idx.shape) * factor
+        return [table.take(flat) for flat in flats]
 
+    # the pair on [t_k, t_{k+1}) is the one at step k + 1
+    rewards = [np.zeros(n_paths) for _ in roster]
+    for k, xk in enumerate(bundle.states.T[:n_steps]):
+        steps = entry_values(k + 1, spec.drivers.f, float(bundle.times[k]), xk, dt)
+        for reward, step in zip(rewards, steps):
+            reward += step
     # the final interval's pair is the pair at the terminal step
-    terminal = np.zeros(n_paths)
-    xT = bundle.states[:, -1]
-    for code, pair in enumerate(pairs):
-        idx = np.flatnonzero(codes[-1] == code)
-        if idx.size == 0:
-            continue
-        vals = np.asarray(evaluate(spec.terminals.h[pair], EvalContext(spec.horizon, xT[idx])),
-                          dtype=float)
-        terminal[idx] = np.broadcast_to(vals, idx.shape)
+    terminals = entry_values(n_steps, spec.terminals.h, spec.horizon, bundle.states.T[-1], 1.0)
 
-    cost1 = _switch_costs(r1, spec, bundle)
-    cost2 = _switch_costs(r2, spec, bundle)
-    per_path = terminal + reward - cost1 + cost2
-    mean = float(np.mean(per_path))
-    stderr = float(np.std(per_path, ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
-    return PayoffEstimate(
-        mean=mean, stderr=stderr, n_paths=n_paths, per_path=per_path,
-        cost1_per_path=cost1, cost2_per_path=cost2,
-        switches1=r1.switches_per_path(n_paths), switches2=r2.switches_per_path(n_paths),
-    )
+    costs = {key: _switch_costs(r, spec, bundle) for key, r in distinct.items()}
+    out = []
+    for (r1, r2), reward, terminal in zip(roster, rewards, terminals):
+        cost1, cost2 = costs[id(r1)], costs[id(r2)]
+        per_path = terminal + reward - cost1 + cost2
+        mean = float(np.mean(per_path))
+        stderr = float(np.std(per_path, ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
+        out.append(PayoffEstimate(
+            mean=mean, stderr=stderr, n_paths=n_paths, per_path=per_path,
+            cost1_per_path=cost1, cost2_per_path=cost2,
+            switches1=r1.switches_per_path(n_paths), switches2=r2.switches_per_path(n_paths),
+        ))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +503,9 @@ def verify_saddle(
     # each saddle strategy is realized once and reused across the roster
     real1 = saddle1.realize(spec, bundle)
     real2 = saddle2.realize(spec, bundle)
-    base = payoff_estimate(spec, bundle, real1, real2)
+    roster = ([(real1, real2)] + [(c, real2) for _, c in challengers1]
+              + [(real1, c) for _, c in challengers2])
+    base, *attempts = payoff_estimates(spec, bundle, roster)
     report = GameReport(start={"t": t0, "x": x0, "mode1": i0, "mode2": j0}, z=Z_SCORE)
     report.saddle_mean = base.mean
     report.saddle_stderr = base.stderr
@@ -525,11 +526,9 @@ def verify_saddle(
             "passed": bool(mean >= -slack),
         }
 
-    for name, challenger in challengers1:
-        attempt = payoff_estimate(spec, bundle, challenger, real2)
+    for (name, _), attempt in zip(challengers1, attempts):
         report.challenger1.append(diff_entry(name, base.per_path - attempt.per_path, attempt))
-    for name, challenger in challengers2:
-        attempt = payoff_estimate(spec, bundle, real1, challenger)
+    for (name, _), attempt in zip(challengers2, attempts[len(challengers1):]):
         report.challenger2.append(diff_entry(name, attempt.per_path - base.per_path, attempt))
 
     if pde_value is not None:

@@ -40,7 +40,7 @@ class SimParams:
 
 @dataclass(frozen=True, eq=False)
 class PathBundle:
-    states: np.ndarray  # (n_paths, n_steps + 1)
+    states: np.ndarray  # (n_paths, n_steps + 1): a step-major buffer, transposed
     times: np.ndarray   # (n_steps + 1,)
     params: SimParams
     clamp_events: int = 0
@@ -105,11 +105,12 @@ def simulate_paths(spec: ProblemSpec, params: SimParams) -> PathBundle:
     half = 0.5 * (hi - lo) * params.clamp_factor
     box_lo, box_hi = mid - half, mid + half
 
-    states = np.empty((n, steps + 1))
-    states[:, 0] = params.x0
+    # step-major, so each step reads and writes one contiguous row
+    rows = np.empty((steps + 1, n))
+    rows[0] = params.x0
     clamp_events = 0
     for k in range(steps):
-        xk = states[:, k]
+        xk = rows[k]
         tk = times[k]
         try:
             b = np.broadcast_to(np.asarray(evaluate(spec.diffusion.drift, EvalContext(tk, xk)), dtype=float), xk.shape)
@@ -120,8 +121,7 @@ def simulate_paths(spec: ProblemSpec, params: SimParams) -> PathBundle:
                 f"coefficient failed at step {k}, path {path}: {exc}", exc.offset
             ) from exc
         nxt = xk + b * dt + sig * normals[:, k]
-        clipped = np.clip(nxt, box_lo, box_hi)
+        clipped = np.clip(nxt, box_lo, box_hi, out=rows[k + 1])
         clamp_events += int(np.sum(clipped != nxt))
-        states[:, k + 1] = clipped
 
-    return PathBundle(states=states, times=times, params=params, clamp_events=clamp_events)
+    return PathBundle(states=rows.T, times=times, params=params, clamp_events=clamp_events)

@@ -359,15 +359,22 @@ def _solve_penalized(cache: _LevelCache, penalty: float, direction: str,
                 thresholds = [c for m, c in enumerate(cands) if m != own]
                 if schedule.penalizer == "max" and thresholds:
                     thresholds = [soft(cur, costs, (a, b))]
-                w = _pair_step(stencil, bands, dt, rhs, thresholds, penalty, bound, side,
-                               cur[a, b], tie)
+                try:
+                    w = _pair_step(stencil, bands, dt, rhs, thresholds, penalty, bound, side,
+                                   cur[a, b], tie)
+                except ConvergenceError as exc:
+                    raise ConvergenceError(
+                        f"{direction} at penalty {penalty:g}, time level {k}, pair "
+                        f"({cache.modes1[a]},{cache.modes2[b]}): {exc.message}",
+                        residual=exc.residual) from exc
                 residual = max(residual, float(np.max(np.abs(w - cur[a, b]))))
                 cur[a, b] = w
             if residual < schedule.fixed_point_tol:
                 break
         else:
             raise ConvergenceError(
-                f"{direction} fixed point stalled at time level {k}", residual=residual
+                f"{direction} fixed point stalled at penalty {penalty:g}, time level {k}",
+                residual=residual
             )
 
         if direction == "minmax":

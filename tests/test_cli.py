@@ -1,13 +1,17 @@
 import csv
+import hashlib
 import json
 import math
 import os
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from switchgame.cli import main
+from switchgame.cli import _write_payoffs, main
+from switchgame.game import PayoffEstimate
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -245,7 +249,13 @@ def test_solve_that_does_not_converge_exits_1_with_its_residual(tmp_path, capsys
     assert main(["solve", str(path)]) == 1
     error = json.loads((out / "solve_error.json").read_text())
     assert message in error["error"]
+    # the scheme, penalty level, time level and (for a level solve) mode pair
+    where = (r"minmax fixed point stalled at penalty 1, time level \d+ " if cap is None
+             else r"minmax at penalty 1, time level \d+, pair \(\d+,\d+\): ")
+    assert re.match(where, error["error"])
     assert math.isfinite(error["residual"]) and error["residual"] > 0
+    assert error["error"].endswith(f"(residual {error['residual']:.3e})")
+    assert error["error"].count("residual") == 1
     assert "did not converge" in capsys.readouterr().err
     assert not (out / "value_minmax.csv").exists()
 
@@ -294,6 +304,48 @@ def test_game_small_run_passes(tmp_path):
     assert len(payoffs) == 1500
     mean = np.mean([float(r["payoff"]) for r in payoffs])
     assert mean == pytest.approx(report["saddle_mean"], abs=1e-9)
+
+
+def test_g1_game_output_digests(tmp_path):
+    # the shipped G1 game at 2000 paths; any change to these bytes is a change
+    # in what the game command computes or how it writes it
+    doc = _load("g1_game_2x2.json")
+    doc["simulation"]["paths"] = 2000
+    path, out = _stage(tmp_path, doc)
+    assert main(["game", str(path)]) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ("game_report.json", "payoffs.csv")}
+    assert digests == {
+        "game_report.json": "66afef0fea87636c39e5951d207f8c949e5029732fa49c6d0d86676b0ae2f6c8",
+        "payoffs.csv": "c27d2485da589b10b04b90601df19e4e61d19d4ff871dac7ec46bc930631f768",
+    }
+
+
+_CSV_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e16, -1e16, 1e-5, 0.1, 1 / 3, 1e300]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+)
+
+
+@given(data=st.data(), n=st.integers(1, 6))
+@settings(max_examples=60, deadline=None)
+def test_payoffs_csv_writes_csv_writer_bytes(tmp_path_factory, data, n):
+    floats = lambda: np.array(data.draw(st.lists(_CSV_FLOATS, min_size=n, max_size=n)))
+    counts = lambda: np.array(data.draw(st.lists(st.integers(0, 64), min_size=n, max_size=n)))
+    payoff = PayoffEstimate(mean=0.0, stderr=0.0, n_paths=n, per_path=floats(),
+                            cost1_per_path=floats(), cost2_per_path=floats(),
+                            switches1=counts(), switches2=counts())
+    folder = tmp_path_factory.mktemp("payoffs")
+    _write_payoffs(folder / "fast.csv", payoff)
+    # the csv.writer loop the block write replaced
+    with open(folder / "reference.csv", "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["path", "payoff", "switches1", "switches2", "costA", "costB"])
+        for p in range(n):
+            writer.writerow([p, repr(float(payoff.per_path[p])), int(payoff.switches1[p]),
+                             int(payoff.switches2[p]), repr(float(payoff.cost1_per_path[p])),
+                             repr(float(payoff.cost2_per_path[p]))])
+    assert (folder / "fast.csv").read_bytes() == (folder / "reference.csv").read_bytes()
 
 
 def test_zero_cost_trivial_game_exact_equalities(tmp_path):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from switchgame.errors import AdmissibilityError, PreconditionError
+from switchgame import game
+from switchgame.errors import AdmissibilityError, ExpressionDomainError, PreconditionError
+from switchgame.expressions import EvalContext, evaluate
 from switchgame.game import (
     RealizedStrategy,
     SwitchingStrategy,
@@ -10,6 +12,8 @@ from switchgame.game import (
     never_switch,
     oracle_optimal_strategies,
     payoff_estimate,
+    payoff_estimates,
+    random_switch,
     saddle_strategy_player1,
     saddle_strategy_player2,
     switch_at_start,
@@ -80,6 +84,16 @@ def test_realize_rejects_labels_outside_the_mode_set(strategy):
     spec = _plain_spec()
     with pytest.raises(ValueError):
         strategy.realize(spec, _frozen_bundle(spec))
+
+
+def test_explicit_realization_is_one_read_only_track_over_paths():
+    spec = _plain_spec()
+    bundle = _frozen_bundle(spec, n_paths=5, n_steps=10)
+    realized = SwitchingStrategy(player=1, start_mode=1, schedule=((3, 2),)).realize(spec, bundle)
+    assert realized.modes.shape == (5, 11)
+    assert realized.modes.strides[0] == 0
+    assert not realized.modes.flags.writeable
+    assert realized.modes.tolist() == [[1] * 4 + [2] * 7] * 5
 
 
 def test_explicit_schedule_over_cap_is_inadmissible():
@@ -469,3 +483,133 @@ def test_realization_keeps_labels_outside_uint8(labels):
         ref_pay = payoff_estimate(ref_spec, bundle, ref, never_switch(2, 1))
         pay = payoff_estimate(spec, bundle, got, never_switch(2, 1))
         assert np.array_equal(pay.per_path, ref_pay.per_path)
+
+
+# ---------------------------------------------------------------------------
+# Roster payoffs (payoff_estimates)
+# ---------------------------------------------------------------------------
+
+
+def _reference_payoff(spec, bundle, r1, r2):
+    """The per-entry loop that payoff_estimates replaced: every pair's driver
+    evaluated on this entry's own paths in that pair, path-major reads."""
+    n_paths, n_steps = bundle.n_paths, bundle.n_steps
+    dt = float(bundle.times[1] - bundle.times[0])
+    pairs = spec.modes.pairs
+    index = {pair: code for code, pair in enumerate(pairs)}
+    # the pair on [t_k, t_{k+1}) is the one at step k + 1
+    codes = np.array([[index[(a, b)] for a, b in zip(r1.modes[:, k].tolist(),
+                                                     r2.modes[:, k].tolist())]
+                      for k in range(1, n_steps + 1)])
+    reward = np.zeros(n_paths)
+    step_reward = np.empty(n_paths)
+    for k in range(n_steps):
+        xk = bundle.states[:, k]
+        for code, pair in enumerate(pairs):
+            idx = np.flatnonzero(codes[k] == code)
+            if idx.size:
+                vals = np.asarray(evaluate(spec.drivers.f[pair],
+                                           EvalContext(float(bundle.times[k]), xk[idx])), dtype=float)
+                step_reward[idx] = np.broadcast_to(vals, idx.shape) * dt
+        reward += step_reward
+    terminal = np.zeros(n_paths)
+    xT = bundle.states[:, -1]
+    for code, pair in enumerate(pairs):
+        idx = np.flatnonzero(codes[-1] == code)
+        if idx.size:
+            vals = np.asarray(evaluate(spec.terminals.h[pair], EvalContext(spec.horizon, xT[idx])),
+                              dtype=float)
+            terminal[idx] = np.broadcast_to(vals, idx.shape)
+    cost1 = game._switch_costs(r1, spec, bundle)
+    cost2 = game._switch_costs(r2, spec, bundle)
+    return terminal + reward - cost1 + cost2, cost1, cost2
+
+
+@pytest.fixture(scope="module")
+def roster_game():
+    """Separated 2x3 game whose feedback saddle strategies both switch."""
+    f1 = {1: "0", 2: "1.2*(t - 0.4) + 0.2*sin(x)"}
+    f2 = {1: "0", 2: "-0.8*(t - 0.5)", 3: "0.6*(t - 0.6) - 0.1*x"}
+    h1 = {1: "0.1*x^2", 2: "0.1*x^2 + 0.03"}
+    h2 = {1: "0", 2: "-0.02", 3: "0.01*x"}
+    costs1, costs2 = uniform_costs((1, 2), (1, 2, 3), 0.08, 0.06)
+    spec = build_spec(
+        modes1=(1, 2), modes2=(1, 2, 3), costs1=costs1, costs2=costs2,
+        drivers={(i, j): f"{f1[i]} + {f2[j]}" for i in f1 for j in f2},
+        terminals={(i, j): f"{h1[i]} + {h2[j]}" for i in h1 for j in h2},
+        volatility="0.6", domain=(-3.0, 3.0),
+    )
+    grid = build_grid(spec, 41, 33)
+    bundle = simulate_paths(spec, SimParams(n_paths=300, n_steps=40, seed=31))
+    real1 = saddle_strategy_player1(solve_single_obstacle(spec, grid, 1), 1).realize(spec, bundle)
+    real2 = saddle_strategy_player2(solve_single_obstacle(spec, grid, 2), 1).realize(spec, bundle)
+    assert real1.switch_path.size and real2.switch_path.size
+    challengers = [
+        switch_at_start(spec, 1, 1), random_switch(spec, 1, 1, 5, bundle.n_steps),
+        switch_at_start(spec, 2, 1), random_switch(spec, 2, 1, 6, bundle.n_steps),
+    ]
+    c1a, c1b, c2a, c2b = (c.realize(spec, bundle) for c in challengers)
+    roster = [(real1, real2), (c1a, real2), (c1b, real2), (real1, c2a), (real1, c2b),
+              (c1b, c2b)]
+    return spec, bundle, roster
+
+
+def test_payoff_estimates_match_the_per_entry_loop_bit_for_bit(roster_game):
+    spec, bundle, roster = roster_game
+    estimates = payoff_estimates(spec, bundle, roster)
+    assert len(estimates) == len(roster)
+    for (r1, r2), est in zip(roster, estimates):
+        per_path, cost1, cost2 = _reference_payoff(spec, bundle, r1, r2)
+        assert per_path.tobytes() == est.per_path.tobytes()
+        assert cost1.tobytes() == est.cost1_per_path.tobytes()
+        assert cost2.tobytes() == est.cost2_per_path.tobytes()
+        assert np.array_equal(est.switches1, r1.switches_per_path(bundle.n_paths))
+        assert np.array_equal(est.switches2, r2.switches_per_path(bundle.n_paths))
+        single = payoff_estimate(spec, bundle, r1, r2)
+        assert (est.mean, est.stderr) == (single.mean, single.stderr)
+
+
+def test_payoff_estimates_evaluate_each_driver_once_per_step(roster_game, monkeypatch):
+    spec, bundle, roster = roster_game
+    drivers = {id(e) for e in spec.drivers.f.values()}
+    terminals = {id(e) for e in spec.terminals.h.values()}
+    per_time = {}
+    calls = {"switch_costs": 0}
+    original_costs = game._switch_costs
+
+    def counting(expr, ctx):
+        kind = "f" if id(expr) in drivers else "h" if id(expr) in terminals else None
+        if kind is not None:
+            per_time[(kind, float(ctx.t))] = per_time.get((kind, float(ctx.t)), 0) + 1
+        return evaluate(expr, ctx)
+
+    def counting_costs(*args):
+        calls["switch_costs"] += 1
+        return original_costs(*args)
+
+    monkeypatch.setattr(game, "evaluate", counting)
+    monkeypatch.setattr(game, "_switch_costs", counting_costs)
+    payoff_estimates(spec, bundle, roster)
+    assert sum(1 for kind, _ in per_time if kind == "f") == bundle.n_steps
+    assert max(per_time.values()) <= len(spec.modes.pairs)
+    # one switching-cost pass per distinct realized strategy
+    assert calls["switch_costs"] == len({id(r) for entry in roster for r in entry})
+
+
+def _domain_spec():
+    costs1, costs2 = uniform_costs((1, 2), (1, 2), 0.1, 0.1)
+    drivers = {(1, 1): "0.5", (1, 2): "x", (2, 1): "t", (2, 2): "sqrt(x - 10)"}
+    return build_spec(costs1=costs1, costs2=costs2, drivers=drivers, volatility="0.3")
+
+
+def test_payoff_estimates_evaluate_no_pair_that_no_entry_visits():
+    spec = _domain_spec()
+    bundle = simulate_paths(spec, SimParams(n_paths=50, n_steps=10, seed=4))
+    roster = [(never_switch(1, 1), never_switch(2, 1)),
+              (switch_at_start(spec, 1, 1), never_switch(2, 1)),
+              (never_switch(1, 1), switch_at_start(spec, 2, 1))]
+    estimates = payoff_estimates(spec, bundle, roster)
+    assert estimates[0].mean == pytest.approx(0.5, abs=1e-12)
+    with pytest.raises(ExpressionDomainError):
+        payoff_estimates(spec, bundle, roster + [(switch_at_start(spec, 1, 1),
+                                                  switch_at_start(spec, 2, 1))])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from switchgame.expressions import EvalContext, evaluate
 from switchgame.simulate import (
     _PATH_STRIDE,
     SimParams,
@@ -96,3 +97,41 @@ def test_coefficient_domain_error_carries_path_and_step():
         simulate_paths(spec, SimParams(n_paths=4, n_steps=5, seed=13, x0=0.0))
     assert "step 0" in str(err.value)
     assert "path 0" in str(err.value)
+
+
+def _path_major_reference(spec, params):
+    """simulate_paths as a path-major loop: one strided column per step."""
+    n, steps = params.n_paths, params.n_steps
+    times = np.linspace(params.t0, spec.horizon, steps + 1)
+    dt = times[1] - times[0]
+    if params.antithetic:
+        base = normal_increments(params.seed, (n + 1) // 2, steps)
+        normals = np.empty((n, steps))
+        normals[0::2] = base[: (n + 1) // 2]
+        normals[1::2] = -base[: n // 2]
+    else:
+        normals = normal_increments(params.seed, n, steps)
+    normals *= np.sqrt(dt)
+    lo, hi = spec.domain
+    half = 0.5 * (hi - lo) * params.clamp_factor
+    states = np.empty((n, steps + 1))
+    states[:, 0] = params.x0
+    for k in range(steps):
+        xk = states[:, k]
+        b = evaluate(spec.diffusion.drift, EvalContext(times[k], xk))
+        sig = evaluate(spec.diffusion.volatility, EvalContext(times[k], xk))
+        states[:, k + 1] = np.clip(xk + b * dt + sig * normals[:, k],
+                                   0.5 * (lo + hi) - half, 0.5 * (lo + hi) + half)
+    return states
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_states_are_a_view_of_step_major_rows(antithetic):
+    spec = _spec(drift="0.3*sin(x) - 0.2*t", volatility="0.5 + 0.1*cos(x)", domain=(-1.0, 1.0))
+    params = SimParams(n_paths=37, n_steps=16, seed=8, x0=0.2, antithetic=antithetic,
+                       clamp_factor=1.5)
+    bundle = simulate_paths(spec, params)
+    assert bundle.states.shape == (37, 17)
+    assert bundle.states.T.flags.c_contiguous
+    assert bundle.clamp_events > 0
+    assert bundle.states.tobytes() == _path_major_reference(spec, params).tobytes()
