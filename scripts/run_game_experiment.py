@@ -7,6 +7,7 @@ Usage: python scripts/run_game_experiment.py [--config configs/g1_game_2x2.json]
 """
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -15,7 +16,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from switchgame import game as gm
 from switchgame.config import load_config
 from switchgame.grid import build_grid
-from switchgame.simulate import SimParams, simulate_paths
+from switchgame.simulate import simulate_paths
 from switchgame.solver import decomposition_check, solve_single_obstacle
 
 
@@ -28,8 +29,7 @@ def main():
     cfg = load_config(args.config)
     sim = cfg.sim
     if args.paths:
-        sim = SimParams(n_paths=args.paths, n_steps=sim.n_steps, seed=sim.seed,
-                        t0=sim.t0, x0=sim.x0, antithetic=sim.antithetic)
+        sim = dataclasses.replace(sim, n_paths=args.paths)
     grid = build_grid(cfg.spec, cfg.nt, cfg.nx)
     field1 = solve_single_obstacle(cfg.spec, grid, 1)
     field2 = solve_single_obstacle(cfg.spec, grid, 2)

@@ -1,8 +1,9 @@
 """Batch front door: validate / solve / game / oracle, one JSON config per run.
 
 Exit codes: 0 success, 1 domain failure (failed assumption, non-convergence,
-unmet precondition), 2 usage or parse error.  All persisted outputs are
-byte-reproducible for a fixed config and seed.
+unmet precondition), 2 usage or parse error or an output directory that
+cannot be made.  All persisted outputs are byte-reproducible for a fixed
+config and seed.
 """
 
 from __future__ import annotations
@@ -30,20 +31,15 @@ def _write_json(path, payload: dict):
         handle.write("\n")
 
 
-def _ensure_output(config: RunConfig) -> str:
-    os.makedirs(config.output, exist_ok=True)
-    return config.output
-
-
 def cmd_validate(config: RunConfig) -> int:
-    out = _ensure_output(config)
-    report = run_all_checks(config.spec, config.samples(), config.validation.loop_length_bound)
+    out = config.output
+    report = run_all_checks(config.spec, config.samples())
     _write_json(os.path.join(out, "validate_report.json"), report.to_dict())
     return 0 if report.all_passed() else 1
 
 
 def _core_checks_pass(config: RunConfig) -> tuple[bool, dict]:
-    report = validate_costs(config.spec, config.samples(), config.validation.loop_length_bound)
+    report = validate_costs(config.spec, config.samples())
     frag = validate_consistency(config.spec, sorted({x for _, x in config.samples()}))
     for check in frag.checks.values():
         report.add(check)
@@ -51,7 +47,7 @@ def _core_checks_pass(config: RunConfig) -> tuple[bool, dict]:
 
 
 def cmd_solve(config: RunConfig, system: str) -> int:
-    out = _ensure_output(config)
+    out = config.output
     ok, gate = _core_checks_pass(config)
     if not ok:
         _write_json(os.path.join(out, "solve_gate_report.json"), gate)
@@ -97,7 +93,7 @@ def cmd_solve(config: RunConfig, system: str) -> int:
 
 
 def cmd_game(config: RunConfig) -> int:
-    out = _ensure_output(config)
+    out = config.output
     if config.sim is None or config.start_modes is None:
         raise ConfigError("simulation", "the game command needs a simulation section")
     grid = build_grid(config.spec, config.nt, config.nx)
@@ -138,7 +134,7 @@ def _write_payoffs(path, payoff: game_mod.PayoffEstimate) -> None:
 
 
 def cmd_oracle(config: RunConfig) -> int:
-    out = _ensure_output(config)
+    out = config.output
     x0 = config.sim.x0 if config.sim is not None else 0.5 * sum(config.spec.domain)
     try:
         values = game_mod.deterministic_dp_oracle(config.spec, config.nt, x0)
@@ -203,6 +199,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config)
+        try:
+            os.makedirs(config.output, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"{args.config}.output", f"cannot make the directory: {exc}") from exc
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

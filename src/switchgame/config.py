@@ -10,16 +10,14 @@ Schema (sections):
     horizon     float > 0
     domain      {"min": float, "max": float}
     grid        {"nt": int, "nx": int}
-    penalties   {"levels": [..], "fixed_point_tol": float,
-                 "max_iterations": int, "penalizer": "sum"|"max"}   (optional)
+    penalties   {"levels": [..], "fixed_point_tol": float}     (optional)
     simulation  {"paths": int, "steps": int, "seed": int,
-                 "start": {"t":, "x":, "mode1":, "mode2":},
-                 "antithetic": bool}                                 (optional)
-    validation  {"t_samples": int, "x_samples": int,
-                 "loop_length_bound": int|null}                      (optional)
+                 "start": {"t":, "x":, "mode1":, "mode2":}}      (optional)
     output      directory path
 
-Expressions use the closed grammar of switchgame.expressions.
+A key outside this schema, and a pair or transition key that names an
+undeclared mode, is an error at its location.  Expressions use the closed
+grammar of switchgame.expressions.
 """
 
 from __future__ import annotations
@@ -42,11 +40,9 @@ from .simulate import SimParams
 from .solver import PenaltySchedule
 
 
-@dataclass(frozen=True)
-class ValidationParams:
-    t_samples: int = 5
-    x_samples: int = 21
-    loop_length_bound: int | None = None
+# the (t, x) sampling lattice of the validators
+T_SAMPLES = 5
+X_SAMPLES = 21
 
 
 @dataclass(frozen=True)
@@ -57,16 +53,14 @@ class RunConfig:
     schedule: PenaltySchedule
     sim: SimParams | None
     start_modes: tuple[int, int] | None
-    validation: ValidationParams
     output: str
 
     def samples(self) -> list[tuple[float, float]]:
         """(t, x) lattice used by the validators."""
-        nt, nx = self.validation.t_samples, self.validation.x_samples
         T = self.spec.horizon
         lo, hi = self.spec.domain
-        ts = [T * k / (nt - 1) if nt > 1 else 0.0 for k in range(nt)]
-        xs = [lo + (hi - lo) * k / (nx - 1) if nx > 1 else lo for k in range(nx)]
+        ts = [T * k / (T_SAMPLES - 1) for k in range(T_SAMPLES)]
+        xs = [lo + (hi - lo) * k / (X_SAMPLES - 1) for k in range(X_SAMPLES)]
         return [(t, x) for t in ts for x in xs]
 
 
@@ -87,6 +81,14 @@ def _section(doc: dict, key: str, where: str, required: bool = True) -> dict:
     if not isinstance(section, dict):
         raise ConfigError(f"{where}.{key}", "must be a JSON object")
     return section
+
+
+def _known(doc: dict, keys: tuple[str, ...], where: str) -> dict:
+    """``doc`` itself once every key in it is one of ``keys``."""
+    for key in doc:
+        if key not in keys:
+            raise ConfigError(f"{where}.{key}", "unknown key")
+    return doc
 
 
 def _is_int(value) -> bool:
@@ -110,10 +112,10 @@ def _finite(doc: dict, key: str, where: str, default=None) -> float:
     return number
 
 
-def _integer(doc: dict, key: str, where: str, minimum: int, default=None) -> int:
+def _integer(doc: dict, key: str, where: str, minimum: int) -> int:
     """The JSON integer under ``key``, at least ``minimum``; a fraction, a
     bool or an infinity is not one."""
-    value = _need(doc, key, where, default)
+    value = _need(doc, key, where)
     if not _is_int(value):
         raise ConfigError(f"{where}.{key}", "must be an integer")
     if value < minimum:
@@ -138,24 +140,23 @@ def _mode_list(raw, where: str) -> tuple[int, ...]:
     return tuple(raw)
 
 
-def _pair_key(key: str, where: str) -> tuple[int, int]:
-    parts = key.split(",")
-    if len(parts) != 2:
-        raise ConfigError(where, f"key {key!r} must look like 'i,j'")
-    try:
-        return int(parts[0]), int(parts[1])
-    except ValueError as exc:
-        raise ConfigError(where, f"key {key!r} must hold integers") from exc
-
-
-def _transition_key(key: str, where: str) -> tuple[int, int]:
-    parts = key.split("->")
-    if len(parts) != 2:
-        raise ConfigError(where, f"key {key!r} must look like 'a->b'")
-    try:
-        return int(parts[0]), int(parts[1])
-    except ValueError as exc:
-        raise ConfigError(where, f"key {key!r} must hold integers") from exc
+def _expr_table(doc: dict, sep: str, labels: tuple[tuple[int, ...], tuple[int, ...]],
+                where: str) -> dict:
+    """Expressions keyed 'a<sep>b' as {(a, b): tree}; a must be one of
+    labels[0] and b one of labels[1]."""
+    table = {}
+    for key, text in doc.items():
+        parts = key.split(sep)
+        if len(parts) != 2:
+            raise ConfigError(where, f"key {key!r} must look like 'a{sep}b'")
+        try:
+            pair = int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            raise ConfigError(where, f"key {key!r} must hold integers") from exc
+        if any(m not in ms for m, ms in zip(pair, labels)):
+            raise ConfigError(f"{where}.{key}", "names a mode that is not declared")
+        table[pair] = _parse_expr(text, f"{where}.{key}")
+    return table
 
 
 def _start_mode(start: dict, key: str, labels: tuple[int, ...], where: str) -> int:
@@ -180,32 +181,27 @@ def load_config(path: str) -> RunConfig:
 
 
 def parse_config(doc: dict, where: str = "<config>") -> RunConfig:
-    modes_doc = _section(doc, "modes", where)
+    _known(doc, ("modes", "costs", "drivers", "terminals", "diffusion", "horizon", "domain",
+                 "grid", "penalties", "simulation", "output"), where)
+    players = ("player1", "player2")
+    modes_doc = _known(_section(doc, "modes", where), players, f"{where}.modes")
     modes = ModeSets(
         modes1=_mode_list(_need(modes_doc, "player1", f"{where}.modes"), f"{where}.modes.player1"),
         modes2=_mode_list(_need(modes_doc, "player2", f"{where}.modes"), f"{where}.modes.player2"),
     )
+    pair_labels = (modes.modes1, modes.modes2)
 
-    costs_doc = _section(doc, "costs", where)
-    costs1 = {
-        _transition_key(k, f"{where}.costs.player1"): _parse_expr(v, f"{where}.costs.player1.{k}")
-        for k, v in _section(costs_doc, "player1", f"{where}.costs").items()
-    }
-    costs2 = {
-        _transition_key(k, f"{where}.costs.player2"): _parse_expr(v, f"{where}.costs.player2.{k}")
-        for k, v in _section(costs_doc, "player2", f"{where}.costs").items()
-    }
+    costs_doc = _known(_section(doc, "costs", where), players, f"{where}.costs")
+    costs1, costs2 = (
+        _expr_table(_section(costs_doc, player, f"{where}.costs"), "->", (labels, labels),
+                    f"{where}.costs.{player}")
+        for player, labels in zip(players, pair_labels))
+    drivers, terminals = (
+        _expr_table(_section(doc, key, where), ",", pair_labels, f"{where}.{key}")
+        for key in ("drivers", "terminals"))
 
-    drivers = {
-        _pair_key(k, f"{where}.drivers"): _parse_expr(v, f"{where}.drivers.{k}")
-        for k, v in _section(doc, "drivers", where).items()
-    }
-    terminals = {
-        _pair_key(k, f"{where}.terminals"): _parse_expr(v, f"{where}.terminals.{k}")
-        for k, v in _section(doc, "terminals", where).items()
-    }
-
-    diff_doc = _section(doc, "diffusion", where)
+    diff_doc = _known(_section(doc, "diffusion", where), ("drift", "volatility"),
+                      f"{where}.diffusion")
     diffusion = DiffusionCoefficients(
         drift=_parse_expr(_need(diff_doc, "drift", f"{where}.diffusion"), f"{where}.diffusion.drift"),
         volatility=_parse_expr(
@@ -217,7 +213,7 @@ def parse_config(doc: dict, where: str = "<config>") -> RunConfig:
     if horizon <= 0:
         raise ConfigError(f"{where}.horizon", "must be a positive finite number")
 
-    domain_doc = _section(doc, "domain", where)
+    domain_doc = _known(_section(doc, "domain", where), ("min", "max"), f"{where}.domain")
     domain = tuple(_finite(domain_doc, key, f"{where}.domain") for key in ("min", "max"))
 
     try:
@@ -233,11 +229,12 @@ def parse_config(doc: dict, where: str = "<config>") -> RunConfig:
     except SpecificationError as exc:
         raise ConfigError(where, str(exc)) from exc
 
-    grid_doc = _section(doc, "grid", where)
+    grid_doc = _known(_section(doc, "grid", where), ("nt", "nx"), f"{where}.grid")
     nt = _integer(grid_doc, "nt", f"{where}.grid", 2)
     nx = _integer(grid_doc, "nx", f"{where}.grid", 3)
 
-    pen_doc = _section(doc, "penalties", where, required=False)
+    pen_doc = _known(_section(doc, "penalties", where, required=False),
+                     ("levels", "fixed_point_tol"), f"{where}.penalties")
     levels = _need(pen_doc, "levels", f"{where}.penalties", [1.0, 4.0, 16.0, 64.0, 256.0])
     if not isinstance(levels, list) or not all(math.isfinite(_number(m)) for m in levels):
         raise ConfigError(f"{where}.penalties.levels", "must be a list of finite numbers")
@@ -245,11 +242,8 @@ def parse_config(doc: dict, where: str = "<config>") -> RunConfig:
     fixed_point_tol = _finite(pen_doc, "fixed_point_tol", f"{where}.penalties", 1e-10)
     if fixed_point_tol <= 0:
         raise ConfigError(f"{where}.penalties.fixed_point_tol", "must be a positive finite number")
-    max_iterations = _integer(pen_doc, "max_iterations", f"{where}.penalties", 1, 500)
     try:
-        schedule = PenaltySchedule(levels=levels, fixed_point_tol=fixed_point_tol,
-                                   max_iterations=max_iterations,
-                                   penalizer=pen_doc.get("penalizer", "sum"))
+        schedule = PenaltySchedule(levels=levels, fixed_point_tol=fixed_point_tol)
     except ValueError as exc:
         raise ConfigError(f"{where}.penalties", str(exc)) from exc
 
@@ -257,16 +251,15 @@ def parse_config(doc: dict, where: str = "<config>") -> RunConfig:
     start_modes = None
     if "simulation" in doc:
         at = f"{where}.simulation"
-        sim_doc = _section(doc, "simulation", where)
-        start = _section(sim_doc, "start", at, required=False)
+        sim_doc = _known(_section(doc, "simulation", where),
+                         ("paths", "steps", "seed", "start"), at)
+        start = _known(_section(sim_doc, "start", at, required=False),
+                       ("t", "x", "mode1", "mode2"), f"{at}.start")
         # the challengers draw from seed + 1 and seed + 2, and Philox keys
         # lie in [0, 2**128)
         seed = _integer(sim_doc, "seed", at, 0)
         if seed + 2 >= 2**128:
             raise ConfigError(f"{at}.seed", "must be below 2**128 - 2")
-        antithetic = _need(sim_doc, "antithetic", at, False)
-        if not isinstance(antithetic, bool):
-            raise ConfigError(f"{at}.antithetic", "must be true or false")
         t0 = _finite(start, "t", f"{at}.start", 0.0)
         if not 0.0 <= t0 < spec.horizon:
             raise ConfigError(f"{at}.start.t", "must lie in [0, horizon)")
@@ -275,20 +268,10 @@ def parse_config(doc: dict, where: str = "<config>") -> RunConfig:
             raise ConfigError(f"{at}.start.x", f"must lie in the domain {list(domain)}")
         sim = SimParams(n_paths=_integer(sim_doc, "paths", at, 1),
                         n_steps=_integer(sim_doc, "steps", at, 1),
-                        seed=seed, t0=t0, x0=x0, antithetic=antithetic)
+                        seed=seed, t0=t0, x0=x0)
         start_modes = tuple(
             _start_mode(start, key, labels, f"{at}.start")
             for key, labels in (("mode1", modes.modes1), ("mode2", modes.modes2)))
-
-    val_doc = _section(doc, "validation", where, required=False)
-    at = f"{where}.validation"
-    validation = ValidationParams(
-        t_samples=_integer(val_doc, "t_samples", at, 1, 5),
-        x_samples=_integer(val_doc, "x_samples", at, 1, 21),
-        # the shortest switching loop has 2 steps
-        loop_length_bound=(None if val_doc.get("loop_length_bound") is None
-                           else _integer(val_doc, "loop_length_bound", at, 2)),
-    )
 
     output = _need(doc, "output", where)
     if not isinstance(output, str):
@@ -296,5 +279,5 @@ def parse_config(doc: dict, where: str = "<config>") -> RunConfig:
 
     return RunConfig(
         spec=spec, nt=nt, nx=nx, schedule=schedule, sim=sim,
-        start_modes=start_modes, validation=validation, output=output,
+        start_modes=start_modes, output=output,
     )

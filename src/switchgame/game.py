@@ -221,9 +221,14 @@ def _realize_feedback(strategy: SwitchingStrategy, spec: ProblemSpec,
     the target is the smallest maximizing (player 1) or minimizing
     (player 2) mode label.  Field values are interpolated linearly in x and
     looked up at the nearest field time level.
+
+    Player 2's rule is player 1's on negated values: negation is exact and
+    rounding symmetric in sign, so (-v) - c == -(v + c) bit for bit, and
+    comparisons ignore the sign of zero.
     """
     fld = strategy.feedback_field
     player = strategy.player
+    sign = 1.0 if player == 1 else -1.0
     modes = _player_modes(spec, player)
     cost_table = spec.costs.costs1 if player == 1 else spec.costs.costs2
     n_paths, n_steps = bundle.n_paths, bundle.n_steps
@@ -238,7 +243,7 @@ def _realize_feedback(strategy: SwitchingStrategy, spec: ProblemSpec,
         rows = {m: fld.index_of(m) for m in modes}
         for k, xk in enumerate(bundle.states.T[:n_steps]):
             t = float(bundle.times[k])
-            values = fld.interp_modes(_nearest_level(fld.grid.times, t), xk)
+            values = sign * fld.interp_modes(_nearest_level(fld.grid.times, t), xk)
             # snapshot: triggers fire at most once per grid time per path
             cur_at_step = cur.copy()
             for mode in modes:
@@ -253,30 +258,21 @@ def _realize_feedback(strategy: SwitchingStrategy, spec: ProblemSpec,
                     cost = np.broadcast_to(np.asarray(
                         evaluate(cost_table[(mode, other)], EvalContext(t, xk[sel])), dtype=float
                     ), own.shape)
-                    if player == 1:
-                        cand = values[rows[other], sel] - cost
-                    else:
-                        cand = values[rows[other], sel] + cost
+                    cand = values[rows[other], sel] - cost
                     if best is None:
                         best = cand
                         best_target = np.full(sel.size, other, dtype=np.int64)
                         best_cost = cost
                         continue
-                    better = cand > best if player == 1 else cand < best
+                    better = cand > best
                     best = np.where(better, cand, best)
                     best_target = np.where(better, other, best_target)
                     best_cost = np.where(better, cost, best_cost)
-                tol = TRIGGER_TOL
                 # a touch with an essentially free switch is pure indifference
                 # (both modes then carry the same value forever), so only a
                 # strict gain or a touch backed by a real cost fires
-                if player == 1:
-                    touch = own <= best + tol
-                    strict = own < best - tol
-                else:
-                    touch = own >= best - tol
-                    strict = own > best + tol
-                fire = touch & (strict | (best_cost > tol))
+                tol = TRIGGER_TOL
+                fire = (own <= best + tol) & ((own < best - tol) | (best_cost > tol))
                 if not np.any(fire):
                     continue
                 idx = sel[fire]

@@ -260,18 +260,14 @@ def loop_signed_sum(spec: ProblemSpec, loop, t: float, x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def validate_costs(
-    spec: ProblemSpec,
-    samples: list[tuple[float, float]],
-    loop_length_bound: int | None = None,
-) -> AssumptionReport:
+def validate_costs(spec: ProblemSpec, samples: list[tuple[float, float]]) -> AssumptionReport:
     """Check cost non-negativity and the no-free-loop condition at samples.
 
     Produces the cost_nonnegativity and non_free_loop fragments.  The loop
     check covers every simple loop of the product graph up to
-    loop_length_bound steps (default |modes1|+|modes2|): the signed sum of
-    costs along the loop must be nonzero at every sample.  Pure one-player
-    loops must additionally have strictly positive total cost.
+    |modes1|+|modes2| steps: the signed sum of costs along the loop must be
+    nonzero at every sample.  Pure one-player loops must additionally have
+    strictly positive total cost.
     """
     _require_samples(spec, samples)
     report = AssumptionReport()
@@ -289,7 +285,7 @@ def validate_costs(
     report.add(nonneg)
 
     loops = CheckResult("non_free_loop", True)
-    for loop in enumerate_product_loops(spec.modes, loop_length_bound):
+    for loop in enumerate_product_loops(spec.modes):
         for t, x in samples:
             total = loop_signed_sum(spec, loop, t, x)
             if abs(total) <= 1e-12:
@@ -413,13 +409,9 @@ def check_separation(spec: ProblemSpec, samples: list[tuple[float, float]]) -> A
     return report
 
 
-def run_all_checks(
-    spec: ProblemSpec,
-    samples: list[tuple[float, float]],
-    loop_length_bound: int | None = None,
-) -> AssumptionReport:
+def run_all_checks(spec: ProblemSpec, samples: list[tuple[float, float]]) -> AssumptionReport:
     """Run every machine-checkable assumption and merge the fragments."""
-    report = validate_costs(spec, samples, loop_length_bound)
+    report = validate_costs(spec, samples)
     x_samples = sorted({x for _, x in samples})
     for fragment in (
         validate_consistency(spec, x_samples),

@@ -19,6 +19,7 @@ from .expressions import EvalContext, evaluate
 from .model import ProblemSpec
 
 _PATH_STRIDE = 1 << 20  # Philox counter blocks reserved per path
+CLAMP_FACTOR = 10.0  # half-width of the path safety box, in domain half-widths
 
 
 @dataclass(frozen=True)
@@ -28,8 +29,6 @@ class SimParams:
     seed: int
     t0: float = 0.0
     x0: float = 0.0
-    antithetic: bool = False
-    clamp_factor: float = 10.0
 
     def __post_init__(self):
         if self.n_paths < 1:
@@ -81,7 +80,7 @@ def _first_failing_path(spec: ProblemSpec, t: float, xk: np.ndarray) -> int:
 def simulate_paths(spec: ProblemSpec, params: SimParams) -> PathBundle:
     """Simulate X_{k+1} = X_k + b(t_k, X_k) dt + sigma(t_k, X_k) dB_k.
 
-    Paths are clamped to a safety box (clamp_factor times the problem
+    Paths are clamped to a safety box (CLAMP_FACTOR times the problem
     domain, about its center) so rare excursions cannot push coefficient
     expressions out of their numeric range; clamp events are counted.
     """
@@ -91,18 +90,12 @@ def simulate_paths(spec: ProblemSpec, params: SimParams) -> PathBundle:
     dt = times[1] - times[0]
     sqrt_dt = np.sqrt(dt)
 
-    if params.antithetic:
-        base = normal_increments(params.seed, (n + 1) // 2, steps)
-        normals = np.empty((n, steps))
-        normals[0::2] = base[: (n + 1) // 2]
-        normals[1::2] = -base[: n // 2]
-    else:
-        normals = normal_increments(params.seed, n, steps)
+    normals = normal_increments(params.seed, n, steps)
     normals *= sqrt_dt  # now the Brownian increments dB_k
 
     lo, hi = spec.domain
     mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo) * params.clamp_factor
+    half = 0.5 * (hi - lo) * CLAMP_FACTOR
     box_lo, box_hi = mid - half, mid + half
 
     # step-major, so each step reads and writes one contiguous row

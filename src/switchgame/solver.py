@@ -41,18 +41,17 @@ from .grid import (Grid, GeneratorStencil, discretize_generator, solve_banded,  
 from .model import ProblemSpec, ceiling, check_separation, clamp_sweep, cost_array, floor
 
 _ACTIVE_SET_CAP = 64
+FIXED_POINT_CAP = 500  # Gauss-Seidel sweeps over the pairs of one time level
 # relative width of a rounding-level tie in a policy decision (_next_policy)
 TIE_TOL = 1e-14
 
 
 @dataclass(frozen=True)
 class PenaltySchedule:
-    """Strictly increasing penalty levels plus fixed-point controls."""
+    """Strictly increasing penalty levels plus the fixed-point tolerance."""
 
     levels: tuple[float, ...] = (1.0, 4.0, 16.0, 64.0, 256.0)
     fixed_point_tol: float = 1e-10
-    max_iterations: int = 500
-    penalizer: str = "sum"  # or "max"
 
     def __post_init__(self):
         if not self.levels:
@@ -61,8 +60,6 @@ class PenaltySchedule:
             raise ValueError("penalty levels must be positive")
         if any(b <= a for a, b in zip(self.levels, self.levels[1:])):
             raise ValueError("penalty levels must be strictly increasing")
-        if self.penalizer not in ("sum", "max"):
-            raise ValueError("penalizer must be 'sum' or 'max'")
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,7 +339,7 @@ def _solve_penalized(cache: _LevelCache, penalty: float, direction: str,
         tie = TIE_TOL * (1.0 + float(np.max(np.abs(cur))))
 
         residual = math.inf
-        for _ in range(schedule.max_iterations):
+        for _ in range(FIXED_POINT_CAP):
             total_iters += 1
             residual = 0.0
             for a, b in np.ndindex(n1, n2):
@@ -353,12 +350,10 @@ def _solve_penalized(cache: _LevelCache, penalty: float, direction: str,
                 else:
                     bound, side = ceiling(cur, g2_k, (a, b)), "below"
                     soft, own, costs = floor, a, g1_k
-                # the penalized obstacle's candidates, own mode left out, or
-                # the obstacle itself; none at all for a single-mode player
+                # the penalized obstacle's candidates, own mode left out; none
+                # at all for a single-mode player
                 cands = soft(cur, costs, (a, b), each=True)
                 thresholds = [c for m, c in enumerate(cands) if m != own]
-                if schedule.penalizer == "max" and thresholds:
-                    thresholds = [soft(cur, costs, (a, b))]
                 try:
                     w = _pair_step(stencil, bands, dt, rhs, thresholds, penalty, bound, side,
                                    cur[a, b], tie)

@@ -42,11 +42,27 @@ def _small_heat(tmp_path):
     return _stage(tmp_path, doc)
 
 
+# validate_report.json bytes of the shipped configs; they depend on the
+# validators' (t, x) sampling lattice (config.T_SAMPLES, config.X_SAMPLES)
+VALIDATE_DIGESTS = {
+    "e1_separated_2x2.json": "51a969dba91e1428a843ba3bf8447ecbb14ede578cba9411ddd2f2726aa6b899",
+    "fail_zero_cost_loop.json": "7c75f143275bd1a90ae79c6012ff917cfff35e6d2c3bda973b35f2df231c4376",
+    "fail_consistency.json": "e3dfb6d3a48436c5e8b1c5ca7dbbccfb34433210880e920004ccac39c0b1dad1",
+    "fail_triangle.json": "43fa887f070c68fd0964d9cecadedf3fac0e5f0d916ecfde0fbfea822852ea38",
+    "fail_nonseparated.json": "dbc5c8ad41443c841cd9efa54a348f0156d931ecd7ba7d8094cab76a82934eac",
+}
+
+
+def _sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 def test_validate_separated_spec_passes(tmp_path):
     path, out = _stage(tmp_path, _load("e1_separated_2x2.json"))
     assert main(["validate", str(path)]) == 0
     report = json.loads((out / "validate_report.json").read_text())
     assert report["all_passed"]
+    assert _sha256(out / "validate_report.json") == VALIDATE_DIGESTS["e1_separated_2x2.json"]
 
 
 @pytest.mark.parametrize(
@@ -65,6 +81,7 @@ def test_validate_failing_specs_fail_only_their_check(tmp_path, name, expected_f
     failed = [n for n, c in report["checks"].items() if not c["passed"]]
     assert failed == [expected_failure]
     assert report["checks"][expected_failure]["witnesses"]
+    assert _sha256(out / "validate_report.json") == VALIDATE_DIGESTS[name]
 
 
 def test_malformed_json_exits_2(tmp_path):
@@ -84,9 +101,9 @@ def test_schema_error_exits_2(tmp_path):
     [
         ("game", "grid", "nt", 1),
         ("solve", "grid", "nx", 2),
-        ("validate", "validation", "t_samples", 0),
-        ("validate", "validation", "x_samples", -1),
-        ("solve", "penalties", "max_iterations", 0),
+        ("solve", "grid", "nt", 2.9),
+        ("validate", None, "horizon", math.inf),
+        ("validate", None, "horizon", True),
         ("solve", "penalties", "fixed_point_tol", 0.0),
         ("solve", "penalties", "fixed_point_tol", math.nan),
         ("solve", "penalties", "levels", [1.0, math.nan, 16.0]),
@@ -95,7 +112,6 @@ def test_schema_error_exits_2(tmp_path):
         ("solve", "penalties", "levels", [1.0, "4", 16.0]),
         ("solve", "penalties", "levels", "1248"),
         ("solve", "penalties", "levels", 16.0),
-        ("validate", None, "horizon", math.inf),
         ("validate", "domain", "max", math.inf),
         pytest.param("validate", None, "horizon", 10**400, id="validate-horizon-huge-int"),
         pytest.param("validate", "domain", "min", -10**400, id="validate-domain-min-huge-int"),
@@ -106,13 +122,7 @@ def test_schema_error_exits_2(tmp_path):
         pytest.param("game", "simulation", "seed", 2**128 - 2, id="game-simulation-seed-2**128-2"),
         ("game", "simulation", "seed", 1.5),
         ("game", "simulation", "paths", 1.5),
-        ("solve", "grid", "nt", 2.9),
-        ("solve", "penalties", "max_iterations", 2.7),
-        ("game", "simulation", "antithetic", "no"),
-        ("validate", None, "horizon", True),
         ("game", "simulation.start", "mode1", True),
-        ("validate", "validation", "loop_length_bound", 0),
-        ("validate", "validation", "loop_length_bound", -3),
     ],
 )
 def test_out_of_range_parameter_exits_2_with_location(tmp_path, capsys, command, section,
@@ -132,11 +142,59 @@ def test_out_of_range_parameter_exits_2_with_location(tmp_path, capsys, command,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "command,section,key,value,message",
+    [
+        # a key is rejected even when its value equals the constant that replaced it
+        ("validate", None, "validation", {"t_samples": 5, "x_samples": 21}, "unknown key"),
+        ("solve", "penalties", "max_iterations", 500, "unknown key"),
+        ("solve", "penalties", "penalizer", "sum", "unknown key"),
+        ("game", "simulation", "antithetic", False, "unknown key"),
+        ("solve", "penalties", "fixed_point_tolerance", 1e-12, "unknown key"),
+        ("validate", "modes", "player3", [1], "unknown key"),
+        ("validate", "costs", "player3", {}, "unknown key"),
+        ("validate", "diffusion", "jump", "0", "unknown key"),
+        ("validate", "domain", "mid", 0.0, "unknown key"),
+        ("solve", "grid", "nz", 3, "unknown key"),
+        ("game", "simulation.start", "y", 0.0, "unknown key"),
+        ("validate", "drivers", "3,3", "1", "not declared"),
+        ("solve", "terminals", "1,5", "0", "not declared"),
+        ("game", "costs.player1", "1->9", "1", "not declared"),
+        ("game", "costs.player2", "7->1", "1", "not declared"),
+    ],
+)
+def test_unknown_key_exits_2_with_location(tmp_path, capsys, command, section, key, value,
+                                           message):
+    doc = _small_game_doc()  # modes {1, 2} for both players
+    target = doc
+    for part in section.split(".") if section else ():
+        target = target[part]
+    target[key] = value
+    path, _ = _stage(tmp_path, doc)
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    location = f"{section}.{key}" if section else key
+    assert f".{location}: " in err and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["validate", "solve", "game", "oracle"])
+def test_output_that_cannot_be_a_directory_exits_2_with_location(tmp_path, capsys, command):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory")
+    doc = _small_game_doc()
+    doc["output"] = str(blocker / "out")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}.output: " in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command,section,key", [
     ("game", "grid", "nt"),
     ("game", "simulation", "paths"),
-    ("solve", "penalties", "max_iterations"),
-    ("validate", "validation", "x_samples"),
 ])
 def test_infinite_integer_parameter_exits_2_with_location(tmp_path, capsys, command, section,
                                                           key):
@@ -171,8 +229,7 @@ def test_duplicate_or_boolean_mode_labels_exit_2_with_location(tmp_path, capsys,
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("section", ["validation", "penalties", "simulation", "drivers",
-                                     "terminals"])
+@pytest.mark.parametrize("section", ["penalties", "simulation", "drivers", "terminals"])
 def test_section_of_wrong_json_type_exits_2_with_location(tmp_path, capsys, section):
     doc = _small_game_doc()
     doc[section] = [5]
@@ -233,18 +290,18 @@ def test_solve_gate_rejects_invalid_costs(tmp_path):
     assert (out / "solve_gate_report.json").exists()
 
 
-@pytest.mark.parametrize("max_iterations,cap,message", [
+@pytest.mark.parametrize("fixed_point_cap,cap,message", [
     (1, None, "fixed point stalled"),
     (500, 1, "still changing after 1 "),
 ])
 def test_solve_that_does_not_converge_exits_1_with_its_residual(tmp_path, capsys, monkeypatch,
-                                                                 max_iterations, cap, message):
+                                                                 fixed_point_cap, cap, message):
     # the fixed-point budget of a level, and the level solve's policy cap
+    monkeypatch.setattr("switchgame.solver.FIXED_POINT_CAP", fixed_point_cap)
     if cap is not None:
         monkeypatch.setattr("switchgame.solver._ACTIVE_SET_CAP", cap)
     doc = _load("e1_equality_2x2.json")
     doc["grid"] = {"nt": 11, "nx": 9}
-    doc["penalties"]["max_iterations"] = max_iterations
     path, out = _stage(tmp_path, doc)
     assert main(["solve", str(path)]) == 1
     error = json.loads((out / "solve_error.json").read_text())
@@ -313,11 +370,28 @@ def test_g1_game_output_digests(tmp_path):
     doc["simulation"]["paths"] = 2000
     path, out = _stage(tmp_path, doc)
     assert main(["game", str(path)]) == 0
-    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-               for name in ("game_report.json", "payoffs.csv")}
+    digests = {name: _sha256(out / name) for name in ("game_report.json", "payoffs.csv")}
     assert digests == {
         "game_report.json": "66afef0fea87636c39e5951d207f8c949e5029732fa49c6d0d86676b0ae2f6c8",
         "payoffs.csv": "c27d2485da589b10b04b90601df19e4e61d19d4ff871dac7ec46bc930631f768",
+    }
+
+
+def test_e1_solve_output_digests(tmp_path):
+    # both schemes of the shipped E1 solve at 41x33; any change to these bytes
+    # is a change in what the solve command computes or how it writes it
+    doc = _load("e1_equality_2x2.json")
+    doc["grid"] = {"nt": 41, "nx": 33}
+    path, out = _stage(tmp_path, doc)
+    assert main(["solve", str(path), "--system", "both"]) == 0
+    assert {p.name: _sha256(p) for p in out.iterdir()} == {
+        "gap_minmax_maxmin.csv": "55822bbd9cedce7b9487586fcfefbcdfc6f904995623b56360b5634074fba23d",
+        "solve_report_maxmin.json": "9818e3cb108e7c8a3aa6ed5cf70e9176851582d1f8a72b50073a08885178d6ed",
+        "solve_report_minmax.json": "8ac96a15ca709fb58d2b3bd02a31ef3c602f63a89709c1a4a7f5a99b4239409b",
+        "value_maxmin.csv": "485718b91c6279d6f85b15ae0f07d19cde6eff5003386e8d5133545c7de63298",
+        "value_maxmin_meta.json": "031e218d5280d30e6bd0d794e936a06c021182c123fb0ca4436e089ca685005c",
+        "value_minmax.csv": "0c754c3086744bfb77cc1f600511ddacb040952ae599145373c723847c112517",
+        "value_minmax_meta.json": "5effbfaa03dac637d59fcb081b2714bfa3238eaf98562a78b7701765578adcfc",
     }
 
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -567,6 +569,17 @@ def test_payoff_estimates_match_the_per_entry_loop_bit_for_bit(roster_game):
         assert np.array_equal(est.switches2, r2.switches_per_path(bundle.n_paths))
         single = payoff_estimate(spec, bundle, r1, r2)
         assert (est.mean, est.stderr) == (single.mean, single.stderr)
+
+
+def test_feedback_saddle_tracks_keep_their_bytes(roster_game):
+    # player 2 has three modes here, so its trigger picks between two
+    # candidate targets (the cand > best comparison), which a 2x2 game never does
+    real1, real2 = roster_game[2][0]
+    assert np.unique(real2.switch_target).tolist() == [2, 3]
+    digests = [hashlib.sha256(np.ascontiguousarray(r.modes, dtype=np.int64).tobytes()).hexdigest()
+               for r in (real1, real2)]
+    assert digests == ["1ea7d04a1232739aa6601dda04b1853ebef21e28c2196ce8719f037beffc28f3",
+                       "1b149d59d69286c085064fcd6e29b609fb5c1696a62696e3ed33d798ded65784"]
 
 
 def test_payoff_estimates_evaluate_each_driver_once_per_step(roster_game, monkeypatch):

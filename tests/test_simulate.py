@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from switchgame import simulate
 from switchgame.expressions import EvalContext, evaluate
 from switchgame.simulate import (
     _PATH_STRIDE,
@@ -64,18 +65,10 @@ def test_increments_match_independent_per_path_streams():
         assert np.array_equal(rows[p], np.random.Generator(bg).standard_normal(25))
 
 
-def test_antithetic_mean_exact_for_constant_volatility():
-    spec = _spec(volatility="2")
-    params = SimParams(n_paths=4000, n_steps=25, seed=5, x0=0.25, antithetic=True)
-    bundle = simulate_paths(spec, params)
-    assert bundle.states[:, -1].mean() == pytest.approx(0.25, abs=1e-12)
-    # paired paths take mirrored increments, so with zero drift they mirror about x0
-    assert np.allclose(bundle.states[0::2] + bundle.states[1::2], 2 * 0.25, rtol=0, atol=1e-12)
-
-
-def test_clamp_box_counts_events():
+def test_clamp_box_counts_events(monkeypatch):
+    monkeypatch.setattr(simulate, "CLAMP_FACTOR", 1.0)
     spec = _spec(volatility="50", domain=(-0.1, 0.1))
-    bundle = simulate_paths(spec, SimParams(n_paths=200, n_steps=20, seed=9, clamp_factor=1.0))
+    bundle = simulate_paths(spec, SimParams(n_paths=200, n_steps=20, seed=9))
     assert bundle.clamp_events > 0
     assert np.all(np.abs(bundle.states) <= 0.1 + 1e-12)
 
@@ -104,16 +97,9 @@ def _path_major_reference(spec, params):
     n, steps = params.n_paths, params.n_steps
     times = np.linspace(params.t0, spec.horizon, steps + 1)
     dt = times[1] - times[0]
-    if params.antithetic:
-        base = normal_increments(params.seed, (n + 1) // 2, steps)
-        normals = np.empty((n, steps))
-        normals[0::2] = base[: (n + 1) // 2]
-        normals[1::2] = -base[: n // 2]
-    else:
-        normals = normal_increments(params.seed, n, steps)
-    normals *= np.sqrt(dt)
+    normals = normal_increments(params.seed, n, steps) * np.sqrt(dt)
     lo, hi = spec.domain
-    half = 0.5 * (hi - lo) * params.clamp_factor
+    half = 0.5 * (hi - lo) * simulate.CLAMP_FACTOR
     states = np.empty((n, steps + 1))
     states[:, 0] = params.x0
     for k in range(steps):
@@ -125,11 +111,10 @@ def _path_major_reference(spec, params):
     return states
 
 
-@pytest.mark.parametrize("antithetic", [False, True])
-def test_states_are_a_view_of_step_major_rows(antithetic):
+def test_states_are_a_view_of_step_major_rows(monkeypatch):
+    monkeypatch.setattr(simulate, "CLAMP_FACTOR", 1.5)
     spec = _spec(drift="0.3*sin(x) - 0.2*t", volatility="0.5 + 0.1*cos(x)", domain=(-1.0, 1.0))
-    params = SimParams(n_paths=37, n_steps=16, seed=8, x0=0.2, antithetic=antithetic,
-                       clamp_factor=1.5)
+    params = SimParams(n_paths=37, n_steps=16, seed=8, x0=0.2)
     bundle = simulate_paths(spec, params)
     assert bundle.states.shape == (37, 17)
     assert bundle.states.T.flags.c_contiguous
