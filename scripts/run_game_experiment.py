@@ -31,8 +31,7 @@ def main():
     if args.paths:
         sim = dataclasses.replace(sim, n_paths=args.paths)
     grid = build_grid(cfg.spec, cfg.nt, cfg.nx)
-    field1 = solve_single_obstacle(cfg.spec, grid, 1)
-    field2 = solve_single_obstacle(cfg.spec, grid, 2)
+    field1, field2 = solve_single_obstacle(cfg.spec, grid)
     bundle = simulate_paths(cfg.spec, sim)
     i0, j0 = cfg.start_modes
 

@@ -94,12 +94,9 @@ def cmd_solve(config: RunConfig, system: str) -> int:
 
 def cmd_game(config: RunConfig) -> int:
     out = config.output
-    if config.sim is None or config.start_modes is None:
-        raise ConfigError("simulation", "the game command needs a simulation section")
     grid = build_grid(config.spec, config.nt, config.nx)
     try:
-        field1 = solve_single_obstacle(config.spec, grid, 1)
-        field2 = solve_single_obstacle(config.spec, grid, 2)
+        field1, field2 = solve_single_obstacle(config.spec, grid)
     except PreconditionError as exc:
         _write_json(os.path.join(out, "game_gate_report.json"),
                     {"error": str(exc), "witness": exc.witness})
@@ -203,6 +200,9 @@ def main(argv=None) -> int:
             os.makedirs(config.output, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"{args.config}.output", f"cannot make the directory: {exc}") from exc
+        if args.command == "game" and config.sim is None:
+            raise ConfigError(f"{args.config}.simulation",
+                              "the game command needs a simulation section")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

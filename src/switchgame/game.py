@@ -48,24 +48,24 @@ PDE_ALLOWANCE = 2e-2  # added to the PDE comparison's tolerance
 class RealizedStrategy:
     """A strategy materialized against one path bundle.
 
-    modes[p, k] is the player's mode at grid step k on path p (left-limit
-    convention: a switch declared at step s shows from step s+1).  It is a
-    transposed view of a step-major track, in the smallest integer dtype
-    that holds the player's mode labels.  An explicit schedule's track is
-    one (n_steps + 1,) row broadcast over the paths, read-only.  The flat
-    switch arrays carry every declaration, including ones at the final step
-    that never show in ``modes``.
+    track[k, p] is the position in ``labels`` of the player's mode at grid
+    step k on path p (left-limit convention: a switch declared at step s
+    shows from step s+1).  The extra last row, n_steps + 1, also takes a
+    declaration at the final step, which never shows in the mode but still
+    pays, so each change between rows k and k+1 is one declaration at step
+    k.  Positions are in the smallest unsigned dtype that holds them.  An
+    explicit schedule's track is one column broadcast over the paths,
+    read-only.
     """
 
     player: int
-    modes: np.ndarray          # (n_paths, n_steps + 1)
-    switch_path: np.ndarray    # flat declaration records
-    switch_step: np.ndarray
-    switch_source: np.ndarray
-    switch_target: np.ndarray
+    labels: tuple[int, ...]
+    track: np.ndarray  # (n_steps + 2, n_paths) mode positions
 
-    def switches_per_path(self, n_paths: int) -> np.ndarray:
-        return np.bincount(self.switch_path, minlength=n_paths)
+    @property
+    def modes(self) -> np.ndarray:
+        """modes[p, k]: the mode label at grid step k on path p."""
+        return np.asarray(self.labels)[self.track[:-1]].T
 
 
 @dataclass(frozen=True)
@@ -88,25 +88,6 @@ class SwitchingStrategy:
 
 def _player_modes(spec: ProblemSpec, player: int) -> tuple[int, ...]:
     return spec.modes.modes1 if player == 1 else spec.modes.modes2
-
-
-_LABEL_DTYPES = (np.uint8, np.int8, np.uint16, np.int16, np.uint32, np.int32, np.int64)
-
-
-def _label_dtype(labels) -> np.dtype:
-    """Smallest integer dtype that holds every label."""
-    lo, hi = min(labels), max(labels)
-    return next(np.dtype(dt) for dt in _LABEL_DTYPES
-                if np.iinfo(dt).min <= lo and hi <= np.iinfo(dt).max)
-
-
-def _positions(track: np.ndarray, labels, scale: int = 1) -> np.ndarray:
-    """scale times the index into ``labels`` of every entry of ``track``
-    (entries are labels)."""
-    out = np.zeros(track.shape, dtype=np.intp)
-    for pos, label in enumerate(labels[1:], 1):
-        out[track == label] = pos * scale
-    return out
 
 
 def never_switch(player: int, start_mode: int) -> SwitchingStrategy:
@@ -183,28 +164,17 @@ def _realize_explicit(strategy: SwitchingStrategy, spec: ProblemSpec,
     if dupes:
         warnings.warn("multiple switches declared at one step; the last one wins")
 
-    track = np.full(n_steps + 1, strategy.start_mode, dtype=_label_dtype(modes))
-    sw_steps, sw_sources, sw_targets = [], [], []
+    track = np.full(n_steps + 2, modes.index(strategy.start_mode),
+                    dtype=np.min_scalar_type(len(modes) - 1))
     cur = strategy.start_mode
     for step in sorted(deduped):
         target = deduped[step]
         if target == cur:
             raise ValueError(f"switch at step {step} targets the current mode {cur}")
-        sw_steps.append(step)
-        sw_sources.append(cur)
-        sw_targets.append(target)
-        track[step + 1:] = target
+        track[step + 1:] = modes.index(target)
         cur = target
-
-    reps = len(sw_steps)
-    return RealizedStrategy(
-        player=strategy.player,
-        modes=np.broadcast_to(track[:, None], (n_steps + 1, n_paths)).T,
-        switch_path=np.repeat(np.arange(n_paths), reps),
-        switch_step=np.tile(np.array(sw_steps, dtype=np.int64), n_paths),
-        switch_source=np.tile(np.array(sw_sources, dtype=np.int64), n_paths),
-        switch_target=np.tile(np.array(sw_targets, dtype=np.int64), n_paths),
-    )
+    return RealizedStrategy(player=strategy.player, labels=modes,
+                            track=np.broadcast_to(track[:, None], (n_steps + 2, n_paths)))
 
 
 def _nearest_level(times: np.ndarray, t: float) -> int:
@@ -218,9 +188,10 @@ def _realize_feedback(strategy: SwitchingStrategy, spec: ProblemSpec,
     At each grid step (the terminal step excluded: a switch there can only
     bleed cost) the rule fires when the current mode's value is dominated,
     within TRIGGER_TOL, by the best reachable value net of switching cost;
-    the target is the smallest maximizing (player 1) or minimizing
-    (player 2) mode label.  Field values are interpolated linearly in x and
-    looked up at the nearest field time level.
+    the target is the first maximizing (player 1) or minimizing (player 2)
+    mode in the player's declared mode order, which need not be the
+    smallest label (the oracle's tie-break).  Field values are interpolated
+    linearly in x and looked up at the nearest field time level.
 
     Player 2's rule is player 1's on negated values: negation is exact and
     rounding symmetric in sign, so (-v) - c == -(v + c) bit for bit, and
@@ -233,71 +204,60 @@ def _realize_feedback(strategy: SwitchingStrategy, spec: ProblemSpec,
     cost_table = spec.costs.costs1 if player == 1 else spec.costs.costs2
     n_paths, n_steps = bundle.n_paths, bundle.n_steps
 
-    cur = np.full(n_paths, strategy.start_mode, dtype=_label_dtype(modes))
+    cur = np.full(n_paths, modes.index(strategy.start_mode),
+                  dtype=np.min_scalar_type(len(modes) - 1))
     counts = np.zeros(n_paths, dtype=np.int64)
-    track = np.empty((n_steps + 1, n_paths), dtype=cur.dtype)
+    track = np.empty((n_steps + 2, n_paths), dtype=cur.dtype)
     track[0] = cur
-    sw_path, sw_step, sw_src, sw_tgt = [], [], [], []
 
-    if len(modes) > 1:
-        rows = {m: fld.index_of(m) for m in modes}
-        for k, xk in enumerate(bundle.states.T[:n_steps]):
-            t = float(bundle.times[k])
-            values = sign * fld.interp_modes(_nearest_level(fld.grid.times, t), xk)
-            # snapshot: triggers fire at most once per grid time per path
-            cur_at_step = cur.copy()
-            for mode in modes:
-                sel = np.flatnonzero(cur_at_step == mode)
-                if sel.size == 0:
+    rows = [fld.index_of(m) for m in modes]
+    # with a single mode nothing can fire: the start row fills the track
+    steps = bundle.states.T[:n_steps] if len(modes) > 1 else ()
+    for k, xk in enumerate(steps):
+        t = float(bundle.times[k])
+        values = sign * fld.interp_modes(_nearest_level(fld.grid.times, t), xk)
+        # snapshot: triggers fire at most once per grid time per path
+        cur_at_step = cur.copy()
+        for pos, mode in enumerate(modes):
+            sel = np.flatnonzero(cur_at_step == pos)
+            if sel.size == 0:
+                continue
+            own = values[rows[pos], sel]
+            best = None
+            for other_pos, other in enumerate(modes):
+                if other == mode:
                     continue
-                own = values[rows[mode], sel]
-                best = None
-                for other in modes:
-                    if other == mode:
-                        continue
-                    cost = np.broadcast_to(np.asarray(
-                        evaluate(cost_table[(mode, other)], EvalContext(t, xk[sel])), dtype=float
-                    ), own.shape)
-                    cand = values[rows[other], sel] - cost
-                    if best is None:
-                        best = cand
-                        best_target = np.full(sel.size, other, dtype=np.int64)
-                        best_cost = cost
-                        continue
-                    better = cand > best
-                    best = np.where(better, cand, best)
-                    best_target = np.where(better, other, best_target)
-                    best_cost = np.where(better, cost, best_cost)
-                # a touch with an essentially free switch is pure indifference
-                # (both modes then carry the same value forever), so only a
-                # strict gain or a touch backed by a real cost fires
-                tol = TRIGGER_TOL
-                fire = (own <= best + tol) & ((own < best - tol) | (best_cost > tol))
-                if not np.any(fire):
+                cost = np.broadcast_to(np.asarray(
+                    evaluate(cost_table[(mode, other)], EvalContext(t, xk[sel])), dtype=float
+                ), own.shape)
+                cand = values[rows[other_pos], sel] - cost
+                if best is None:
+                    best = cand
+                    best_target = np.full(sel.size, other_pos, dtype=cur.dtype)
+                    best_cost = cost
                     continue
-                idx = sel[fire]
-                counts[idx] += 1
-                over = idx[counts[idx] > SWITCH_CAP]
-                if over.size:
-                    raise AdmissibilityError(
-                        "feedback strategy exceeded the switch cap", path_index=int(over[0])
-                    )
-                targets = best_target[fire]
-                cur[idx] = targets
-                sw_path.append(idx)
-                sw_step.append(np.full(idx.size, k, dtype=np.int64))
-                sw_src.append(np.full(idx.size, mode, dtype=np.int64))
-                sw_tgt.append(targets)
-            track[k + 1] = cur
-    else:
-        track[:] = strategy.start_mode
-
-    records = [np.concatenate(part) if part else np.array([], dtype=np.int64)
-               for part in (sw_path, sw_step, sw_src, sw_tgt)]
-    order = np.lexsort((records[1], records[0]))
-    path, step, src, tgt = (np.asarray(r, dtype=np.int64)[order] for r in records)
-    return RealizedStrategy(player=player, modes=track.T, switch_path=path,
-                            switch_step=step, switch_source=src, switch_target=tgt)
+                better = cand > best
+                best = np.where(better, cand, best)
+                best_target = np.where(better, other_pos, best_target)
+                best_cost = np.where(better, cost, best_cost)
+            # a touch with an essentially free switch is pure indifference
+            # (both modes then carry the same value forever), so only a
+            # strict gain or a touch backed by a real cost fires
+            tol = TRIGGER_TOL
+            fire = (own <= best + tol) & ((own < best - tol) | (best_cost > tol))
+            if not np.any(fire):
+                continue
+            idx = sel[fire]
+            counts[idx] += 1
+            over = idx[counts[idx] > SWITCH_CAP]
+            if over.size:
+                raise AdmissibilityError(
+                    "feedback strategy exceeded the switch cap", path_index=int(over[0])
+                )
+            cur[idx] = best_target[fire]
+        track[k + 1] = cur
+    track[len(steps) + 1:] = cur
+    return RealizedStrategy(player=player, labels=modes, track=track)
 
 
 def saddle_strategy_player1(field: ValueField, start_mode: int) -> SwitchingStrategy:
@@ -321,30 +281,29 @@ def saddle_strategy_player2(field: ValueField, start_mode: int) -> SwitchingStra
 
 
 def _switch_costs(realized: RealizedStrategy, spec: ProblemSpec,
-                  bundle: PathBundle) -> np.ndarray:
-    """Total switching cost per path; declarations at the final step count.
+                  bundle: PathBundle) -> tuple[np.ndarray, np.ndarray]:
+    """Total switching cost and number of declarations per path, read off
+    the track; declarations at the final step count.
 
     Costs are added pair by pair, in the player's mode order of the
-    (source, target) pairs, and in record order within a pair.
+    (source, target) pairs, and in step order within a pair.
     """
     table = spec.costs.costs1 if realized.player == 1 else spec.costs.costs2
-    modes = _player_modes(spec, realized.player)
-    out = np.zeros(bundle.n_paths)
-    if realized.switch_path.size == 0:
-        return out
-    t_at = bundle.times[realized.switch_step]
-    x_at = bundle.states[realized.switch_path, realized.switch_step]
-    n = len(modes)
-    codes = (_positions(realized.switch_source, modes, n)
-             + _positions(realized.switch_target, modes))
+    track, labels, n_paths = realized.track, realized.labels, bundle.n_paths
+    # a change between rows k and k + 1 is a declaration at step k
+    step, path = np.divmod(np.flatnonzero(track[1:] != track[:-1]), n_paths)
+    n = len(labels)
+    codes = track[step, path].astype(np.intp) * n + track[step + 1, path]
+    t_at, x_at = bundle.times[step], bundle.states[path, step]
+    out = np.zeros(n_paths)
     for code in np.unique(codes):
         mask = codes == code
-        pair = (modes[code // n], modes[code % n])
+        pair = (labels[code // n], labels[code % n])
         costs = np.asarray(
             evaluate(table[pair], EvalContext(t_at[mask], x_at[mask])), dtype=float
         )
-        np.add.at(out, realized.switch_path[mask], np.broadcast_to(costs, (int(mask.sum()),)))
-    return out
+        np.add.at(out, path[mask], np.broadcast_to(costs, (int(mask.sum()),)))
+    return out, np.bincount(path, minlength=n_paths)
 
 
 @dataclass(frozen=True, eq=False)
@@ -363,7 +322,7 @@ def _realized(strategy: SwitchingStrategy | RealizedStrategy, spec: ProblemSpec,
               bundle: PathBundle) -> RealizedStrategy:
     if not isinstance(strategy, RealizedStrategy):
         return strategy.realize(spec, bundle)
-    if strategy.modes.shape != (bundle.n_paths, bundle.n_steps + 1):
+    if strategy.track.shape != (bundle.n_steps + 2, bundle.n_paths):
         raise ValueError("realized strategy does not match the path bundle")
     return strategy
 
@@ -386,7 +345,8 @@ def payoff_estimates(spec: ProblemSpec, bundle: PathBundle, roster) -> list[Payo
     At each step every pair's driver (at the terminal step, its terminal)
     is evaluated once, on the union of the paths that some entry places in
     that pair, into a (pair, path) table from which each entry takes its
-    own values.  Switching costs are computed once per realized strategy.
+    own values.  Switching costs and counts are read off each realized
+    strategy's track once.
     """
     roster = [(_realized(s1, spec, bundle), _realized(s2, spec, bundle)) for s1, s2 in roster]
     n_paths, n_steps = bundle.n_paths, bundle.n_steps
@@ -400,8 +360,8 @@ def payoff_estimates(spec: ProblemSpec, bundle: PathBundle, roster) -> list[Payo
     table = np.empty((len(pairs), n_paths))
 
     def entry_values(step: int, exprs, t: float, x: np.ndarray, factor: float):
-        offsets = {key: _positions(r.modes.T[step], _player_modes(spec, r.player), scale[r.player])
-                   + paths[r.player] for key, r in distinct.items()}
+        offsets = {key: r.track[step].astype(np.intp) * scale[r.player] + paths[r.player]
+                   for key, r in distinct.items()}
         flats = [offsets[id(r1)] + offsets[id(r2)] for r1, r2 in roster]
         visited = np.zeros(table.size, dtype=bool)
         for flat in flats:
@@ -425,14 +385,14 @@ def payoff_estimates(spec: ProblemSpec, bundle: PathBundle, roster) -> list[Payo
     costs = {key: _switch_costs(r, spec, bundle) for key, r in distinct.items()}
     out = []
     for (r1, r2), reward, terminal in zip(roster, rewards, terminals):
-        cost1, cost2 = costs[id(r1)], costs[id(r2)]
+        (cost1, switches1), (cost2, switches2) = costs[id(r1)], costs[id(r2)]
         per_path = terminal + reward - cost1 + cost2
         mean = float(np.mean(per_path))
         stderr = float(np.std(per_path, ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
         out.append(PayoffEstimate(
             mean=mean, stderr=stderr, n_paths=n_paths, per_path=per_path,
             cost1_per_path=cost1, cost2_per_path=cost2,
-            switches1=r1.switches_per_path(n_paths), switches2=r2.switches_per_path(n_paths),
+            switches1=switches1, switches2=switches2,
         ))
     return out
 

@@ -491,16 +491,18 @@ def _grid_samples(spec: ProblemSpec, grid: Grid):
     return [(float(t), float(x)) for t in ts for x in xs]
 
 
-def solve_single_obstacle(spec: ProblemSpec, grid: Grid, which: int) -> ValueField:
-    """Backward induction for one player's own switching system.
+def solve_single_obstacle(spec: ProblemSpec, grid: Grid) -> tuple[ValueField, ValueField]:
+    """Backward induction for each player's own switching system, as the
+    pair (single_lower, single_upper).
 
     With separated rewards f^{ij} = f1^i + f2^j (and likewise h) the
     coupled value is v1^i + v2^j, each a one-sided slice of the coupled
     level data, with the anchors i0, j0 the first modes:
-    which == 1: player 1 alone, floor obstacle with costs1, f1^i = f^{i j0};
-    which == 2: player 2 alone, ceiling obstacle with costs2,
+    single_lower: player 1 alone, floor obstacle with costs1, f1^i = f^{i j0};
+    single_upper: player 2 alone, ceiling obstacle with costs2,
     f2^j = f^{i0 j} - f^{i0 j0}.
-    Requires separated rewards; raises PreconditionError otherwise.
+    Both come from one level cache.  Requires separated rewards; raises
+    PreconditionError otherwise.
     """
     report = check_separation(spec, _grid_samples(spec, grid))
     if not report.all_passed():
@@ -508,18 +510,14 @@ def solve_single_obstacle(spec: ProblemSpec, grid: Grid, which: int) -> ValueFie
             "rewards are not separated across players",
             witness=report.checks["separation"].witnesses[:1],
         )
-    if which not in (1, 2):
-        raise ValueError("which must be 1 or 2")
     cache = _LevelCache(spec, grid)
-    if which == 1:
-        system, modes = "single_lower", cache.modes1
-        v = _clamp_pass(cache, cache.f[:, :, :1], cache.terminal[:, :1], costs1=cache.g1)
-    else:
-        system, modes = "single_upper", cache.modes2
-        v = _clamp_pass(cache, cache.f[:, :1] - cache.f[:, :1, :1],
-                        cache.terminal[:1] - cache.terminal[:1, :1], costs2=cache.g2)
-    return ValueField(system=system, mode_labels=tuple(modes),
-                      values=v.reshape(-1, grid.nt, grid.nx), grid=grid)
+    v1 = _clamp_pass(cache, cache.f[:, :, :1], cache.terminal[:, :1], costs1=cache.g1)
+    v2 = _clamp_pass(cache, cache.f[:, :1] - cache.f[:, :1, :1],
+                     cache.terminal[:1] - cache.terminal[:1, :1], costs2=cache.g2)
+    return tuple(ValueField(system=system, mode_labels=tuple(modes),
+                            values=v.reshape(-1, grid.nt, grid.nx), grid=grid)
+                 for system, modes, v in (("single_lower", cache.modes1, v1),
+                                          ("single_upper", cache.modes2, v2)))
 
 
 # ---------------------------------------------------------------------------
@@ -573,8 +571,7 @@ def decomposition_check(spec: ProblemSpec, grid: Grid, schedule: PenaltySchedule
     """Sup over the inner half-domain and all pairs of
     |v^{ij} - (v1^i + v2^j)|, with v^{ij} the descending-scheme field at the
     largest penalty.  Requires separated rewards."""
-    field1 = solve_single_obstacle(spec, grid, 1)
-    field2 = solve_single_obstacle(spec, grid, 2)
+    field1, field2 = solve_single_obstacle(spec, grid)
     coupled, _ = solve_minmax(spec, grid, schedule)
     mask = grid.inner_mask()
     gap = 0.0

@@ -344,6 +344,14 @@ def test_game_rejects_non_separated(tmp_path):
     assert gate["witness"]
 
 
+def test_game_without_simulation_section_exits_2_at_the_config_path(tmp_path, capsys):
+    path, out = _stage(tmp_path, _load("e1_equality_2x2.json"))
+    assert main(["game", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}.simulation: ")
+    assert not (out / "game_report.json").exists()
+
+
 def _small_game_doc():
     doc = _load("g1_game_2x2.json")
     doc["grid"] = {"nt": 51, "nx": 41}

@@ -92,9 +92,10 @@ def test_explicit_realization_is_one_read_only_track_over_paths():
     spec = _plain_spec()
     bundle = _frozen_bundle(spec, n_paths=5, n_steps=10)
     realized = SwitchingStrategy(player=1, start_mode=1, schedule=((3, 2),)).realize(spec, bundle)
-    assert realized.modes.shape == (5, 11)
-    assert realized.modes.strides[0] == 0
-    assert not realized.modes.flags.writeable
+    assert realized.track.shape == (12, 5)
+    assert realized.track.strides[1] == 0
+    assert not realized.track.flags.writeable
+    assert realized.track.T.tolist() == [[0] * 4 + [1] * 8] * 5
     assert realized.modes.tolist() == [[1] * 4 + [2] * 7] * 5
 
 
@@ -142,7 +143,9 @@ def test_cost_charged_for_terminal_step_declaration():
     bundle = _frozen_bundle(spec, n_steps=10)
     at_end = SwitchingStrategy(player=1, start_mode=1, schedule=((10, 2),))
     assert np.all(at_end.realize(spec, bundle).modes == 1)  # never shows in the indicator
-    assert np.all(_cost1(at_end, spec, bundle) == 1.0)  # but costs
+    est = payoff_estimate(spec, bundle, at_end, never_switch(2, 1))
+    assert np.all(est.cost1_per_path == 1.0)  # but costs
+    assert np.all(est.switches1 == 1)  # and counts
 
 
 # ---------------------------------------------------------------------------
@@ -287,24 +290,24 @@ def _separated_game_spec(costs1_value=0.1, costs2_value=10.0,
 def test_saddle_strategy_prohibitive_costs_never_switch():
     spec = _separated_game_spec(costs1_value=10.0)
     grid = build_grid(spec, 11, 9)
-    field = solve_single_obstacle(spec, grid, 1)
+    field, _ = solve_single_obstacle(spec, grid)
     bundle = _frozen_bundle(spec, n_steps=10)
     strategy = saddle_strategy_player1(field, 1)
     realized = strategy.realize(spec, bundle)
-    assert realized.switch_path.size == 0
+    assert np.all(game._switch_costs(realized, spec, bundle)[1] == 0)
 
 
 def test_saddle_strategy_cheap_switch_fires_once_at_start():
     spec = _separated_game_spec(costs1_value=0.1)
     grid = build_grid(spec, 11, 9)
-    field = solve_single_obstacle(spec, grid, 1)
+    field, _ = solve_single_obstacle(spec, grid)
     bundle = _frozen_bundle(spec, n_paths=6, n_steps=10)
     strategy = saddle_strategy_player1(field, 1)
     realized = strategy.realize(spec, bundle)
-    assert realized.switch_path.size == bundle.n_paths
-    assert np.all(realized.switch_step == 0)
-    assert np.all(realized.switch_target == 2)
+    # one declaration, at step 0, to mode 2 (position 1), on every path
+    assert realized.track.T.tolist() == [[0] + [1] * 11] * bundle.n_paths
     est = payoff_estimate(spec, bundle, strategy, never_switch(2, 1))
+    assert np.all(est.switches1 == 1)
     assert est.mean == pytest.approx(0.9, abs=1e-12)
 
 
@@ -312,19 +315,21 @@ def test_saddle_strategy_single_mode_is_empty():
     spec = build_spec(modes1=(1,), modes2=(1,), drivers={(1, 1): "1"},
                       terminals={(1, 1): "0"})
     grid = build_grid(spec, 11, 9)
-    field = solve_single_obstacle(spec, grid, 1)
+    field, _ = solve_single_obstacle(spec, grid)
     bundle = _frozen_bundle(spec)
-    strategy = saddle_strategy_player1(field, 1)
-    assert strategy.realize(spec, bundle).switch_path.size == 0
+    realized = saddle_strategy_player1(field, 1).realize(spec, bundle)
+    assert np.all(realized.track == 0)
+    assert np.all(game._switch_costs(realized, spec, bundle)[1] == 0)
 
 
 def test_saddle_strategy_requires_matching_field():
     spec = _separated_game_spec()
     grid = build_grid(spec, 6, 9)
-    field1 = solve_single_obstacle(spec, grid, 1)
-    bundle = _frozen_bundle(spec)
+    field1, field2 = solve_single_obstacle(spec, grid)
     with pytest.raises(PreconditionError):
         saddle_strategy_player2(field1, 1)
+    with pytest.raises(PreconditionError):
+        saddle_strategy_player1(field2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +349,7 @@ def small_game():
     spec = build_spec(costs1=costs1, costs2=costs2, drivers=drivers, terminals=terminals,
                       volatility="0.5", domain=(-3.0, 3.0))
     grid = build_grid(spec, 101, 81)
-    field1 = solve_single_obstacle(spec, grid, 1)
-    field2 = solve_single_obstacle(spec, grid, 2)
+    field1, field2 = solve_single_obstacle(spec, grid)
     bundle = simulate_paths(spec, SimParams(n_paths=4000, n_steps=100, seed=17))
     saddle1 = saddle_strategy_player1(field1, 1)
     saddle2 = saddle_strategy_player2(field2, 1)
@@ -464,8 +468,8 @@ def test_realization_keeps_labels_outside_uint8(labels):
     bundle = simulate_paths(ref_spec, SimParams(n_paths=200, n_steps=40, seed=9))
     ref_grid = build_grid(ref_spec, 41, 33)
     grid = build_grid(spec, 41, 33)
-    ref_field = solve_single_obstacle(ref_spec, ref_grid, 1)
-    field = solve_single_obstacle(spec, grid, 1)
+    ref_field, _ = solve_single_obstacle(ref_spec, ref_grid)
+    field, _ = solve_single_obstacle(spec, grid)
     cases = [
         (saddle_strategy_player1(ref_field, 1),
          saddle_strategy_player1(field, a)),
@@ -475,16 +479,100 @@ def test_realization_keeps_labels_outside_uint8(labels):
     for ref_strategy, strategy in cases:
         ref = ref_strategy.realize(ref_spec, bundle)
         got = strategy.realize(spec, bundle)
-        assert np.iinfo(got.modes.dtype).min <= min(labels)
-        assert max(labels) <= np.iinfo(got.modes.dtype).max
+        assert np.array_equal(got.track, ref.track)
         assert np.array_equal(got.modes, _relabel(ref.modes, (1, 2), labels))
-        assert got.switch_path.size > 0
-        assert np.array_equal(got.switch_path, ref.switch_path)
-        assert np.array_equal(got.switch_step, ref.switch_step)
-        assert np.array_equal(got.switch_target, _relabel(ref.switch_target, (1, 2), labels))
         ref_pay = payoff_estimate(ref_spec, bundle, ref, never_switch(2, 1))
         pay = payoff_estimate(spec, bundle, got, never_switch(2, 1))
+        assert pay.switches1.sum() > 0
+        assert np.array_equal(pay.switches1, ref_pay.switches1)
         assert np.array_equal(pay.per_path, ref_pay.per_path)
+
+
+def test_feedback_target_is_the_first_best_mode_in_declared_order():
+    # modes 3 and 2 tie for player 1: the trigger takes 3, declared first,
+    # while the oracle's tie-break takes the smallest label, 2
+    modes1 = (1, 3, 2)
+    spec = build_spec(modes1=modes1, modes2=(1,),
+                      costs1={(a, b): 0.1 for a in modes1 for b in modes1 if a != b},
+                      costs2={}, drivers={(1, 1): "0", (3, 1): "1", (2, 1): "1"})
+    field, _ = solve_single_obstacle(spec, build_grid(spec, 11, 9))
+    bundle = _frozen_bundle(spec, n_paths=3, n_steps=10)
+    realized = saddle_strategy_player1(field, 1).realize(spec, bundle)
+    assert realized.modes.tolist() == [[1] + [3] * 10] * 3
+    sched1, _, _ = oracle_optimal_strategies(spec, 11, 0.0, (1, 1))
+    assert sched1 == [(0, 2)]
+
+
+# ---------------------------------------------------------------------------
+# Switch costs against the declaration-record loop
+# ---------------------------------------------------------------------------
+
+
+def _records_from_modes(modes):
+    """Declaration records (path, step, source, target), path-major, read
+    off a (n_paths, n_steps + 1) label array.  A declaration at the final
+    step does not show there, so this serves only strategies that make none
+    (feedback rules, switch_at_start, random_switch)."""
+    path, step = np.nonzero(modes[:, 1:] != modes[:, :-1])
+    return path, step, modes[path, step], modes[path, step + 1]
+
+
+def _records_from_schedule(schedule, start_mode, n_paths):
+    """Declaration records of an explicit schedule on every path, path-major;
+    of same-step duplicates the last one wins."""
+    declarations, cur = [], start_mode
+    for step, target in sorted(dict(schedule).items()):
+        declarations.append((step, cur, target))
+        cur = target
+    columns = np.array(declarations, dtype=np.int64).reshape(-1, 3).T
+    return (np.repeat(np.arange(n_paths), len(declarations)),
+            *(np.tile(col, n_paths) for col in columns))
+
+
+def _reference_switch_costs(spec, bundle, player, records):
+    """The record-based loop the mode-position track replaced: cost per
+    (source, target) pair in the player's mode order, records in their given
+    order within a pair; and the number of records per path."""
+    path, step, source, target = records
+    table = spec.costs.costs1 if player == 1 else spec.costs.costs2
+    modes = spec.modes.modes1 if player == 1 else spec.modes.modes2
+    n = len(modes)
+    codes = np.array([modes.index(a) * n + modes.index(b)
+                      for a, b in zip(source.tolist(), target.tolist())], dtype=np.intp)
+    t_at, x_at = bundle.times[step], bundle.states[path, step]
+    out = np.zeros(bundle.n_paths)
+    for code in np.unique(codes):
+        mask = codes == code
+        costs = np.asarray(evaluate(table[(modes[code // n], modes[code % n])],
+                                    EvalContext(t_at[mask], x_at[mask])), dtype=float)
+        np.add.at(out, path[mask], np.broadcast_to(costs, (int(mask.sum()),)))
+    return out, np.bincount(path, minlength=bundle.n_paths)
+
+
+@pytest.mark.filterwarnings("ignore:multiple switches declared at one step")
+@pytest.mark.parametrize("player", [1, 2])
+@pytest.mark.parametrize("schedule", [
+    (),
+    ((10, 2),),
+    ((0, 3), (4, 2), (4, 1), (9, 3), (10, 2)),
+    ((2, 2), (2, 3), (3, 1), (3, 2), (7, 1), (10, 3)),
+], ids=["none", "final_step", "final_step_and_duplicates", "back_to_back_duplicates"])
+def test_switch_costs_match_the_record_loop_bit_for_bit(player, schedule):
+    # 3 modes in non-sorted order, state- and time-dependent costs that
+    # differ per (source, target) pair and per player
+    modes = (1, 3, 2)
+    costs1, costs2 = ({(a, b): f"{a}*{w} + {b}*0.02 + 0.1*{a}*x^2 + 0.03*{b}*t"
+                       for a in modes for b in modes if a != b} for w in (0.05, 0.07))
+    spec = build_spec(modes1=modes, modes2=modes, costs1=costs1, costs2=costs2,
+                      volatility="0.5", domain=(-3.0, 3.0))
+    bundle = simulate_paths(spec, SimParams(n_paths=40, n_steps=10, seed=13))
+    realized = SwitchingStrategy(player=player, start_mode=1, schedule=schedule).realize(spec, bundle)
+    costs, counts = game._switch_costs(realized, spec, bundle)
+    records = _records_from_schedule(schedule, 1, bundle.n_paths)
+    ref_costs, ref_counts = _reference_switch_costs(spec, bundle, player, records)
+    assert costs.tobytes() == ref_costs.tobytes()
+    assert np.array_equal(counts, ref_counts)
+    assert counts.tolist() == [len(dict(schedule))] * bundle.n_paths
 
 
 # ---------------------------------------------------------------------------
@@ -522,9 +610,9 @@ def _reference_payoff(spec, bundle, r1, r2):
             vals = np.asarray(evaluate(spec.terminals.h[pair], EvalContext(spec.horizon, xT[idx])),
                               dtype=float)
             terminal[idx] = np.broadcast_to(vals, idx.shape)
-    cost1 = game._switch_costs(r1, spec, bundle)
-    cost2 = game._switch_costs(r2, spec, bundle)
-    return terminal + reward - cost1 + cost2, cost1, cost2
+    cost1, switches1 = _reference_switch_costs(spec, bundle, 1, _records_from_modes(r1.modes))
+    cost2, switches2 = _reference_switch_costs(spec, bundle, 2, _records_from_modes(r2.modes))
+    return terminal + reward - cost1 + cost2, cost1, cost2, switches1, switches2
 
 
 @pytest.fixture(scope="module")
@@ -543,9 +631,10 @@ def roster_game():
     )
     grid = build_grid(spec, 41, 33)
     bundle = simulate_paths(spec, SimParams(n_paths=300, n_steps=40, seed=31))
-    real1 = saddle_strategy_player1(solve_single_obstacle(spec, grid, 1), 1).realize(spec, bundle)
-    real2 = saddle_strategy_player2(solve_single_obstacle(spec, grid, 2), 1).realize(spec, bundle)
-    assert real1.switch_path.size and real2.switch_path.size
+    field1, field2 = solve_single_obstacle(spec, grid)
+    real1 = saddle_strategy_player1(field1, 1).realize(spec, bundle)
+    real2 = saddle_strategy_player2(field2, 1).realize(spec, bundle)
+    assert np.any(real1.modes != 1) and np.any(real2.modes != 1)
     challengers = [
         switch_at_start(spec, 1, 1), random_switch(spec, 1, 1, 5, bundle.n_steps),
         switch_at_start(spec, 2, 1), random_switch(spec, 2, 1, 6, bundle.n_steps),
@@ -561,12 +650,12 @@ def test_payoff_estimates_match_the_per_entry_loop_bit_for_bit(roster_game):
     estimates = payoff_estimates(spec, bundle, roster)
     assert len(estimates) == len(roster)
     for (r1, r2), est in zip(roster, estimates):
-        per_path, cost1, cost2 = _reference_payoff(spec, bundle, r1, r2)
+        per_path, cost1, cost2, switches1, switches2 = _reference_payoff(spec, bundle, r1, r2)
         assert per_path.tobytes() == est.per_path.tobytes()
         assert cost1.tobytes() == est.cost1_per_path.tobytes()
         assert cost2.tobytes() == est.cost2_per_path.tobytes()
-        assert np.array_equal(est.switches1, r1.switches_per_path(bundle.n_paths))
-        assert np.array_equal(est.switches2, r2.switches_per_path(bundle.n_paths))
+        assert np.array_equal(est.switches1, switches1)
+        assert np.array_equal(est.switches2, switches2)
         single = payoff_estimate(spec, bundle, r1, r2)
         assert (est.mean, est.stderr) == (single.mean, single.stderr)
 
@@ -575,7 +664,7 @@ def test_feedback_saddle_tracks_keep_their_bytes(roster_game):
     # player 2 has three modes here, so its trigger picks between two
     # candidate targets (the cand > best comparison), which a 2x2 game never does
     real1, real2 = roster_game[2][0]
-    assert np.unique(real2.switch_target).tolist() == [2, 3]
+    assert np.unique(real2.modes).tolist() == [1, 2, 3]
     digests = [hashlib.sha256(np.ascontiguousarray(r.modes, dtype=np.int64).tobytes()).hexdigest()
                for r in (real1, real2)]
     assert digests == ["1ea7d04a1232739aa6601dda04b1853ebef21e28c2196ce8719f037beffc28f3",

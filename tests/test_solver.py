@@ -113,7 +113,7 @@ def test_clamped_cross_check_scheme():
 @pytest.mark.parametrize("solve", [
     lambda spec: solve_clamped(spec, build_grid(spec, 11, 5), order="minmax"),
     lambda spec: solve_clamped(spec, build_grid(spec, 11, 5), order="maxmin"),
-    lambda spec: solve_single_obstacle(spec, build_grid(spec, 11, 5), 1),
+    lambda spec: solve_single_obstacle(spec, build_grid(spec, 11, 5)),
     lambda spec: deterministic_dp_oracle(spec, 11, 0.0),
 ], ids=["clamped_minmax", "clamped_maxmin", "single_obstacle", "oracle"])
 def test_clamp_sweep_raises_at_its_cap(monkeypatch, solve):
@@ -384,7 +384,7 @@ def _separated_spec(f1, costs1_value, h1=("0", "0")):
 def test_single_obstacle_prohibitive_costs():
     spec = _separated_spec(("1", "0"), 10.0)
     grid = build_grid(spec, 11, 9)
-    field = solve_single_obstacle(spec, grid, 1)
+    field, _ = solve_single_obstacle(spec, grid)
     assert field.values[field.index_of(1), 0, 4] == pytest.approx(1.0, abs=1e-10)
     assert field.values[field.index_of(2), 0, 4] == pytest.approx(0.0, abs=1e-10)
 
@@ -392,7 +392,7 @@ def test_single_obstacle_prohibitive_costs():
 def test_single_obstacle_cheap_switch():
     spec = _separated_spec(("0", "1"), 0.1)
     grid = build_grid(spec, 11, 9)
-    field = solve_single_obstacle(spec, grid, 1)
+    field, _ = solve_single_obstacle(spec, grid)
     assert field.values[field.index_of(1), 0, 4] == pytest.approx(0.9, abs=1e-10)
 
 
@@ -400,7 +400,7 @@ def test_single_obstacle_matches_schedule_enumeration():
     spec = _separated_spec(("0.2", "0.9"), 0.25)
     nt = 7
     grid = build_grid(spec, nt, 9)
-    field = solve_single_obstacle(spec, grid, 1)
+    field, _ = solve_single_obstacle(spec, grid)
     for mode in (1, 2):
         brute = single_player_schedule_oracle(spec, nt, 0.0, 1, mode, max_switches=3)
         assert field.values[field.index_of(mode), 0, 4] == pytest.approx(brute, abs=1e-10)
@@ -410,7 +410,7 @@ def test_single_obstacle_single_mode_plain_pde():
     spec = build_spec(modes1=(1,), modes2=(1,), drivers={(1, 1): "0.5"},
                       terminals={(1, 1): "0"})
     grid = build_grid(spec, 11, 9)
-    field = solve_single_obstacle(spec, grid, 1)
+    field, _ = solve_single_obstacle(spec, grid)
     assert field.values[0, 0, 4] == pytest.approx(0.5, abs=1e-10)
 
 
@@ -420,7 +420,7 @@ def test_single_obstacle_requires_separation():
     spec = build_spec(costs1=costs1, costs2=costs2, drivers=drivers)
     grid = build_grid(spec, 6, 9)
     with pytest.raises(PreconditionError):
-        solve_single_obstacle(spec, grid, 1)
+        solve_single_obstacle(spec, grid)
 
 
 def _one_sided_spec(modes1, modes2, base_cost="0.05"):
@@ -448,7 +448,7 @@ def test_single_obstacle_equals_clamped_when_other_player_has_one_mode(which, mo
                                                                        order):
     spec = _one_sided_spec(modes1, modes2)
     grid = build_grid(spec, 21, 25)
-    single = solve_single_obstacle(spec, grid, which)
+    single = solve_single_obstacle(spec, grid)[which - 1]
     clamped = solve_clamped(spec, grid, order)
     assert single.system == ("single_lower" if which == 1 else "single_upper")
     assert single.mode_labels == (modes1 if which == 1 else modes2)
@@ -471,8 +471,7 @@ def test_single_player_sum_rebuilds_unbound_pairs(drivers):
     spec = build_spec(costs1=costs1, costs2=costs2, drivers=drivers, terminals=terminals,
                       volatility="0.3")
     grid = build_grid(spec, 21, 17)
-    field1 = solve_single_obstacle(spec, grid, 1)
-    field2 = solve_single_obstacle(spec, grid, 2)
+    field1, field2 = solve_single_obstacle(spec, grid)
     clamped = solve_clamped(spec, grid, "minmax")
     for idx, (i, j) in enumerate(clamped.mode_labels):
         summed = field1.values[field1.index_of(i)] + field2.values[field2.index_of(j)]
