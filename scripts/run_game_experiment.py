@@ -17,7 +17,7 @@ from switchgame import game as gm
 from switchgame.config import load_config
 from switchgame.grid import build_grid
 from switchgame.simulate import simulate_paths
-from switchgame.solver import decomposition_check, solve_single_obstacle
+from switchgame.solver import decomposition_check, solve_minmax, solve_single_obstacle
 
 
 def main():
@@ -50,7 +50,8 @@ def main():
         for entry in entries:
             print(f"  {side} challenger {entry['name']:>16}: margin {entry['mean_difference']:+.5f} "
                   f"(stderr {entry['stderr']:.5f}) {'ok' if entry['passed'] else 'VIOLATED'}")
-    gap = decomposition_check(cfg.spec, grid, cfg.schedule)
+    coupled, _ = solve_minmax(cfg.spec, grid, cfg.schedule)
+    gap = decomposition_check(coupled, field1, field2)
     print(f"decomposition gap (coupled vs per-player sum): {gap:.5f}")
     print("saddle verified" if report.all_passed() else "SADDLE CHECK FAILED")
 

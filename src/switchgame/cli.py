@@ -11,14 +11,16 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import multiprocessing
 import os
 import sys
+import traceback
 
 import numpy as np
 
 from .config import RunConfig, load_config
 from .errors import ConfigError, ConvergenceError, PreconditionError, SwitchgameError
-from .grid import build_grid
+from .grid import Grid, build_grid
 from .model import run_all_checks, validate_consistency, validate_costs
 from .simulate import simulate_paths
 from .solver import csv_rows, solve_maxmin, solve_minmax, solve_single_obstacle, sup_gap
@@ -46,6 +48,26 @@ def _core_checks_pass(config: RunConfig) -> tuple[bool, dict]:
     return report.all_passed(), report.to_dict()
 
 
+def _solve(name: str, config: RunConfig, grid: Grid):
+    solver = solve_minmax if name == "minmax" else solve_maxmin
+    fld, report = solver(config.spec, grid, config.schedule)
+    # only the last level's field is written; let the others go
+    report.sweep_fields.clear()
+    return fld, report
+
+
+def _write_field(out: str, name: str, fld) -> None:
+    fld.to_csv(os.path.join(out, f"value_{name}.csv"))
+    _write_json(os.path.join(out, f"value_{name}_meta.json"), fld.meta_dict())
+
+
+def _not_converged(out: str, exc: ConvergenceError) -> int:
+    _write_json(os.path.join(out, "solve_error.json"),
+                {"error": str(exc), "residual": exc.residual})
+    print(f"solver did not converge: {exc}", file=sys.stderr)
+    return 1
+
+
 def cmd_solve(config: RunConfig, system: str) -> int:
     out = config.output
     ok, gate = _core_checks_pass(config)
@@ -54,29 +76,77 @@ def cmd_solve(config: RunConfig, system: str) -> int:
         print("cost/consistency checks failed; see solve_gate_report.json", file=sys.stderr)
         return 1
     grid = build_grid(config.spec, config.nt, config.nx)
-
-    wanted = ["minmax", "maxmin"] if system == "both" else [system]
-    results = {}
-    try:
-        for name in wanted:
-            solver = solve_minmax if name == "minmax" else solve_maxmin
-            results[name] = solver(config.spec, grid, config.schedule)
-            # only the last level's field is written; let the others go
-            results[name][1].sweep_fields.clear()
-    except ConvergenceError as exc:
-        _write_json(os.path.join(out, "solve_error.json"),
-                    {"error": str(exc), "residual": exc.residual})
-        print(f"solver did not converge: {exc}", file=sys.stderr)
-        return 1
-
-    for name, (fld, report) in results.items():
-        fld.to_csv(os.path.join(out, f"value_{name}.csv"))
-        _write_json(os.path.join(out, f"value_{name}_meta.json"), fld.meta_dict())
-        _write_json(os.path.join(out, f"solve_report_{name}.json"), report.to_dict())
-
     if system == "both":
-        fa, _ = results["minmax"]
-        fb, _ = results["maxmin"]
+        return _solve_both(config, grid)
+    try:
+        fld, report = _solve(system, config, grid)
+    except ConvergenceError as exc:
+        return _not_converged(out, exc)
+    _write_field(out, system, fld)
+    _write_json(os.path.join(out, f"solve_report_{system}.json"), report.to_dict())
+    return 0
+
+
+def _maxmin_child(config: RunConfig, grid: Grid, to_parent, from_parent, parent_ends) -> None:
+    """The forked half of ``_solve_both``: send the max-min field and report,
+    then on "go" write the max-min value files and send None.  An exception
+    raised on the way is sent instead."""
+    for conn in parent_ends:
+        conn.close()  # so that a parent that is gone reads as EOF here
+    try:
+        result = _solve("maxmin", config, grid)
+        to_parent.send(result)
+        if from_parent.recv() == "go":
+            _write_field(config.output, "maxmin", result[0])
+            to_parent.send(None)
+    except Exception as exc:
+        # the traceback does not travel with the pickled exception
+        exc.add_note("raised in the max-min child process:\n"
+                     + "".join(traceback.format_tb(exc.__traceback__)).rstrip())
+        to_parent.send(exc)
+
+
+def _exited(child) -> ChildProcessError:
+    return ChildProcessError(f"the max-min solve process exited with code {child.exitcode}")
+
+
+def _from_child(child, conn):
+    """The child's next message; an exception it sent, or its death, is
+    raised here."""
+    try:
+        message = conn.recv()
+    except EOFError:
+        child.join()
+        raise _exited(child) from None
+    if isinstance(message, BaseException):
+        raise message
+    return message
+
+
+def _solve_both(config: RunConfig, grid: Grid) -> int:
+    """Both schemes at once: a forked child solves max-min while this
+    process solves min-max.  The files, exit codes and errors are those of
+    solving them one after the other: when either scheme fails, no value file
+    is written and the min-max error comes first."""
+    out = config.output
+    # fork, not spawn: the child starts from this process's modules as they
+    # are, without a fresh import, and its target is not pickled
+    ctx = multiprocessing.get_context("fork")
+    from_child, to_parent = ctx.Pipe(duplex=False)
+    from_parent, to_child = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_maxmin_child,
+                        args=(config, grid, to_parent, from_parent, (from_child, to_child)))
+    child.start()
+    to_parent.close()
+    from_parent.close()
+    try:
+        try:
+            fa, report_a = _solve("minmax", config, grid)
+            fb, report_b = _from_child(child, from_child)
+        except ConvergenceError as exc:
+            return _not_converged(out, exc)
+        to_child.send("go")
+        _write_field(out, "minmax", fa)
         gap = sup_gap(fa, fb)
         mask = grid.inner_mask()
         x_texts = [repr(x) for x in grid.xs[mask].tolist()]
@@ -85,11 +155,20 @@ def cmd_solve(config: RunConfig, system: str) -> int:
             handle.write("t,x,gap\r\n")
             for t, row in zip(grid.times.tolist(), diff):
                 handle.write(csv_rows(f"{t!r},", x_texts, row))
-        for name in wanted:
-            report = results[name][1]
+        for name, report in (("minmax", report_a), ("maxmin", report_b)):
             report.final_gap = gap
             _write_json(os.path.join(out, f"solve_report_{name}.json"), report.to_dict())
-    return 0
+        _from_child(child, from_child)
+        child.join()
+        if child.exitcode:
+            raise _exited(child)
+        return 0
+    finally:
+        if child.is_alive():
+            child.kill()
+        child.join()
+        from_child.close()
+        to_child.close()
 
 
 def cmd_game(config: RunConfig) -> int:

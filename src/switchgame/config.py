@@ -212,9 +212,14 @@ def parse_config(doc: dict, where: str = "<config>") -> RunConfig:
     horizon = _finite(doc, "horizon", where)
     if horizon <= 0:
         raise ConfigError(f"{where}.horizon", "must be a positive finite number")
+    # the sample lattice of RunConfig.samples must not overflow
+    if not math.isfinite(horizon * (T_SAMPLES - 1)):
+        raise ConfigError(f"{where}.horizon", "is too large: the sample times overflow")
 
     domain_doc = _known(_section(doc, "domain", where), ("min", "max"), f"{where}.domain")
     domain = tuple(_finite(domain_doc, key, f"{where}.domain") for key in ("min", "max"))
+    if not math.isfinite((domain[1] - domain[0]) * (X_SAMPLES - 1)):
+        raise ConfigError(f"{where}.domain", "is too wide: the sample states overflow")
 
     try:
         spec = ProblemSpec(

@@ -1,8 +1,16 @@
 """Exception hierarchy shared across the package."""
 
+import copyreg
+
 
 class SwitchgameError(Exception):
     """Base class for all package-specific errors."""
+
+    def __reduce__(self):
+        # subclasses build their message from other arguments than they keep
+        # in args, so unpickling restores args and attributes without
+        # calling __init__ again
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class ExpressionSyntaxError(SwitchgameError):

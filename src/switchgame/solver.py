@@ -567,13 +567,12 @@ def barrier_respect_check(field: ValueField, spec: ProblemSpec, grid: Grid,
                           max_ceiling_violation=worst_by_side["ceiling"], witnesses=witnesses)
 
 
-def decomposition_check(spec: ProblemSpec, grid: Grid, schedule: PenaltySchedule) -> float:
+def decomposition_check(coupled: ValueField, field1: ValueField, field2: ValueField) -> float:
     """Sup over the inner half-domain and all pairs of
-    |v^{ij} - (v1^i + v2^j)|, with v^{ij} the descending-scheme field at the
-    largest penalty.  Requires separated rewards."""
-    field1, field2 = solve_single_obstacle(spec, grid)
-    coupled, _ = solve_minmax(spec, grid, schedule)
-    mask = grid.inner_mask()
+    |v^{ij} - (v1^i + v2^j)|, with v^{ij} the coupled field (the
+    descending-scheme field at the largest penalty) and (v1, v2) the fields
+    of solve_single_obstacle on the same grid."""
+    mask = coupled.grid.inner_mask()
     gap = 0.0
     for p_idx, (i, j) in enumerate(coupled.mode_labels):
         summed = field1.values[field1.index_of(i)] + field2.values[field2.index_of(j)]

@@ -21,6 +21,7 @@ from switchgame.solver import (
     decomposition_check,
     solve_maxmin,
     solve_minmax,
+    solve_single_obstacle,
     sup_gap,
 )
 
@@ -161,7 +162,8 @@ def test_g1_saddle_point(tmp_path):
     assert report["pde_gap"] <= report["pde_tolerance"]
     assert cfg.sim.n_paths == 50_000
 
-    gap = decomposition_check(cfg.spec, grid, cfg.schedule)
+    coupled, _ = solve_minmax(cfg.spec, grid, cfg.schedule)
+    gap = decomposition_check(coupled, *solve_single_obstacle(cfg.spec, grid))
     scale = 1.0
     budget = 5.0 * (grid.dx ** 2 + grid.dt) * scale
     assert gap <= budget

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import re
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from switchgame.cli import _write_payoffs, main
+from switchgame.errors import ConvergenceError
 from switchgame.game import PayoffEstimate
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -139,6 +141,22 @@ def test_out_of_range_parameter_exits_2_with_location(tmp_path, capsys, command,
     err = capsys.readouterr().err
     location = f"{section}.{key}" if section else key
     assert f".{location}: " in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["validate", "solve", "game"])
+@pytest.mark.parametrize("key,value", [
+    ("horizon", 1e308),  # the sample times T * k overflow
+    ("domain", {"min": -1e308, "max": 1e308}),  # max - min overflows
+])
+def test_config_whose_samples_overflow_exits_2_with_location(tmp_path, capsys, command, key,
+                                                              value):
+    doc = _small_game_doc()
+    doc[key] = value
+    path, _ = _stage(tmp_path, doc)
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}.{key}: ")
     assert "Traceback" not in err
 
 
@@ -315,6 +333,74 @@ def test_solve_that_does_not_converge_exits_1_with_its_residual(tmp_path, capsys
     assert error["error"].count("residual") == 1
     assert "did not converge" in capsys.readouterr().err
     assert not (out / "value_minmax.csv").exists()
+
+
+def _small_e1(tmp_path):
+    doc = _load("e1_equality_2x2.json")
+    doc["grid"] = {"nt": 11, "nx": 9}
+    return _stage(tmp_path, doc)
+
+
+def _raise(exc):
+    def solver(spec, grid, schedule):
+        raise exc
+    return solver
+
+
+@pytest.mark.parametrize("failing", [("minmax",), ("maxmin",), ("minmax", "maxmin")])
+def test_solve_both_failure_writes_only_the_error(tmp_path, capsys, monkeypatch, failing):
+    # max-min runs in a forked child; a failure on either side still writes
+    # no value file, and min-max's error is the one reported
+    for name in failing:
+        monkeypatch.setattr(f"switchgame.cli.solve_{name}",
+                            _raise(ConvergenceError(f"{name} fixed point stalled", 0.25)))
+    path, out = _small_e1(tmp_path)
+    assert main(["solve", str(path)]) == 1
+    assert [p.name for p in out.iterdir()] == ["solve_error.json"]
+    message = f"{failing[0]} fixed point stalled (residual 2.500e-01)"
+    assert (out / "solve_error.json").read_text() == json.dumps(
+        {"error": message, "residual": 0.25}, indent=2, sort_keys=True) + "\n"
+    assert capsys.readouterr().err == f"solver did not converge: {message}\n"
+    assert multiprocessing.active_children() == []
+
+
+def test_solve_both_raises_what_the_max_min_child_raised(tmp_path, monkeypatch):
+    monkeypatch.setattr("switchgame.cli.solve_maxmin", _raise(ValueError("array must be finite")))
+    path, out = _small_e1(tmp_path)
+    with pytest.raises(ValueError, match="array must be finite") as caught:
+        main(["solve", str(path)])
+    assert caught.value.__notes__[0].startswith("raised in the max-min child process:")
+    assert list(out.iterdir()) == []
+    assert multiprocessing.active_children() == []
+
+
+def test_solve_both_raises_when_the_max_min_child_dies(tmp_path, monkeypatch):
+    monkeypatch.setattr("switchgame.cli.solve_maxmin", lambda *args: os._exit(3))
+    path, out = _small_e1(tmp_path)
+    with pytest.raises(ChildProcessError, match="exited with code 3"):
+        main(["solve", str(path)])
+    assert list(out.iterdir()) == []
+    assert multiprocessing.active_children() == []
+
+
+def test_solve_both_writes_the_bytes_of_two_separate_runs(tmp_path):
+    doc = _load("e1_equality_2x2.json")
+    doc["grid"] = {"nt": 41, "nx": 33}
+    runs = {}
+    for system in ("both", "minmax", "maxmin"):
+        path, out = _stage(tmp_path / system, doc)
+        assert main(["solve", str(path), "--system", system]) == 0
+        runs[system] = _file_bytes(out)
+    assert multiprocessing.active_children() == []
+    both = runs["both"]
+    for system in ("minmax", "maxmin"):
+        for name in (f"value_{system}.csv", f"value_{system}_meta.json"):
+            assert both[name] == runs[system][name]
+        reports = [json.loads(files[f"solve_report_{system}.json"])
+                   for files in (both, runs[system])]
+        assert reports[0].pop("final_gap") is not None
+        assert reports[1].pop("final_gap") is None
+        assert reports[0] == reports[1]
 
 
 def test_oracle_command_and_solver_deltas(tmp_path):

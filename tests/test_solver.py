@@ -484,7 +484,8 @@ def test_decomposition_single_pair_is_tight():
     spec = build_spec(modes1=(1,), modes2=(1,), drivers={(1, 1): "0.3"},
                       terminals={(1, 1): "0.1*x^2"}, volatility="0.5")
     grid = build_grid(spec, 21, 21)
-    gap = decomposition_check(spec, grid, SCHED)
+    coupled, _ = solve_minmax(spec, grid, SCHED)
+    gap = decomposition_check(coupled, *solve_single_obstacle(spec, grid))
     assert gap < 1e-9
 
 
@@ -494,7 +495,7 @@ def test_decomposition_refuses_non_separated():
     spec = build_spec(costs1=costs1, costs2=costs2, drivers=drivers)
     grid = build_grid(spec, 6, 9)
     with pytest.raises(PreconditionError):
-        decomposition_check(spec, grid, SCHED)
+        solve_single_obstacle(spec, grid)
 
 
 def test_three_by_three_with_drift_keeps_scheme_structure():
