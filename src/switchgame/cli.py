@@ -15,6 +15,7 @@ import multiprocessing
 import os
 import sys
 import traceback
+import warnings
 
 import numpy as np
 
@@ -87,40 +88,37 @@ def cmd_solve(config: RunConfig, system: str) -> int:
     return 0
 
 
-def _maxmin_child(config: RunConfig, grid: Grid, to_parent, from_parent, parent_ends) -> None:
+class _ChildTraceback(Exception):
+    """The traceback of an exception raised in the max-min child, as text:
+    a pickled exception does not carry its own."""
+
+    def __str__(self) -> str:
+        return "raised in the max-min child process:\n" + self.args[0]
+
+
+def _maxmin_child(config: RunConfig, grid: Grid, to_parent, from_child) -> None:
     """The forked half of ``_solve_both``: send the max-min field and report,
-    then on "go" write the max-min value files and send None.  An exception
-    raised on the way is sent instead."""
-    for conn in parent_ends:
-        conn.close()  # so that a parent that is gone reads as EOF here
+    or the exception raised on the way and its traceback."""
+    from_child.close()  # so that a send to a parent that is gone fails, not blocks
     try:
-        result = _solve("maxmin", config, grid)
-        to_parent.send(result)
-        if from_parent.recv() == "go":
-            _write_field(config.output, "maxmin", result[0])
-            to_parent.send(None)
+        message = (None, _solve("maxmin", config, grid))
     except Exception as exc:
-        # the traceback does not travel with the pickled exception
-        exc.add_note("raised in the max-min child process:\n"
-                     + "".join(traceback.format_tb(exc.__traceback__)).rstrip())
-        to_parent.send(exc)
-
-
-def _exited(child) -> ChildProcessError:
-    return ChildProcessError(f"the max-min solve process exited with code {child.exitcode}")
+        message = (exc, traceback.format_exc())
+    to_parent.send(message)
 
 
 def _from_child(child, conn):
-    """The child's next message; an exception it sent, or its death, is
+    """The child's field and report; an exception it sent, or its death, is
     raised here."""
     try:
-        message = conn.recv()
+        exc, payload = conn.recv()
     except EOFError:
         child.join()
-        raise _exited(child) from None
-    if isinstance(message, BaseException):
-        raise message
-    return message
+        raise ChildProcessError(
+            f"the max-min solve process exited with code {child.exitcode}") from None
+    if exc is not None:
+        raise exc from _ChildTraceback(payload)
+    return payload
 
 
 def _solve_both(config: RunConfig, grid: Grid) -> int:
@@ -133,42 +131,44 @@ def _solve_both(config: RunConfig, grid: Grid) -> int:
     # are, without a fresh import, and its target is not pickled
     ctx = multiprocessing.get_context("fork")
     from_child, to_parent = ctx.Pipe(duplex=False)
-    from_parent, to_child = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=_maxmin_child,
-                        args=(config, grid, to_parent, from_parent, (from_child, to_child)))
-    child.start()
-    to_parent.close()
-    from_parent.close()
+    child = ctx.Process(target=_maxmin_child, args=(config, grid, to_parent, from_child))
     try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns on a fork while other threads run, and
+            # numpy's OpenBLAS keeps idle worker threads.  OpenBLAS shuts its
+            # pool down before a fork (pthread_atfork), and the child runs
+            # only the solver.
+            warnings.filterwarnings("ignore", r".*fork\(\) may lead to deadlocks",
+                                    DeprecationWarning)
+            child.start()
+        to_parent.close()
         try:
             fa, report_a = _solve("minmax", config, grid)
             fb, report_b = _from_child(child, from_child)
         except ConvergenceError as exc:
             return _not_converged(out, exc)
-        to_child.send("go")
-        _write_field(out, "minmax", fa)
-        gap = sup_gap(fa, fb)
-        mask = grid.inner_mask()
-        x_texts = [repr(x) for x in grid.xs[mask].tolist()]
-        diff = np.max(np.abs(fa.values - fb.values), axis=0)[:, mask]
-        with open(os.path.join(out, "gap_minmax_maxmin.csv"), "w", newline="") as handle:
-            handle.write("t,x,gap\r\n")
-            for t, row in zip(grid.times.tolist(), diff):
-                handle.write(csv_rows(f"{t!r},", x_texts, row))
-        for name, report in (("minmax", report_a), ("maxmin", report_b)):
-            report.final_gap = gap
-            _write_json(os.path.join(out, f"solve_report_{name}.json"), report.to_dict())
-        _from_child(child, from_child)
-        child.join()
-        if child.exitcode:
-            raise _exited(child)
-        return 0
     finally:
+        # past here the child has sent all it will: a live one is stopped
         if child.is_alive():
             child.kill()
-        child.join()
+        if child.pid is not None:
+            child.join()
         from_child.close()
-        to_child.close()
+        to_parent.close()
+
+    gap = sup_gap(fa, fb)
+    for name, fld, report in (("minmax", fa, report_a), ("maxmin", fb, report_b)):
+        _write_field(out, name, fld)
+        report.final_gap = gap
+        _write_json(os.path.join(out, f"solve_report_{name}.json"), report.to_dict())
+    mask = grid.inner_mask()
+    x_texts = [repr(x) for x in grid.xs[mask].tolist()]
+    diff = np.max(np.abs(fa.values - fb.values), axis=0)[:, mask]
+    with open(os.path.join(out, "gap_minmax_maxmin.csv"), "w", newline="") as handle:
+        handle.write("t,x,gap\r\n")
+        for t, row in zip(grid.times.tolist(), diff):
+            handle.write(csv_rows(f"{t!r},", x_texts, row))
+    return 0
 
 
 def cmd_game(config: RunConfig) -> int:

@@ -1,10 +1,12 @@
 import csv
+import errno
 import hashlib
 import json
 import math
 import multiprocessing
 import os
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -369,7 +371,10 @@ def test_solve_both_raises_what_the_max_min_child_raised(tmp_path, monkeypatch):
     path, out = _small_e1(tmp_path)
     with pytest.raises(ValueError, match="array must be finite") as caught:
         main(["solve", str(path)])
-    assert caught.value.__notes__[0].startswith("raised in the max-min child process:")
+    # the child's traceback comes along as the cause
+    cause = str(caught.value.__cause__)
+    assert cause.startswith("raised in the max-min child process:\nTraceback")
+    assert cause.rstrip().endswith("ValueError: array must be finite")
     assert list(out.iterdir()) == []
     assert multiprocessing.active_children() == []
 
@@ -381,6 +386,47 @@ def test_solve_both_raises_when_the_max_min_child_dies(tmp_path, monkeypatch):
         main(["solve", str(path)])
     assert list(out.iterdir()) == []
     assert multiprocessing.active_children() == []
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+def test_solve_both_forks_although_python_warns_about_threads(tmp_path, monkeypatch):
+    # Python 3.12+ warns like this on a fork in a process with threads, and
+    # numpy's OpenBLAS pool is such a thread; the suite turns warnings into
+    # errors
+    fork = os.fork
+
+    def warning_fork():
+        pid = fork()
+        if pid:
+            warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of fork() "
+                          "may lead to deadlocks in the child.", DeprecationWarning, stacklevel=2)
+        return pid
+
+    monkeypatch.setattr(os, "fork", warning_fork)
+    path, out = _small_e1(tmp_path)
+    assert main(["solve", str(path)]) == 0
+    assert (out / "value_maxmin.csv").exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_solve_both_closes_its_pipe_when_the_child_does_not_start(tmp_path, monkeypatch):
+    def no_fork(process):
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    path, out = _small_e1(tmp_path)
+    before = _open_fds()
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_fork)
+    try:
+        main(["solve", str(path)])
+    except BlockingIOError:
+        # the frames of the failed call, and what they hold, are alive here
+        assert _open_fds() == before
+    else:
+        pytest.fail("the failed start was not raised")
+    assert list(out.iterdir()) == []
 
 
 def test_solve_both_writes_the_bytes_of_two_separate_runs(tmp_path):
