@@ -238,7 +238,10 @@ def _eval(node: ExpressionTree, t, x):
             raise ExpressionDomainError("division by zero", node.offset)
         return left / right
     if isinstance(node, Pow):
-        return _eval(node.base, t, x) ** node.exponent
+        try:
+            return _eval(node.base, t, x) ** node.exponent
+        except OverflowError:  # a Python float's ** raises where an array's gives inf
+            raise ExpressionDomainError("non-finite result", node.offset) from None
     args = [_eval(arg, t, x) for arg in node.args]
     if node.func == "min":
         return np.minimum(args[0], args[1])

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import AdmissibilityError, PreconditionError
 from .expressions import EvalContext, evaluate
-from .model import ProblemSpec, ceiling, clamp_sweep, cost_array, floor
+from .model import ProblemSpec, ceiling, clamp_sweep, cost_arrays, floor
 from .simulate import PathBundle
 from .solver import ValueField
 
@@ -215,7 +215,7 @@ def _realize_feedback(strategy: SwitchingStrategy, spec: ProblemSpec,
     steps = bundle.states.T[:n_steps] if len(modes) > 1 else ()
     for k, xk in enumerate(steps):
         t = float(bundle.times[k])
-        values = sign * fld.interp_modes(_nearest_level(fld.grid.times, t), xk)
+        values = sign * fld.interp_x(_nearest_level(fld.grid.times, t), xk)
         # snapshot: triggers fire at most once per grid time per path
         cur_at_step = cur.copy()
         for pos, mode in enumerate(modes):
@@ -260,19 +260,15 @@ def _realize_feedback(strategy: SwitchingStrategy, spec: ProblemSpec,
     return RealizedStrategy(player=player, labels=modes, track=track)
 
 
-def saddle_strategy_player1(field: ValueField, start_mode: int) -> SwitchingStrategy:
-    """Feedback rule that switches when player 1's own value touches its
-    switching floor; built from the single_lower field."""
-    if field.system != "single_lower":
-        raise PreconditionError("saddle_strategy_player1 needs a single_lower field")
-    return SwitchingStrategy(player=1, start_mode=start_mode, feedback_field=field)
-
-
-def saddle_strategy_player2(field: ValueField, start_mode: int) -> SwitchingStrategy:
-    """Mirror rule for player 2 against its switching ceiling (single_upper)."""
-    if field.system != "single_upper":
-        raise PreconditionError("saddle_strategy_player2 needs a single_upper field")
-    return SwitchingStrategy(player=2, start_mode=start_mode, feedback_field=field)
+def saddle_strategy(field: ValueField, start_mode: int) -> SwitchingStrategy:
+    """The feedback rule of a single-player field: player 1's from a
+    single_lower field, switching when its own value touches its switching
+    floor, and player 2's from a single_upper field, against its switching
+    ceiling.  Raises PreconditionError for any other field."""
+    player = {"single_lower": 1, "single_upper": 2}.get(field.system)
+    if player is None:
+        raise PreconditionError(f"not a single-player field: {field.system}")
+    return SwitchingStrategy(player=player, start_mode=start_mode, feedback_field=field)
 
 
 # ---------------------------------------------------------------------------
@@ -423,19 +419,9 @@ class GameReport:
         return ok
 
     def to_dict(self) -> dict:
-        return {
-            "start": self.start,
-            "z": self.z,
-            "saddle_mean": self.saddle_mean,
-            "saddle_stderr": self.saddle_stderr,
-            "pde_value": self.pde_value,
-            "pde_gap": self.pde_gap,
-            "pde_tolerance": self.pde_tolerance,
-            "pde_ok": self.pde_ok,
-            "challenger1": self.challenger1,
-            "challenger2": self.challenger2,
-            "all_passed": self.all_passed(),
-        }
+        """Every field but the saddle payoff's per-path arrays, and the verdict."""
+        out = {k: v for k, v in vars(self).items() if k != "saddle_payoff"}
+        return {**out, "all_passed": self.all_passed()}
 
 
 def verify_saddle(
@@ -462,10 +448,8 @@ def verify_saddle(
     roster = ([(real1, real2)] + [(c, real2) for _, c in challengers1]
               + [(real1, c) for _, c in challengers2])
     base, *attempts = payoff_estimates(spec, bundle, roster)
-    report = GameReport(start={"t": t0, "x": x0, "mode1": i0, "mode2": j0}, z=Z_SCORE)
-    report.saddle_mean = base.mean
-    report.saddle_stderr = base.stderr
-    report.saddle_payoff = base
+    report = GameReport(start={"t": t0, "x": x0, "mode1": i0, "mode2": j0}, z=Z_SCORE,
+                        saddle_mean=base.mean, saddle_stderr=base.stderr, saddle_payoff=base)
 
     def diff_entry(name, gain, attempt):
         mean = float(np.mean(gain))
@@ -509,15 +493,12 @@ def verify_saddle_from_fields(
     """verify_saddle with the saddle pair built from the two single-player
     fields and the PDE comparison value taken as their sum at the start."""
     t0, x0, i0, j0 = start
-    saddle1 = saddle_strategy_player1(field1, i0)
-    saddle2 = saddle_strategy_player2(field2, j0)
     level = _nearest_level(field1.grid.times, t0)
-    pde_value = float(
-        field1.interp_x(i0, level, np.array([x0]))[0]
-        + field2.interp_x(j0, level, np.array([x0]))[0]
-    )
-    return verify_saddle(spec, bundle, saddle1, saddle2, challengers1, challengers2,
-                         start=start, pde_value=pde_value)
+    x = np.array([x0])
+    pde_value = float(field1.interp_x(level, x)[field1.index_of(i0), 0]
+                      + field2.interp_x(level, x)[field2.index_of(j0), 0])
+    return verify_saddle(spec, bundle, saddle_strategy(field1, i0), saddle_strategy(field2, j0),
+                         challengers1, challengers2, start=start, pde_value=pde_value)
 
 
 # ---------------------------------------------------------------------------
@@ -557,12 +538,6 @@ def deterministic_dp_oracle(spec: ProblemSpec, nt: int, x: float) -> dict:
     return out
 
 
-def _oracle_costs(spec: ProblemSpec, t: float, x: float):
-    ctx = EvalContext(t, x)
-    return (cost_array(spec.costs.costs1, spec.modes.modes1, ctx),
-            cost_array(spec.costs.costs2, spec.modes.modes2, ctx))
-
-
 def _oracle_tables(spec: ProblemSpec, nt: int, x: float, variant: str) -> np.ndarray:
     """Values per level and mode position, shape (nt, n1, n2), terminal last."""
     times = np.linspace(0.0, spec.horizon, nt)
@@ -574,7 +549,7 @@ def _oracle_tables(spec: ProblemSpec, nt: int, x: float, variant: str) -> np.nda
     for k in range(nt - 2, -1, -1):
         cont = np.array([[_continuation(levels, spec, times, k, a, b, x)
                           for b in range(len(modes2))] for a in range(len(modes1))])
-        levels[k] = clamp_sweep(cont, *_oracle_costs(spec, float(times[k]), x),
+        levels[k] = clamp_sweep(cont, *cost_arrays(spec, EvalContext(float(times[k]), x)),
                                 floor_last=variant == "maxmin")
     return levels
 
@@ -599,7 +574,7 @@ def oracle_optimal_strategies(spec: ProblemSpec, nt: int, x: float,
     tol = 1e-11
     for k in range(nt - 1):
         values = levels[k]
-        g1, g2 = _oracle_costs(spec, float(times[k]), x)
+        g1, g2 = cost_arrays(spec, EvalContext(float(times[k]), x))
         for _ in range(len(modes1) + len(modes2) + 2):
             cont = _continuation(levels, spec, times, k, a, b, x)
             # a binding obstacle's targets are the candidates the value sits on

@@ -17,8 +17,9 @@ undecidable, so a pass is a statement about the sampled lattice.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -151,26 +152,20 @@ class ProblemSpec:
 
 @dataclass
 class CheckResult:
+    """One assumption check; it fails exactly when it has a witness."""
+
     name: str
-    passed: bool
     witnesses: list[dict] = field(default_factory=list)
     assumed: list[str] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "witnesses": self.witnesses,
-            "assumed": self.assumed,
-        }
+    @property
+    def passed(self) -> bool:
+        return not self.witnesses
 
 
 @dataclass
 class AssumptionReport:
-    checks: dict[str, CheckResult] = field(default_factory=dict)
-
-    def add(self, result: CheckResult):
-        self.checks[result.name] = result
+    checks: dict[str, CheckResult]
 
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks.values())
@@ -178,7 +173,7 @@ class AssumptionReport:
     def to_dict(self) -> dict:
         return {
             "all_passed": self.all_passed(),
-            "checks": {name: self.checks[name].to_dict() for name in sorted(self.checks)},
+            "checks": {name: {**asdict(c), "passed": c.passed} for name, c in self.checks.items()},
         }
 
 
@@ -270,26 +265,21 @@ def validate_costs(spec: ProblemSpec, samples: list[tuple[float, float]]) -> Ass
     strictly positive total cost.
     """
     _require_samples(spec, samples)
-    report = AssumptionReport()
-
-    nonneg = CheckResult("cost_nonnegativity", True)
+    nonneg = CheckResult("cost_nonnegativity")
     for table, player in ((spec.costs.costs1, 1), (spec.costs.costs2, 2)):
         for key, expr in sorted(table.items()):
             for t, x in samples:
                 value = float(evaluate(expr, EvalContext(t, x)))
                 if value < 0:
-                    nonneg.passed = False
                     nonneg.witnesses.append(
                         {"player": player, "transition": list(key), "t": t, "x": x, "value": value}
                     )
-    report.add(nonneg)
 
-    loops = CheckResult("non_free_loop", True)
+    loops = CheckResult("non_free_loop")
     for loop in enumerate_product_loops(spec.modes):
         for t, x in samples:
             total = loop_signed_sum(spec, loop, t, x)
             if abs(total) <= 1e-12:
-                loops.passed = False
                 loops.witnesses.append(
                     {"loop": [list(p) for p in loop], "t": t, "x": x, "sum": total}
                 )
@@ -304,12 +294,10 @@ def validate_costs(spec: ProblemSpec, samples: list[tuple[float, float]]) -> Ass
                     float(evaluate(table[(a, b)], ctx)) for a, b in zip(loop[:-1], loop[1:])
                 )
                 if total <= 1e-12:
-                    loops.passed = False
                     loops.witnesses.append(
                         {"player": player, "loop": list(loop), "t": t, "x": x, "sum": total}
                     )
-    report.add(loops)
-    return report
+    return AssumptionReport({nonneg.name: nonneg, loops.name: loops})
 
 
 def validate_consistency(spec: ProblemSpec, x_samples: list[float]) -> AssumptionReport:
@@ -323,25 +311,22 @@ def validate_consistency(spec: ProblemSpec, x_samples: list[float]) -> Assumptio
             raise ValueError(f"sample x={x} outside domain")
     T = spec.horizon
     modes = spec.modes
-    result = CheckResult("terminal_consistency", True)
+    result = CheckResult("terminal_consistency")
     for x in x_samples:
         ctx = EvalContext(T, x)
         h = np.array([[float(evaluate(spec.terminals.h[(i, j)], ctx)) for j in modes.modes2]
                       for i in modes.modes1])
-        lower = floor(h, cost_array(spec.costs.costs1, modes.modes1, ctx))
-        upper = ceiling(h, cost_array(spec.costs.costs2, modes.modes2, ctx))
+        g1, g2 = cost_arrays(spec, ctx)
+        lower, upper = floor(h, g1), ceiling(h, g2)
         for a, b in np.ndindex(h.shape):
             value = float(h[a, b])
             slack = 1e-12 * (1.0 + abs(value))
             if value < lower[a, b] - slack or value > upper[a, b] + slack:
-                result.passed = False
                 result.witnesses.append(
                     {"pair": [modes.modes1[a], modes.modes2[b]], "x": x,
                      "lower": float(lower[a, b]), "value": value, "upper": float(upper[a, b])}
                 )
-    report = AssumptionReport()
-    report.add(result)
-    return report
+    return AssumptionReport({result.name: result})
 
 
 def validate_triangle(spec: ProblemSpec, samples: list[tuple[float, float]]) -> AssumptionReport:
@@ -350,30 +335,18 @@ def validate_triangle(spec: ProblemSpec, samples: list[tuple[float, float]]) -> 
     modes.  Smoothness of the cost surfaces is recorded as assumed, not
     checked."""
     _require_samples(spec, samples)
-    result = CheckResult("strict_triangle", True)
+    result = CheckResult("strict_triangle")
     result.assumed.append("player-2 cost smoothness (C^{1,2}) is assumed, not machine-checked")
-    modes2 = spec.modes.modes2
-    if len(modes2) >= 3:
-        for j1 in modes2:
-            for j2 in modes2:
-                for j3 in modes2:
-                    if len({j1, j2, j3}) != 3:
-                        continue
-                    for t, x in samples:
-                        ctx = EvalContext(t, x)
-                        direct = float(evaluate(spec.costs.costs2[(j1, j3)], ctx))
-                        via = float(evaluate(spec.costs.costs2[(j1, j2)], ctx)) + float(
-                            evaluate(spec.costs.costs2[(j2, j3)], ctx)
-                        )
-                        if direct >= via - 1e-12:
-                            result.passed = False
-                            result.witnesses.append(
-                                {"triple": [j1, j2, j3], "t": t, "x": x,
-                                 "direct": direct, "via": via}
-                            )
-    report = AssumptionReport()
-    report.add(result)
-    return report
+    costs2 = spec.costs.costs2
+    for j1, j2, j3 in itertools.permutations(spec.modes.modes2, 3):
+        for t, x in samples:
+            ctx = EvalContext(t, x)
+            direct = float(evaluate(costs2[(j1, j3)], ctx))
+            via = float(evaluate(costs2[(j1, j2)], ctx)) + float(evaluate(costs2[(j2, j3)], ctx))
+            if direct >= via - 1e-12:
+                result.witnesses.append({"triple": [j1, j2, j3], "t": t, "x": x,
+                                         "direct": direct, "via": via})
+    return AssumptionReport({result.name: result})
 
 
 def check_separation(spec: ProblemSpec, samples: list[tuple[float, float]]) -> AssumptionReport:
@@ -388,7 +361,7 @@ def check_separation(spec: ProblemSpec, samples: list[tuple[float, float]]) -> A
     _require_samples(spec, samples)
     modes1, modes2 = spec.modes.modes1, spec.modes.modes2
     j0 = modes2[0]
-    result = CheckResult("separation", True)
+    result = CheckResult("separation")
 
     for t, x in samples:
         ctx = EvalContext(t, x)
@@ -399,28 +372,22 @@ def check_separation(spec: ProblemSpec, samples: list[tuple[float, float]]) -> A
                 diffs = [vals[(i, j)] - vals[(i, j0)] for i in modes1]
                 spread = max(diffs) - min(diffs)
                 if spread > SEPARATION_TOL:
-                    result.passed = False
                     result.witnesses.append(
                         {"field": label, "mode2": j, "t": t, "x": x, "spread": spread}
                     )
 
-    report = AssumptionReport()
-    report.add(result)
-    return report
+    return AssumptionReport({result.name: result})
 
 
 def run_all_checks(spec: ProblemSpec, samples: list[tuple[float, float]]) -> AssumptionReport:
     """Run every machine-checkable assumption and merge the fragments."""
-    report = validate_costs(spec, samples)
     x_samples = sorted({x for _, x in samples})
-    for fragment in (
-        validate_consistency(spec, x_samples),
-        validate_triangle(spec, samples),
-        check_separation(spec, samples),
-    ):
-        for check in fragment.checks.values():
-            report.add(check)
-    return report
+    return AssumptionReport({
+        **validate_costs(spec, samples).checks,
+        **validate_consistency(spec, x_samples).checks,
+        **validate_triangle(spec, samples).checks,
+        **check_separation(spec, samples).checks,
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +410,12 @@ def cost_array(table: Mapping[tuple[int, int], ExpressionTree], modes: tuple[int
             if a != b:
                 out[a, b] = evaluate(table[(i, k)], ctx)
     return out
+
+
+def cost_arrays(spec: ProblemSpec, ctx: EvalContext) -> tuple[np.ndarray, np.ndarray]:
+    """Both players' cost_array at ctx: player 1's, then player 2's."""
+    return (cost_array(spec.costs.costs1, spec.modes.modes1, ctx),
+            cost_array(spec.costs.costs2, spec.modes.modes2, ctx))
 
 
 def floor(values: np.ndarray, costs1: np.ndarray, pair: tuple[int, int] | None = None,

@@ -34,11 +34,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, PreconditionError
+from .errors import ConvergenceError, PreconditionError, SwitchgameError
 from .expressions import EvalContext, evaluate
 from .grid import (Grid, GeneratorStencil, discretize_generator, solve_banded,  # noqa: F401
                    solve_implicit, solve_tridiagonal)
-from .model import ProblemSpec, ceiling, check_separation, clamp_sweep, cost_array, floor
+from .model import ProblemSpec, ceiling, check_separation, clamp_sweep, cost_arrays, floor
 
 _ACTIVE_SET_CAP = 64
 FIXED_POINT_CAP = 500  # Gauss-Seidel sweeps over the pairs of one time level
@@ -81,17 +81,14 @@ class ValueField:
     def index_of(self, label) -> int:
         return self.mode_labels.index(label)
 
-    def interp_x(self, label, level: int, x: np.ndarray) -> np.ndarray:
-        """Linear interpolation in x of one mode's values at a time level."""
-        return np.interp(x, self.grid.xs, self.values[self.index_of(label), level, :])
+    def interp_x(self, level: int, x: np.ndarray) -> np.ndarray:
+        """Every mode's values at a time level, interpolated linearly in x;
+        row m is mode_labels[m]'s.
 
-    def interp_modes(self, level: int, x: np.ndarray) -> np.ndarray:
-        """Every mode's values at a time level, interpolated linearly in x.
-
-        Row m equals ``interp_x(mode_labels[m], level, x)`` bit for bit for
-        finite x.  The grid is uniform, so one cell lookup serves every mode:
-        the floor guess from the spacing is corrected by one cell against
-        ``xs``.  The arithmetic is np.interp's: the cell's slope
+        Each row equals ``np.interp(x, grid.xs, values[m, level])`` bit for
+        bit for finite x.  The grid is uniform, so one cell lookup serves
+        every mode: the floor guess from the spacing is corrected by one cell
+        against ``xs``.  The arithmetic is np.interp's: the cell's slope
         (y[j+1] - y[j]) / (x[j+1] - x[j]), then slope * (x - x[j]) + y[j];
         a node hit returns the node value and points outside the grid the
         end value.
@@ -160,15 +157,8 @@ class SolveReport:
     sweep_fields: list[ValueField] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "system": self.system,
-            "penalty_levels": self.penalty_levels,
-            "sup_deltas": self.sup_deltas,
-            "penalty_excess": self.penalty_excess,
-            "iterations": self.iterations,
-            "monotonicity_violation": self.monotonicity_violation,
-            "final_gap": self.final_gap,
-        }
+        """Every field but the sweep's value fields."""
+        return {k: v for k, v in vars(self).items() if k != "sweep_fields"}
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +194,12 @@ class _LevelCache:
 
 
 def _grid_costs(spec: ProblemSpec, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Both players' cost_array at every grid time, time first."""
-    return tuple(
-        np.stack([cost_array(table, modes, EvalContext(t, grid.xs)) for t in grid.times])
-        for table, modes in ((spec.costs.costs1, spec.modes.modes1),
-                             (spec.costs.costs2, spec.modes.modes2))
-    )
+    """Both players' cost_arrays at every grid time, time first."""
+    n1, n2 = len(spec.modes.modes1), len(spec.modes.modes2)
+    g1, g2 = np.empty((grid.nt, n1, n1, grid.nx)), np.empty((grid.nt, n2, n2, grid.nx))
+    for k, t in enumerate(grid.times):
+        g1[k], g2[k] = cost_arrays(spec, EvalContext(t, grid.xs))
+    return g1, g2
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +302,17 @@ def _pair_step(stencil, bands, dt, rhs, thresholds, weight, bound, side, w, tie)
                            residual=float(np.max(np.abs(w - prev))))
 
 
+def _level_rhs(vnext: np.ndarray, dt: float, f: np.ndarray, k: int) -> np.ndarray:
+    """The implicit step's right-hand side vnext + dt * f at time level k,
+    for every pair at once; raises SwitchgameError when it is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = vnext + dt * f
+    if not np.all(np.isfinite(rhs)):
+        raise SwitchgameError(f"the implicit step overflows at time level {k}: "
+                              "its right-hand side is not finite")
+    return rhs
+
+
 def _solve_penalized(cache: _LevelCache, penalty: float, direction: str,
                      schedule: PenaltySchedule, warm: np.ndarray | None):
     """One full backward pass at a fixed penalty level.
@@ -335,6 +336,7 @@ def _solve_penalized(cache: _LevelCache, penalty: float, direction: str,
         g1_k = cache.g1[k]
         g2_k = cache.g2[k]
         vnext = v[:, :, k + 1, :]
+        rhs_k = _level_rhs(vnext, dt, f_k, k)
         cur = (warm[:, :, k, :] if warm is not None else vnext).copy()
         tie = TIE_TOL * (1.0 + float(np.max(np.abs(cur))))
 
@@ -343,7 +345,6 @@ def _solve_penalized(cache: _LevelCache, penalty: float, direction: str,
             total_iters += 1
             residual = 0.0
             for a, b in np.ndindex(n1, n2):
-                rhs = vnext[a, b] + dt * f_k[a, b]
                 if direction == "minmax":
                     bound, side = floor(cur, g1_k, (a, b)), "above"
                     soft, own, costs = ceiling, b, g2_k
@@ -355,8 +356,8 @@ def _solve_penalized(cache: _LevelCache, penalty: float, direction: str,
                 cands = soft(cur, costs, (a, b), each=True)
                 thresholds = [c for m, c in enumerate(cands) if m != own]
                 try:
-                    w = _pair_step(stencil, bands, dt, rhs, thresholds, penalty, bound, side,
-                                   cur[a, b], tie)
+                    w = _pair_step(stencil, bands, dt, rhs_k[a, b], thresholds, penalty, bound,
+                                   side, cur[a, b], tie)
                 except ConvergenceError as exc:
                     raise ConvergenceError(
                         f"{direction} at penalty {penalty:g}, time level {k}, pair "
@@ -458,9 +459,10 @@ def _clamp_pass(cache: _LevelCache, f: np.ndarray, terminal: np.ndarray,
     v = np.empty((n1, n2, nt, nx))
     v[:, :, nt - 1, :] = terminal
     for k in range(nt - 2, -1, -1):
+        rhs = _level_rhs(v[:, :, k + 1], dt, f[k], k)
         stepped = np.empty((n1, n2, nx))
         for a, b in np.ndindex(n1, n2):
-            stepped[a, b] = solve_implicit(cache.stencils[k], dt, v[a, b, k + 1] + dt * f[k, a, b])
+            stepped[a, b] = solve_implicit(cache.stencils[k], dt, rhs[a, b])
         v[:, :, k, :] = clamp_sweep(stepped, None if costs1 is None else costs1[k],
                                     None if costs2 is None else costs2[k], floor_last)
     return v

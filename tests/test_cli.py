@@ -162,6 +162,33 @@ def test_config_whose_samples_overflow_exits_2_with_location(tmp_path, capsys, c
     assert "Traceback" not in err
 
 
+def _tiny_game_doc(key, value):
+    doc = _small_game_doc()
+    doc["grid"] = {"nt": 11, "nx": 9}
+    doc["simulation"].update(paths=200, steps=10)
+    doc[key] = value
+    return doc
+
+
+@pytest.mark.parametrize("command", ["validate", "solve", "game"])
+def test_terminal_that_overflows_exits_1_without_traceback(tmp_path, capsys, command):
+    # the terminals' x^2 overflows a float at x = 1e200
+    path, _ = _stage(tmp_path, _tiny_game_doc("domain", {"min": -1e200, "max": 1e200}))
+    assert main([command, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite result at offset ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["solve", "game"])
+def test_implicit_step_that_overflows_exits_1_naming_the_level(tmp_path, capsys, command):
+    # dt * f reaches 1e199 * 1.1e200 at the first step back from the horizon
+    path, _ = _stage(tmp_path, _tiny_game_doc("horizon", 1e200))
+    assert main([command, str(path)]) == 1
+    assert capsys.readouterr().err == ("error: the implicit step overflows at time level 9: "
+                                       "its right-hand side is not finite\n")
+
+
 @pytest.mark.parametrize(
     "command,section,key,value,message",
     [

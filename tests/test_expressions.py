@@ -39,6 +39,12 @@ def test_domain_errors():
         evaluate(parse_expression("exp(exp(x))"), EvalContext(0.0, 100.0))
 
 
+def test_power_that_overflows_a_float_is_a_domain_error():
+    # a Python float's ** raises OverflowError where an array's gives inf
+    with pytest.raises(ExpressionDomainError):
+        evaluate(parse_expression("x^2"), EvalContext(0.0, 1e200))
+
+
 def test_unknown_identifier_and_arity():
     with pytest.raises(ExpressionSyntaxError):
         parse_expression("foo(x)")

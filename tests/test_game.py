@@ -16,15 +16,14 @@ from switchgame.game import (
     payoff_estimate,
     payoff_estimates,
     random_switch,
-    saddle_strategy_player1,
-    saddle_strategy_player2,
+    saddle_strategy,
     switch_at_start,
     switch_every_step,
     verify_saddle,
 )
 from switchgame.grid import build_grid
 from switchgame.simulate import SimParams, simulate_paths
-from switchgame.solver import solve_single_obstacle
+from switchgame.solver import ValueField, solve_single_obstacle
 
 from helpers import bilevel_tree_value, build_spec, frozen_diag_spec, uniform_costs
 
@@ -292,7 +291,7 @@ def test_saddle_strategy_prohibitive_costs_never_switch():
     grid = build_grid(spec, 11, 9)
     field, _ = solve_single_obstacle(spec, grid)
     bundle = _frozen_bundle(spec, n_steps=10)
-    strategy = saddle_strategy_player1(field, 1)
+    strategy = saddle_strategy(field, 1)
     realized = strategy.realize(spec, bundle)
     assert np.all(game._switch_costs(realized, spec, bundle)[1] == 0)
 
@@ -302,7 +301,7 @@ def test_saddle_strategy_cheap_switch_fires_once_at_start():
     grid = build_grid(spec, 11, 9)
     field, _ = solve_single_obstacle(spec, grid)
     bundle = _frozen_bundle(spec, n_paths=6, n_steps=10)
-    strategy = saddle_strategy_player1(field, 1)
+    strategy = saddle_strategy(field, 1)
     realized = strategy.realize(spec, bundle)
     # one declaration, at step 0, to mode 2 (position 1), on every path
     assert realized.track.T.tolist() == [[0] + [1] * 11] * bundle.n_paths
@@ -317,19 +316,21 @@ def test_saddle_strategy_single_mode_is_empty():
     grid = build_grid(spec, 11, 9)
     field, _ = solve_single_obstacle(spec, grid)
     bundle = _frozen_bundle(spec)
-    realized = saddle_strategy_player1(field, 1).realize(spec, bundle)
+    realized = saddle_strategy(field, 1).realize(spec, bundle)
     assert np.all(realized.track == 0)
     assert np.all(game._switch_costs(realized, spec, bundle)[1] == 0)
 
 
 def test_saddle_strategy_requires_matching_field():
+    # the player is read off the field; a coupled field has none
     spec = _separated_game_spec()
     grid = build_grid(spec, 6, 9)
     field1, field2 = solve_single_obstacle(spec, grid)
+    assert saddle_strategy(field1, 1).player == 1
+    assert saddle_strategy(field2, 1).player == 2
+    coupled = ValueField("minmax", spec.modes.pairs, np.zeros((4, grid.nt, grid.nx)), grid)
     with pytest.raises(PreconditionError):
-        saddle_strategy_player2(field1, 1)
-    with pytest.raises(PreconditionError):
-        saddle_strategy_player1(field2, 1)
+        saddle_strategy(coupled, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +352,8 @@ def small_game():
     grid = build_grid(spec, 101, 81)
     field1, field2 = solve_single_obstacle(spec, grid)
     bundle = simulate_paths(spec, SimParams(n_paths=4000, n_steps=100, seed=17))
-    saddle1 = saddle_strategy_player1(field1, 1)
-    saddle2 = saddle_strategy_player2(field2, 1)
+    saddle1 = saddle_strategy(field1, 1)
+    saddle2 = saddle_strategy(field2, 1)
     return spec, grid, field1, field2, bundle, saddle1, saddle2
 
 
@@ -471,8 +472,7 @@ def test_realization_keeps_labels_outside_uint8(labels):
     ref_field, _ = solve_single_obstacle(ref_spec, ref_grid)
     field, _ = solve_single_obstacle(spec, grid)
     cases = [
-        (saddle_strategy_player1(ref_field, 1),
-         saddle_strategy_player1(field, a)),
+        (saddle_strategy(ref_field, 1), saddle_strategy(field, a)),
         (SwitchingStrategy(player=1, start_mode=1, schedule=((3, 2), (17, 1))),
          SwitchingStrategy(player=1, start_mode=a, schedule=((3, b), (17, a)))),
     ]
@@ -497,7 +497,7 @@ def test_feedback_target_is_the_first_best_mode_in_declared_order():
                       costs2={}, drivers={(1, 1): "0", (3, 1): "1", (2, 1): "1"})
     field, _ = solve_single_obstacle(spec, build_grid(spec, 11, 9))
     bundle = _frozen_bundle(spec, n_paths=3, n_steps=10)
-    realized = saddle_strategy_player1(field, 1).realize(spec, bundle)
+    realized = saddle_strategy(field, 1).realize(spec, bundle)
     assert realized.modes.tolist() == [[1] + [3] * 10] * 3
     sched1, _, _ = oracle_optimal_strategies(spec, 11, 0.0, (1, 1))
     assert sched1 == [(0, 2)]
@@ -632,8 +632,8 @@ def roster_game():
     grid = build_grid(spec, 41, 33)
     bundle = simulate_paths(spec, SimParams(n_paths=300, n_steps=40, seed=31))
     field1, field2 = solve_single_obstacle(spec, grid)
-    real1 = saddle_strategy_player1(field1, 1).realize(spec, bundle)
-    real2 = saddle_strategy_player2(field2, 1).realize(spec, bundle)
+    real1 = saddle_strategy(field1, 1).realize(spec, bundle)
+    real2 = saddle_strategy(field2, 1).realize(spec, bundle)
     assert np.any(real1.modes != 1) and np.any(real2.modes != 1)
     challengers = [
         switch_at_start(spec, 1, 1), random_switch(spec, 1, 1, 5, bundle.n_steps),

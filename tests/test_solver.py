@@ -554,7 +554,7 @@ def test_fixed_point_budget_exhaustion_raises(monkeypatch):
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=60, deadline=None)
-def test_interp_modes_bitwise_equal_to_np_interp(nx, lo, width, scale, seed):
+def test_interp_x_bitwise_equal_to_np_interp(nx, lo, width, scale, seed):
     rng = np.random.default_rng(seed)
     xs = np.linspace(lo, lo + width, nx)
     grid = Grid(nt=2, nx=nx, times=np.array([0.0, 1.0]), xs=xs)
@@ -567,9 +567,9 @@ def test_interp_modes_bitwise_equal_to_np_interp(nx, lo, width, scale, seed):
         [xs[0] - 1.0, xs[-1] + 1.0, np.nextafter(xs[-1], np.inf), -1e300, 1e300],
         rng.uniform(lo - 0.1 * width, lo + 1.1 * width, 500),
     ])
-    got = field.interp_modes(1, points)
-    for row, label in enumerate(field.mode_labels):
-        want = field.interp_x(label, 1, points)
+    got = field.interp_x(1, points)
+    for row, ys in enumerate(values[:, 1]):
+        want = np.interp(points, xs, ys)
         assert np.array_equal(got[row].view(np.int64), want.view(np.int64))
 
 
