@@ -9,6 +9,7 @@ config and seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import multiprocessing
@@ -50,16 +51,23 @@ def _core_checks_pass(config: RunConfig) -> tuple[bool, dict]:
     return report.all_passed(), report.to_dict()
 
 
+def _part_path(out: str, name: str) -> str:
+    return os.path.join(out, f".value_{name}.csv.part")
+
+
 def _solve(name: str, config: RunConfig, grid: Grid):
+    """Solve one scheme and write its value CSV under a hidden temporary
+    name in the output directory; ``_publish`` gives it its own name."""
     solver = solve_minmax if name == "minmax" else solve_maxmin
     fld, report = solver(config.spec, grid, config.schedule)
     # only the last level's field is written; let the others go
     report.sweep_fields.clear()
+    fld.to_csv(_part_path(config.output, name))
     return fld, report
 
 
-def _write_field(out: str, name: str, fld) -> None:
-    fld.to_csv(os.path.join(out, f"value_{name}.csv"))
+def _publish(out: str, name: str, fld) -> None:
+    os.replace(_part_path(out, name), os.path.join(out, f"value_{name}.csv"))
     _write_json(os.path.join(out, f"value_{name}_meta.json"), fld.meta_dict())
 
 
@@ -78,15 +86,22 @@ def cmd_solve(config: RunConfig, system: str) -> int:
         print("cost/consistency checks failed; see solve_gate_report.json", file=sys.stderr)
         return 1
     grid = build_grid(config.spec, config.nt, config.nx)
-    if system == "both":
-        return _solve_both(config, grid)
     try:
-        fld, report = _solve(system, config, grid)
-    except ConvergenceError as exc:
-        return _not_converged(out, exc)
-    _write_field(out, system, fld)
-    _write_json(os.path.join(out, f"solve_report_{system}.json"), report.to_dict())
-    return 0
+        if system == "both":
+            return _solve_both(config, grid)
+        try:
+            fld, report = _solve(system, config, grid)
+        except ConvergenceError as exc:
+            return _not_converged(out, exc)
+        _publish(out, system, fld)
+        _write_json(os.path.join(out, f"solve_report_{system}.json"), report.to_dict())
+        return 0
+    finally:
+        # a value file reaches its own name whole or not at all; no process
+        # writes here any more (_solve_both has joined its child)
+        for name in ("minmax", "maxmin"):
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(_part_path(out, name))
 
 
 class _ChildTraceback(Exception):
@@ -98,8 +113,9 @@ class _ChildTraceback(Exception):
 
 
 def _maxmin_child(config: RunConfig, grid: Grid, to_parent, from_child) -> None:
-    """The forked half of ``_solve_both``: send the max-min field and report,
-    or the exception raised on the way and its traceback."""
+    """The forked half of ``_solve_both``: solve max-min and write its value
+    file, then send the field and report, or the exception raised on the way
+    and its traceback."""
     from_child.close()  # so that a send to a parent that is gone fails, not blocks
     try:
         message = (None, _solve("maxmin", config, grid))
@@ -124,9 +140,11 @@ def _from_child(child, conn):
 
 def _solve_both(config: RunConfig, grid: Grid) -> int:
     """Both schemes at once: a forked child solves max-min while this
-    process solves min-max.  The files, exit codes and errors are those of
-    solving them one after the other: when either scheme fails, no value file
-    is written and the min-max error comes first."""
+    process solves min-max, and each writes its own value file under a
+    temporary name.  The files, exit codes and errors are those of solving
+    them one after the other: the value files are published only once both
+    schemes have succeeded, and when either fails, no value file is written
+    and the min-max error comes first."""
     out = config.output
     # fork, not spawn: the child starts from this process's modules as they
     # are, without a fresh import, and its target is not pickled
@@ -160,8 +178,9 @@ def _solve_both(config: RunConfig, grid: Grid) -> int:
     mask = grid.inner_mask()
     # max over the pairs of |minmax - maxmin| per (t, inner x); its max is sup_gap
     diff = np.max(np.abs(fa.values - fb.values), axis=0)[:, mask]
-    for name, fld, report in (("minmax", fa, report_a), ("maxmin", fb, report_b)):
-        _write_field(out, name, fld)
+    _publish(out, "minmax", fa)
+    _publish(out, "maxmin", fb)
+    for name, report in (("minmax", report_a), ("maxmin", report_b)):
         report.final_gap = float(np.max(diff))
         _write_json(os.path.join(out, f"solve_report_{name}.json"), report.to_dict())
     x_texts = [repr(x) for x in grid.xs[mask].tolist()]

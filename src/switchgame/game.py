@@ -287,7 +287,13 @@ def _switch_costs(realized: RealizedStrategy, spec: ProblemSpec,
     table = spec.costs.costs1 if realized.player == 1 else spec.costs.costs2
     track, labels, n_paths = realized.track, realized.labels, bundle.n_paths
     # a change between rows k and k + 1 is a declaration at step k
-    step, path = np.divmod(np.flatnonzero(track[1:] != track[:-1]), n_paths)
+    if track.strides[1] == 0:
+        # one column broadcast over the paths: its steps, on every path, in
+        # the row-major order of the general case
+        steps = np.flatnonzero(track[1:, 0] != track[:-1, 0])
+        step, path = np.repeat(steps, n_paths), np.tile(np.arange(n_paths), len(steps))
+    else:
+        step, path = np.divmod(np.flatnonzero(track[1:] != track[:-1]), n_paths)
     n = len(labels)
     codes = track[step, path].astype(np.intp) * n + track[step + 1, path]
     t_at, x_at = bundle.times[step], bundle.states[path, step]

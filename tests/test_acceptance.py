@@ -77,6 +77,16 @@ def test_e1_equality_of_the_two_schemes(e1):
           f"{[round(g, 6) for g in gaps]} (final <= 1e-2), {elapsed:.1f}s")
 
 
+def test_e1_gap_falls_as_one_over_the_penalty(e1):
+    # E1's ladder multiplies the penalty by 4 each level; a gap of order 1/m
+    # falls by about 4 between the last two levels
+    _, _, _, rmin, _, rmax, _ = e1
+    gaps = [sup_gap(a, b) for a, b in zip(rmin.sweep_fields, rmax.sweep_fields)]
+    ratio = gaps[-2] / gaps[-1]
+    assert 3.5 <= ratio <= 4.5
+    print(f"\n[PASS] E1 penalty rate: last sup_gap ratio {ratio:.4f} (target [3.5, 4.5])")
+
+
 def test_e2_sandwich_ordering(e1):
     _, _, _, rmin, _, rmax, _ = e1
     tol = 1e-8

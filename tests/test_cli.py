@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from switchgame.cli import _write_payoffs, main
 from switchgame.errors import ConvergenceError
 from switchgame.game import PayoffEstimate
+from switchgame.solver import ValueField
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -474,6 +475,98 @@ def test_solve_both_writes_the_bytes_of_two_separate_runs(tmp_path):
         assert reports[0].pop("final_gap") is not None
         assert reports[1].pop("final_gap") is None
         assert reports[0] == reports[1]
+
+
+_TO_CSV = ValueField.to_csv
+_E1_SOLVE_FILES = ["gap_minmax_maxmin.csv", "solve_report_maxmin.json", "solve_report_minmax.json",
+                   "value_maxmin.csv", "value_maxmin_meta.json", "value_minmax.csv",
+                   "value_minmax_meta.json"]
+
+
+def _stalled(name):
+    return _raise(ConvergenceError(f"{name} fixed point stalled", 0.25))
+
+
+@pytest.mark.parametrize("failing", ["minmax", "maxmin"])
+def test_solve_both_failure_after_the_other_value_file_is_written(tmp_path, monkeypatch, failing):
+    # each process writes its value file under a temporary name; the failing
+    # side fails only once the other side's file is on disk, and neither file
+    # is published nor left behind
+    child_wrote = multiprocessing.get_context("fork").Event()
+    parent = os.getpid()
+    written = []
+
+    def to_csv(fld, path):
+        _TO_CSV(fld, path)
+        written.append(os.path.basename(path))
+        if os.getpid() != parent:
+            child_wrote.set()
+
+    def minmax_after_the_child_wrote(spec, grid, schedule):
+        assert child_wrote.wait(timeout=120)
+        raise ConvergenceError("minmax fixed point stalled", 0.25)
+
+    monkeypatch.setattr(ValueField, "to_csv", to_csv)
+    monkeypatch.setattr(f"switchgame.cli.solve_{failing}",
+                        minmax_after_the_child_wrote if failing == "minmax" else _stalled(failing))
+    path, out = _small_e1(tmp_path)
+    assert main(["solve", str(path)]) == 1
+    if failing == "maxmin":
+        assert written == [".value_minmax.csv.part"]
+    assert child_wrote.is_set() == (failing == "minmax")
+    assert [p.name for p in out.iterdir()] == ["solve_error.json"]
+    assert multiprocessing.active_children() == []
+
+
+def test_solve_both_child_that_dies_while_writing_leaves_no_part_file(tmp_path, monkeypatch):
+    parent = os.getpid()
+
+    def to_csv(fld, path):
+        if os.getpid() == parent:
+            return _TO_CSV(fld, path)
+        with open(path, "w") as handle:
+            handle.write("i,j,t_index,x_index,t,x,value\r\n")
+            handle.flush()
+            os._exit(3)
+
+    monkeypatch.setattr(ValueField, "to_csv", to_csv)
+    path, out = _small_e1(tmp_path)
+    with pytest.raises(ChildProcessError, match="exited with code 3"):
+        main(["solve", str(path)])
+    assert list(out.iterdir()) == []
+    assert multiprocessing.active_children() == []
+
+
+def test_solve_both_writes_seven_files_that_a_failed_rerun_keeps(tmp_path, monkeypatch):
+    doc = _load("e1_equality_2x2.json")
+    doc["grid"] = {"nt": 41, "nx": 33}
+    path, out = _stage(tmp_path, doc)
+    assert main(["solve", str(path)]) == 0
+    earlier = _file_bytes(out)
+    assert list(earlier) == _E1_SOLVE_FILES
+    for failing in ("minmax", "maxmin"):
+        with monkeypatch.context() as patch:
+            patch.setattr(f"switchgame.cli.solve_{failing}", _stalled(failing))
+            assert main(["solve", str(path)]) == 1
+        files = _file_bytes(out)
+        assert json.loads(files.pop("solve_error.json"))["error"].startswith(failing)
+        assert files == earlier
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("system", ["minmax", "maxmin"])
+def test_solve_one_scheme_whose_csv_write_fails_leaves_no_value_file(tmp_path, monkeypatch,
+                                                                      system):
+    def to_csv(fld, path):
+        with open(path, "w") as handle:
+            handle.write("i,j,t_index,x_index,t,x,value\r\n")
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(ValueField, "to_csv", to_csv)
+    path, out = _small_e1(tmp_path)
+    with pytest.raises(OSError, match="No space left on device"):
+        main(["solve", str(path), "--system", system])
+    assert list(out.iterdir()) == []
 
 
 def test_oracle_command_and_solver_deltas(tmp_path):

@@ -575,6 +575,26 @@ def test_switch_costs_match_the_record_loop_bit_for_bit(player, schedule):
     assert counts.tolist() == [len(dict(schedule))] * bundle.n_paths
 
 
+@pytest.mark.filterwarnings("ignore:multiple switches declared at one step")
+def test_switch_costs_read_a_broadcast_track_as_its_contiguous_copy():
+    # an explicit schedule's track is one column broadcast over the paths,
+    # and its declarations are read off that column
+    modes = (1, 3, 2)
+    costs = {(a, b): f"{a}*0.05 + {b}*0.02 + 0.1*{a}*x^2 + 0.03*{b}*t"
+             for a in modes for b in modes if a != b}
+    spec = build_spec(modes1=modes, costs1=costs, costs2={(1, 2): "0.1", (2, 1): "0.1"},
+                      volatility="0.5", domain=(-3.0, 3.0))
+    bundle = simulate_paths(spec, SimParams(n_paths=40, n_steps=10, seed=13))
+    schedule = ((0, 3), (4, 2), (4, 1), (9, 3), (10, 2))
+    realized = SwitchingStrategy(player=1, start_mode=1, schedule=schedule).realize(spec, bundle)
+    assert realized.track.strides[1] == 0
+    copy = RealizedStrategy(realized.player, realized.labels, np.ascontiguousarray(realized.track))
+    for broadcast, contiguous in zip(game._switch_costs(realized, spec, bundle),
+                                     game._switch_costs(copy, spec, bundle)):
+        assert broadcast.dtype == contiguous.dtype
+        assert broadcast.tobytes() == contiguous.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Roster payoffs (payoff_estimates)
 # ---------------------------------------------------------------------------
