@@ -527,10 +527,11 @@ def _require_frozen(spec: ProblemSpec, x: float):
 def deterministic_dp_oracle(spec: ProblemSpec, nt: int, x: float) -> dict:
     """Exact backward induction on the time grid with the state frozen at x.
 
-    Both clamp orders are reported: the "minmax" variant applies the floor
-    first then the ceiling, the "maxmin" variant the reverse, each iterated
-    within the step to a fixed point because the obstacles reference the
-    values being computed.
+    Both clamp orders are reported: the "minmax" variant applies the
+    ceiling first then the floor, max(min(v, ceiling), floor) as
+    solve_clamped(order="minmax") does, the "maxmin" variant the reverse,
+    each iterated within the step to a fixed point because the obstacles
+    reference the values being computed.
     """
     _require_frozen(spec, x)
     if nt > ORACLE_MAX_NT:
@@ -545,7 +546,9 @@ def deterministic_dp_oracle(spec: ProblemSpec, nt: int, x: float) -> dict:
 
 
 def _oracle_tables(spec: ProblemSpec, nt: int, x: float, variant: str) -> np.ndarray:
-    """Values per level and mode position, shape (nt, n1, n2), terminal last."""
+    """Values per level and mode position, shape (nt, n1, n2), terminal last;
+    the "minmax" variant clamps the floor last, the "maxmin" variant the
+    ceiling."""
     times = np.linspace(0.0, spec.horizon, nt)
     modes1, modes2 = spec.modes.modes1, spec.modes.modes2
     levels = np.empty((nt, len(modes1), len(modes2)))
@@ -556,7 +559,7 @@ def _oracle_tables(spec: ProblemSpec, nt: int, x: float, variant: str) -> np.nda
         cont = np.array([[_continuation(levels, spec, times, k, a, b, x)
                           for b in range(len(modes2))] for a in range(len(modes1))])
         levels[k] = clamp_sweep(cont, *cost_arrays(spec, EvalContext(float(times[k]), x)),
-                                floor_last=variant == "maxmin")
+                                floor_last=variant == "minmax")
     return levels
 
 

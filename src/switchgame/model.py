@@ -400,11 +400,12 @@ SWEEP_CAP = 64  # Gauss-Seidel sweeps clamp_sweep may make before it gives up
 def cost_array(table: Mapping[tuple[int, int], ExpressionTree], modes: tuple[int, ...],
                ctx: EvalContext) -> np.ndarray:
     """Switching costs at ctx as an array: out[a, b] = table[modes[a], modes[b]],
-    broadcast to the shape of ctx.x.  The diagonal is +inf and never evaluated
-    (staying put is not a switch), so the own mode drops out of both
-    obstacles and a single-mode player gets the obstacle -inf or +inf."""
+    broadcast to the broadcast shape of ctx.t and ctx.x.  The diagonal is
+    +inf and never evaluated (staying put is not a switch), so the own mode
+    drops out of both obstacles and a single-mode player gets the obstacle
+    -inf or +inf."""
     n = len(modes)
-    out = np.full((n, n) + np.shape(ctx.x), math.inf)
+    out = np.full((n, n) + np.broadcast_shapes(np.shape(ctx.t), np.shape(ctx.x)), math.inf)
     for a, i in enumerate(modes):
         for b, k in enumerate(modes):
             if a != b:

@@ -1,9 +1,9 @@
 """Backward finite-difference solvers for the coupled obstacle systems.
 
 Two penalized schemes are provided.  The descending scheme (solve_minmax)
-keeps the switching floor of player 1 as a hard constraint, enforced by
-projected Gauss-Seidel after each implicit step, and relaxes the player-2
-ceiling through a reaction term
+keeps the switching floor of player 1 as a hard constraint, enforced row by
+row inside each implicit step and by a clamp sweep at the end of each time
+level, and relaxes the player-2 ceiling through a reaction term
 
     - m * sum_{l != j} (v^{ij} - v^{il} - costs2_{jl})^+
 
@@ -15,6 +15,13 @@ scheme (solve_maxmin) mirrors this: hard ceiling, penalized floor
 and fields increase in n.  Between them the discrete fields are sandwiched,
 and as the penalty grows both converge to the same double-obstacle
 solution; sup_gap measures their residual distance.
+
+The two schemes are mirror images (swap the players and negate the
+rewards), so they share one level kernel: a scheme is its hard obstacle,
+its penalized obstacle and the comparison and reduction of its side,
+chosen once per pass (_solve_penalized).  The level data they read,
+drivers and switching costs, is indexed (mode, mode, t, x) like the values
+and evaluated once over the whole (t, x) lattice (_LevelCache).
 
 Within one time level the per-pair implicit steps are iterated to a joint
 fixed point in lexicographic Gauss-Seidel order.  The reaction term is
@@ -36,7 +43,7 @@ import numpy as np
 
 from .errors import ConvergenceError, PreconditionError, SwitchgameError
 from .expressions import EvalContext, evaluate
-from .grid import (Grid, GeneratorStencil, discretize_generator, solve_banded,  # noqa: F401
+from .grid import (Grid, discretize_generator, solve_banded,  # noqa: F401
                    solve_implicit, solve_tridiagonal)
 from .model import ProblemSpec, ceiling, check_separation, clamp_sweep, cost_arrays, floor
 
@@ -166,40 +173,33 @@ class SolveReport:
 # ---------------------------------------------------------------------------
 
 
+def _lattice(grid: Grid) -> EvalContext:
+    """Every (t, x) node of the grid, t down the rows and x along them."""
+    return EvalContext(grid.times[:, np.newaxis], grid.xs)
+
+
 class _LevelCache:
-    """Coefficient arrays and stencils evaluated once per time level."""
+    """The level data of one (spec, grid), shared by the solvers.
+
+    The drivers f and both players' cost arrays g1, g2 are indexed
+    (mode, mode, t, x) like the values, each expression evaluated once over
+    the whole lattice; terminal is indexed (i, j, x), and stencils holds the
+    generator stencil of each time level.
+    """
 
     def __init__(self, spec: ProblemSpec, grid: Grid):
-        self.spec = spec
         self.grid = grid
         self.modes1 = spec.modes.modes1
         self.modes2 = spec.modes.modes2
-        n1, n2, nx = len(self.modes1), len(self.modes2), grid.nx
-        self.f = np.empty((grid.nt, n1, n2, nx))
-        self.stencils: list[GeneratorStencil] = []
-        xs = grid.xs
-        for k, t in enumerate(grid.times):
-            ctx = EvalContext(t, xs)
-            for a, i in enumerate(self.modes1):
-                for b, j in enumerate(self.modes2):
-                    self.f[k, a, b, :] = evaluate(spec.drivers.f[(i, j)], ctx)
-            self.stencils.append(discretize_generator(spec, grid, t))
-        self.g1, self.g2 = _grid_costs(spec, grid)  # (nt, n, n, nx) switch costs
-        self.terminal = np.empty((n1, n2, nx))
-        for a, i in enumerate(self.modes1):
-            for b, j in enumerate(self.modes2):
-                self.terminal[a, b, :] = evaluate(
-                    spec.terminals.h[(i, j)], EvalContext(spec.horizon, xs)
-                )
-
-
-def _grid_costs(spec: ProblemSpec, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Both players' cost_arrays at every grid time, time first."""
-    n1, n2 = len(spec.modes.modes1), len(spec.modes.modes2)
-    g1, g2 = np.empty((grid.nt, n1, n1, grid.nx)), np.empty((grid.nt, n2, n2, grid.nx))
-    for k, t in enumerate(grid.times):
-        g1[k], g2[k] = cost_arrays(spec, EvalContext(t, grid.xs))
-    return g1, g2
+        n1, n2 = len(self.modes1), len(self.modes2)
+        lattice = _lattice(grid)
+        self.f = np.empty((n1, n2, grid.nt, grid.nx))
+        self.terminal = np.empty((n1, n2, grid.nx))
+        for (a, b), pair in zip(np.ndindex(n1, n2), spec.modes.pairs):
+            self.f[a, b] = evaluate(spec.drivers.f[pair], lattice)
+            self.terminal[a, b] = evaluate(spec.terminals.h[pair], EvalContext(spec.horizon, grid.xs))
+        self.g1, self.g2 = cost_arrays(spec, lattice)
+        self.stencils = [discretize_generator(spec, grid, t) for t in grid.times]
 
 
 # ---------------------------------------------------------------------------
@@ -224,20 +224,21 @@ def _next_policy(policy, proposed, lhs, rhs, tie):
     return policy if np.array_equal(proposed, policy) else proposed
 
 
-def _solve_reaction_rows(bands, dt, rhs, thresholds, weight, side, contact, bound, w, tie):
+def _solve_reaction_rows(bands, dt, rhs, thresholds, weight, beyond, contact, bound, w, tie):
     """Newton iteration on the penalty active sets with a frozen contact set.
 
     Contact rows are identity rows pinned to the obstacle; the remaining
     rows carry (I - dt L) w + reaction = rhs, with I - dt L the level's
     ``bands``, and the piecewise-linear reaction linearized on its current
-    active set.  The reaction is convex (side "above") or concave (side
-    "below") in w, so the active-set iteration is monotone and settles in a
-    few tridiagonal solves, rows within ``tie`` of a threshold keeping
-    their side (_next_policy).  Raises ConvergenceError when
-    _ACTIVE_SET_CAP solves leave the active set unsettled.
+    active set, the rows where ``beyond(w, c)``.  The reaction is convex
+    (beyond np.greater) or concave (np.less) in w, so the active-set
+    iteration is monotone and settles in a few tridiagonal solves, rows
+    within ``tie`` of a threshold keeping their side (_next_policy).
+    Raises ConvergenceError when _ACTIVE_SET_CAP solves leave the active set
+    unsettled.
     """
     nx = rhs.shape[0]
-    active = [w > c for c in thresholds] if side == "above" else [w < c for c in thresholds]
+    active = [beyond(w, c) for c in thresholds]
     for _ in range(_ACTIVE_SET_CAP):
         diag = np.zeros(nx)
         extra = np.zeros(nx)
@@ -253,8 +254,7 @@ def _solve_reaction_rows(bands, dt, rhs, thresholds, weight, side, contact, boun
             ab[2, :-1][contact[1:]] = 0.0
             b = np.where(contact, bound, b)
         prev, w = w, solve_tridiagonal(ab, b)
-        proposed = [_next_policy(a, w > c if side == "above" else w < c, w, c, tie)
-                    for a, c in zip(active, thresholds)]
+        proposed = [_next_policy(a, beyond(w, c), w, c, tie) for a, c in zip(active, thresholds)]
         if all(p is a for p, a in zip(proposed, active)):
             return w
         active = proposed
@@ -265,36 +265,34 @@ def _solve_reaction_rows(bands, dt, rhs, thresholds, weight, side, contact, boun
 def _pair_step(stencil, bands, dt, rhs, thresholds, weight, bound, side, w, tie):
     """Solve one pair's implicit step with its reaction term and hard obstacle.
 
-    side == "above" (descending scheme):
-        min( w - bound,  (I - dt L) w + dt*weight * sum_c (w - c)^+ - rhs ) = 0
-    side == "below" (ascending scheme):
-        max( w - bound,  (I - dt L) w - dt*weight * sum_d (d - w)^+ - rhs ) = 0
+    side is (np.greater, np.maximum) in the descending scheme:
+        min( w - bound,  (I - dt L) w + dt*weight * sum_c max(w - c, 0) - rhs ) = 0
+    and (np.less, np.minimum) in the ascending one:
+        max( w - bound,  (I - dt L) w + dt*weight * sum_d min(w - d, 0) - rhs ) = 0
 
     with bound the floor (resp. ceiling) built from the current iterate of
     the other mode pairs; it is -inf (resp. +inf) for a single-mode player,
-    which leaves the contact set empty.  The obstacle is enforced
-    row-by-row through a policy iteration on the contact set (each trial
-    policy solved exactly by _solve_reaction_rows); enforcing it inside the
-    rows rather than projecting afterwards is what makes the
+    which leaves the contact set empty.  min(w - d, 0) is -max(d - w, 0)
+    exactly, so the one kernel serves both schemes.  The obstacle is
+    enforced row-by-row through a policy iteration on the contact set (each
+    trial policy solved exactly by _solve_reaction_rows); enforcing it
+    inside the rows rather than projecting afterwards is what makes the
     discrete comparison between the two schemes exact.  A row where
     w - bound and the residual tie within ``tie`` keeps its policy
     (_next_policy).  Raises ConvergenceError when _ACTIVE_SET_CAP policies
     leave the contact set unsettled.
     """
-    contact = w < bound if side == "above" else w > bound
+    beyond, clip = side
+    contact = beyond(bound, w)
     for _ in range(_ACTIVE_SET_CAP):
         prev = w
-        w = _solve_reaction_rows(bands, dt, rhs, thresholds, weight, side, contact, bound, w, tie)
+        w = _solve_reaction_rows(bands, dt, rhs, thresholds, weight, beyond, contact, bound, w, tie)
         reaction = np.zeros_like(rhs)
         for c in thresholds:
-            if side == "above":
-                reaction += dt * weight * np.maximum(w - c, 0.0)
-            else:
-                reaction -= dt * weight * np.maximum(c - w, 0.0)
+            reaction += dt * weight * clip(w - c, 0.0)
         resid = w - dt * stencil.apply(w) + reaction - rhs
         gap = w - bound
-        proposed = _next_policy(contact, gap < resid if side == "above" else gap > resid,
-                                gap, resid, tie)
+        proposed = _next_policy(contact, beyond(resid, gap), gap, resid, tie)
         if proposed is contact:
             return w
         contact = proposed
@@ -317,6 +315,9 @@ def _solve_penalized(cache: _LevelCache, penalty: float, direction: str,
                      schedule: PenaltySchedule, warm: np.ndarray | None):
     """One full backward pass at a fixed penalty level.
 
+    The scheme's hard obstacle, its penalized obstacle, the mode axis of the
+    penalized player, the kernel's side and the end-of-level clamp are
+    chosen once, here; the level loop is the same for both schemes.
     Returns (values, iteration_count): values has shape (n1, n2, nt, nx).
     """
     grid = cache.grid
@@ -324,6 +325,12 @@ def _solve_penalized(cache: _LevelCache, penalty: float, direction: str,
     n2 = len(cache.modes2)
     nt, nx = grid.nt, grid.nx
     dt = grid.dt
+    if direction == "minmax":
+        hard, hard_costs, soft, soft_costs, own_axis = floor, cache.g1, ceiling, cache.g2, 1
+        side, clamp_key = (np.greater, np.maximum), "costs1"
+    else:
+        hard, hard_costs, soft, soft_costs, own_axis = ceiling, cache.g2, floor, cache.g1, 0
+        side, clamp_key = (np.less, np.minimum), "costs2"
 
     v = np.empty((n1, n2, nt, nx))
     v[:, :, nt - 1, :] = cache.terminal
@@ -332,11 +339,9 @@ def _solve_penalized(cache: _LevelCache, penalty: float, direction: str,
     for k in range(nt - 2, -1, -1):
         stencil = cache.stencils[k]
         bands = stencil.implicit_bands(dt)
-        f_k = cache.f[k]
-        g1_k = cache.g1[k]
-        g2_k = cache.g2[k]
+        hard_k, soft_k = hard_costs[:, :, k], soft_costs[:, :, k]
         vnext = v[:, :, k + 1, :]
-        rhs_k = _level_rhs(vnext, dt, f_k, k)
+        rhs_k = _level_rhs(vnext, dt, cache.f[:, :, k], k)
         cur = (warm[:, :, k, :] if warm is not None else vnext).copy()
         tie = TIE_TOL * (1.0 + float(np.max(np.abs(cur))))
 
@@ -345,16 +350,11 @@ def _solve_penalized(cache: _LevelCache, penalty: float, direction: str,
             total_iters += 1
             residual = 0.0
             for a, b in np.ndindex(n1, n2):
-                if direction == "minmax":
-                    bound, side = floor(cur, g1_k, (a, b)), "above"
-                    soft, own, costs = ceiling, b, g2_k
-                else:
-                    bound, side = ceiling(cur, g2_k, (a, b)), "below"
-                    soft, own, costs = floor, a, g1_k
+                bound = hard(cur, hard_k, (a, b))
                 # the penalized obstacle's candidates, own mode left out; none
                 # at all for a single-mode player
-                cands = soft(cur, costs, (a, b), each=True)
-                thresholds = [c for m, c in enumerate(cands) if m != own]
+                cands = soft(cur, soft_k, (a, b), each=True)
+                thresholds = [c for m, c in enumerate(cands) if m != (a, b)[own_axis]]
                 try:
                     w = _pair_step(stencil, bands, dt, rhs_k[a, b], thresholds, penalty, bound,
                                    side, cur[a, b], tie)
@@ -372,12 +372,7 @@ def _solve_penalized(cache: _LevelCache, penalty: float, direction: str,
                 f"{direction} fixed point stalled at penalty {penalty:g}, time level {k}",
                 residual=residual
             )
-
-        if direction == "minmax":
-            cur = clamp_sweep(cur, costs1=g1_k)
-        else:
-            cur = clamp_sweep(cur, costs2=g2_k)
-        v[:, :, k, :] = cur
+        v[:, :, k, :] = clamp_sweep(cur, **{clamp_key: hard_k})
 
     return v, total_iters
 
@@ -389,13 +384,12 @@ def _excess_by_pair(values, cache: _LevelCache, penalty: float, direction: str) 
     descending, (v^{kj} - costs1_{ik} - v^{ij})^+ ascending; the own mode's
     is 0 through the infinite diagonal cost.
     """
-    g1, g2 = np.moveaxis(cache.g1, 0, 2), np.moveaxis(cache.g2, 0, 2)  # (n, n, nt, nx)
     out = {}
     for a, b in np.ndindex(values.shape[:2]):
         if direction == "minmax":
-            excess = values[a, b] - values[a] - g2[b]
+            excess = values[a, b] - values[a] - cache.g2[b]
         else:
-            excess = floor(values, g1, (a, b), each=True) - values[a, b]
+            excess = floor(values, cache.g1, (a, b), each=True) - values[a, b]
         total = np.maximum(excess, 0.0).sum(axis=0)
         out[f"{cache.modes1[a]},{cache.modes2[b]}"] = max(0.0, penalty * float(np.max(total)))
     return out
@@ -404,30 +398,22 @@ def _excess_by_pair(values, cache: _LevelCache, penalty: float, direction: str) 
 def _sweep(spec: ProblemSpec, grid: Grid, schedule: PenaltySchedule, direction: str):
     cache = _LevelCache(spec, grid)
     report = SolveReport(system=direction)
-    prev = None
-    prev_field = None
-    labels = spec.modes.pairs
+    values = None
     for m in schedule.levels:
+        prev = values
         values, iters = _solve_penalized(cache, m, direction, schedule, warm=prev)
-        field_values = values.reshape(len(labels), grid.nt, grid.nx)
-        fld = ValueField(system=direction, mode_labels=labels, values=field_values,
-                         grid=grid, penalty=m)
         report.penalty_levels.append(m)
         report.iterations.append(iters)
         report.penalty_excess.append(_excess_by_pair(values, cache, m, direction))
-        if prev_field is not None:
-            delta = float(np.max(np.abs(field_values - prev_field.values)))
-            report.sup_deltas.append(delta)
+        if prev is not None:
+            report.sup_deltas.append(float(np.max(np.abs(values - prev))))
             # descending scheme must not increase, ascending must not decrease
-            if direction == "minmax":
-                viol = float(np.max(field_values - prev_field.values))
-            else:
-                viol = float(np.max(prev_field.values - field_values))
-            report.monotonicity_violation = max(report.monotonicity_violation, viol)
-        report.sweep_fields.append(fld)
-        prev = values
-        prev_field = fld
-    return prev_field, report
+            rise = float(np.max(values - prev if direction == "minmax" else prev - values))
+            report.monotonicity_violation = max(report.monotonicity_violation, rise)
+        report.sweep_fields.append(ValueField(system=direction, mode_labels=spec.modes.pairs,
+                                              values=values.reshape(-1, grid.nt, grid.nx),
+                                              grid=grid, penalty=m))
+    return report.sweep_fields[-1], report
 
 
 def solve_minmax(spec: ProblemSpec, grid: Grid, schedule: PenaltySchedule):
@@ -449,22 +435,23 @@ def _clamp_pass(cache: _LevelCache, f: np.ndarray, terminal: np.ndarray,
                 costs1: np.ndarray | None = None, costs2: np.ndarray | None = None,
                 floor_last: bool = False) -> np.ndarray:
     """Backward pass over values indexed (i, j, t, x): per pair one plain
-    implicit step from the next level with source f[k, i, j], then
-    clamp_sweep with the level's costs1[k] and costs2[k] (either may be None,
-    leaving that obstacle out).  f is indexed (t, i, j, x) and terminal
-    (i, j, x), like the cache's own arrays, of which they may be slices.
+    implicit step from the next level with source f[i, j, k], then
+    clamp_sweep with the level's costs1[:, :, k] and costs2[:, :, k] (either
+    may be None, leaving that obstacle out).  f and the costs are indexed
+    (mode, mode, t, x) and terminal (i, j, x), like the cache's own arrays,
+    of which they may be slices.
     """
     n1, n2, nx = terminal.shape
     nt, dt = cache.grid.nt, cache.grid.dt
     v = np.empty((n1, n2, nt, nx))
     v[:, :, nt - 1, :] = terminal
     for k in range(nt - 2, -1, -1):
-        rhs = _level_rhs(v[:, :, k + 1], dt, f[k], k)
+        rhs = _level_rhs(v[:, :, k + 1], dt, f[:, :, k], k)
         stepped = np.empty((n1, n2, nx))
         for a, b in np.ndindex(n1, n2):
             stepped[a, b] = solve_implicit(cache.stencils[k], dt, rhs[a, b])
-        v[:, :, k, :] = clamp_sweep(stepped, None if costs1 is None else costs1[k],
-                                    None if costs2 is None else costs2[k], floor_last)
+        v[:, :, k, :] = clamp_sweep(stepped, None if costs1 is None else costs1[:, :, k],
+                                    None if costs2 is None else costs2[:, :, k], floor_last)
     return v
 
 
@@ -513,8 +500,8 @@ def solve_single_obstacle(spec: ProblemSpec, grid: Grid) -> tuple[ValueField, Va
             witness=report.checks["separation"].witnesses[:1],
         )
     cache = _LevelCache(spec, grid)
-    v1 = _clamp_pass(cache, cache.f[:, :, :1], cache.terminal[:, :1], costs1=cache.g1)
-    v2 = _clamp_pass(cache, cache.f[:, :1] - cache.f[:, :1, :1],
+    v1 = _clamp_pass(cache, cache.f[:, :1], cache.terminal[:, :1], costs1=cache.g1)
+    v2 = _clamp_pass(cache, cache.f[:1] - cache.f[:1, :1],
                      cache.terminal[:1] - cache.terminal[:1, :1], costs2=cache.g2)
     return tuple(ValueField(system=system, mode_labels=tuple(modes),
                             values=v.reshape(-1, grid.nt, grid.nx), grid=grid)
@@ -551,7 +538,7 @@ def barrier_respect_check(field: ValueField, spec: ProblemSpec, grid: Grid,
     """Check floor - tol <= v <= ceiling + tol at every inner node and pair."""
     modes1, modes2 = spec.modes.modes1, spec.modes.modes2
     values = field.values.reshape(len(modes1), len(modes2), grid.nt, grid.nx)
-    g1, g2 = (np.moveaxis(g, 0, 2) for g in _grid_costs(spec, grid))  # (n, n, nt, nx)
+    g1, g2 = cost_arrays(spec, _lattice(grid))
     mask = grid.inner_mask()
     worst_by_side, witnesses = {}, []
     for side, excess in (("floor", floor(values, g1) - values),

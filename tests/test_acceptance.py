@@ -87,6 +87,22 @@ def test_e1_gap_falls_as_one_over_the_penalty(e1):
     print(f"\n[PASS] E1 penalty rate: last sup_gap ratio {ratio:.4f} (target [3.5, 4.5])")
 
 
+def test_e1_grid_order_of_the_value_at_the_origin(e1):
+    # dt and dx halve together along 76x61, 151x121 (the shipped grid) and
+    # 301x241; implicit Euler is first order in dt, so the differences of
+    # v^{11}(0, 0) between successive grids halve
+    cfg, grid, fmin, *_ = e1
+    assert (grid.nt, grid.nx) == (151, 121)
+    fields = [solve_minmax(cfg.spec, build_grid(cfg.spec, 76, 61), cfg.schedule)[0], fmin,
+              solve_minmax(cfg.spec, build_grid(cfg.spec, 301, 241), cfg.schedule)[0]]
+    values = [f.values[f.index_of((1, 1)), 0, np.argmin(np.abs(f.grid.xs))] for f in fields]
+    coarse, fine = abs(values[1] - values[0]), abs(values[2] - values[1])
+    order = float(np.log2(coarse / fine))
+    assert 0.8 <= order <= 1.2
+    print(f"\n[PASS] E1 grid order of v11(0, 0): {order:.4f} from differences "
+          f"{coarse:.3e}, {fine:.3e} (target [0.8, 1.2])")
+
+
 def test_e2_sandwich_ordering(e1):
     _, _, _, rmin, _, rmax, _ = e1
     tol = 1e-8

@@ -655,6 +655,34 @@ def test_e1_solve_output_digests(tmp_path):
     }
 
 
+@pytest.mark.parametrize("name,digests", [
+    ("e0_heat.json", {
+        "gap_minmax_maxmin.csv": "dedd83e3a2dfd25cd5952eff8ca6ecfe5f8ad8b0bd9ed3617c606a258dac3f9c",
+        "solve_report_maxmin.json": "8fa3daef76c4971b33b08d8723b119c05a65f2feb8f8bdcdf1122bb4d7dfccd7",
+        "solve_report_minmax.json": "8e240e94672422182501564b1662ddbbd3f49c17ee827be1f35cdda470b06897",
+        "value_maxmin.csv": "2a7fe624211d0ddbdabf1c83624d3beb2c48d9f8ba83454f637161030ec9005b",
+        "value_maxmin_meta.json": "6a9c1f4593e46960da93c4c04abcd2e9cf74f89cd97f972ca89d6b0191c77e40",
+        "value_minmax.csv": "2a7fe624211d0ddbdabf1c83624d3beb2c48d9f8ba83454f637161030ec9005b",
+        "value_minmax_meta.json": "67c58ebf00cfe0cbf87234c521b388b887708d5351e2ea62e5b7fe93b7cf1a79",
+    }),
+    # E5's value files hold exact zeros, so a sign flip of a zero shows here
+    ("e5_oracle_2x2.json", {
+        "gap_minmax_maxmin.csv": "78d002a174e3d11ceaafe2b5e5957fa4594699596add5ac0917311ab1c3fc976",
+        "solve_report_maxmin.json": "53e06ac49af7ad5629db3bb68c795dce81f55fb2055dcec0eea6ea84c74d76c0",
+        "solve_report_minmax.json": "b4ad0b8b9daa105906610af0fcc288ec7cb0ddec5659035ba108eef57599372c",
+        "value_maxmin.csv": "bbb684decab65e34836da12bec99ad7c00831d6f64e27e64fd7bc40cb3bba924",
+        "value_maxmin_meta.json": "dd4f3457fb282c1392f60f792350d191a92d23b7cfe434aefd6be2a2ad23981a",
+        "value_minmax.csv": "fdb7db587ec29900d877c57ca09788983608f71ff38cfaff31b7e7c055e622fb",
+        "value_minmax_meta.json": "436258930ebb1a395d3bbe4d209e947a477f9f1c17f30c76203bbd525bc5fdeb",
+    }),
+], ids=["e0", "e5"])
+def test_shipped_solve_output_digests(tmp_path, name, digests):
+    # both schemes of the shipped E0 and E5 solves at their own grids
+    path, out = _stage(tmp_path, _load(name))
+    assert main(["solve", str(path), "--system", "both"]) == 0
+    assert {p.name: _sha256(p) for p in out.iterdir()} == digests
+
+
 _CSV_FLOATS = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e16, -1e16, 1e-5, 0.1, 1 / 3, 1e300]),
     st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),

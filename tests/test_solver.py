@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from switchgame.config import load_config
 from switchgame.errors import ConvergenceError, PreconditionError
-from switchgame.expressions import EvalContext, evaluate
+from switchgame.expressions import EvalContext, Neg, evaluate
 from switchgame import model, solver
 from switchgame.game import deterministic_dp_oracle
 from switchgame.grid import Grid, build_grid
@@ -101,13 +102,19 @@ def test_frozen_state_solvers_match_oracle():
 
 
 def test_clamped_cross_check_scheme():
-    spec = frozen_diag_spec()
-    grid = build_grid(spec, 11, 5)
-    oracle = deterministic_dp_oracle(spec, 11, 0.0)
-    for order in ("minmax", "maxmin"):
-        clamped = solve_clamped(spec, grid, order=order)
-        for idx, pair in enumerate(clamped.mode_labels):
-            assert clamped.values[idx, 0, 2] == pytest.approx(oracle[order][pair], abs=1e-9)
+    # frozen dynamics make the implicit step the identity, so each clamp
+    # order must reproduce the oracle's variant of the same name bit for bit;
+    # on the second spec the two orders differ at rounding level (1.1e-16)
+    costs1, costs2 = uniform_costs((1, 2), (1, 2), 0.116, 0.177)
+    orders_differ = build_spec(costs1=costs1, costs2=costs2, drivers={
+        (1, 1): 0.974, (1, 2): 0.565, (2, 1): -0.322, (2, 2): -0.574})
+    for spec in (frozen_diag_spec(), orders_differ):
+        grid = build_grid(spec, 11, 5)
+        oracle = deterministic_dp_oracle(spec, 11, 0.0)
+        for order in ("minmax", "maxmin"):
+            clamped = solve_clamped(spec, grid, order=order)
+            for idx, pair in enumerate(clamped.mode_labels):
+                assert clamped.values[idx, 0, 2] == oracle[order][pair]
 
 
 @pytest.mark.parametrize("solve", [
@@ -366,6 +373,31 @@ def test_generated_specs_converge_with_a_monotone_sweep(spec, nt, nx):
     for solve in (solve_minmax, solve_maxmin):
         _, report = solve(spec, grid, SCHED)
         assert report.monotonicity_violation <= SCHED.fixed_point_tol
+
+
+def _mirror(spec):
+    """The same game with the players swapped and the rewards negated."""
+    def flip(table):
+        return {(j, i): Neg(expr) for (i, j), expr in table.items()}
+
+    return replace(spec, modes=model.ModeSets(spec.modes.modes2, spec.modes.modes1),
+                   costs=model.SwitchCostTable(spec.costs.costs2, spec.costs.costs1),
+                   drivers=model.DriverTable(flip(spec.drivers.f)),
+                   terminals=model.TerminalTable(flip(spec.terminals.h)))
+
+
+@given(spec=_generated_specs(), nt=st.integers(11, 25), nx=st.integers(11, 25))
+@settings(max_examples=10, deadline=None)
+def test_schemes_are_mirror_images(spec, nt, nx):
+    # the ascending scheme is the descending one of the mirrored game, negated
+    # with the pair axes swapped, and the other way round
+    grid = build_grid(spec, nt, nx)
+    mirror = _mirror(spec)
+    n1, n2 = len(spec.modes.modes1), len(spec.modes.modes2)
+    for solve, mirrored in ((solve_maxmin, solve_minmax), (solve_minmax, solve_maxmin)):
+        direct = solve(spec, grid, SCHED)[0].values.reshape(n1, n2, nt, nx)
+        flipped = mirrored(mirror, grid, SCHED)[0].values.reshape(n2, n1, nt, nx)
+        assert np.max(np.abs(direct + flipped.transpose(1, 0, 2, 3))) <= SCHED.fixed_point_tol
 
 
 # ---------------------------------------------------------------------------
