@@ -65,7 +65,9 @@ class GeneratorStencil:
     """Tridiagonal weights of the discrete generator at one time level.
 
     lower[0] and upper[-1] are structurally zero; center = -(lower + upper)
-    so constants lie in the kernel.
+    so constants lie in the kernel.  The weights may carry leading axes, one
+    stencil per row (several time levels at once), with space on the last
+    axis; every row is then handled as a stencil of its own.
     """
 
     lower: np.ndarray
@@ -74,17 +76,17 @@ class GeneratorStencil:
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         out = self.center * values
-        out[1:] += self.lower[1:] * values[:-1]
-        out[:-1] += self.upper[:-1] * values[1:]
+        out[..., 1:] += self.lower[..., 1:] * values[..., :-1]
+        out[..., :-1] += self.upper[..., :-1] * values[..., 1:]
         return out
 
     def implicit_bands(self, dt: float) -> np.ndarray:
         """I - dt L in solve_banded's (1, 1) layout: super-, main and
-        sub-diagonal rows, the unused corners zero."""
-        ab = np.zeros((3, self.center.shape[0]))
-        ab[0, 1:] = -dt * self.upper[:-1]
-        ab[1, :] = 1.0 - dt * self.center
-        ab[2, :-1] = -dt * self.lower[1:]
+        sub-diagonal rows on the first axis, the unused corners zero."""
+        ab = np.zeros((3,) + self.center.shape)
+        ab[0, ..., 1:] = -dt * self.upper[..., :-1]
+        ab[1] = 1.0 - dt * self.center
+        ab[2, ..., :-1] = -dt * self.lower[..., 1:]
         return ab
 
 
@@ -124,6 +126,12 @@ def solve_tridiagonal(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     if not (np.isfinite(ab).all() and np.isfinite(b).all()):
         raise ValueError("array must not contain infs or NaNs")
+    return solve_finite_tridiagonal(ab, b)
+
+
+def solve_finite_tridiagonal(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """solve_tridiagonal without its finiteness check, for inputs known to
+    be finite: the same x, and the same errors from gtsv."""
     *_, x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")

@@ -462,8 +462,11 @@ def clamp_sweep(base: np.ndarray, costs1: np.ndarray | None = None,
     The clamp lifts to the floor when costs1 is given and cuts at the
     ceiling when costs2 is given, both formed from the current iterate.
     With both, min(max(base, floor), ceiling) is taken, or
-    max(min(base, ceiling), floor) when floor_last.  Raises ConvergenceError
-    when SWEEP_CAP sweeps still change a value.
+    max(min(base, ceiling), floor) when floor_last.  Axes between the pair
+    axes and the last one hold independent rows (one per penalty level in
+    the solver): a sweep rewrites only the rows whose values it changes, so
+    each row ends as if swept alone.  Raises ConvergenceError when SWEEP_CAP
+    sweeps still change a value.
     """
     cur = base.copy()
     for _ in range(SWEEP_CAP):
@@ -475,9 +478,14 @@ def clamp_sweep(base: np.ndarray, costs1: np.ndarray | None = None,
                 new = np.maximum(np.minimum(base[p], hi), lo)
             else:
                 new = np.minimum(np.maximum(base[p], lo), hi)
-            if np.any(new != cur[p]):
+            moved = new != cur[p]
+            if np.any(moved):
                 residual = max(residual, float(np.max(np.abs(new - cur[p]))))
-                cur[p] = new
+                if moved.ndim > 1:  # rows: rewrite the ones that moved
+                    moved = moved.any(axis=-1)
+                    cur[p][moved] = new[moved]
+                else:
+                    cur[p] = new
                 changed = True
         if not changed:
             return cur

@@ -19,7 +19,7 @@ solution; sup_gap measures their residual distance.
 The two schemes are mirror images (swap the players and negate the
 rewards), so they share one level kernel: a scheme is its hard obstacle,
 its penalized obstacle and the comparison and reduction of its side,
-chosen once per pass (_solve_penalized).  The level data they read,
+chosen once per scheme (_solve_ladder).  The level data they read,
 drivers and switching costs, is indexed (mode, mode, t, x) like the values
 and evaluated once over the whole (t, x) lattice (_LevelCache).
 
@@ -29,6 +29,21 @@ handled semi-implicitly: the own component sits inside the tridiagonal
 solve via an active-set (semismooth Newton) iteration, which keeps the
 level update stable for arbitrarily large m * dt.
 
+Each penalty level of the schedule is one backward pass, warm-started
+from the pass before it, and a scheme's passes are solved as one backward
+wavefront (_solve_ladder).  Pass p at time level k reads only its own
+level k + 1 and, as its warm start, pass p - 1's level k, so it can start
+as soon as pass p - 1 is done with that level: at wavefront step s, every
+pass p with 0 <= s - p <= nt - 2 works on level nt - 2 - (s - p).  Those
+passes are the rows of one array that every numpy operation of the level
+kernel covers at once.  Each keeps its own lexicographic Gauss-Seidel
+order, policies, tie width, sweep count and caps, and a row that has
+settled takes no further update while the others run on; the tridiagonal
+solves stay one per row.  Fields, reports and errors are those of solving
+the passes one after the other: a pass that fails stops the passes after
+it, the passes before it run on, and the error raised is the first one in
+pass order.
+
 A third, direct clamping scheme ships as a cross-check only: one plain
 implicit step followed by clamping between the two obstacles in the order
 that matches the system being approximated.
@@ -36,15 +51,14 @@ that matches the system being approximated.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConvergenceError, PreconditionError, SwitchgameError
 from .expressions import EvalContext, evaluate
-from .grid import (Grid, discretize_generator, solve_banded,  # noqa: F401
-                   solve_implicit, solve_tridiagonal)
+from .grid import (GeneratorStencil, Grid, discretize_generator,  # noqa: F401
+                   solve_banded, solve_finite_tridiagonal, solve_implicit, solve_tridiagonal)
 from .model import ProblemSpec, ceiling, check_separation, clamp_sweep, cost_arrays, floor
 
 _ACTIVE_SET_CAP = 64
@@ -183,8 +197,8 @@ class _LevelCache:
 
     The drivers f and both players' cost arrays g1, g2 are indexed
     (mode, mode, t, x) like the values, each expression evaluated once over
-    the whole lattice; terminal is indexed (i, j, x), and stencils holds the
-    generator stencil of each time level.
+    the whole lattice; terminal is indexed (i, j, x), and the generator
+    weights lower, center and upper of every time level are stacked (t, x).
     """
 
     def __init__(self, spec: ProblemSpec, grid: Grid):
@@ -199,7 +213,15 @@ class _LevelCache:
             self.f[a, b] = evaluate(spec.drivers.f[pair], lattice)
             self.terminal[a, b] = evaluate(spec.terminals.h[pair], EvalContext(spec.horizon, grid.xs))
         self.g1, self.g2 = cost_arrays(spec, lattice)
-        self.stencils = [discretize_generator(spec, grid, t) for t in grid.times]
+        self.lower, self.center, self.upper = (np.empty((grid.nt, grid.nx)) for _ in range(3))
+        for k, t in enumerate(grid.times):
+            s = discretize_generator(spec, grid, t)
+            self.lower[k], self.center[k], self.upper[k] = s.lower, s.center, s.upper
+
+    def stencil(self, k) -> GeneratorStencil:
+        """The generator stencil of time level k, or of each level in the
+        list k, one row per level."""
+        return GeneratorStencil(self.lower[k], self.center[k], self.upper[k])
 
 
 # ---------------------------------------------------------------------------
@@ -208,96 +230,136 @@ class _LevelCache:
 
 
 def _next_policy(policy, proposed, lhs, rhs, tie):
-    """The boolean policy for the next solve of a policy iteration; the
-    ``policy`` object itself once it has settled.
+    """The boolean policies for the next solve of a policy iteration, one
+    row per pass, and the rows in which they differ from ``policy``.
 
     ``proposed`` is the policy that the decision margins lhs - rhs of the
-    last solve ask for.  A row whose margin lies within ``tie`` keeps its
+    last solve ask for.  A node whose margin lies within ``tie`` keeps its
     current policy: clamp_sweep leaves values exactly on their obstacles,
     so margins tie at rounding level, and a plain comparison can flip such
-    rows back and forth without end.  The tie test runs only when the plain
-    comparison asks for a change.
+    nodes back and forth without end.  The tie test runs only when the
+    plain comparison asks for a change in some row.
     """
-    if proposed.tobytes() == policy.tobytes():
-        return policy
+    if not (proposed != policy).any():
+        return policy, np.zeros(len(policy), dtype=bool)
     proposed = np.where(np.abs(lhs - rhs) <= tie, policy, proposed)
-    return policy if np.array_equal(proposed, policy) else proposed
+    return proposed, (proposed != policy).any(axis=-1)
 
 
-def _solve_reaction_rows(bands, dt, rhs, thresholds, weight, beyond, contact, bound, w, tie):
+def _solve_rows(ab, b, out, live, errors):
+    """out[r] = the solution of the tridiagonal system ab[:, r] x = b[r] for
+    each live row r, one gtsv call per row.  A row whose solve raises (a
+    non-finite entry, a singular matrix) leaves ``live``, its exception
+    put in ``errors``."""
+    # one finiteness check for every row; only when it fails is each row checked
+    finite = np.isfinite(ab).all() and np.isfinite(b).all()
+    solve = solve_finite_tridiagonal if finite else solve_tridiagonal
+    for r in np.flatnonzero(live):
+        try:
+            out[r] = solve(ab[:, r], b[r])
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            errors[r] = exc
+            live[r] = False
+
+
+def _solve_reaction_rows(bands, rhs, thresholds, scale, beyond, contact, bound, w, tie, live,
+                         errors):
     """Newton iteration on the penalty active sets with a frozen contact set.
 
-    Contact rows are identity rows pinned to the obstacle; the remaining
-    rows carry (I - dt L) w + reaction = rhs, with I - dt L the level's
-    ``bands``, and the piecewise-linear reaction linearized on its current
-    active set, the rows where ``beyond(w, c)``.  The reaction is convex
-    (beyond np.greater) or concave (np.less) in w, so the active-set
-    iteration is monotone and settles in a few tridiagonal solves, rows
-    within ``tie`` of a threshold keeping their side (_next_policy).
-    Raises ConvergenceError when _ACTIVE_SET_CAP solves leave the active set
-    unsettled.
+    Each row of the (rows, nx) arrays is one pass (penalty level m), scale
+    is dt * m at each node, and ``bands`` holds each row's I - dt L in
+    solve_banded's layout on its first axis; only the ``live`` rows are
+    solved.  Contact nodes are identity rows pinned to the obstacle; the
+    remaining nodes carry (I - dt L) w + reaction = rhs, with the
+    piecewise-linear reaction linearized on its current active set, the
+    nodes where ``beyond(w, c)``.  The reaction is convex (beyond
+    np.greater) or concave (np.less) in w, so the active-set iteration is
+    monotone and settles in a few tridiagonal solves, nodes within ``tie``
+    of a threshold keeping their side (_next_policy); a settled row is not
+    solved again.  Returns w.  A row whose active set still changes after
+    _ACTIVE_SET_CAP solves gets a ConvergenceError in ``errors``.
     """
-    nx = rhs.shape[0]
+    live = live.copy()
     active = [beyond(w, c) for c in thresholds]
     for _ in range(_ACTIVE_SET_CAP):
-        diag = np.zeros(nx)
-        extra = np.zeros(nx)
+        diag = np.zeros(rhs.shape)
+        extra = np.zeros(rhs.shape)
         for act, c in zip(active, thresholds):
-            diag += dt * weight * act
-            extra += dt * weight * act * c
+            reacting = scale * act
+            diag += reacting
+            extra += reacting * c
         ab = bands.copy()
         ab[1] += diag
         b = rhs + extra
-        if np.any(contact):
-            ab[0, 1:][contact[:-1]] = 0.0
+        if contact.any():
+            ab[0, :, 1:][contact[:, :-1]] = 0.0
             ab[1][contact] = 1.0
-            ab[2, :-1][contact[1:]] = 0.0
+            ab[2, :, :-1][contact[:, 1:]] = 0.0
             b = np.where(contact, bound, b)
-        prev, w = w, solve_tridiagonal(ab, b)
-        proposed = [_next_policy(a, beyond(w, c), w, c, tie) for a, c in zip(active, thresholds)]
-        if all(p is a for p, a in zip(proposed, active)):
+        prev, w = w, w.copy()
+        _solve_rows(ab, b, w, live, errors)
+        moving = np.zeros_like(live)
+        proposed = []
+        for act, c in zip(active, thresholds):
+            policy, changed = _next_policy(act, beyond(w, c), w, c, tie)
+            proposed.append(policy)
+            moving |= changed
+        live &= moving
+        if not live.any():
             return w
         active = proposed
-    raise ConvergenceError(f"reaction active set still changing after {_ACTIVE_SET_CAP} solves",
-                           residual=float(np.max(np.abs(w - prev))))
+    for r in np.flatnonzero(live):
+        errors[r] = ConvergenceError(
+            f"reaction active set still changing after {_ACTIVE_SET_CAP} solves",
+            residual=float(np.max(np.abs(w[r] - prev[r]))))
+    return w
 
 
-def _pair_step(stencil, bands, dt, rhs, thresholds, weight, bound, side, w, tie):
-    """Solve one pair's implicit step with its reaction term and hard obstacle.
+def _pair_step(stencil, bands, dt, rhs, thresholds, scale, bound, side, w, tie, live, errors):
+    """Solve one pair's implicit step with its reaction term and hard
+    obstacle, for the live rows (passes) of the (rows, nx) arrays.
 
     side is (np.greater, np.maximum) in the descending scheme:
-        min( w - bound,  (I - dt L) w + dt*weight * sum_c max(w - c, 0) - rhs ) = 0
+        min( w - bound,  (I - dt L) w + scale * sum_c max(w - c, 0) - rhs ) = 0
     and (np.less, np.minimum) in the ascending one:
-        max( w - bound,  (I - dt L) w + dt*weight * sum_d min(w - d, 0) - rhs ) = 0
+        max( w - bound,  (I - dt L) w + scale * sum_d min(w - d, 0) - rhs ) = 0
 
     with bound the floor (resp. ceiling) built from the current iterate of
     the other mode pairs; it is -inf (resp. +inf) for a single-mode player,
     which leaves the contact set empty.  min(w - d, 0) is -max(d - w, 0)
     exactly, so the one kernel serves both schemes.  The obstacle is
-    enforced row-by-row through a policy iteration on the contact set (each
-    trial policy solved exactly by _solve_reaction_rows); enforcing it
-    inside the rows rather than projecting afterwards is what makes the
-    discrete comparison between the two schemes exact.  A row where
+    enforced node by node through a policy iteration on the contact set
+    (each trial policy solved exactly by _solve_reaction_rows); enforcing
+    it inside the rows rather than projecting afterwards is what makes the
+    discrete comparison between the two schemes exact.  A node where
     w - bound and the residual tie within ``tie`` keeps its policy
-    (_next_policy).  Raises ConvergenceError when _ACTIVE_SET_CAP policies
-    leave the contact set unsettled.
+    (_next_policy), and a row whose policy has settled is not solved again.
+    Returns w.  A row whose contact set still changes after _ACTIVE_SET_CAP
+    policies, or whose level solve fails, gets its error in ``errors``.
     """
     beyond, clip = side
+    live = live.copy()
     contact = beyond(bound, w)
     for _ in range(_ACTIVE_SET_CAP):
         prev = w
-        w = _solve_reaction_rows(bands, dt, rhs, thresholds, weight, beyond, contact, bound, w, tie)
-        reaction = np.zeros_like(rhs)
+        w = _solve_reaction_rows(bands, rhs, thresholds, scale, beyond, contact, bound, w, tie,
+                                 live, errors)
+        if errors:
+            live[list(errors)] = False
+        reaction = np.zeros(rhs.shape)
         for c in thresholds:
-            reaction += dt * weight * clip(w - c, 0.0)
+            reaction += scale * clip(w - c, 0.0)
         resid = w - dt * stencil.apply(w) + reaction - rhs
         gap = w - bound
-        proposed = _next_policy(contact, beyond(resid, gap), gap, resid, tie)
-        if proposed is contact:
+        contact, changed = _next_policy(contact, beyond(resid, gap), gap, resid, tie)
+        live &= changed
+        if not live.any():
             return w
-        contact = proposed
-    raise ConvergenceError(f"contact policy still changing after {_ACTIVE_SET_CAP} policies",
-                           residual=float(np.max(np.abs(w - prev))))
+    for r in np.flatnonzero(live):
+        errors[r] = ConvergenceError(
+            f"contact policy still changing after {_ACTIVE_SET_CAP} policies",
+            residual=float(np.max(np.abs(w[r] - prev[r]))))
+    return w
 
 
 def _level_rhs(vnext: np.ndarray, dt: float, f: np.ndarray, k: int) -> np.ndarray:
@@ -311,70 +373,116 @@ def _level_rhs(vnext: np.ndarray, dt: float, f: np.ndarray, k: int) -> np.ndarra
     return rhs
 
 
-def _solve_penalized(cache: _LevelCache, penalty: float, direction: str,
-                     schedule: PenaltySchedule, warm: np.ndarray | None):
-    """One full backward pass at a fixed penalty level.
+def _solve_ladder(cache: _LevelCache, direction: str, schedule: PenaltySchedule):
+    """The backward passes of every penalty level, as one wavefront (see the
+    module docstring).
 
     The scheme's hard obstacle, its penalized obstacle, the mode axis of the
     penalized player, the kernel's side and the end-of-level clamp are
-    chosen once, here; the level loop is the same for both schemes.
-    Returns (values, iteration_count): values has shape (n1, n2, nt, nx).
+    chosen once, here; the level loop is the same for both schemes.  Arrays
+    of one wavefront step are indexed (mode, mode, row, x), one row per
+    pass.  Returns each pass's values, shape (n1, n2, nt, nx), and its
+    fixed-point sweep count.  Raises the error of the first pass, in pass
+    order, that fails.
     """
     grid = cache.grid
-    n1 = len(cache.modes1)
-    n2 = len(cache.modes2)
-    nt, nx = grid.nt, grid.nx
-    dt = grid.dt
+    n1, n2 = len(cache.modes1), len(cache.modes2)
+    nt, nx, dt = grid.nt, grid.nx, grid.dt
     if direction == "minmax":
         hard, hard_costs, soft, soft_costs, own_axis = floor, cache.g1, ceiling, cache.g2, 1
         side, clamp_key = (np.greater, np.maximum), "costs1"
     else:
         hard, hard_costs, soft, soft_costs, own_axis = ceiling, cache.g2, floor, cache.g1, 0
         side, clamp_key = (np.less, np.minimum), "costs2"
+    penalties = schedule.levels
+    values = [np.empty((n1, n2, nt, nx)) for _ in penalties]
+    for v in values:
+        v[:, :, nt - 1, :] = cache.terminal
+    iterations = [0] * len(penalties)
+    retired, error = len(penalties), None  # the passes from `retired` on have stopped
 
-    v = np.empty((n1, n2, nt, nx))
-    v[:, :, nt - 1, :] = cache.terminal
-    total_iters = 0
-
-    for k in range(nt - 2, -1, -1):
-        stencil = cache.stencils[k]
+    for step in range(nt - 2 + len(penalties)):
+        rows, rhs = [], []
+        for p in range(max(0, step - (nt - 2)), min(step + 1, retired)):
+            k = nt - 2 - (step - p)
+            try:
+                rhs.append(_level_rhs(values[p][:, :, k + 1], dt, cache.f[:, :, k], k))
+            except SwitchgameError as exc:
+                retired, error = p, exc
+                break
+            rows.append((p, k))
+        if not rows:
+            break
+        passes, ks = zip(*rows)
+        # each pass starts from the pass before's field at its level, the
+        # first from its own next level
+        cur = np.stack([values[p - 1][:, :, k] if p else values[p][:, :, k + 1] for p, k in rows],
+                       axis=2)
+        rhs = np.stack(rhs, axis=2)
+        hard_k, soft_k = hard_costs[:, :, ks], soft_costs[:, :, ks]
+        stencil = cache.stencil(list(ks))
         bands = stencil.implicit_bands(dt)
-        hard_k, soft_k = hard_costs[:, :, k], soft_costs[:, :, k]
-        vnext = v[:, :, k + 1, :]
-        rhs_k = _level_rhs(vnext, dt, cache.f[:, :, k], k)
-        cur = (warm[:, :, k, :] if warm is not None else vnext).copy()
-        tie = TIE_TOL * (1.0 + float(np.max(np.abs(cur))))
+        # dt * penalty and the tie width (_next_policy) of each row, at every node
+        scale = np.repeat(dt * np.array([penalties[p] for p in passes])[:, np.newaxis], nx, axis=1)
+        peak = np.abs(cur).max(axis=(0, 1, 3))[:, np.newaxis]
+        tie = np.repeat(TIE_TOL * (1.0 + peak), nx, axis=1)
+        where = [f"penalty {penalties[p]:g}, time level {k}" for p, k in rows]
 
-        residual = math.inf
+        errors = {}  # by row; a failing row stops the rows after it
+        live = np.ones(len(rows), dtype=bool)
+        sweeps = np.zeros(len(rows), dtype=int)
         for _ in range(FIXED_POINT_CAP):
-            total_iters += 1
-            residual = 0.0
+            sweeps += live
+            residual = np.zeros(len(rows))
             for a, b in np.ndindex(n1, n2):
                 bound = hard(cur, hard_k, (a, b))
                 # the penalized obstacle's candidates, own mode left out; none
                 # at all for a single-mode player
                 cands = soft(cur, soft_k, (a, b), each=True)
                 thresholds = [c for m, c in enumerate(cands) if m != (a, b)[own_axis]]
-                try:
-                    w = _pair_step(stencil, bands, dt, rhs_k[a, b], thresholds, penalty, bound,
-                                   side, cur[a, b], tie)
-                except ConvergenceError as exc:
-                    raise ConvergenceError(
-                        f"{direction} at penalty {penalty:g}, time level {k}, pair "
-                        f"({cache.modes1[a]},{cache.modes2[b]}): {exc.message}",
-                        residual=exc.residual) from exc
-                residual = max(residual, float(np.max(np.abs(w - cur[a, b]))))
+                failed = {}
+                w = _pair_step(stencil, bands, dt, rhs[a, b], thresholds, scale, bound, side,
+                               cur[a, b], tie, live, failed)
+                for r, exc in failed.items():
+                    if isinstance(exc, ConvergenceError):
+                        wrapped = ConvergenceError(
+                            f"{direction} at {where[r]}, pair "
+                            f"({cache.modes1[a]},{cache.modes2[b]}): {exc.message}",
+                            residual=exc.residual)
+                        wrapped.__cause__ = exc
+                        exc = wrapped
+                    errors[r] = exc
+                    live[r:] = False
+                residual = np.maximum(residual, np.abs(w - cur[a, b]).max(axis=-1))
                 cur[a, b] = w
-            if residual < schedule.fixed_point_tol:
+            live &= ~(residual < schedule.fixed_point_tol)
+            if not live.any():
                 break
-        else:
-            raise ConvergenceError(
-                f"{direction} fixed point stalled at penalty {penalty:g}, time level {k}",
-                residual=residual
-            )
-        v[:, :, k, :] = clamp_sweep(cur, **{clamp_key: hard_k})
+        for r in np.flatnonzero(live):
+            errors[r] = ConvergenceError(f"{direction} fixed point stalled at {where[r]}",
+                                         residual=float(residual[r]))
 
-    return v, total_iters
+        done = min(errors, default=len(rows))
+        try:
+            clamped = clamp_sweep(cur[:, :, :done], **{clamp_key: hard_k[:, :, :done]})
+        except ConvergenceError:
+            # sweep the rows one by one, up to the first that does not settle
+            clamped = np.empty_like(cur[:, :, :done])
+            for r in range(done):
+                try:
+                    clamped[:, :, r] = clamp_sweep(cur[:, :, r], **{clamp_key: hard_k[:, :, r]})
+                except ConvergenceError as exc:
+                    errors[r], done = exc, r
+                    break
+        for r in range(done):
+            values[passes[r]][:, :, ks[r], :] = clamped[:, :, r]
+            iterations[passes[r]] += int(sweeps[r])
+        if errors:
+            r = min(errors)
+            retired, error = passes[r], errors[r]
+    if error is not None:
+        raise error
+    return values, iterations
 
 
 def _excess_by_pair(values, cache: _LevelCache, penalty: float, direction: str) -> dict:
@@ -397,13 +505,11 @@ def _excess_by_pair(values, cache: _LevelCache, penalty: float, direction: str) 
 
 def _sweep(spec: ProblemSpec, grid: Grid, schedule: PenaltySchedule, direction: str):
     cache = _LevelCache(spec, grid)
-    report = SolveReport(system=direction)
-    values = None
-    for m in schedule.levels:
-        prev = values
-        values, iters = _solve_penalized(cache, m, direction, schedule, warm=prev)
-        report.penalty_levels.append(m)
-        report.iterations.append(iters)
+    passes, iterations = _solve_ladder(cache, direction, schedule)
+    report = SolveReport(system=direction, penalty_levels=list(schedule.levels),
+                         iterations=iterations)
+    prev = None
+    for m, values in zip(schedule.levels, passes):
         report.penalty_excess.append(_excess_by_pair(values, cache, m, direction))
         if prev is not None:
             report.sup_deltas.append(float(np.max(np.abs(values - prev))))
@@ -413,6 +519,7 @@ def _sweep(spec: ProblemSpec, grid: Grid, schedule: PenaltySchedule, direction: 
         report.sweep_fields.append(ValueField(system=direction, mode_labels=spec.modes.pairs,
                                               values=values.reshape(-1, grid.nt, grid.nx),
                                               grid=grid, penalty=m))
+        prev = values
     return report.sweep_fields[-1], report
 
 
@@ -447,9 +554,10 @@ def _clamp_pass(cache: _LevelCache, f: np.ndarray, terminal: np.ndarray,
     v[:, :, nt - 1, :] = terminal
     for k in range(nt - 2, -1, -1):
         rhs = _level_rhs(v[:, :, k + 1], dt, f[:, :, k], k)
+        stencil = cache.stencil(k)
         stepped = np.empty((n1, n2, nx))
         for a, b in np.ndindex(n1, n2):
-            stepped[a, b] = solve_implicit(cache.stencils[k], dt, rhs[a, b])
+            stepped[a, b] = solve_implicit(stencil, dt, rhs[a, b])
         v[:, :, k, :] = clamp_sweep(stepped, None if costs1 is None else costs1[:, :, k],
                                     None if costs2 is None else costs2[:, :, k], floor_last)
     return v

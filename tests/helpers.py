@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
+from hypothesis import strategies as st
 
 from switchgame.expressions import EvalContext, evaluate
 from switchgame.expressions import parse_expression as pe
@@ -53,6 +55,57 @@ def uniform_costs(modes1, modes2, c1, c2):
     costs1 = {(a, b): c1 for a in modes1 for b in modes1 if a != b}
     costs2 = {(a, b): c2 for a in modes2 for b in modes2 if a != b}
     return costs1, costs2
+
+
+@st.composite
+def generated_specs(draw):
+    """1-3 modes per player, one uniform switching cost per player, affine
+    drivers, one quadratic terminal shared by every pair (so terminal
+    consistency holds) and a constant volatility."""
+    def number(lo, hi):
+        return draw(st.floats(lo, hi).map(lambda v: round(v, 3)))
+
+    modes1 = tuple(range(1, draw(st.integers(1, 3)) + 1))
+    modes2 = tuple(range(1, draw(st.integers(1, 3)) + 1))
+    costs1, costs2 = uniform_costs(modes1, modes2, number(0.02, 0.5), number(0.02, 0.5))
+    drivers = {(i, j): f"({number(-1, 1)}) + ({number(-1, 1)})*x"
+               for i in modes1 for j in modes2}
+    terminal = f"{number(0, 1)}*x^2 + ({number(-1, 1)})*x"
+    return build_spec(modes1=modes1, modes2=modes2, costs1=costs1, costs2=costs2,
+                      drivers=drivers, terminals={p: terminal for p in drivers},
+                      volatility=number(0.1, 1), domain=(-2.0, 2.0))
+
+
+def seeded_spec(seed):
+    """A reproducible spec and grid size (spec, nt, nx) drawn from ``seed``:
+    1-3 modes per player, switching costs in t and x, drivers in t and x, a
+    mean-reverting drift and one quadratic terminal shared by every pair,
+    with nt and nx in [11, 25].
+
+    Each player's costs lie in [c, 1.5 c] for one base c, so the triangle
+    inequality holds strictly, and the shared terminal is consistent.
+    """
+    rng = random.Random(seed)  # its stream is stable across Python versions
+
+    def number(lo, hi):
+        return round(rng.uniform(lo, hi), 3)
+
+    modes1, modes2 = (tuple(range(1, rng.randint(1, 3) + 1)) for _ in range(2))
+
+    def costs(modes):
+        base = number(0.03, 0.3)
+        return {(a, b): f"{base}*(1.25 + 0.25*sin({number(0.5, 3)}*x + {number(0, 3)}*t))"
+                for a in modes for b in modes if a != b}
+
+    drivers = {(i, j): f"({number(-1, 1)}) + ({number(-1, 1)})*x"
+                       f" + ({number(-1, 1)})*t*sin(x)"
+               for i in modes1 for j in modes2}
+    terminal = f"{number(0, 1)}*x^2 + ({number(-1, 1)})*x"
+    spec = build_spec(modes1=modes1, modes2=modes2, costs1=costs(modes1), costs2=costs(modes2),
+                      drivers=drivers, terminals={p: terminal for p in drivers},
+                      drift=f"{number(0, 1)}*({number(-1, 1)} - x)",
+                      volatility=number(0.2, 1), domain=(-2.0, 2.0))
+    return spec, rng.randint(11, 25), rng.randint(11, 25)
 
 
 def heat_spec(nx_domain=(-4.0, 4.0)):

@@ -1,4 +1,7 @@
 import csv
+import hashlib
+import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from switchgame.config import load_config
 from switchgame.errors import ConvergenceError, PreconditionError
 from switchgame.expressions import EvalContext, Neg, evaluate
-from switchgame import model, solver
+from switchgame import grid as grid_module, model, solver
 from switchgame.game import deterministic_dp_oracle
 from switchgame.grid import Grid, build_grid
 from switchgame.solver import (
@@ -24,7 +27,8 @@ from switchgame.solver import (
     sup_gap,
 )
 
-from helpers import build_spec, frozen_diag_spec, heat_spec, single_player_schedule_oracle, uniform_costs
+from helpers import (build_spec, frozen_diag_spec, generated_specs, heat_spec, seeded_spec,
+                     single_player_schedule_oracle, uniform_costs)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SCHED = PenaltySchedule(levels=(1.0, 4.0, 16.0), fixed_point_tol=1e-12)
@@ -347,26 +351,7 @@ def test_g1_data_on_a_coarse_grid_settles_every_policy():
         assert report.monotonicity_violation <= g1.schedule.fixed_point_tol
 
 
-@st.composite
-def _generated_specs(draw):
-    """1-3 modes per player, one uniform switching cost per player, affine
-    drivers, one quadratic terminal shared by every pair (so terminal
-    consistency holds) and a constant volatility."""
-    def number(lo, hi):
-        return draw(st.floats(lo, hi).map(lambda v: round(v, 3)))
-
-    modes1 = tuple(range(1, draw(st.integers(1, 3)) + 1))
-    modes2 = tuple(range(1, draw(st.integers(1, 3)) + 1))
-    costs1, costs2 = uniform_costs(modes1, modes2, number(0.02, 0.5), number(0.02, 0.5))
-    drivers = {(i, j): f"({number(-1, 1)}) + ({number(-1, 1)})*x"
-               for i in modes1 for j in modes2}
-    terminal = f"{number(0, 1)}*x^2 + ({number(-1, 1)})*x"
-    return build_spec(modes1=modes1, modes2=modes2, costs1=costs1, costs2=costs2,
-                      drivers=drivers, terminals={p: terminal for p in drivers},
-                      volatility=number(0.1, 1), domain=(-2.0, 2.0))
-
-
-@given(spec=_generated_specs(), nt=st.integers(11, 40), nx=st.integers(11, 40))
+@given(spec=generated_specs(), nt=st.integers(11, 40), nx=st.integers(11, 40))
 @settings(max_examples=10, deadline=None)
 def test_generated_specs_converge_with_a_monotone_sweep(spec, nt, nx):
     grid = build_grid(spec, nt, nx)
@@ -386,7 +371,7 @@ def _mirror(spec):
                    terminals=model.TerminalTable(flip(spec.terminals.h)))
 
 
-@given(spec=_generated_specs(), nt=st.integers(11, 25), nx=st.integers(11, 25))
+@given(spec=generated_specs(), nt=st.integers(11, 25), nx=st.integers(11, 25))
 @settings(max_examples=10, deadline=None)
 def test_schemes_are_mirror_images(spec, nt, nx):
     # the ascending scheme is the descending one of the mirrored game, negated
@@ -398,6 +383,258 @@ def test_schemes_are_mirror_images(spec, nt, nx):
         direct = solve(spec, grid, SCHED)[0].values.reshape(n1, n2, nt, nx)
         flipped = mirrored(mirror, grid, SCHED)[0].values.reshape(n2, n1, nt, nx)
         assert np.max(np.abs(direct + flipped.transpose(1, 0, 2, 3))) <= SCHED.fixed_point_tol
+
+
+# ---------------------------------------------------------------------------
+# The penalty ladder: one wavefront with the results of solving pass by pass
+# ---------------------------------------------------------------------------
+
+
+@given(spec=generated_specs(), nt=st.integers(11, 25), nx=st.integers(11, 25))
+@settings(max_examples=10, deadline=None)
+def test_a_pass_does_not_see_the_passes_after_it(spec, nt, nx):
+    # the passes of a ladder are solved together; the first three come out
+    # as they do when they are the whole ladder
+    grid = build_grid(spec, nt, nx)
+    for solve in (solve_minmax, solve_maxmin):
+        _, full = solve(spec, grid, SCHED_FULL)
+        _, short = solve(spec, grid, SCHED)
+        for a, b in zip(full.sweep_fields[:3], short.sweep_fields, strict=True):
+            assert a.values.tobytes() == b.values.tobytes()
+        assert full.iterations[:3] == short.iterations
+        assert full.sup_deltas[:2] == short.sup_deltas
+        assert full.penalty_excess[:3] == short.penalty_excess
+
+
+# SHA-256 of values.tobytes() + json.dumps(report.to_dict()), recorded with
+# the solver that ran the passes one after the other
+LADDER_DIGESTS = {
+    0: {"minmax": "10450a3e9fac1c1a36b65e316dca64c7f1f02d37dcbeede862838a5bc7cbb28a",
+         "maxmin": "47280485585c930a8cf80fc483003c271f2897a67f8cbebc200a69be8d07af4a"},
+    1: {"minmax": "50b2408f4986cff65c5b7a107c0074c5e844b078a0902df93ea4e66bc0b018dd",
+         "maxmin": "0d78e8a60a969492114b130fa2fb668285179ef0531fae1fd7f0fb9322f561e9"},
+    3: {"minmax": "a13c5ced2e362db94dfb005b338df3010d98432e9b76a38d2c8a45535a28ab73",
+         "maxmin": "b467f9c1a231db3e4178da513da563ab84e04cb07e5c00764b05bdf3b1c180fa"},
+    5: {"minmax": "13c5ae3bc3fb6f83720a03d3e16d89e4e968403729db1cfc983d98661ca7b54a",
+         "maxmin": "9a880ef8af03f8c2868b2055ff279b1b2641e70f3b5b18b3b703d73c7114584a"},
+    6: {"minmax": "c1929d2c6f5830a0e3b925d6265a9c04a1699af66911259176e88b0f7a170140",
+         "maxmin": "622ea5fa496bf74c0c3198c222a8a49dbaad085c8913fe711e6048e62d5bfd8d"},
+    10: {"minmax": "adf2a906471178a52350d9357d2a43c4198d4f75e7bbe3765e96fcacf6063856",
+          "maxmin": "7c385b9af23047da455c92132ae8d4820c176e6090c70118dde3e6db3790ce90"},
+    11: {"minmax": "91bce23bf6a762dafb0d3617dd96dea234627412e0c8e2122cb3c93602e73ef7",
+          "maxmin": "1a7b33d42ad5dcdd243f3858fea82a83f1b050b22ee8bee4b1dbd7a2b6709712"},
+    12: {"minmax": "abd1fd400593497ff62bfbb23440e147bc3b9fc307f455b95cc134fb84aa93bc",
+          "maxmin": "2fe8088051b3645704e882212ec612d1034e6bbec6535c6d09e5220bdfbbe05b"},
+}
+
+
+@pytest.mark.parametrize("seed", sorted(LADDER_DIGESTS))
+def test_generated_solves_keep_their_bytes(seed):
+    spec, nt, nx = seeded_spec(seed)
+    grid = build_grid(spec, nt, nx)
+    for name, solve in (("minmax", solve_minmax), ("maxmin", solve_maxmin)):
+        field, report = solve(spec, grid, SCHED_FULL)
+        digest = hashlib.sha256(field.values.tobytes() + json.dumps(report.to_dict()).encode())
+        assert digest.hexdigest() == LADDER_DIGESTS[seed][name]
+
+
+def _overflows(vnext, k):
+    # on E1 at 11x9 the min-max values fall as the penalty rises: at time
+    # level 5 the passes from penalty 16 on overflow, at level 0 penalty 1's
+    # does too, so the wavefront meets penalty 16's overflow first
+    return (k == 5 and vnext.sum() < 34.28) or (k == 0 and vnext.sum() > 35.6)
+
+
+def _singular(diagonal):
+    # only penalty 256's reaction (dt * 256 = 25.6 on E1 at 11x9) gets here
+    return diagonal.max() > 21.0
+
+
+def _clamp_stalls(values):
+    # on E1 at 11x9 the sum of a min-max level lies in this band only at
+    # penalty 16's level 5 and above it only at penalty 1's level 0
+    return 34.39 < values.sum() < 34.40 or values.sum() > 36.1
+
+
+def _break(monkeypatch, caps, overflow=False, singular=False, clamp=False):
+    """Lower the solver's caps and make chosen level solves fail: _level_rhs
+    raises its overflow error where _overflows, gtsv reports a zero pivot
+    where _singular, and the end-of-level clamp of a pass, indexed
+    (i, j, x), raises where _clamp_stalls."""
+    for name, cap in caps.items():
+        monkeypatch.setattr(model if name == "SWEEP_CAP" else solver, name, cap)
+    if clamp:
+        clamp_sweep = solver.clamp_sweep
+
+        def stalling_clamp(base, **costs):
+            passes = [base] if base.ndim == 3 else [base[:, :, r] for r in range(base.shape[2])]
+            for values in passes:
+                if _clamp_stalls(values):
+                    raise ConvergenceError(f"clamp stalls below {float(values.max())!r}",
+                                           residual=1.0)
+            return clamp_sweep(base, **costs)
+
+        monkeypatch.setattr(solver, "clamp_sweep", stalling_clamp)
+    if overflow:
+        level_rhs = solver._level_rhs
+        monkeypatch.setattr(solver, "_level_rhs", lambda vnext, dt, f, k: level_rhs(
+            np.full_like(vnext, np.inf) if _overflows(vnext, k) else vnext, dt, f, k))
+    if singular:
+        dgtsv = grid_module.dgtsv
+        monkeypatch.setattr(grid_module, "dgtsv", lambda dl, d, du, b: (
+            (dl, d, du, b, 1) if _singular(d) else dgtsv(dl, d, du, b)))
+
+
+INF_LADDER = PenaltySchedule(levels=(1.0, 4.0, math.inf), fixed_point_tol=1e-12)
+# (id, problem: "e1" at 11x9 or a seeded_spec seed, scheme, ladder, caps,
+# other breakage) -> the error type, text and residual (float.hex) that the
+# passes raise when solved one after the other.  "first" marks a case in
+# which a later pass fails at an earlier wavefront step than the pass whose
+# error is raised.
+LADDER_ERRORS = [
+    ("e1-minmax-fpc1", "e1", "minmax", SCHED_FULL, {"FIXED_POINT_CAP": 1}, {}),
+    ("e1-maxmin-fpc1", "e1", "maxmin", SCHED_FULL, {"FIXED_POINT_CAP": 1}, {}),
+    ("e1-minmax-fpc2", "e1", "minmax", SCHED_FULL, {"FIXED_POINT_CAP": 2}, {}),
+    ("e1-maxmin-fpc2", "e1", "maxmin", SCHED_FULL, {"FIXED_POINT_CAP": 2}, {}),
+    ("e1-minmax-fpc3", "e1", "minmax", SCHED_FULL, {"FIXED_POINT_CAP": 3}, {}),
+    ("e1-maxmin-fpc3", "e1", "maxmin", SCHED_FULL, {"FIXED_POINT_CAP": 3}, {}),
+    ("e1-minmax-asc1", "e1", "minmax", SCHED_FULL, {"_ACTIVE_SET_CAP": 1}, {}),
+    ("e1-maxmin-asc1", "e1", "maxmin", SCHED_FULL, {"_ACTIVE_SET_CAP": 1}, {}),
+    ("e1-maxmin-fpc2-asc2", "e1", "maxmin", SCHED_FULL,
+     {"FIXED_POINT_CAP": 2, "_ACTIVE_SET_CAP": 2}, {}),
+    ("e1-minmax-nonfinite", "e1", "minmax", INF_LADDER, {}, {}),
+    ("e1-maxmin-nonfinite", "e1", "maxmin", INF_LADDER, {}, {}),
+    ("e1-minmax-singular", "e1", "minmax", SCHED_FULL, {}, {"singular": True}),
+    ("e1-minmax-overflow-first", "e1", "minmax", SCHED_FULL, {}, {"overflow": True}),
+    ("e1-minmax-singular-first", "e1", "minmax", SCHED_FULL, {},
+     {"overflow": True, "singular": True}),
+    ("e1-minmax-clamp-first", "e1", "minmax", SCHED_FULL, {}, {"clamp": True}),
+    ("s1-maxmin-fpc2", 1, "maxmin", SCHED_FULL, {"FIXED_POINT_CAP": 2}, {}),
+    ("s3-minmax-asc1", 3, "minmax", SCHED_FULL, {"_ACTIVE_SET_CAP": 1}, {}),
+    ("s16-minmax-asc2-first", 16, "minmax", SCHED_FULL, {"_ACTIVE_SET_CAP": 2}, {}),
+    ("s26-maxmin-asc2-first", 26, "maxmin", SCHED_FULL, {"_ACTIVE_SET_CAP": 2}, {}),
+    ("s28-minmax-fpc3-asc2", 28, "minmax", SCHED_FULL,
+     {"FIXED_POINT_CAP": 3, "_ACTIVE_SET_CAP": 2}, {}),
+    ("s50-minmax-fpc3-asc2-first", 50, "minmax", SCHED_FULL,
+     {"FIXED_POINT_CAP": 3, "_ACTIVE_SET_CAP": 2}, {}),
+    ("s16-minmax-nonfinite-first", 16, "minmax", INF_LADDER, {"_ACTIVE_SET_CAP": 2}, {}),
+    ("s13-minmax-clamp-first", 13, "minmax", SCHED_FULL, {"SWEEP_CAP": 1}, {}),
+]
+LADDER_ERROR_TEXTS = {
+    "e1-minmax-fpc1": (
+        "ConvergenceError",
+        "minmax fixed point stalled at penalty 1, time level 9 (residual 3.950e-02)",
+        "0x1.439c62f0278b0p-5"),
+    "e1-maxmin-fpc1": (
+        "ConvergenceError",
+        "maxmin fixed point stalled at penalty 1, time level 9 (residual 3.950e-02)",
+        "0x1.439c62f0278b0p-5"),
+    "e1-minmax-fpc2": (
+        "ConvergenceError",
+        "minmax fixed point stalled at penalty 1, time level 7 (residual 9.177e-04)",
+        "0x1.e1216b417f400p-11"),
+    "e1-maxmin-fpc2": (
+        "ConvergenceError",
+        "maxmin fixed point stalled at penalty 1, time level 7 (residual 1.040e-02)",
+        "0x1.54b791d0d1f80p-7"),
+    "e1-minmax-fpc3": (
+        "ConvergenceError",
+        "minmax fixed point stalled at penalty 1, time level 3 (residual 1.974e-05)",
+        "0x1.4b2fb15160000p-16"),
+    "e1-maxmin-fpc3": (
+        "ConvergenceError",
+        "maxmin fixed point stalled at penalty 1, time level 3 (residual 1.973e-05)",
+        "0x1.4aefc70148000p-16"),
+    "e1-minmax-asc1": (
+        "ConvergenceError",
+        "minmax at penalty 1, time level 7, pair (1,1): reaction active set still changing "
+        "after 1 solves (residual 3.520e-02)",
+        "0x1.205743124f870p-5"),
+    "e1-maxmin-asc1": (
+        "ConvergenceError",
+        "maxmin at penalty 1, time level 7, pair (1,1): contact policy still changing after "
+        "1 policies (residual 3.520e-02)",
+        "0x1.205743124f870p-5"),
+    "e1-maxmin-fpc2-asc2": (
+        "ConvergenceError",
+        "maxmin fixed point stalled at penalty 1, time level 7 (residual 1.040e-02)",
+        "0x1.54b791d0d1f80p-7"),
+    "e1-minmax-nonfinite": ("ValueError", "array must not contain infs or NaNs", None),
+    "e1-maxmin-nonfinite": ("ValueError", "array must not contain infs or NaNs", None),
+    "e1-minmax-singular": ("LinAlgError", "singular matrix", None),
+    "e1-minmax-overflow-first": (
+        "SwitchgameError",
+        "the implicit step overflows at time level 0: its right-hand side is not finite",
+        None),
+    "e1-minmax-singular-first": (
+        "SwitchgameError",
+        "the implicit step overflows at time level 0: its right-hand side is not finite",
+        None),
+    "e1-minmax-clamp-first": (
+        "ConvergenceError",
+        "clamp stalls below 2.4742222044338247 (residual 1.000e+00)",
+        "0x1.0000000000000p+0"),
+    "s1-maxmin-fpc2": (
+        "ConvergenceError",
+        "maxmin fixed point stalled at penalty 1, time level 16 (residual 1.218e-01)",
+        "0x1.f2ec04c6fec60p-4"),
+    "s3-minmax-asc1": (
+        "ConvergenceError",
+        "minmax at penalty 1, time level 23, pair (1,2): reaction active set still changing "
+        "after 1 solves (residual 3.351e-01)",
+        "0x1.5719b7c9db918p-2"),
+    "s16-minmax-asc2-first": (
+        "ConvergenceError",
+        "minmax at penalty 1, time level 10, pair (2,2): contact policy still changing after "
+        "2 policies (residual 8.100e-02)",
+        "0x1.4bc5d351e8300p-4"),
+    "s26-maxmin-asc2-first": (
+        "ConvergenceError",
+        "maxmin at penalty 4, time level 0, pair (2,1): reaction active set still changing "
+        "after 2 solves (residual 1.239e-02)",
+        "0x1.9628b121be6f0p-7"),
+    "s28-minmax-fpc3-asc2": (
+        "ConvergenceError",
+        "minmax at penalty 16, time level 2, pair (1,3): reaction active set still changing "
+        "after 2 solves (residual 1.140e-02)",
+        "0x1.758b266439c00p-7"),
+    "s50-minmax-fpc3-asc2-first": (
+        "ConvergenceError",
+        "minmax at penalty 1, time level 5, pair (1,1): contact policy still changing after "
+        "2 policies (residual 4.139e-02)",
+        "0x1.5309612db7ab0p-5"),
+    "s16-minmax-nonfinite-first": (
+        "ConvergenceError",
+        "minmax at penalty 1, time level 10, pair (2,2): contact policy still changing after "
+        "2 policies (residual 8.100e-02)",
+        "0x1.4bc5d351e8300p-4"),
+    "s13-minmax-clamp-first": (
+        "ConvergenceError",
+        "clamp sweep still moving after 1 sweeps (residual 2.220e-16)",
+        "0x1.0000000000000p-52"),
+}
+
+
+def _ladder_error(monkeypatch, problem, scheme, ladder, caps, breakage):
+    """(type, text, residual as float.hex or None) of the error a broken
+    solve raises."""
+    if problem == "e1":
+        spec, nt, nx = load_config(str(CONFIG_DIR / "e1_equality_2x2.json")).spec, 11, 9
+    else:
+        spec, nt, nx = seeded_spec(problem)
+    grid = build_grid(spec, nt, nx)
+    _break(monkeypatch, caps, **breakage)
+    solve = solve_minmax if scheme == "minmax" else solve_maxmin
+    # an infinite penalty makes inf * 0 in the reaction's diagonal
+    with np.errstate(invalid="ignore"), pytest.raises(Exception) as err:
+        solve(spec, grid, ladder)
+    residual = getattr(err.value, "residual", None)
+    return type(err.value).__name__, str(err.value), None if residual is None else residual.hex()
+
+
+@pytest.mark.parametrize("case", LADDER_ERRORS, ids=[c[0] for c in LADDER_ERRORS])
+def test_ladder_raises_the_first_error_in_pass_order(monkeypatch, case):
+    assert _ladder_error(monkeypatch, *case[1:]) == LADDER_ERROR_TEXTS[case[0]]
 
 
 # ---------------------------------------------------------------------------
