@@ -17,6 +17,7 @@ results never depend on call order.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -218,46 +219,98 @@ def parse_expression(source: str) -> ExpressionTree:
     return _Parser(source).parse()
 
 
-def _eval(node: ExpressionTree, t, x):
+def _power(base, exponent: int):
+    """base ** exponent by square-and-multiply, in one fixed order, so a
+    scalar and an array base give the same bits (C pow and numpy's power
+    loop round differently); base * base is also what numpy computes for an
+    array's ** 2."""
+    if exponent == 0:
+        return base ** 0  # exactly 1 for every base
+    out = None
+    while True:
+        if exponent & 1:
+            out = base if out is None else out * base
+        exponent >>= 1
+        if not exponent:
+            return out
+        base = base * base
+
+
+def _eval(node: ExpressionTree, t, x, memo: dict | None = None):
+    """Value of ``node`` at (t, x).  With a ``memo``, every operator node's
+    value is kept under the node, so a structurally equal subtree (offsets
+    are not compared) is computed once."""
     if isinstance(node, Const):
         return node.value
     if isinstance(node, Var):
         return t if node.name == "t" else x
+    if memo is not None:
+        known = memo.get(node)
+        if known is not None:
+            return known
     if isinstance(node, Neg):
-        return -_eval(node.operand, t, x)
-    if isinstance(node, BinOp):
-        left = _eval(node.left, t, x)
-        right = _eval(node.right, t, x)
+        out = -_eval(node.operand, t, x, memo)
+    elif isinstance(node, BinOp):
+        left = _eval(node.left, t, x, memo)
+        right = _eval(node.right, t, x, memo)
         if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if np.any(right == 0):
+            out = left + right
+        elif node.op == "-":
+            out = left - right
+        elif node.op == "*":
+            out = left * right
+        elif np.any(right == 0):
             raise ExpressionDomainError("division by zero", node.offset)
-        return left / right
-    if isinstance(node, Pow):
-        try:
-            return _eval(node.base, t, x) ** node.exponent
-        except OverflowError:  # a Python float's ** raises where an array's gives inf
-            raise ExpressionDomainError("non-finite result", node.offset) from None
-    args = [_eval(arg, t, x) for arg in node.args]
-    if node.func == "min":
-        return np.minimum(args[0], args[1])
-    if node.func == "max":
-        return np.maximum(args[0], args[1])
-    if node.func == "exp":
-        return np.exp(args[0])
-    if node.func == "abs":
-        return np.abs(args[0])
-    if node.func == "sqrt":
-        if np.any(args[0] < 0):
-            raise ExpressionDomainError("square root of negative value", node.offset)
-        return np.sqrt(args[0])
-    if node.func == "sin":
-        return np.sin(args[0])
-    return np.cos(args[0])
+        else:
+            out = left / right
+    elif isinstance(node, Pow):
+        base = _eval(node.base, t, x, memo)
+        out = _power(base, node.exponent)
+        # C pow's offsets: a finite Python float whose power overflows
+        # raises here, an array's or a numpy scalar's inf at the root
+        if type(base) is float and math.isfinite(base) and not math.isfinite(out):
+            raise ExpressionDomainError("non-finite result", node.offset)
+    else:
+        args = [_eval(arg, t, x, memo) for arg in node.args]
+        if node.func == "min":
+            out = np.minimum(args[0], args[1])
+        elif node.func == "max":
+            out = np.maximum(args[0], args[1])
+        elif node.func == "exp":
+            out = np.exp(args[0])
+        elif node.func == "abs":
+            out = np.abs(args[0])
+        elif node.func == "sqrt":
+            if np.any(args[0] < 0):
+                raise ExpressionDomainError("square root of negative value", node.offset)
+            out = np.sqrt(args[0])
+        elif node.func == "sin":
+            out = np.sin(args[0])
+        else:
+            out = np.cos(args[0])
+    if memo is not None:
+        memo[node] = out
+    return out
+
+
+def evaluate_all(trees, ctx: EvalContext) -> list:
+    """evaluate of each tree at ``ctx``, in order, raising the error that
+    evaluating them one by one would raise first.
+
+    With several trees, a subtree that occurs in more than one of them
+    (structural equality, offsets not compared) is computed once; results
+    may then share memory, so callers must not write into them.  Parsed
+    constants are never -0.0, so equal subtrees give equal bits.
+    """
+    memo = {} if len(trees) > 1 else None
+    outs = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for tree in trees:
+            out = _eval(tree, ctx.t, ctx.x, memo)
+            if not np.all(np.isfinite(out)):
+                raise ExpressionDomainError("non-finite result", getattr(tree, "offset", 0))
+            outs.append(out)
+    return outs
 
 
 def evaluate(tree: ExpressionTree, ctx: EvalContext):
@@ -266,11 +319,7 @@ def evaluate(tree: ExpressionTree, ctx: EvalContext):
     Division by zero, sqrt of a negative, and overflow all raise
     ExpressionDomainError rather than returning a non-finite value.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _eval(tree, ctx.t, ctx.x)
-    if not np.all(np.isfinite(out)):
-        raise ExpressionDomainError("non-finite result", getattr(tree, "offset", 0))
-    return out
+    return evaluate_all((tree,), ctx)[0]
 
 
 def free_variables(tree: ExpressionTree) -> set[str]:

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AdmissibilityError, PreconditionError
-from .expressions import EvalContext, evaluate
+from .errors import AdmissibilityError, ExpressionDomainError, PreconditionError
+from .expressions import EvalContext, evaluate, evaluate_all
 from .model import ProblemSpec, ceiling, clamp_sweep, cost_arrays, floor
 from .simulate import PathBundle
 from .solver import ValueField
@@ -79,11 +79,31 @@ class SwitchingStrategy:
     feedback_field: ValueField | None = None
 
     def realize(self, spec: ProblemSpec, bundle: PathBundle) -> RealizedStrategy:
-        if self.start_mode not in _player_modes(spec, self.player):
-            raise ValueError(f"start mode {self.start_mode} is not a mode of player {self.player}")
-        if self.feedback_field is not None:
-            return _realize_feedback(self, spec, bundle)
-        return _realize_explicit(self, spec, bundle)
+        return realize_strategies((self,), spec, bundle)[0]
+
+
+def realize_strategies(strategies, spec: ProblemSpec, bundle: PathBundle) -> list[RealizedStrategy]:
+    """Each strategy realized against ``bundle``, as realizing them one by
+    one would: the feedback rules together in one pass over the steps, the
+    explicit schedules one at a time.  The error raised is the one of the
+    first strategy, in order, that fails."""
+    outcomes: dict[int, RealizedStrategy | Exception] = {}
+    for n, strategy in enumerate(strategies):
+        if strategy.start_mode not in _player_modes(spec, strategy.player):
+            outcomes[n] = ValueError(f"start mode {strategy.start_mode} is not a mode "
+                                     f"of player {strategy.player}")
+    feedback = [n for n, strategy in enumerate(strategies)
+                if n not in outcomes and strategy.feedback_field is not None]
+    if feedback:
+        outcomes.update(zip(feedback, _realize_feedback([strategies[n] for n in feedback],
+                                                        spec, bundle)))
+    out = []
+    for n, strategy in enumerate(strategies):
+        done = outcomes.get(n)
+        if isinstance(done, Exception):
+            raise done
+        out.append(done if done is not None else _realize_explicit(strategy, spec, bundle))
+    return out
 
 
 def _player_modes(spec: ProblemSpec, player: int) -> tuple[int, ...]:
@@ -181,83 +201,163 @@ def _nearest_level(times: np.ndarray, t: float) -> int:
     return int(np.argmin(np.abs(times - t)))
 
 
-def _realize_feedback(strategy: SwitchingStrategy, spec: ProblemSpec,
-                      bundle: PathBundle) -> RealizedStrategy:
-    """Vectorized rollout of the value-field trigger rule over all paths.
+class _Rollout:
+    """One feedback rule's state in the joint pass of _realize_feedback.
+
+    Tables over (mode position, path) are read through ``flat``, each
+    path's index cur * n_paths + path, so one take picks every path's entry
+    for its current mode.
+    """
+
+    def __init__(self, strategy: SwitchingStrategy, spec: ProblemSpec, n_paths: int, n_steps: int):
+        self.field = strategy.feedback_field
+        self.player = strategy.player
+        self.modes = _player_modes(spec, self.player)
+        table = spec.costs.costs1 if self.player == 1 else spec.costs.costs2
+        # (source, [(target, cost)]) in the player's mode order
+        self.costs = [(a, [(b, table[(source, target)]) for b, target in enumerate(self.modes)
+                           if b != a])
+                      for a, source in enumerate(self.modes)]
+        rows = [self.field.index_of(m) for m in self.modes]
+        self.rows = None if rows == list(range(len(self.field.mode_labels))) else rows
+        n = len(self.modes)
+        self.n_paths, self.n_steps = n_paths, n_steps
+        self.cur = np.full(n_paths, self.modes.index(strategy.start_mode),
+                           dtype=np.min_scalar_type(n - 1))
+        self.flat = self.cur.astype(np.intp) * n_paths + np.arange(n_paths)
+        self.counts = np.zeros(n_paths, dtype=np.int64)
+        self.track = np.empty((n_steps + 2, n_paths), dtype=self.cur.dtype)
+        self.track[0] = self.cur
+        self.best = np.empty((n, n_paths))
+        self.target = np.empty((n, n_paths), dtype=self.cur.dtype)
+        self.costly = np.empty((n, n_paths), dtype=bool)
+
+    def step(self, k: int, t: float, xk: np.ndarray, values: np.ndarray) -> Exception | None:
+        """Fire the trigger at grid step k on every path; ``values`` are the
+        field's rows at (t, xk).  Returns the error that stops this rule.
+
+        Each source mode's best target is found over the whole row and
+        every path then reads its own mode's entry, with the comparisons
+        of the one-mode-at-a-time rule.  A cost that fails on the row is
+        evaluated again on the paths in its source mode only, which fails
+        where that rule failed; a source mode no path is in is skipped.
+        """
+        if self.rows is not None:
+            values = values[self.rows]
+        if self.player == 2:
+            values = np.negative(values, out=values)
+        tol = TRIGGER_TOL
+        failed = len(self.modes)  # the source position whose cost failed
+        error = None
+        costly = []
+        try:
+            for a, targets in self.costs:
+                backed = True
+                for n, (b, tree) in enumerate(targets):
+                    cost = self._cost(tree, a, t, xk)
+                    if cost is None:
+                        break
+                    if n == 0:
+                        np.subtract(values[b], cost, out=self.best[a])
+                        self.target[a] = b
+                        backed = cost > tol
+                        continue
+                    cand = values[b] - cost
+                    better = cand > self.best[a]
+                    np.copyto(self.best[a], cand, where=better)
+                    self.target[a][better] = b
+                    backed = np.where(better, cost > tol, backed)
+                costly.append(backed)
+        except ExpressionDomainError as exc:
+            failed, error = a, exc
+        own = values.take(self.flat)
+        best = self.best.take(self.flat)
+        fire = own <= best + tol
+        # a touch with an essentially free switch is pure indifference
+        # (both modes then carry the same value forever), so only a strict
+        # gain or a touch backed by a real cost fires
+        if not all(np.ndim(c) == 0 and c for c in costly) or error is not None:
+            for a, backed in enumerate(costly):
+                self.costly[a] = backed
+            fire &= (own < best - tol) | self.costly.take(self.flat)
+        if error is not None:
+            # the one-mode-at-a-time rule fired the modes before the failing one
+            fire &= self.cur < failed
+        idx = np.flatnonzero(fire)
+        if idx.size:
+            self.counts[idx] += 1
+            over = idx[self.counts[idx] > SWITCH_CAP]
+            if over.size:
+                # the first such path of the first mode in order
+                source = self.cur[over]
+                path = int(over[source == source.min()][0])
+                return AdmissibilityError("feedback strategy exceeded the switch cap", path_index=path)
+            new = self.target.take(self.flat[idx])
+            self.cur[idx] = new
+            self.flat[idx] = new.astype(np.intp) * self.n_paths + idx
+        if error is not None:
+            return error
+        self.track[k + 1] = self.cur
+        return None
+
+    def _cost(self, tree, source: int, t: float, xk: np.ndarray):
+        """The cost over the row, or on the paths in ``source`` only (zero
+        elsewhere) when the row fails; None when no path is in ``source``."""
+        try:
+            return evaluate(tree, EvalContext(t, xk))
+        except ExpressionDomainError:
+            sel = np.flatnonzero(self.cur == source)
+            if sel.size == 0:
+                return None
+            cost = np.zeros(self.n_paths)
+            cost[sel] = evaluate(tree, EvalContext(t, xk[sel]))
+            return cost
+
+    def realized(self) -> RealizedStrategy:
+        done = self.n_steps if len(self.modes) > 1 else 0
+        self.track[done + 1:] = self.cur
+        return RealizedStrategy(player=self.player, labels=self.modes, track=self.track)
+
+
+def _realize_feedback(strategies, spec: ProblemSpec,
+                      bundle: PathBundle) -> list[RealizedStrategy | Exception]:
+    """Vectorized rollout of the value-field trigger rules over all paths,
+    every rule in one pass over the steps; a rule that fails stops there
+    and gives its error in place of its realization.
 
     At each grid step (the terminal step excluded: a switch there can only
-    bleed cost) the rule fires when the current mode's value is dominated,
+    bleed cost) a rule fires when the current mode's value is dominated,
     within TRIGGER_TOL, by the best reachable value net of switching cost;
     the target is the first maximizing (player 1) or minimizing (player 2)
     mode in the player's declared mode order, which need not be the
     smallest label (the oracle's tie-break).  Field values are interpolated
-    linearly in x and looked up at the nearest field time level.
+    linearly in x and looked up at the nearest field time level; fields on
+    one grid share the step's cell lookup.
 
     Player 2's rule is player 1's on negated values: negation is exact and
     rounding symmetric in sign, so (-v) - c == -(v + c) bit for bit, and
     comparisons ignore the sign of zero.
     """
-    fld = strategy.feedback_field
-    player = strategy.player
-    sign = 1.0 if player == 1 else -1.0
-    modes = _player_modes(spec, player)
-    cost_table = spec.costs.costs1 if player == 1 else spec.costs.costs2
     n_paths, n_steps = bundle.n_paths, bundle.n_steps
-
-    cur = np.full(n_paths, modes.index(strategy.start_mode),
-                  dtype=np.min_scalar_type(len(modes) - 1))
-    counts = np.zeros(n_paths, dtype=np.int64)
-    track = np.empty((n_steps + 2, n_paths), dtype=cur.dtype)
-    track[0] = cur
-
-    rows = [fld.index_of(m) for m in modes]
+    rollouts = [_Rollout(s, spec, n_paths, n_steps) for s in strategies]
+    errors: dict[int, Exception] = {}
     # with a single mode nothing can fire: the start row fills the track
-    steps = bundle.states.T[:n_steps] if len(modes) > 1 else ()
-    for k, xk in enumerate(steps):
+    live = [n for n, r in enumerate(rollouts) if len(r.modes) > 1]
+    for k, xk in enumerate(bundle.states.T[:n_steps]):
+        if not live:
+            break
         t = float(bundle.times[k])
-        values = sign * fld.interp_x(_nearest_level(fld.grid.times, t), xk)
-        # snapshot: triggers fire at most once per grid time per path
-        cur_at_step = cur.copy()
-        for pos, mode in enumerate(modes):
-            sel = np.flatnonzero(cur_at_step == pos)
-            if sel.size == 0:
-                continue
-            own = values[rows[pos], sel]
-            best = None
-            for other_pos, other in enumerate(modes):
-                if other == mode:
-                    continue
-                cost = np.broadcast_to(np.asarray(
-                    evaluate(cost_table[(mode, other)], EvalContext(t, xk[sel])), dtype=float
-                ), own.shape)
-                cand = values[rows[other_pos], sel] - cost
-                if best is None:
-                    best = cand
-                    best_target = np.full(sel.size, other_pos, dtype=cur.dtype)
-                    best_cost = cost
-                    continue
-                better = cand > best
-                best = np.where(better, cand, best)
-                best_target = np.where(better, other_pos, best_target)
-                best_cost = np.where(better, cost, best_cost)
-            # a touch with an essentially free switch is pure indifference
-            # (both modes then carry the same value forever), so only a
-            # strict gain or a touch backed by a real cost fires
-            tol = TRIGGER_TOL
-            fire = (own <= best + tol) & ((own < best - tol) | (best_cost > tol))
-            if not np.any(fire):
-                continue
-            idx = sel[fire]
-            counts[idx] += 1
-            over = idx[counts[idx] > SWITCH_CAP]
-            if over.size:
-                raise AdmissibilityError(
-                    "feedback strategy exceeded the switch cap", path_index=int(over[0])
-                )
-            cur[idx] = best_target[fire]
-        track[k + 1] = cur
-    track[len(steps) + 1:] = cur
-    return RealizedStrategy(player=player, labels=modes, track=track)
+        lookups = {}
+        for n in list(live):
+            fld = rollouts[n].field
+            if id(fld.grid) not in lookups:
+                lookups[id(fld.grid)] = (_nearest_level(fld.grid.times, t), fld.grid.locate(xk))
+            level, lookup = lookups[id(fld.grid)]
+            error = rollouts[n].step(k, t, xk, fld.interp_x(level, xk, lookup))
+            if error is not None:
+                errors[n] = error
+                live.remove(n)
+    return [errors.get(n) or r.realized() for n, r in enumerate(rollouts)]
 
 
 def saddle_strategy(field: ValueField, start_mode: int) -> SwitchingStrategy:
@@ -345,34 +445,56 @@ def payoff_estimates(spec: ProblemSpec, bundle: PathBundle, roster) -> list[Payo
     in one pass over the steps.
 
     At each step every pair's driver (at the terminal step, its terminal)
-    is evaluated once, on the union of the paths that some entry places in
-    that pair, into a (pair, path) table from which each entry takes its
-    own values.  Switching costs and counts are read off each realized
-    strategy's track once.
+    is evaluated once on the whole row of paths, with evaluate_all, so a
+    subtree that several drivers share is computed once; the values go into
+    a path-major (path, pair) table, from which each entry takes its own
+    with one index add and one take.  Should a driver fail on the row, that
+    step falls back to evaluating each pair only on the paths that some
+    entry places in it, so a failure on such a path raises and a failure on
+    any other path does not.  Switching costs and counts are read off each
+    realized strategy's track once.
     """
     roster = [(_realized(s1, spec, bundle), _realized(s2, spec, bundle)) for s1, s2 in roster]
     n_paths, n_steps = bundle.n_paths, bundle.n_steps
     dt = float(bundle.times[1] - bundle.times[0])
     pairs = spec.modes.pairs
+    n2 = len(spec.modes.modes2)
     distinct = {id(r): r for entry in roster for r in entry}
-    # a path's flat index into the (pair, path) table is
-    # (position1 * n2 + position2) * n_paths + path; each player's share:
-    scale = {1: len(spec.modes.modes2) * n_paths, 2: n_paths}
-    paths = {1: 0, 2: np.arange(n_paths)}
-    table = np.empty((len(pairs), n_paths))
+    # a path's flat index into the (path, pair) table is
+    # path * n_pairs + position1 * n2 + position2; player 1's share carries the path
+    base = np.arange(n_paths) * len(pairs)
+    leads = [base + a * n2 for a in range(len(spec.modes.modes1))]
+    table = np.empty((n_paths, len(pairs)))
+
+    def flat_indices(step: int) -> list[np.ndarray]:
+        shares = {}
+        for key, r in distinct.items():
+            row = r.track[step]
+            if r.track.strides[1] == 0:  # one position on every path
+                shares[key] = leads[row[0]] if r.player == 1 else int(row[0])
+            elif r.player == 1:
+                shares[key] = np.multiply(row, n2, dtype=np.intp)
+                shares[key] += base
+            else:
+                shares[key] = row.astype(np.intp)
+        return [shares[id(r1)] + shares[id(r2)] for r1, r2 in roster]
 
     def entry_values(step: int, exprs, t: float, x: np.ndarray, factor: float):
-        offsets = {key: r.track[step].astype(np.intp) * scale[r.player] + paths[r.player]
-                   for key, r in distinct.items()}
-        flats = [offsets[id(r1)] + offsets[id(r2)] for r1, r2 in roster]
-        visited = np.zeros(table.size, dtype=bool)
-        for flat in flats:
-            visited[flat] = True
-        for pair, row, hit in zip(pairs, table, visited.reshape(table.shape)):
-            idx = np.flatnonzero(hit)
-            if idx.size:
-                vals = np.asarray(evaluate(exprs[pair], EvalContext(t, x[idx])), dtype=float)
-                row[idx] = np.broadcast_to(vals, idx.shape) * factor
+        flats = flat_indices(step)
+        try:
+            values = evaluate_all([exprs[pair] for pair in pairs], EvalContext(t, x))
+        except ExpressionDomainError:
+            visited = np.zeros(table.size, dtype=bool)
+            for flat in flats:
+                visited[flat] = True
+            for pair, column, hit in zip(pairs, table.T, visited.reshape(table.shape).T):
+                idx = np.flatnonzero(hit)
+                if idx.size:
+                    vals = np.asarray(evaluate(exprs[pair], EvalContext(t, x[idx])), dtype=float)
+                    column[idx] = np.broadcast_to(vals, idx.shape) * factor
+        else:
+            for column, vals in zip(table.T, values):
+                np.multiply(vals, factor, out=column)
         return [table.take(flat) for flat in flats]
 
     # the pair on [t_k, t_{k+1}) is the one at step k + 1
@@ -448,9 +570,8 @@ def verify_saddle(
     the saddle payoff to a PDE value within Z_SCORE * stderr + PDE_ALLOWANCE.
     """
     t0, x0, i0, j0 = start
-    # each saddle strategy is realized once and reused across the roster
-    real1 = saddle1.realize(spec, bundle)
-    real2 = saddle2.realize(spec, bundle)
+    # the saddle strategies are realized together, once, and reused across the roster
+    real1, real2 = realize_strategies((saddle1, saddle2), spec, bundle)
     roster = ([(real1, real2)] + [(c, real2) for _, c in challengers1]
               + [(real1, c) for _, c in challengers2])
     base, *attempts = payoff_estimates(spec, bundle, roster)

@@ -42,12 +42,38 @@ class Grid:
     def dx(self) -> float:
         return float(self.xs[1] - self.xs[0])
 
+    def locate(self, x: np.ndarray) -> "CellLookup":
+        """The cells of ``x`` on this uniform grid, as np.interp finds them:
+        the floor guess from the spacing is corrected by one cell against
+        ``xs``."""
+        xs, nx = self.xs, self.nx
+        cell = np.clip((x - xs[0]) / self.dx, 0, nx - 2).astype(np.intp)
+        cell -= xs.take(cell) > x
+        cell += xs.take(cell + 1) <= x
+        # cell is -1 below the grid and nx - 1 at or above its last node
+        j = np.clip(cell, 0, nx - 2)
+        xj = xs.take(j)
+        exact = np.flatnonzero((cell != j) | (xj == x))
+        with np.errstate(over="ignore"):  # only off the grid, where the end values are taken
+            offset = x - xj
+        return CellLookup(cell=j, offset=offset, exact=exact, nodes=np.clip(cell[exact], 0, nx - 1))
+
     def inner_mask(self) -> np.ndarray:
         """Boolean mask selecting the central INNER_FRACTION of the space nodes."""
         lo, hi = self.xs[0], self.xs[-1]
         mid = 0.5 * (lo + hi)
         half = 0.5 * INNER_FRACTION * (hi - lo)
         return np.abs(self.xs - mid) <= half + 1e-12 * (hi - lo)
+
+
+@dataclass(frozen=True, eq=False)
+class CellLookup:
+    """Points located on a grid's cells (Grid.locate)."""
+
+    cell: np.ndarray  # left node of each point's cell, in [0, nx - 2]
+    offset: np.ndarray  # x - xs[cell]
+    exact: np.ndarray  # points that take a node value: node hits and points off the grid
+    nodes: np.ndarray  # the node each exact point takes
 
 
 def build_grid(spec: ProblemSpec, nt: int, nx: int) -> Grid:

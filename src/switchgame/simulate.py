@@ -57,13 +57,18 @@ def normal_increments(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
     """Standard normals keyed by (seed, path, step), independent of call order."""
     out = np.empty((n_paths, n_steps))
     bg = np.random.Philox(key=seed)
-    gen = np.random.Generator(bg)
-    state = bg.state
-    for p in range(n_paths):
+    normal = np.random.Generator(bg).standard_normal
+    # the state setter reads plain lists as well as arrays; moving a path
+    # onto its own stream is then one counter write
+    fresh = bg.state
+    counter = [0, 0, 0, 0]
+    state = {**fresh, "buffer": fresh["buffer"].tolist(),
+             "state": {"counter": counter, "key": fresh["state"]["key"].tolist()}}
+    for p, row in enumerate(out):
         # path p's stream starts p * _PATH_STRIDE blocks into the keyed stream
-        state["state"]["counter"] = np.array([p * _PATH_STRIDE, 0, 0, 0], dtype=np.uint64)
+        counter[0] = p * _PATH_STRIDE
         bg.state = state
-        gen.standard_normal(n_steps, out=out[p])
+        normal(n_steps, out=row)
     return out
 
 

@@ -57,7 +57,7 @@ import numpy as np
 
 from .errors import ConvergenceError, PreconditionError, SwitchgameError
 from .expressions import EvalContext, evaluate
-from .grid import (GeneratorStencil, Grid, discretize_generator,  # noqa: F401
+from .grid import (CellLookup, GeneratorStencil, Grid, discretize_generator,  # noqa: F401
                    solve_banded, solve_finite_tridiagonal, solve_implicit, solve_tridiagonal)
 from .model import ProblemSpec, ceiling, check_separation, clamp_sweep, cost_arrays, floor
 
@@ -102,33 +102,28 @@ class ValueField:
     def index_of(self, label) -> int:
         return self.mode_labels.index(label)
 
-    def interp_x(self, level: int, x: np.ndarray) -> np.ndarray:
+    def interp_x(self, level: int, x: np.ndarray, lookup: CellLookup | None = None) -> np.ndarray:
         """Every mode's values at a time level, interpolated linearly in x;
-        row m is mode_labels[m]'s.
+        row m is mode_labels[m]'s.  ``lookup`` is ``grid.locate(x)`` when
+        the caller has it already (fields on one grid share it).
 
         Each row equals ``np.interp(x, grid.xs, values[m, level])`` bit for
         bit for finite x.  The grid is uniform, so one cell lookup serves
-        every mode: the floor guess from the spacing is corrected by one cell
-        against ``xs``.  The arithmetic is np.interp's: the cell's slope
+        every mode.  The arithmetic is np.interp's: the cell's slope
         (y[j+1] - y[j]) / (x[j+1] - x[j]), then slope * (x - x[j]) + y[j];
         a node hit returns the node value and points outside the grid the
         end value.
         """
-        xs, nx = self.grid.xs, self.grid.nx
+        if lookup is None:
+            lookup = self.grid.locate(x)
+        xs = self.grid.xs
         ys = self.values[:, level, :]
-        cell = np.clip((x - xs[0]) / self.grid.dx, 0, nx - 2).astype(np.intp)
-        cell -= xs.take(cell) > x
-        cell += xs.take(cell + 1) <= x
-        # cell is -1 below the grid and nx - 1 at or above its last node
-        j = np.clip(cell, 0, nx - 2)
-        xj = xs.take(j)
         slopes = (ys[:, 1:] - ys[:, :-1]) / (xs[1:] - xs[:-1])
         # far outside the grid the formula may overflow; those points are
         # replaced by the end values below
         with np.errstate(over="ignore", invalid="ignore"):
-            out = slopes.take(j, axis=1) * (x - xj) + ys.take(j, axis=1)
-        exact = np.flatnonzero((cell < 0) | (cell == nx - 1) | (xj == x))
-        out[:, exact] = ys.take(np.clip(cell[exact], 0, nx - 1), axis=1)
+            out = slopes.take(lookup.cell, axis=1) * lookup.offset + ys.take(lookup.cell, axis=1)
+        out[:, lookup.exact] = ys.take(lookup.nodes, axis=1)
         return out
 
     def meta_dict(self) -> dict:

@@ -9,6 +9,7 @@ from switchgame.errors import ExpressionDomainError, ExpressionSyntaxError
 from switchgame.expressions import (
     EvalContext,
     evaluate,
+    evaluate_all,
     free_variables,
     parse_expression,
     to_source,
@@ -81,6 +82,79 @@ def test_vectorized_evaluation_matches_scalar():
     vec = evaluate(tree, EvalContext(0.3, xs))
     for xv, out in zip(xs, vec):
         assert out == evaluate(tree, EvalContext(0.3, float(xv)))
+
+
+@pytest.mark.parametrize("exponent", range(13))
+def test_power_of_a_scalar_and_of_the_lattice_agree_bit_for_bit(exponent):
+    tree = parse_expression(f"t^{exponent}")
+    lattice = np.concatenate([np.linspace(0.0, 1.0, 2001), np.linspace(-3.0, 3.0, 1001)])
+    on_lattice = evaluate(tree, EvalContext(lattice, 0.0))
+    for t, want in zip(lattice.tolist(), on_lattice.tolist()):
+        for scalar in (t, np.float64(t)):
+            got = float(evaluate(tree, EvalContext(scalar, 0.0)))
+            assert math.copysign(1.0, got) == math.copysign(1.0, want)
+            assert got == want, (t, exponent)
+
+
+def test_power_that_overflows_raises_at_the_power_node():
+    with pytest.raises(ExpressionDomainError) as err:
+        evaluate(parse_expression("1 + x^3"), EvalContext(0.0, 1e120))
+    assert err.value.offset == 5
+
+
+_ROW_EXPRESSIONS = [
+    "x + t", "x - 0.3", "1.7 * x", "1 / x", "-x", "x^3", "x^7", "t*x^2",
+    "min(x, 1.5)", "max(x, 1.5)", "exp(x)", "abs(x - 1)", "sqrt(x)", "sin(x)", "cos(x)",
+    "1.1*(t - 0.3)*(1 + 0.1*cos(x)) + -0.9*(t - 0.4)*(1 + 0.1*sin(x))",
+]
+
+
+@pytest.mark.parametrize("source", _ROW_EXPRESSIONS)
+def test_row_then_select_equals_evaluating_the_subset(source):
+    # numpy's SIMD loops must not round a path differently by where it sits
+    # in the array: selecting from a whole-row evaluation is the subset's
+    rng = np.random.default_rng(20240811)
+    row = rng.uniform(0.05, 3.0, 50000)
+    tree = parse_expression(source)
+    whole = np.broadcast_to(evaluate(tree, EvalContext(0.37, row)), row.shape)
+    for start, length in ((1, 1), (3, 3), (5, 17), (7, 1001), (11, 31337)):
+        part = slice(start, start + length)
+        got = np.broadcast_to(evaluate(tree, EvalContext(0.37, row[part])), (length,))
+        assert got.view(np.int64).tolist() == whole[part].view(np.int64).tolist()
+    for length in (1, 7, 999, 24999):
+        idx = np.sort(rng.choice(row.size, length, replace=False))
+        got = np.broadcast_to(evaluate(tree, EvalContext(0.37, row[idx])), (length,))
+        assert got.view(np.int64).tolist() == whole[idx].view(np.int64).tolist()
+
+
+def test_evaluate_all_computes_a_shared_subtree_once(monkeypatch):
+    from switchgame import expressions
+
+    trees = [parse_expression(s) for s in
+             ("2*sin(x)", "cos(x) - t", "2*sin(x) + (cos(x) - t)", "cos(x)")]
+    ctx = EvalContext(0.3, np.linspace(-2, 2, 101))
+    calls = {}
+    original = expressions._eval
+
+    def counting(node, t, x, memo=None):
+        calls[node] = calls.get(node, 0) + 1
+        return original(node, t, x, memo)
+
+    monkeypatch.setattr(expressions, "_eval", counting)
+    outs = expressions.evaluate_all(trees, ctx)
+    twice, sine = trees[0], trees[0].right
+    assert calls[twice] == 2  # computed, then read from the memo
+    assert calls[sine] == 1
+    monkeypatch.undo()
+    for tree, out in zip(trees, outs):
+        assert out.tobytes() == evaluate(tree, ctx).tobytes()
+
+
+def test_evaluate_all_raises_the_first_error_in_tree_order():
+    trees = [parse_expression(s) for s in ("x", "exp(1000*x)", "1/(x - x)")]
+    with pytest.raises(ExpressionDomainError) as err:
+        evaluate_all(trees, EvalContext(0.0, np.array([1.0, 2.0])))
+    assert str(err.value) == "non-finite result at offset 0"
 
 
 def test_evaluation_is_pure():

@@ -5,7 +5,7 @@ import pytest
 
 from switchgame import game
 from switchgame.errors import AdmissibilityError, ExpressionDomainError, PreconditionError
-from switchgame.expressions import EvalContext, evaluate
+from switchgame.expressions import EvalContext, evaluate, evaluate_all
 from switchgame.game import (
     RealizedStrategy,
     SwitchingStrategy,
@@ -430,21 +430,123 @@ def test_payoff_rejects_strategy_realized_on_another_bundle(small_game):
 
 
 def test_verify_saddle_realizes_each_strategy_once(small_game, monkeypatch):
+    # every strategy reaches one realization: the saddle pair together in one
+    # feedback pass, each challenger through its explicit schedule
     spec, _, _, _, bundle, saddle1, saddle2 = small_game
-    calls = {}
-    original = SwitchingStrategy.realize
+    calls, passes = {}, []
+    feedback, explicit = game._realize_feedback, game._realize_explicit
 
-    def counting(self, spec, bundle):
-        calls[id(self)] = calls.get(id(self), 0) + 1
-        return original(self, spec, bundle)
+    def counting_feedback(strategies, spec, bundle):
+        passes.append([id(s) for s in strategies])
+        for s in strategies:
+            calls[id(s)] = calls.get(id(s), 0) + 1
+        return feedback(strategies, spec, bundle)
 
-    monkeypatch.setattr(SwitchingStrategy, "realize", counting)
+    def counting_explicit(strategy, spec, bundle):
+        calls[id(strategy)] = calls.get(id(strategy), 0) + 1
+        return explicit(strategy, spec, bundle)
+
+    monkeypatch.setattr(game, "_realize_feedback", counting_feedback)
+    monkeypatch.setattr(game, "_realize_explicit", counting_explicit)
     challengers1 = default_challengers(spec, 1, 1, 23, bundle.n_steps)
     challengers2 = default_challengers(spec, 2, 1, 24, bundle.n_steps)
     verify_saddle(spec, bundle, saddle1, saddle2, challengers1, challengers2,
                   start=(0.0, 0.0, 1, 1))
     strategies = [saddle1, saddle2] + [s for _, s in challengers1 + challengers2]
     assert calls == {id(s): 1 for s in strategies}
+    assert passes == [[id(saddle1), id(saddle2)]]
+
+
+def test_joint_realization_matches_one_at_a_time(small_game):
+    spec, _, field1, _, bundle, saddle1, saddle2 = small_game
+    strategies = (saddle1, never_switch(2, 1), saddle2, saddle_strategy(field1, 2))
+    joint = game.realize_strategies(strategies, spec, bundle)
+    for strategy, realized in zip(strategies, joint):
+        alone = strategy.realize(spec, bundle)
+        assert realized.track.tobytes() == alone.track.tobytes()
+        assert (realized.player, realized.labels) == (alone.player, alone.labels)
+
+
+def _flipping_field(system, grid, first_level, diff):
+    """A two-mode field whose second mode leads the first by diff(xs) at
+    even levels from ``first_level`` on and trails it at odd ones, so a
+    trigger that fires at one step can fire back at the next."""
+    values = np.zeros((2, grid.nt, grid.nx))
+    for level in range(first_level, grid.nt):
+        values[1, level] = diff(grid.xs) if level % 2 == 0 else -diff(grid.xs)
+    return ValueField(system, (1, 2), values, grid)
+
+
+def test_switch_cap_error_is_player_one_s_when_both_rules_exceed_it():
+    # player 2 passes the cap from step 64 on, player 1 only at a later step
+    # and on some paths; realized one at a time, player 1 raised first
+    costs1, costs2 = uniform_costs((1, 2), (1, 2), 0.1, 0.1)
+    spec = build_spec(costs1=costs1, costs2=costs2, volatility="0.3", domain=(-3.0, 3.0))
+    grid = build_grid(spec, 101, 41)
+    bundle = simulate_paths(spec, SimParams(n_paths=60, n_steps=100, seed=8, x0=0.5))
+    field1 = _flipping_field("single_lower", grid, 10, lambda xs: xs - 0.2)
+    field2 = _flipping_field("single_upper", grid, 0, lambda xs: -np.ones_like(xs))
+    with pytest.raises(AdmissibilityError) as err:
+        saddle_strategy(field2, 1).realize(spec, bundle)
+    assert err.value.path_index == 0
+    with pytest.raises(AdmissibilityError) as err:
+        verify_saddle(spec, bundle, saddle_strategy(field1, 1), saddle_strategy(field2, 1),
+                      [], [], start=(0.0, 0.5, 1, 1))
+    assert str(err.value) == "feedback strategy exceeded the switch cap (path 1)"
+    assert err.value.path_index == 1
+
+
+@pytest.mark.parametrize("lead", [1.0, -1.0])
+def test_switch_cap_path_is_the_first_of_the_first_source_mode(lead):
+    # switching pays (negative costs), so every path fires at every step;
+    # at step 1 the sign of lead * x sends a path to mode 3 or to mode 1,
+    # after which the two groups sit in different modes with equal counts
+    # and pass the cap together: the error names the first path of the
+    # group whose mode comes first in the declared order
+    modes1 = (1, 2, 3)
+    spec = build_spec(modes1=modes1, modes2=(1,), costs2={}, volatility="0.5",
+                      costs1={(a, b): -0.5 for a in modes1 for b in modes1 if a != b})
+    grid = build_grid(spec, 81, 33)
+    values = np.zeros((3, grid.nt, grid.nx))
+    values[2, 1] = lead * grid.xs
+    field = ValueField("single_lower", modes1, values, grid)
+    bundle = simulate_paths(spec, SimParams(n_paths=40, n_steps=80, seed=12))
+    with pytest.raises(AdmissibilityError) as err:
+        saddle_strategy(field, 1).realize(spec, bundle)
+    assert err.value.path_index == {1.0: 0, -1.0: 3}[lead]
+
+
+def test_cost_error_of_an_earlier_source_mode_wins_over_a_later_cap():
+    # switching pays, so paths flip at every step, except that at step 1
+    # the paths with x <= 0 hold; at step 64 the paths in mode 1 pass the
+    # cap while the cost out of mode 1 fails (only at t = 0.8): mode 1
+    # comes first, and its cost is evaluated before its cap is checked
+    cost = "-0.5 + 0*sqrt((t - 0.8)^2 - 0.000001)"
+    spec = build_spec(costs1={(1, 2): cost, (2, 1): -0.5}, costs2={}, modes2=(1,),
+                      volatility="0.5")
+    grid = build_grid(spec, 81, 33)
+    values = np.zeros((2, grid.nt, grid.nx))
+    values[1, 1] = np.where(grid.xs <= 0, 10.0, 0.0)
+    field = ValueField("single_lower", (1, 2), values, grid)
+    bundle = simulate_paths(spec, SimParams(n_paths=40, n_steps=80, seed=12))
+    assert 0 < np.sum(bundle.states[:, 1] <= 0) < bundle.n_paths
+    with pytest.raises(ExpressionDomainError) as err:
+        saddle_strategy(field, 1).realize(spec, bundle)
+    assert str(err.value) == "square root of negative value at offset 9"
+
+
+def test_cost_failing_outside_its_source_mode_does_not_stop_realization():
+    # every path leaves mode 1 at step 0; the cost out of mode 1 fails from
+    # t = 0.1 on, where no path is in mode 1 any more
+    spec = _separated_game_spec(costs1_value=0.1)
+    field, _ = solve_single_obstacle(spec, build_grid(spec, 11, 9))
+    bundle = _frozen_bundle(spec, n_paths=6, n_steps=10)
+    costs1, costs2 = uniform_costs((1, 2), (1, 2), 0.1, 10.0)
+    costs1[(1, 2)] = "0.1 + 0*sqrt(0.05 - t)"
+    failing = build_spec(costs1=costs1, costs2=costs2,
+                         drivers={(i, j): ("0", "1")[i - 1] for i in (1, 2) for j in (1, 2)})
+    realized = saddle_strategy(field, 1).realize(failing, bundle)
+    assert realized.track.T.tolist() == [[0] + [1] * 11] * bundle.n_paths
 
 
 def _relabel(track, labels, mapping):
@@ -695,27 +797,79 @@ def test_payoff_estimates_evaluate_each_driver_once_per_step(roster_game, monkey
     spec, bundle, roster = roster_game
     drivers = {id(e) for e in spec.drivers.f.values()}
     terminals = {id(e) for e in spec.terminals.h.values()}
-    per_time = {}
+    per_tree = {}
     calls = {"switch_costs": 0}
     original_costs = game._switch_costs
 
+    def record(trees, ctx):
+        for expr in trees:
+            kind = "f" if id(expr) in drivers else "h" if id(expr) in terminals else None
+            if kind is not None:
+                key = (kind, id(expr), float(ctx.t))
+                per_tree[key] = per_tree.get(key, 0) + 1
+
+    def counting_all(trees, ctx):
+        record(trees, ctx)
+        return evaluate_all(trees, ctx)
+
     def counting(expr, ctx):
-        kind = "f" if id(expr) in drivers else "h" if id(expr) in terminals else None
-        if kind is not None:
-            per_time[(kind, float(ctx.t))] = per_time.get((kind, float(ctx.t)), 0) + 1
+        record((expr,), ctx)
         return evaluate(expr, ctx)
 
     def counting_costs(*args):
         calls["switch_costs"] += 1
         return original_costs(*args)
 
+    monkeypatch.setattr(game, "evaluate_all", counting_all)
     monkeypatch.setattr(game, "evaluate", counting)
     monkeypatch.setattr(game, "_switch_costs", counting_costs)
     payoff_estimates(spec, bundle, roster)
-    assert sum(1 for kind, _ in per_time if kind == "f") == bundle.n_steps
-    assert max(per_time.values()) <= len(spec.modes.pairs)
+    assert len({t for kind, _, t in per_tree if kind == "f"}) == bundle.n_steps
+    # each driver tree at most once per step, through whichever seam
+    assert max(per_tree.values()) == 1
     # one switching-cost pass per distinct realized strategy
     assert calls["switch_costs"] == len({id(r) for entry in roster for r in entry})
+
+
+def _split_roster(spec, bundle, into_mode2):
+    """Player 1 in mode 2 on the paths where ``into_mode2(x_k)`` holds over
+    [t_k, t_{k+1}), mode 1 elsewhere; player 2 never switches."""
+    track = np.zeros((bundle.n_steps + 2, bundle.n_paths), dtype=np.uint8)
+    track[1:-1] = into_mode2(bundle.states.T[:-1])
+    track[-1] = track[-2]
+    split = RealizedStrategy(player=1, labels=(1, 2), track=track)
+    return [(split, never_switch(2, 1)), (never_switch(1, 1), never_switch(2, 1))]
+
+
+@pytest.mark.parametrize("driver", ["0.5 + sqrt(x)", "0.5 + exp(1000*x)"])
+def test_driver_failing_only_off_its_pair_keeps_the_per_entry_payoffs(driver):
+    # the (2, 1) driver fails on paths with x < 0 (or overflows with
+    # x > 0), which the roster never places in that pair
+    costs1, costs2 = uniform_costs((1, 2), (1, 2), 0.1, 0.1)
+    drivers = {(1, 1): "0.5", (1, 2): "x", (2, 1): driver, (2, 2): "t"}
+    spec = build_spec(costs1=costs1, costs2=costs2, drivers=drivers, volatility="0.5")
+    bundle = simulate_paths(spec, SimParams(n_paths=200, n_steps=20, seed=6))
+    safe = (lambda x: x >= 0) if "sqrt" in driver else (lambda x: x <= 0)
+    roster = _split_roster(spec, bundle, safe)
+    split = roster[0][0].track
+    assert 0 < split.sum() < split.size
+    estimates = payoff_estimates(spec, bundle, roster)
+    for (r1, r2), est in zip(roster, estimates):
+        r1, r2 = game._realized(r1, spec, bundle), game._realized(r2, spec, bundle)
+        per_path, cost1, cost2, _, _ = _reference_payoff(spec, bundle, r1, r2)
+        assert per_path.tobytes() == est.per_path.tobytes()
+        assert cost1.tobytes() == est.cost1_per_path.tobytes()
+
+
+def test_driver_failing_on_its_pair_raises_the_subset_error():
+    costs1, costs2 = uniform_costs((1, 2), (1, 2), 0.1, 0.1)
+    drivers = {(1, 1): "0.5", (1, 2): "x", (2, 1): "0.5 + sqrt(x)", (2, 2): "t"}
+    spec = build_spec(costs1=costs1, costs2=costs2, drivers=drivers, volatility="0.5")
+    bundle = simulate_paths(spec, SimParams(n_paths=200, n_steps=20, seed=6))
+    roster = _split_roster(spec, bundle, lambda x: x >= -0.2)
+    with pytest.raises(ExpressionDomainError) as err:
+        payoff_estimates(spec, bundle, roster)
+    assert str(err.value) == "square root of negative value at offset 6"
 
 
 def _domain_spec():

@@ -1,8 +1,12 @@
-"""The experiment scripts run end to end from the repository root."""
+"""The experiment scripts run end to end from the repository root; the
+benchmark pairing script's summary is checked on synthetic runs."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -29,3 +33,33 @@ def test_game_experiment_verifies_the_saddle():
     assert lines[0].startswith("paths = 500,")
     assert any(line.startswith("decomposition gap") for line in lines)
     assert lines[-1] == "saddle verified"
+
+
+def _bench_pair():
+    spec = importlib.util.spec_from_file_location("bench_pair", ROOT / "scripts" / "bench_pair.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _metrics(wall, setup=0.5, rss=100.0):
+    return {"wall_s": {"value": wall, "unit": "s"}, "setup_s": {"value": setup, "unit": "s"},
+            "peak_rss_mb": {"value": rss, "unit": "MB"}}
+
+
+def test_bench_pair_summary_of_synthetic_runs():
+    bench_pair = _bench_pair()
+    baseline = [_metrics(w) for w in (5.0, 4.0, 6.0, 3.0, 7.0)]
+    change = [_metrics(w, setup=0.6) for w in (3.0, 4.5, 2.0, 2.5, 3.5)]
+    summary = bench_pair.summarize({"baseline": baseline, "change": change})
+    wall = summary["wall_s"]
+    assert wall["baseline"] == {"median": 5.0, "q1": 4.0, "q3": 6.0}
+    assert wall["change"] == {"median": 3.0, "q1": 2.5, "q3": 3.5}
+    assert wall["ratio"] == 0.6
+    assert (wall["wins"], wall["pairs"]) == (4, 5)  # pair 1 is slower
+    assert summary["setup_s"]["wins"] == 0
+    assert summary["peak_rss_mb"]["wins"] == 0  # a tie is no win
+    one = bench_pair.summarize({"baseline": baseline[:1], "change": change[:1]})
+    assert one["wall_s"]["change"] == {"median": 3.0, "q1": 3.0, "q3": 3.0}
+    with pytest.raises(ValueError):
+        bench_pair.summarize({"baseline": baseline, "change": change[:4]})
