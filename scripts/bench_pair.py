@@ -11,18 +11,27 @@ a temporary directory and removed afterwards.  Pair i runs the baseline
 first when i is even and this checkout first when it is odd, so a drift of
 the machine over the run does not favour one side.  Each run is a fresh
 process; a run that exits non-zero, prints no result line or reports
-``correct: false`` stops the script.
+``correct: false`` stops the script.  ``--cpus 0`` (a comma-separated list
+of CPU numbers) pins each run and every process it starts to those CPUs.
+
+Next to run.py's own metrics, each run records ``cpu_s``: the user and
+system CPU seconds of the run.py process and of every descendant it waited
+for (the forked children of the commands, the setup interpreters), as
+``os.wait4`` reports them.  It covers the whole run, not one call, so it is
+compared at the same ``--seconds`` only; ``calls`` is the number of calls
+the run made.
 
 The BENCH file holds the environment record of each side, the command, and
-per workload and end-to-end metric: both sides' median, q1 and q3
-(inclusive quartiles), the ratio of the medians, and in how many pairs this
-checkout was better ("wins"), next to every raw run.
+per workload and metric: both sides' median, q1 and q3 (inclusive
+quartiles), the ratio of the medians, and in how many pairs this checkout
+was better ("wins"), next to every raw run.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import shutil
 import statistics
 import subprocess
@@ -31,7 +40,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-METRICS = ("wall_s", "setup_s", "peak_rss_mb")  # every one of them is better lower
+METRICS = ("wall_s", "setup_s", "peak_rss_mb", "cpu_s")  # every one of them is better lower
 SIDES = ("baseline", "change")
 
 
@@ -65,41 +74,54 @@ def summarize(runs: dict[str, list[dict]]) -> dict:
     return out
 
 
-def _run(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+def _run(checkout: Path, workload: str, seed: int, seconds: float,
+         cpus: list[int] | None) -> tuple[dict, dict]:
+    """run.py's result line, with ``cpu_s`` added to its metrics, and its
+    environment record."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
                "--seconds", str(seconds), "--trace", "0"]
-    done = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
-    lines = done.stdout.strip().splitlines()
-    if done.returncode != 0 or not lines:
-        raise SystemExit(f"{checkout}: {workload} exited {done.returncode}: {done.stderr}")
+    pin = None if cpus is None else (lambda: os.sched_setaffinity(0, cpus))
+    with tempfile.TemporaryFile("w+") as stdout, tempfile.TemporaryFile("w+") as stderr:
+        proc = subprocess.Popen(command, cwd=checkout, stdout=stdout, stderr=stderr, text=True,
+                                preexec_fn=pin)
+        # wait4, not wait: its usage counts the children run.py waited for
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        stdout.seek(0)
+        stderr.seek(0)
+        out, err = stdout.read(), stderr.read()
+    lines = out.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise SystemExit(f"{checkout}: {workload} exited {proc.returncode}: {err}")
     result = json.loads(lines[-1])
     if not result["correct"]:
-        raise SystemExit(f"{checkout}: {workload} was not correct: {done.stdout}")
+        raise SystemExit(f"{checkout}: {workload} was not correct: {out}")
+    result["metrics"]["cpu_s"] = {"value": usage.ru_utime + usage.ru_stime, "unit": "s"}
     env = next((json.loads(line.split(" ", 1)[1]) for line in lines
                 if line.startswith("environment ")), {})
     return result, env
 
 
 def bench(baseline: Path, change: Path, workloads: list[str], pairs: int, seed: int,
-          seconds: float) -> dict:
+          seconds: float, cpus: list[int] | None = None) -> dict:
     checkouts = {"baseline": baseline, "change": change}
     doc = {"command": f"perfbench/run.py --seed {seed} --seconds {seconds} --trace 0",
-           "environment": {}, "workloads": {}}
+           "cpus": cpus, "environment": {}, "workloads": {}}
     for workload in workloads:
         runs = {side: [] for side in SIDES}
+        raw = {side: [] for side in SIDES}
         for i in range(pairs):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             for side in order:
-                result, env = _run(checkouts[side], workload, seed, seconds)
+                result, env = _run(checkouts[side], workload, seed, seconds, cpus)
                 doc["environment"].setdefault(side, env)
-                runs[side].append(result["metrics"])
-                print(f"{workload} pair {i} {side}: wall_s {result['metrics']['wall_s']['value']:.3f}",
-                      flush=True)
-        doc["workloads"][workload] = {
-            "summary": summarize(runs),
-            "runs": {side: [{m: run[m]["value"] for m in METRICS} for run in runs[side]]
-                     for side in SIDES},
-        }
+                metrics = result["metrics"]
+                runs[side].append(metrics)
+                raw[side].append({**{m: metrics[m]["value"] for m in METRICS},
+                                  "calls": result["attempted"]})
+                print(f"{workload} pair {i} {side}: wall_s {metrics['wall_s']['value']:.3f} "
+                      f"cpu_s {metrics['cpu_s']['value']:.1f}", flush=True)
+        doc["workloads"][workload] = {"summary": summarize(runs), "runs": raw}
     return doc
 
 
@@ -115,6 +137,8 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=20240811)
     parser.add_argument("--seconds", type=float, default=10.0)
+    parser.add_argument("--cpus", type=lambda text: [int(c) for c in text.split(",")],
+                        default=None, help="pin every run to these CPUs, such as 0 or 0,1")
     args = parser.parse_args(argv)
 
     worktree = None
@@ -125,7 +149,8 @@ def main(argv=None) -> int:
                        cwd=ROOT, check=True, capture_output=True)
         baseline = worktree
     try:
-        doc = bench(baseline.resolve(), ROOT, args.workload, args.pairs, args.seed, args.seconds)
+        doc = bench(baseline.resolve(), ROOT, args.workload, args.pairs, args.seed, args.seconds,
+                    args.cpus)
     finally:
         if worktree is not None:
             subprocess.run(["git", "worktree", "remove", "--force", str(worktree)], cwd=ROOT,

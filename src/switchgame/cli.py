@@ -105,37 +105,71 @@ def cmd_solve(config: RunConfig, system: str) -> int:
 
 
 class _ChildTraceback(Exception):
-    """The traceback of an exception raised in the max-min child, as text:
-    a pickled exception does not carry its own."""
+    """The traceback of an exception raised in a forked child, as text: a
+    pickled exception does not carry its own."""
 
     def __str__(self) -> str:
-        return "raised in the max-min child process:\n" + self.args[0]
+        name, text = self.args
+        return f"raised in the {name} child process:\n{text}"
 
 
-def _maxmin_child(config: RunConfig, grid: Grid, to_parent, from_child) -> None:
-    """The forked half of ``_solve_both``: solve max-min and write its value
-    file, then send the field and report, or the exception raised on the way
-    and its traceback."""
+def _child_main(work, to_parent, from_child) -> None:
+    """The forked side of ``_forked``: send work's result, or the exception
+    it raised and its traceback."""
     from_child.close()  # so that a send to a parent that is gone fails, not blocks
     try:
-        message = (None, _solve("maxmin", config, grid))
+        message = (None, work())
     except Exception as exc:
         message = (exc, traceback.format_exc())
     to_parent.send(message)
 
 
-def _from_child(child, conn):
-    """The child's field and report; an exception it sent, or its death, is
-    raised here."""
+def _from_child(child, conn, name: str):
+    """The child's result; an exception it sent, or its death, is raised here."""
     try:
         exc, payload = conn.recv()
     except EOFError:
         child.join()
         raise ChildProcessError(
-            f"the max-min solve process exited with code {child.exitcode}") from None
+            f"the {name} child process exited with code {child.exitcode}") from None
     if exc is not None:
-        raise exc from _ChildTraceback(payload)
+        raise exc from _ChildTraceback(name, payload)
     return payload
+
+
+@contextlib.contextmanager
+def _forked(work, name: str):
+    """Run ``work()`` in a forked child while the ``with`` block runs here.
+
+    Yields a function that waits for the child's one message and returns
+    work's result.  An exception work raised is raised again there, with the
+    child's traceback as its cause, and a child that dies raises
+    ChildProcessError.  On leaving the block a child still alive is killed,
+    since it has sent all it will or is not wanted, and it is joined.
+    """
+    # fork, not spawn: the child starts from this process's modules as they
+    # are, without a fresh import, and its work is not pickled
+    ctx = multiprocessing.get_context("fork")
+    from_child, to_parent = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_child_main, args=(work, to_parent, from_child))
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns on a fork while other threads run, and
+            # numpy's OpenBLAS keeps idle worker threads.  OpenBLAS shuts its
+            # pool down before a fork (pthread_atfork), and the child runs
+            # only numpy code of this package.
+            warnings.filterwarnings("ignore", r".*fork\(\) may lead to deadlocks",
+                                    DeprecationWarning)
+            child.start()
+        to_parent.close()
+        yield lambda: _from_child(child, from_child, name)
+    finally:
+        if child.is_alive():
+            child.kill()
+        if child.pid is not None:
+            child.join()
+        from_child.close()
+        to_parent.close()
 
 
 def _solve_both(config: RunConfig, grid: Grid) -> int:
@@ -146,34 +180,12 @@ def _solve_both(config: RunConfig, grid: Grid) -> int:
     schemes have succeeded, and when either fails, no value file is written
     and the min-max error comes first."""
     out = config.output
-    # fork, not spawn: the child starts from this process's modules as they
-    # are, without a fresh import, and its target is not pickled
-    ctx = multiprocessing.get_context("fork")
-    from_child, to_parent = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=_maxmin_child, args=(config, grid, to_parent, from_child))
-    try:
-        with warnings.catch_warnings():
-            # Python 3.12+ warns on a fork while other threads run, and
-            # numpy's OpenBLAS keeps idle worker threads.  OpenBLAS shuts its
-            # pool down before a fork (pthread_atfork), and the child runs
-            # only the solver.
-            warnings.filterwarnings("ignore", r".*fork\(\) may lead to deadlocks",
-                                    DeprecationWarning)
-            child.start()
-        to_parent.close()
+    with _forked(lambda: _solve("maxmin", config, grid), "max-min") as maxmin:
         try:
             fa, report_a = _solve("minmax", config, grid)
-            fb, report_b = _from_child(child, from_child)
+            fb, report_b = maxmin()
         except ConvergenceError as exc:
             return _not_converged(out, exc)
-    finally:
-        # past here the child has sent all it will: a live one is stopped
-        if child.is_alive():
-            child.kill()
-        if child.pid is not None:
-            child.join()
-        from_child.close()
-        to_parent.close()
 
     mask = grid.inner_mask()
     # max over the pairs of |minmax - maxmin| per (t, inner x); its max is sup_gap
@@ -202,20 +214,46 @@ def cmd_game(config: RunConfig) -> int:
         print(f"separation check failed: {exc}", file=sys.stderr)
         return 1
 
-    bundle = simulate_paths(config.spec, config.sim)
     i0, j0 = config.start_modes
+    start = (config.sim.t0, config.sim.x0, i0, j0)
+    saddle1, saddle2, pde_value = game_mod.saddle_from_fields(field1, field2, start)
     challengers1 = game_mod.default_challengers(
         config.spec, 1, i0, config.sim.seed + 1, config.sim.n_steps)
     challengers2 = game_mod.default_challengers(
         config.spec, 2, j0, config.sim.seed + 2, config.sim.n_steps)
-    report = game_mod.verify_saddle_from_fields(
-        config.spec, bundle, field1, field2, challengers1, challengers2,
-        start=(config.sim.t0, config.sim.x0, i0, j0),
-    )
+
+    def play(paths: range):
+        bundle = simulate_paths(config.spec, config.sim, paths)
+        return game_mod.roster_payoffs(config.spec, bundle, saddle1, saddle2,
+                                       challengers1, challengers2)
+
+    payoffs = _play_halves(play, config.sim.n_paths)
+    report = game_mod.saddle_report(payoffs, challengers1, challengers2, start, pde_value)
     _write_json(os.path.join(out, "game_report.json"), report.to_dict())
 
     _write_payoffs(os.path.join(out, "payoffs.csv"), report.saddle_payoff)
     return 0 if report.all_passed() else 1
+
+
+def _play_halves(play, n_paths: int) -> list:
+    """``play(range(n_paths))``, from a forked child that plays the upper
+    half of the paths while this process plays the lower half, joined in
+    path order.  When either half raises, both are discarded and all paths
+    are played here, so what is raised is what playing them in one process
+    raises; a child that dies raises ChildProcessError."""
+    half = n_paths // 2
+    if half == 0:
+        return play(range(n_paths))
+    with _forked(lambda: play(range(half, n_paths)), "upper-half game") as upper:
+        try:
+            halves = [play(range(half)), upper()]
+        except ChildProcessError:
+            raise
+        except Exception:
+            halves = None
+    if halves is None:
+        return play(range(n_paths))
+    return game_mod.join_payoffs(halves)
 
 
 def _write_payoffs(path, payoff: game_mod.PayoffEstimate) -> None:

@@ -419,6 +419,31 @@ class PayoffEstimate:
     switches1: np.ndarray
     switches2: np.ndarray
 
+    @classmethod
+    def of_paths(cls, per_path, cost1_per_path, cost2_per_path, switches1,
+                 switches2) -> PayoffEstimate:
+        """The estimate whose per-path arrays these are: their mean and its
+        standard error."""
+        n_paths = per_path.size
+        return cls(
+            mean=float(np.mean(per_path)),
+            stderr=float(np.std(per_path, ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0,
+            n_paths=n_paths, per_path=per_path,
+            cost1_per_path=cost1_per_path, cost2_per_path=cost2_per_path,
+            switches1=switches1, switches2=switches2,
+        )
+
+
+_PER_PATH = ("per_path", "cost1_per_path", "cost2_per_path", "switches1", "switches2")
+
+
+def join_payoffs(parts) -> list[PayoffEstimate]:
+    """Per roster entry, the estimates of consecutive ranges of paths, in
+    path order, joined into the estimate of all of them."""
+    return [PayoffEstimate.of_paths(*(np.concatenate([getattr(e, name) for e in entry])
+                                      for name in _PER_PATH))
+            for entry in zip(*parts)]
+
 
 def _realized(strategy: SwitchingStrategy | RealizedStrategy, spec: ProblemSpec,
               bundle: PathBundle) -> RealizedStrategy:
@@ -510,14 +535,8 @@ def payoff_estimates(spec: ProblemSpec, bundle: PathBundle, roster) -> list[Payo
     out = []
     for (r1, r2), reward, terminal in zip(roster, rewards, terminals):
         (cost1, switches1), (cost2, switches2) = costs[id(r1)], costs[id(r2)]
-        per_path = terminal + reward - cost1 + cost2
-        mean = float(np.mean(per_path))
-        stderr = float(np.std(per_path, ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
-        out.append(PayoffEstimate(
-            mean=mean, stderr=stderr, n_paths=n_paths, per_path=per_path,
-            cost1_per_path=cost1, cost2_per_path=cost2,
-            switches1=switches1, switches2=switches2,
-        ))
+        out.append(PayoffEstimate.of_paths(terminal + reward - cost1 + cost2,
+                                           cost1, cost2, switches1, switches2))
     return out
 
 
@@ -552,29 +571,40 @@ class GameReport:
         return {**out, "all_passed": self.all_passed()}
 
 
-def verify_saddle(
-    spec: ProblemSpec,
-    bundle: PathBundle,
-    saddle1: SwitchingStrategy,
-    saddle2: SwitchingStrategy,
-    challengers1: list[tuple[str, SwitchingStrategy]],
-    challengers2: list[tuple[str, SwitchingStrategy]],
-    start: tuple[float, float, int, int],
-    pde_value: float | None = None,
-) -> GameReport:
-    """Test the saddle inequalities under common random numbers.
+def roster_payoffs(spec: ProblemSpec, bundle: PathBundle, saddle1: SwitchingStrategy,
+                   saddle2: SwitchingStrategy,
+                   challengers1: list[tuple[str, SwitchingStrategy]],
+                   challengers2: list[tuple[str, SwitchingStrategy]]) -> list[PayoffEstimate]:
+    """The payoffs on ``bundle`` of the saddle pair, of each player-1
+    challenger against player 2's saddle strategy, and of player 1's saddle
+    strategy against each player-2 challenger, in that order.
 
-    For every player-1 challenger d: J(d, s2) <= J(s1, s2), and for every
-    player-2 challenger n: J(s1, s2) <= J(s1, n), each up to Z_SCORE
-    standard errors of the per-path payoff difference.  Optionally compares
-    the saddle payoff to a PDE value within Z_SCORE * stderr + PDE_ALLOWANCE.
+    The saddle strategies are realized together, once, and reused across the
+    roster.  Every per-path number depends on its own path alone, so the
+    estimates of a bundle's paths split into ranges, joined with
+    join_payoffs, are those of the whole bundle.
     """
-    t0, x0, i0, j0 = start
-    # the saddle strategies are realized together, once, and reused across the roster
     real1, real2 = realize_strategies((saddle1, saddle2), spec, bundle)
     roster = ([(real1, real2)] + [(c, real2) for _, c in challengers1]
               + [(real1, c) for _, c in challengers2])
-    base, *attempts = payoff_estimates(spec, bundle, roster)
+    return payoff_estimates(spec, bundle, roster)
+
+
+def saddle_report(payoffs: list[PayoffEstimate],
+                  challengers1: list[tuple[str, SwitchingStrategy]],
+                  challengers2: list[tuple[str, SwitchingStrategy]],
+                  start: tuple[float, float, int, int],
+                  pde_value: float | None = None) -> GameReport:
+    """Test the saddle inequalities on the roster payoffs of roster_payoffs.
+
+    For every player-1 challenger d: J(d, s2) <= J(s1, s2), and for every
+    player-2 challenger n: J(s1, s2) <= J(s1, n), each up to Z_SCORE
+    standard errors of the per-path payoff difference, which common random
+    numbers keep small.  Optionally compares the saddle payoff to a PDE
+    value within Z_SCORE * stderr + PDE_ALLOWANCE.
+    """
+    t0, x0, i0, j0 = start
+    base, *attempts = payoffs
     report = GameReport(start={"t": t0, "x": x0, "mode1": i0, "mode2": j0}, z=Z_SCORE,
                         saddle_mean=base.mean, saddle_stderr=base.stderr, saddle_payoff=base)
 
@@ -608,6 +638,34 @@ def verify_saddle(
     return report
 
 
+def verify_saddle(
+    spec: ProblemSpec,
+    bundle: PathBundle,
+    saddle1: SwitchingStrategy,
+    saddle2: SwitchingStrategy,
+    challengers1: list[tuple[str, SwitchingStrategy]],
+    challengers2: list[tuple[str, SwitchingStrategy]],
+    start: tuple[float, float, int, int],
+    pde_value: float | None = None,
+) -> GameReport:
+    """saddle_report of the roster payoffs on ``bundle``."""
+    payoffs = roster_payoffs(spec, bundle, saddle1, saddle2, challengers1, challengers2)
+    return saddle_report(payoffs, challengers1, challengers2, start, pde_value)
+
+
+def saddle_from_fields(field1: ValueField, field2: ValueField,
+                       start: tuple[float, float, int, int]
+                       ) -> tuple[SwitchingStrategy, SwitchingStrategy, float]:
+    """The saddle pair built from the two single-player fields, and the PDE
+    comparison value: their sum at the start."""
+    t0, x0, i0, j0 = start
+    level = _nearest_level(field1.grid.times, t0)
+    x = np.array([x0])
+    pde_value = float(field1.interp_x(level, x)[field1.index_of(i0), 0]
+                      + field2.interp_x(level, x)[field2.index_of(j0), 0])
+    return saddle_strategy(field1, i0), saddle_strategy(field2, j0), pde_value
+
+
 def verify_saddle_from_fields(
     spec: ProblemSpec,
     bundle: PathBundle,
@@ -617,15 +675,10 @@ def verify_saddle_from_fields(
     challengers2: list[tuple[str, SwitchingStrategy]],
     start: tuple[float, float, int, int],
 ) -> GameReport:
-    """verify_saddle with the saddle pair built from the two single-player
-    fields and the PDE comparison value taken as their sum at the start."""
-    t0, x0, i0, j0 = start
-    level = _nearest_level(field1.grid.times, t0)
-    x = np.array([x0])
-    pde_value = float(field1.interp_x(level, x)[field1.index_of(i0), 0]
-                      + field2.interp_x(level, x)[field2.index_of(j0), 0])
-    return verify_saddle(spec, bundle, saddle_strategy(field1, i0), saddle_strategy(field2, j0),
-                         challengers1, challengers2, start=start, pde_value=pde_value)
+    """verify_saddle on the saddle pair and PDE value of saddle_from_fields."""
+    saddle1, saddle2, pde_value = saddle_from_fields(field1, field2, start)
+    return verify_saddle(spec, bundle, saddle1, saddle2, challengers1, challengers2,
+                         start=start, pde_value=pde_value)
 
 
 # ---------------------------------------------------------------------------

@@ -53,9 +53,10 @@ class PathBundle:
         return self.states.shape[1] - 1
 
 
-def normal_increments(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
-    """Standard normals keyed by (seed, path, step), independent of call order."""
-    out = np.empty((n_paths, n_steps))
+def normal_increments(seed: int, paths: range, n_steps: int) -> np.ndarray:
+    """Standard normals keyed by (seed, path, step), independent of call order:
+    one row per path of ``paths``."""
+    out = np.empty((len(paths), n_steps))
     bg = np.random.Philox(key=seed)
     normal = np.random.Generator(bg).standard_normal
     # the state setter reads plain lists as well as arrays; moving a path
@@ -64,7 +65,7 @@ def normal_increments(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
     counter = [0, 0, 0, 0]
     state = {**fresh, "buffer": fresh["buffer"].tolist(),
              "state": {"counter": counter, "key": fresh["state"]["key"].tolist()}}
-    for p, row in enumerate(out):
+    for p, row in zip(paths, out):
         # path p's stream starts p * _PATH_STRIDE blocks into the keyed stream
         counter[0] = p * _PATH_STRIDE
         bg.state = state
@@ -72,8 +73,8 @@ def normal_increments(seed: int, n_paths: int, n_steps: int) -> np.ndarray:
     return out
 
 
-def _first_failing_path(spec: ProblemSpec, t: float, xk: np.ndarray) -> int:
-    for p, x in enumerate(xk):
+def _first_failing_path(spec: ProblemSpec, t: float, xk: np.ndarray, paths: range) -> int:
+    for p, x in zip(paths, xk):
         try:
             evaluate(spec.diffusion.drift, EvalContext(t, float(x)))
             evaluate(spec.diffusion.volatility, EvalContext(t, float(x)))
@@ -82,20 +83,25 @@ def _first_failing_path(spec: ProblemSpec, t: float, xk: np.ndarray) -> int:
     return -1
 
 
-def simulate_paths(spec: ProblemSpec, params: SimParams) -> PathBundle:
-    """Simulate X_{k+1} = X_k + b(t_k, X_k) dt + sigma(t_k, X_k) dB_k.
+def simulate_paths(spec: ProblemSpec, params: SimParams, paths: range | None = None) -> PathBundle:
+    """Simulate X_{k+1} = X_k + b(t_k, X_k) dt + sigma(t_k, X_k) dB_k on the
+    paths of ``paths`` (by default all ``params.n_paths``), row i of the
+    bundle being path ``paths[i]``: each path is a function of its index
+    alone, so the rows of a range are those rows of the whole bundle.
 
     Paths are clamped to a safety box (CLAMP_FACTOR times the problem
     domain, about its center) so rare excursions cannot push coefficient
     expressions out of their numeric range; clamp events are counted.
     """
-    n = params.n_paths
+    if paths is None:
+        paths = range(params.n_paths)
+    n = len(paths)
     steps = params.n_steps
     times = np.linspace(params.t0, spec.horizon, steps + 1)
     dt = times[1] - times[0]
     sqrt_dt = np.sqrt(dt)
 
-    normals = normal_increments(params.seed, n, steps)
+    normals = normal_increments(params.seed, paths, steps)
     normals *= sqrt_dt  # now the Brownian increments dB_k
 
     lo, hi = spec.domain
@@ -114,7 +120,7 @@ def simulate_paths(spec: ProblemSpec, params: SimParams) -> PathBundle:
             b = np.broadcast_to(np.asarray(evaluate(spec.diffusion.drift, EvalContext(tk, xk)), dtype=float), xk.shape)
             sig = np.broadcast_to(np.asarray(evaluate(spec.diffusion.volatility, EvalContext(tk, xk)), dtype=float), xk.shape)
         except ExpressionDomainError as exc:
-            path = _first_failing_path(spec, tk, xk)
+            path = _first_failing_path(spec, tk, xk, paths)
             raise ExpressionDomainError(
                 f"coefficient failed at step {k}, path {path}: {exc}", exc.offset
             ) from exc

@@ -132,8 +132,9 @@ def bilevel_tree_value(spec, nt, x, start, outer, memo=False):
     Recursively folds the full tree of joint one-switch-per-step actions
     (every root-to-leaf path is one joint switch schedule).  outer == "p1":
     player 1 commits first each step, player 2 responds; outer == "p2" the
-    reverse.  With memo=False the recursion literally enumerates all
-    (|modes1|*|modes2|)^(nt-1) schedules.
+    reverse.  With memo=False the fold literally enumerates all
+    (|modes1|*|modes2|)^(nt-1) schedules, as numpy arrays over the nodes of
+    each depth; with memo=True it recurses over (mode pair, step) states.
     """
     times = np.linspace(0.0, spec.horizon, nt)
     dt = float(times[1] - times[0])
@@ -154,6 +155,9 @@ def bilevel_tree_value(spec, nt, x, start, outer, memo=False):
         (i, j): float(evaluate(spec.terminals.h[(i, j)], EvalContext(spec.horizon, x)))
         for (i, j) in spec.modes.pairs
     }
+
+    if not memo:
+        return _every_schedule_value(spec, nt, start, outer, f, g1, g2, h)
 
     cache: dict = {}
 
@@ -184,6 +188,39 @@ def bilevel_tree_value(spec, nt, x, start, outer, memo=False):
 
     i, j = start
     return rec(i, j, 0)
+
+
+def _every_schedule_value(spec, nt, start, outer, f, g1, g2, h):
+    """bilevel_tree_value's fold over every node of the schedule tree, one
+    depth at a time, leaves first.
+
+    A node at depth k is a prefix of k joint actions, numbered in base
+    n1 * n2 with the last action as its lowest digit, and its state is its
+    last action (the start at the root).  Each value is the recursion's
+    ((-g1 + g2) + f) + (child value), and the folds are exact, so the result
+    is the recursion's bit for bit.
+    """
+    m1, m2 = spec.modes.modes1, spec.modes.modes2
+    n1, n2 = len(m1), len(m2)
+    joint = n1 * n2
+    # values[node, a1, a2]: the children of each node at the depth below
+    values = np.tile(np.array([[h[(a1, a2)] for a2 in m2] for a1 in m1]), (joint ** (nt - 2), 1, 1))
+    for k in range(nt - 2, -1, -1):
+        # step[(i, j), a1, a2] = (-g1 + g2) + f from state (i, j) at step k
+        step = np.array([[[(-g1[(i, a1, k)] + g2[(j, a2, k)]) + f[(a1, a2, k)] for a2 in m2]
+                          for a1 in m1] for i in m1 for j in m2])
+        if k == 0:
+            step = step[m1.index(start[0]) * n2 + m2.index(start[1])]
+        else:
+            values = values.reshape(-1, joint, n1, n2)
+        vals = step + values
+        if outer == "p1":
+            values = vals.min(axis=-1).max(axis=-1)
+        else:
+            values = vals.max(axis=-2).min(axis=-1)
+        if k:
+            values = values.reshape(-1, n1, n2)
+    return float(values[0])
 
 
 def single_player_schedule_oracle(spec, nt, x, player, start_mode, max_switches=3):

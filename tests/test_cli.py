@@ -13,10 +13,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from switchgame.cli import _write_payoffs, main
-from switchgame.errors import ConvergenceError
-from switchgame.game import PayoffEstimate
-from switchgame.solver import ValueField
+from switchgame import cli as cli_mod, game as game_mod
+from switchgame.cli import _write_json, _write_payoffs, main
+from switchgame.config import load_config
+from switchgame.errors import ConvergenceError, SwitchgameError
+from switchgame.game import PayoffEstimate, default_challengers, verify_saddle_from_fields
+from switchgame.grid import build_grid
+from switchgame.simulate import simulate_paths
+from switchgame.solver import ValueField, solve_single_obstacle
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -407,20 +411,56 @@ def test_solve_both_raises_what_the_max_min_child_raised(tmp_path, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_solve_both_raises_when_the_max_min_child_dies(tmp_path, monkeypatch):
-    monkeypatch.setattr("switchgame.cli.solve_maxmin", lambda *args: os._exit(3))
-    path, out = _small_e1(tmp_path)
+# Both `solve --system both` and `game` fork one child through one helper;
+# each check of the fork below runs through both commands.  The child's work
+# is what only it does: the max-min solve, or the roster payoffs on the
+# upper half of the game's paths.
+_CHILD_WORK = {"solve": (cli_mod, "solve_maxmin"), "game": (game_mod, "roster_payoffs")}
+
+
+def _forking_run(tmp_path, command):
+    """The argv and output directory of a small run of a command that forks."""
+    if command == "solve":
+        path, out = _small_e1(tmp_path)
+    else:
+        doc = _small_game_doc()
+        doc["simulation"]["paths"] = 200
+        path, out = _stage(tmp_path, doc)
+    return [command, str(path)], out
+
+
+def _in_the_child(monkeypatch, command, action):
+    """Make the forked child of ``command`` run ``action`` in place of its
+    work; the command's own process works as usual."""
+    owner, name = _CHILD_WORK[command]
+    original = getattr(owner, name)
+    parent = os.getpid()
+    monkeypatch.setattr(owner, name,
+                        lambda *args: original(*args) if os.getpid() == parent else action())
+
+
+def _child_dies(tmp_path, monkeypatch, command):
+    _in_the_child(monkeypatch, command, lambda: os._exit(3))
+    argv, out = _forking_run(tmp_path, command)
     with pytest.raises(ChildProcessError, match="exited with code 3"):
-        main(["solve", str(path)])
+        main(argv)
     assert list(out.iterdir()) == []
     assert multiprocessing.active_children() == []
+
+
+def test_solve_both_raises_when_the_max_min_child_dies(tmp_path, monkeypatch):
+    _child_dies(tmp_path, monkeypatch, "solve")
+
+
+def test_game_raises_when_the_upper_half_child_dies(tmp_path, monkeypatch):
+    _child_dies(tmp_path, monkeypatch, "game")
 
 
 def _open_fds():
     return len(os.listdir("/proc/self/fd"))
 
 
-def test_solve_both_forks_although_python_warns_about_threads(tmp_path, monkeypatch):
+def _forks_although_python_warns_about_threads(tmp_path, monkeypatch, command):
     # Python 3.12+ warns like this on a fork in a process with threads, and
     # numpy's OpenBLAS pool is such a thread; the suite turns warnings into
     # errors
@@ -434,27 +474,78 @@ def test_solve_both_forks_although_python_warns_about_threads(tmp_path, monkeypa
         return pid
 
     monkeypatch.setattr(os, "fork", warning_fork)
-    path, out = _small_e1(tmp_path)
-    assert main(["solve", str(path)]) == 0
-    assert (out / "value_maxmin.csv").exists()
+    argv, out = _forking_run(tmp_path, command)
+    assert main(argv) == 0
+    assert (out / {"solve": "value_maxmin.csv", "game": "payoffs.csv"}[command]).exists()
     assert multiprocessing.active_children() == []
 
 
-def test_solve_both_closes_its_pipe_when_the_child_does_not_start(tmp_path, monkeypatch):
+def test_solve_both_forks_although_python_warns_about_threads(tmp_path, monkeypatch):
+    _forks_although_python_warns_about_threads(tmp_path, monkeypatch, "solve")
+
+
+def test_game_forks_although_python_warns_about_threads(tmp_path, monkeypatch):
+    _forks_although_python_warns_about_threads(tmp_path, monkeypatch, "game")
+
+
+def _closes_its_pipe_when_the_child_does_not_start(tmp_path, monkeypatch, command):
     def no_fork(process):
         raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
 
-    path, out = _small_e1(tmp_path)
+    argv, out = _forking_run(tmp_path, command)
     before = _open_fds()
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_fork)
     try:
-        main(["solve", str(path)])
+        main(argv)
     except BlockingIOError:
         # the frames of the failed call, and what they hold, are alive here
         assert _open_fds() == before
     else:
         pytest.fail("the failed start was not raised")
     assert list(out.iterdir()) == []
+
+
+def test_solve_both_closes_its_pipe_when_the_child_does_not_start(tmp_path, monkeypatch):
+    _closes_its_pipe_when_the_child_does_not_start(tmp_path, monkeypatch, "solve")
+
+
+def test_game_closes_its_pipe_when_the_child_does_not_start(tmp_path, monkeypatch):
+    _closes_its_pipe_when_the_child_does_not_start(tmp_path, monkeypatch, "game")
+
+
+def test_game_plays_every_path_here_when_the_child_raises(tmp_path, monkeypatch):
+    # the child's half is discarded with the parent's, and this process plays
+    # all the paths again: the files are those of an undisturbed run
+    argv, out = _forking_run(tmp_path / "undisturbed", "game")
+    assert main(argv) == 0
+    undisturbed = _file_bytes(out)
+
+    def array_must_be_finite():
+        raise ValueError("array must be finite")
+
+    _in_the_child(monkeypatch, "game", array_must_be_finite)
+    argv, out = _forking_run(tmp_path / "child_raises", "game")
+    assert main(argv) == 0
+    assert _file_bytes(out) == undisturbed
+    assert multiprocessing.active_children() == []
+
+
+def test_game_raises_what_one_process_raises_when_both_halves_raise(tmp_path, monkeypatch):
+    calls = []
+
+    def roster_payoffs(spec, bundle, *args):
+        calls.append(bundle.n_paths)
+        raise ValueError(f"array must be finite ({bundle.n_paths} paths)")
+
+    monkeypatch.setattr(game_mod, "roster_payoffs", roster_payoffs)
+    argv, out = _forking_run(tmp_path, "game")
+    with pytest.raises(ValueError, match=r"^array must be finite \(200 paths\)$") as caught:
+        main(argv)
+    # the lower half here, then all 200 paths; neither error of a half shows
+    assert calls == [100, 200]
+    assert caught.value.__cause__ is None and caught.value.__context__ is None
+    assert list(out.iterdir()) == []
+    assert multiprocessing.active_children() == []
 
 
 def test_solve_both_writes_the_bytes_of_two_separate_runs(tmp_path):
@@ -708,6 +799,91 @@ def test_payoffs_csv_writes_csv_writer_bytes(tmp_path_factory, data, n):
                              int(payoff.switches2[p]), repr(float(payoff.cost1_per_path[p])),
                              repr(float(payoff.cost2_per_path[p]))])
     assert (folder / "fast.csv").read_bytes() == (folder / "reference.csv").read_bytes()
+
+
+def _serial_game(path, out):
+    """The game command's two files as verify_saddle_from_fields makes them
+    in one process on the whole path bundle, written as the command writes
+    them; or the error that raises."""
+    config = load_config(str(path))
+    grid = build_grid(config.spec, config.nt, config.nx)
+    field1, field2 = solve_single_obstacle(config.spec, grid)
+    i0, j0 = config.start_modes
+    challengers = [default_challengers(config.spec, player, mode, config.sim.seed + player,
+                                       config.sim.n_steps)
+                   for player, mode in ((1, i0), (2, j0))]
+    report = verify_saddle_from_fields(config.spec, simulate_paths(config.spec, config.sim),
+                                       field1, field2, *challengers,
+                                       start=(config.sim.t0, config.sim.x0, i0, j0))
+    out.mkdir()
+    _write_json(out / "game_report.json", report.to_dict())
+    _write_payoffs(out / "payoffs.csv", report.saddle_payoff)
+    return _file_bytes(out)
+
+
+def _counting_forks(monkeypatch):
+    forks = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+@pytest.mark.parametrize("paths,forks", [(2001, 1), (1, 0)])
+def test_game_writes_the_bytes_of_one_process(tmp_path, monkeypatch, paths, forks):
+    # 2001 paths split into 1000 here and 1001 in the child; one path is not split
+    doc = _small_game_doc()
+    doc["simulation"]["paths"] = paths
+    path, out = _stage(tmp_path, doc)
+    forked = _counting_forks(monkeypatch)
+    assert main(["game", str(path)]) == 0
+    assert len(forked) == forks
+    assert multiprocessing.active_children() == []
+    assert _file_bytes(out) == _serial_game(path, tmp_path / "serial")
+
+
+def _switching_game_doc(paths, seed):
+    """A separated game whose saddle rules switch up to 8 times on a path."""
+    doc = _small_game_doc()
+    doc["costs"] = {"player1": {"1->2": "0.02", "2->1": "0.02"},
+                    "player2": {"1->2": "0.02", "2->1": "0.02"}}
+    doc["drivers"] = {"1,1": "0", "1,2": "-2*sin(x)", "2,1": "3*x", "2,2": "3*x + -2*sin(x)"}
+    doc["terminals"] = {pair: "0" for pair in ("1,1", "1,2", "2,1", "2,2")}
+    doc["diffusion"] = {"drift": "0", "volatility": "1"}
+    doc["simulation"].update(paths=paths, seed=seed)
+    return doc
+
+
+@pytest.mark.parametrize("seed,cap,volatility,failing_path", [
+    # only path 683 switches 7 times
+    (2, 6, "1", 683),
+    # the first path over the cap is 938, and some paths of the lower half pass it later
+    (77, 3, "1", 938),
+    # only paths of the upper half pass x = 3.1, where the volatility fails
+    (5, 64, "1 + 0*sqrt(3.1 - x)", 705),
+])
+def test_game_failing_on_the_upper_half_fails_as_one_process(tmp_path, monkeypatch, capsys, seed,
+                                                              cap, volatility, failing_path):
+    monkeypatch.setattr(game_mod, "SWITCH_CAP", cap)
+    doc = _switching_game_doc(1001, seed)
+    doc["diffusion"]["volatility"] = volatility
+    path, out = _stage(tmp_path, doc)
+    with pytest.raises(SwitchgameError) as serial:
+        _serial_game(path, tmp_path / "serial")
+    assert f"path {failing_path}" in str(serial.value)
+    assert failing_path >= 1001 // 2
+    forked = _counting_forks(monkeypatch)
+    assert main(["game", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {serial.value}\n"
+    assert len(forked) == 1
+    assert list(out.iterdir()) == []
+    assert multiprocessing.active_children() == []
 
 
 def test_zero_cost_trivial_game_exact_equalities(tmp_path):

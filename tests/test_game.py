@@ -243,6 +243,21 @@ def test_oracle_matches_exhaustive_tree_both_orders():
         assert values["maxmin"][start] == tree_p1
 
 
+def test_every_schedule_fold_equals_the_memoized_recursion():
+    # the helper's numpy walk over every schedule against its recursion over
+    # states, on 3x2 modes with time- and state-dependent data
+    modes1, modes2 = (1, 2, 3), (1, 2)
+    costs1, costs2 = uniform_costs(modes1, modes2, 0.2, 0.3)
+    spec = build_spec(modes1=modes1, modes2=modes2, costs1=costs1, costs2=costs2,
+                      drivers={(i, j): f"{i}*sin(x + {j}*t) - 0.{j}" for i in modes1 for j in modes2},
+                      terminals={(i, j): f"0.{i}*x - 0.{j}" for i in modes1 for j in modes2})
+    for nt in (2, 3, 6):
+        for start in spec.modes.pairs:
+            for outer in ("p1", "p2"):
+                assert (bilevel_tree_value(spec, nt, 0.3, start, outer)
+                        == bilevel_tree_value(spec, nt, 0.3, start, outer, memo=True))
+
+
 def test_oracle_prohibitive_costs_reduce_to_no_switching():
     spec = frozen_diag_spec(c1=10.0, c2=10.0)
     values = deterministic_dp_oracle(spec, 9, 0.0)

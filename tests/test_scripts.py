@@ -42,15 +42,16 @@ def _bench_pair():
     return module
 
 
-def _metrics(wall, setup=0.5, rss=100.0):
+def _metrics(wall, setup=0.5, rss=100.0, cpu=40.0):
     return {"wall_s": {"value": wall, "unit": "s"}, "setup_s": {"value": setup, "unit": "s"},
-            "peak_rss_mb": {"value": rss, "unit": "MB"}}
+            "peak_rss_mb": {"value": rss, "unit": "MB"}, "cpu_s": {"value": cpu, "unit": "s"}}
 
 
 def test_bench_pair_summary_of_synthetic_runs():
     bench_pair = _bench_pair()
     baseline = [_metrics(w) for w in (5.0, 4.0, 6.0, 3.0, 7.0)]
-    change = [_metrics(w, setup=0.6) for w in (3.0, 4.5, 2.0, 2.5, 3.5)]
+    change = [_metrics(w, setup=0.6, cpu=c)
+              for w, c in zip((3.0, 4.5, 2.0, 2.5, 3.5), (60.0, 30.0, 70.0, 65.0, 62.0))]
     summary = bench_pair.summarize({"baseline": baseline, "change": change})
     wall = summary["wall_s"]
     assert wall["baseline"] == {"median": 5.0, "q1": 4.0, "q3": 6.0}
@@ -59,6 +60,9 @@ def test_bench_pair_summary_of_synthetic_runs():
     assert (wall["wins"], wall["pairs"]) == (4, 5)  # pair 1 is slower
     assert summary["setup_s"]["wins"] == 0
     assert summary["peak_rss_mb"]["wins"] == 0  # a tie is no win
+    cpu = summary["cpu_s"]
+    assert cpu["change"] == {"median": 62.0, "q1": 60.0, "q3": 65.0}
+    assert (cpu["ratio"], cpu["wins"]) == (62.0 / 40.0, 1)
     one = bench_pair.summarize({"baseline": baseline[:1], "change": change[:1]})
     assert one["wall_s"]["change"] == {"median": 3.0, "q1": 3.0, "q3": 3.0}
     with pytest.raises(ValueError):
