@@ -19,12 +19,16 @@ system CPU seconds of the run.py process and of every descendant it waited
 for (the forked children of the commands, the setup interpreters), as
 ``os.wait4`` reports them.  It covers the whole run, not one call, so it is
 compared at the same ``--seconds`` only; ``calls`` is the number of calls
-the run made.
+the run made.  ``max_rss_mb`` is the same call's ``ru_maxrss`` in MB: the
+peak resident set of the largest single process of the run's tree, so a
+forked child that outgrows the run.py process it belongs to is seen, where
+run.py's own ``peak_rss_mb`` reads only that process.
 
 The BENCH file holds the environment record of each side, the command, and
 per workload and metric: both sides' median, q1 and q3 (inclusive
 quartiles), the ratio of the medians, and in how many pairs this checkout
-was better ("wins"), next to every raw run.
+was better ("wins"), next to every raw run; and the line count of each
+side's ``src/switchgame/*.py`` ("src_lines").
 """
 
 from __future__ import annotations
@@ -40,7 +44,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-METRICS = ("wall_s", "setup_s", "peak_rss_mb", "cpu_s")  # every one of them is better lower
+# every one of them is better lower
+METRICS = ("wall_s", "setup_s", "peak_rss_mb", "cpu_s", "max_rss_mb")
 SIDES = ("baseline", "change")
 
 
@@ -74,10 +79,17 @@ def summarize(runs: dict[str, list[dict]]) -> dict:
     return out
 
 
+def src_lines(checkout: Path) -> int:
+    """The line count of the package's modules in ``checkout``, as
+    ``wc -l src/switchgame/*.py`` totals it."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (checkout / "src" / "switchgame").glob("*.py"))
+
+
 def _run(checkout: Path, workload: str, seed: int, seconds: float,
          cpus: list[int] | None) -> tuple[dict, dict]:
-    """run.py's result line, with ``cpu_s`` added to its metrics, and its
-    environment record."""
+    """run.py's result line, with ``cpu_s`` and ``max_rss_mb`` added to its
+    metrics, and its environment record."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
                "--seconds", str(seconds), "--trace", "0"]
     pin = None if cpus is None else (lambda: os.sched_setaffinity(0, cpus))
@@ -97,6 +109,8 @@ def _run(checkout: Path, workload: str, seed: int, seconds: float,
     if not result["correct"]:
         raise SystemExit(f"{checkout}: {workload} was not correct: {out}")
     result["metrics"]["cpu_s"] = {"value": usage.ru_utime + usage.ru_stime, "unit": "s"}
+    # ru_maxrss counts KiB on Linux
+    result["metrics"]["max_rss_mb"] = {"value": usage.ru_maxrss / 1024, "unit": "MB"}
     env = next((json.loads(line.split(" ", 1)[1]) for line in lines
                 if line.startswith("environment ")), {})
     return result, env
@@ -106,7 +120,8 @@ def bench(baseline: Path, change: Path, workloads: list[str], pairs: int, seed: 
           seconds: float, cpus: list[int] | None = None) -> dict:
     checkouts = {"baseline": baseline, "change": change}
     doc = {"command": f"perfbench/run.py --seed {seed} --seconds {seconds} --trace 0",
-           "cpus": cpus, "environment": {}, "workloads": {}}
+           "cpus": cpus, "environment": {}, "workloads": {},
+           "src_lines": {side: src_lines(checkouts[side]) for side in SIDES}}
     for workload in workloads:
         runs = {side: [] for side in SIDES}
         raw = {side: [] for side in SIDES}

@@ -35,11 +35,13 @@ def main():
     bundle = simulate_paths(cfg.spec, sim)
     i0, j0 = cfg.start_modes
 
-    report = gm.verify_saddle_from_fields(
-        cfg.spec, bundle, field1, field2,
+    start = (sim.t0, sim.x0, i0, j0)
+    saddle1, saddle2, pde_value = gm.saddle_from_fields(field1, field2, start)
+    report = gm.verify_saddle(
+        cfg.spec, bundle, saddle1, saddle2,
         gm.default_challengers(cfg.spec, 1, i0, sim.seed + 1, sim.n_steps),
         gm.default_challengers(cfg.spec, 2, j0, sim.seed + 2, sim.n_steps),
-        start=(sim.t0, sim.x0, i0, j0),
+        start=start, pde_value=pde_value,
     )
 
     print(f"paths = {bundle.n_paths}, steps = {bundle.n_steps}, seed = {sim.seed}")

@@ -666,21 +666,6 @@ def saddle_from_fields(field1: ValueField, field2: ValueField,
     return saddle_strategy(field1, i0), saddle_strategy(field2, j0), pde_value
 
 
-def verify_saddle_from_fields(
-    spec: ProblemSpec,
-    bundle: PathBundle,
-    field1: ValueField,
-    field2: ValueField,
-    challengers1: list[tuple[str, SwitchingStrategy]],
-    challengers2: list[tuple[str, SwitchingStrategy]],
-    start: tuple[float, float, int, int],
-) -> GameReport:
-    """verify_saddle on the saddle pair and PDE value of saddle_from_fields."""
-    saddle1, saddle2, pde_value = saddle_from_fields(field1, field2, start)
-    return verify_saddle(spec, bundle, saddle1, saddle2, challengers1, challengers2,
-                         start=start, pde_value=pde_value)
-
-
 # ---------------------------------------------------------------------------
 # Deterministic backward-induction oracle (frozen state)
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ the drift keeps only its inward-pointing upwind part, which preserves the
 positive-coefficient structure.  The implicit backward step
 (I - dt L) v = v_next + dt source is then an M-matrix solve, giving the
 discrete comparison principle and unconditional sup-norm stability.
+Every implicit step of the package is solved by solve_rows, the one gtsv call.
 """
 
 from __future__ import annotations
@@ -140,32 +141,30 @@ def discretize_generator(spec: ProblemSpec, grid: Grid, t: float) -> GeneratorSt
     return GeneratorStencil(lower=lower, center=center, upper=upper)
 
 
-def solve_tridiagonal(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve the tridiagonal system ``ab`` x = ``b``, with ``ab`` in
-    solve_banded's (1, 1) layout.
+def solve_rows(ab: np.ndarray, b: np.ndarray, out: np.ndarray, live: np.ndarray,
+               errors: dict) -> None:
+    """out[r] = the solution of the tridiagonal system ab[:, r] x = b[r] for
+    each live row r, with ``ab`` in solve_banded's (1, 1) layout on its
+    first axis: one LAPACK gtsv call per row.
 
-    LAPACK gtsv gets the diagonals that ``solve_banded((1, 1), ab, b)``
-    hands it, so x is the same bit for bit, without that wrapper's
-    per-call overhead.  Its checks are kept: a non-finite entry anywhere in
-    ``ab`` or ``b`` raises ValueError, a singular system LinAlgError.
-    Neither input is modified.
+    gtsv gets the diagonals that ``solve_banded((1, 1), ab[:, r], b[r])``
+    hands it, so each row is the same bit for bit, without that wrapper's
+    per-call overhead.  Its checks are kept per row: a non-finite entry
+    anywhere in the row's ``ab`` (the unused corners included) or ``b``
+    gives ValueError, a singular system LinAlgError.  A row that fails
+    leaves ``live``, its exception put in ``errors``, and its row of ``out``
+    is not written.  Neither ``ab`` nor ``b`` is modified.
     """
-    if not (np.isfinite(ab).all() and np.isfinite(b).all()):
-        raise ValueError("array must not contain infs or NaNs")
-    return solve_finite_tridiagonal(ab, b)
-
-
-def solve_finite_tridiagonal(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """solve_tridiagonal without its finiteness check, for inputs known to
-    be finite: the same x, and the same errors from gtsv."""
-    *_, x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)
-    if info > 0:
-        raise np.linalg.LinAlgError("singular matrix")
-    if info < 0:
-        raise ValueError(f"illegal value in the {-info}-th argument of gtsv")
-    return x
-
-
-def solve_implicit(stencil: GeneratorStencil, dt: float, rhs: np.ndarray) -> np.ndarray:
-    """Solve (I - dt L) v = rhs."""
-    return solve_tridiagonal(stencil.implicit_bands(dt), rhs)
+    # one finiteness check for every row; only when it fails is each row checked
+    finite = np.isfinite(ab).all() and np.isfinite(b).all()
+    for r in np.flatnonzero(live):
+        if finite or (np.isfinite(ab[:, r]).all() and np.isfinite(b[r]).all()):
+            *_, x, info = dgtsv(ab[2, r, :-1], ab[1, r], ab[0, r, 1:], b[r])
+            if info == 0:
+                out[r] = x
+                continue
+            errors[r] = (np.linalg.LinAlgError("singular matrix") if info > 0 else
+                         ValueError(f"illegal value in the {-info}-th argument of gtsv"))
+        else:
+            errors[r] = ValueError("array must not contain infs or NaNs")
+        live[r] = False

@@ -39,14 +39,16 @@ passes are the rows of one array that every numpy operation of the level
 kernel covers at once.  Each keeps its own lexicographic Gauss-Seidel
 order, policies, tie width, sweep count and caps, and a row that has
 settled takes no further update while the others run on; the tridiagonal
-solves stay one per row.  Fields, reports and errors are those of solving
-the passes one after the other: a pass that fails stops the passes after
-it, the passes before it run on, and the error raised is the first one in
-pass order.
+solves stay one per row (grid.solve_rows).  Fields, reports and errors are
+those of solving the passes one after the other: a pass that fails stops
+the passes after it, the passes before it run on, and the error raised is
+the first one in pass order.
 
 A third, direct clamping scheme ships as a cross-check only: one plain
 implicit step followed by clamping between the two obstacles in the order
-that matches the system being approximated.
+that matches the system being approximated.  Its backward pass, which the
+single-player solves share, steps a level's mode pairs as the rows of one
+grid.solve_rows call (_clamp_pass).
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ import numpy as np
 from .errors import ConvergenceError, PreconditionError, SwitchgameError
 from .expressions import EvalContext, evaluate
 from .grid import (CellLookup, GeneratorStencil, Grid, discretize_generator,  # noqa: F401
-                   solve_banded, solve_finite_tridiagonal, solve_implicit, solve_tridiagonal)
+                   solve_banded, solve_rows)
 from .model import ProblemSpec, ceiling, check_separation, clamp_sweep, cost_arrays, floor
 
 _ACTIVE_SET_CAP = 64
@@ -241,22 +243,6 @@ def _next_policy(policy, proposed, lhs, rhs, tie):
     return proposed, (proposed != policy).any(axis=-1)
 
 
-def _solve_rows(ab, b, out, live, errors):
-    """out[r] = the solution of the tridiagonal system ab[:, r] x = b[r] for
-    each live row r, one gtsv call per row.  A row whose solve raises (a
-    non-finite entry, a singular matrix) leaves ``live``, its exception
-    put in ``errors``."""
-    # one finiteness check for every row; only when it fails is each row checked
-    finite = np.isfinite(ab).all() and np.isfinite(b).all()
-    solve = solve_finite_tridiagonal if finite else solve_tridiagonal
-    for r in np.flatnonzero(live):
-        try:
-            out[r] = solve(ab[:, r], b[r])
-        except (ValueError, np.linalg.LinAlgError) as exc:
-            errors[r] = exc
-            live[r] = False
-
-
 def _solve_reaction_rows(bands, rhs, thresholds, scale, beyond, contact, bound, w, tie, live,
                          errors):
     """Newton iteration on the penalty active sets with a frozen contact set.
@@ -292,7 +278,7 @@ def _solve_reaction_rows(bands, rhs, thresholds, scale, beyond, contact, bound, 
             ab[2, :, :-1][contact[:, 1:]] = 0.0
             b = np.where(contact, bound, b)
         prev, w = w, w.copy()
-        _solve_rows(ab, b, w, live, errors)
+        solve_rows(ab, b, w, live, errors)
         moving = np.zeros_like(live)
         proposed = []
         for act, c in zip(active, thresholds):
@@ -537,23 +523,28 @@ def _clamp_pass(cache: _LevelCache, f: np.ndarray, terminal: np.ndarray,
                 costs1: np.ndarray | None = None, costs2: np.ndarray | None = None,
                 floor_last: bool = False) -> np.ndarray:
     """Backward pass over values indexed (i, j, t, x): per pair one plain
-    implicit step from the next level with source f[i, j, k], then
+    implicit step from the next level with source f[i, j, k], the pairs of
+    a level solved as the rows of one solve_rows call, then
     clamp_sweep with the level's costs1[:, :, k] and costs2[:, :, k] (either
     may be None, leaving that obstacle out).  f and the costs are indexed
     (mode, mode, t, x) and terminal (i, j, x), like the cache's own arrays,
-    of which they may be slices.
+    of which they may be slices.  A failed step raises the error of the
+    first pair, in pair order, that fails.
     """
     n1, n2, nx = terminal.shape
     nt, dt = cache.grid.nt, cache.grid.dt
     v = np.empty((n1, n2, nt, nx))
     v[:, :, nt - 1, :] = terminal
     for k in range(nt - 2, -1, -1):
-        rhs = _level_rhs(v[:, :, k + 1], dt, f[:, :, k], k)
-        stencil = cache.stencil(k)
-        stepped = np.empty((n1, n2, nx))
-        for a, b in np.ndindex(n1, n2):
-            stepped[a, b] = solve_implicit(stencil, dt, rhs[a, b])
-        v[:, :, k, :] = clamp_sweep(stepped, None if costs1 is None else costs1[:, :, k],
+        rhs = _level_rhs(v[:, :, k + 1], dt, f[:, :, k], k).reshape(n1 * n2, nx)
+        bands = cache.stencil(k).implicit_bands(dt)  # the level's one I - dt L
+        stepped, errors = np.empty_like(rhs), {}
+        solve_rows(np.broadcast_to(bands[:, np.newaxis], (3,) + rhs.shape), rhs, stepped,
+                   np.ones(n1 * n2, dtype=bool), errors)
+        if errors:
+            raise errors[min(errors)]
+        v[:, :, k, :] = clamp_sweep(stepped.reshape(n1, n2, nx),
+                                    None if costs1 is None else costs1[:, :, k],
                                     None if costs2 is None else costs2[:, :, k], floor_last)
     return v
 

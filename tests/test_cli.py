@@ -17,7 +17,8 @@ from switchgame import cli as cli_mod, game as game_mod
 from switchgame.cli import _write_json, _write_payoffs, main
 from switchgame.config import load_config
 from switchgame.errors import ConvergenceError, SwitchgameError
-from switchgame.game import PayoffEstimate, default_challengers, verify_saddle_from_fields
+from switchgame.game import (PayoffEstimate, default_challengers, saddle_from_fields,
+                            verify_saddle)
 from switchgame.grid import build_grid
 from switchgame.simulate import simulate_paths
 from switchgame.solver import ValueField, solve_single_obstacle
@@ -802,9 +803,9 @@ def test_payoffs_csv_writes_csv_writer_bytes(tmp_path_factory, data, n):
 
 
 def _serial_game(path, out):
-    """The game command's two files as verify_saddle_from_fields makes them
-    in one process on the whole path bundle, written as the command writes
-    them; or the error that raises."""
+    """The game command's two files as saddle_from_fields and verify_saddle
+    make them in one process on the whole path bundle, written as the
+    command writes them; or the error that raises."""
     config = load_config(str(path))
     grid = build_grid(config.spec, config.nt, config.nx)
     field1, field2 = solve_single_obstacle(config.spec, grid)
@@ -812,9 +813,10 @@ def _serial_game(path, out):
     challengers = [default_challengers(config.spec, player, mode, config.sim.seed + player,
                                        config.sim.n_steps)
                    for player, mode in ((1, i0), (2, j0))]
-    report = verify_saddle_from_fields(config.spec, simulate_paths(config.spec, config.sim),
-                                       field1, field2, *challengers,
-                                       start=(config.sim.t0, config.sim.x0, i0, j0))
+    start = (config.sim.t0, config.sim.x0, i0, j0)
+    saddle1, saddle2, pde_value = saddle_from_fields(field1, field2, start)
+    report = verify_saddle(config.spec, simulate_paths(config.spec, config.sim),
+                           saddle1, saddle2, *challengers, start=start, pde_value=pde_value)
     out.mkdir()
     _write_json(out / "game_report.json", report.to_dict())
     _write_payoffs(out / "payoffs.csv", report.saddle_payoff)

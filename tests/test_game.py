@@ -16,6 +16,7 @@ from switchgame.game import (
     payoff_estimate,
     payoff_estimates,
     random_switch,
+    saddle_from_fields,
     saddle_strategy,
     switch_at_start,
     switch_every_step,
@@ -401,18 +402,20 @@ def test_cost_bleeding_challenger_strictly_dominated(small_game):
     assert base.mean - bled.mean >= 40 * 0.15 - 2.0
 
 
-def test_verify_saddle_from_fields_wrapper(small_game):
-    from switchgame.game import verify_saddle_from_fields
-
-    spec, grid, field1, field2, bundle, _, _ = small_game
-    report = verify_saddle_from_fields(
-        spec, bundle, field1, field2,
+def test_saddle_from_fields_builds_the_pair_and_pde_value(small_game):
+    spec, grid, field1, field2, bundle, saddle1, saddle2 = small_game
+    start = (0.0, 0.0, 1, 1)
+    strategy1, strategy2, pde_value = saddle_from_fields(field1, field2, start)
+    assert (strategy1, strategy2) == (saddle1, saddle2)
+    expected = float(field1.values[0, 0, 40] + field2.values[0, 0, 40])
+    assert pde_value == pytest.approx(expected, abs=1e-12)
+    report = verify_saddle(
+        spec, bundle, strategy1, strategy2,
         [("never_switch", never_switch(1, 1))], [("never_switch", never_switch(2, 1))],
-        start=(0.0, 0.0, 1, 1),
+        start=start, pde_value=pde_value,
     )
     assert report.all_passed()
-    expected = float(field1.values[0, 0, 40] + field2.values[0, 0, 40])
-    assert report.pde_value == pytest.approx(expected, abs=1e-12)
+    assert report.pde_value == pde_value
 
 
 def test_saddle_payoff_between_matrix_extremes(small_game):

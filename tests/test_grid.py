@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from scipy.linalg import solve_banded
 
-from switchgame.grid import build_grid, discretize_generator, solve_implicit, solve_tridiagonal
+from switchgame.grid import build_grid, discretize_generator, solve_rows
 
 from helpers import build_spec
 
@@ -13,6 +13,22 @@ def _simple_spec(drift="0", volatility="1", domain=(-2.0, 2.0), horizon=1.0):
     return build_spec(modes1=(1,), modes2=(1,), drivers={(1, 1): "0"},
                       terminals={(1, 1): "0"}, drift=drift, volatility=volatility,
                       domain=domain, horizon=horizon)
+
+
+def _solve(ab, b):
+    """solve_rows on the one system ``ab`` x = ``b``: x, or the error it
+    records for the row."""
+    out, live, errors = np.zeros((1, b.size)), np.ones(1, dtype=bool), {}
+    solve_rows(ab[:, np.newaxis], b[np.newaxis], out, live, errors)
+    if errors:
+        assert not live[0]
+        raise errors[0]
+    return out[0]
+
+
+def _step(stencil, dt, rhs):
+    """The implicit backward step: (I - dt L) v = rhs."""
+    return _solve(stencil.implicit_bands(dt), rhs)
 
 
 def test_build_grid_spacing():
@@ -84,9 +100,9 @@ def test_backward_step_identity_when_generator_vanishes():
     grid = build_grid(spec, 11, 21)
     stencil = discretize_generator(spec, grid, 0.0)
     v = np.sin(grid.xs)
-    out = solve_implicit(stencil, 0.1, v)
+    out = _step(stencil, 0.1, v)
     assert np.allclose(out, v, atol=1e-14)
-    out2 = solve_implicit(stencil, 0.1, v + 0.1)
+    out2 = _step(stencil, 0.1, v + 0.1)
     assert np.allclose(out2, v + 0.1, atol=1e-14)
 
 
@@ -96,7 +112,7 @@ def test_backward_step_heat_moment():
     grid = build_grid(spec, 101, 41)
     dt = grid.dt
     stencil = discretize_generator(spec, grid, 0.0)
-    out = solve_implicit(stencil, dt, grid.xs ** 2)
+    out = _step(stencil, dt, grid.xs ** 2)
     middle = slice(10, -10)
     assert np.allclose(out[middle], grid.xs[middle] ** 2 + dt, atol=1e-8)
 
@@ -107,7 +123,7 @@ def test_backward_step_residual_tolerance():
     dt = grid.dt
     stencil = discretize_generator(spec, grid, 0.3)
     rhs = np.cos(grid.xs) + dt * 0.2
-    v = solve_implicit(stencil, dt, rhs)
+    v = _step(stencil, dt, rhs)
     residual = v - dt * stencil.apply(v) - rhs
     assert np.max(np.abs(residual)) < 1e-12
 
@@ -127,8 +143,8 @@ def test_backward_step_monotone(seed, b, sigma):
     v = rng.uniform(-1, 1, grid.nx)
     w = v + rng.uniform(0, 1, grid.nx)
     src = rng.uniform(-1, 1, grid.nx)
-    out_v = solve_implicit(stencil, 0.25, v + 0.25 * src)
-    out_w = solve_implicit(stencil, 0.25, w + 0.25 * src)
+    out_v = _step(stencil, 0.25, v + 0.25 * src)
+    out_w = _step(stencil, 0.25, w + 0.25 * src)
     assert np.all(out_v <= out_w + 1e-11)
 
 
@@ -142,7 +158,7 @@ def test_backward_step_sup_stability(seed):
     v = rng.uniform(-3, 3, grid.nx)
     src = rng.uniform(-2, 2, grid.nx)
     dt = 0.25
-    out = solve_implicit(stencil, dt, v + dt * src)
+    out = _step(stencil, dt, v + dt * src)
     assert np.max(np.abs(out)) <= np.max(np.abs(v)) + dt * np.max(np.abs(src)) + 1e-11
 
 
@@ -167,11 +183,17 @@ def _tridiagonal_system(rng, nx, pinned):
        pinned_share=st.sampled_from([0.0, 0.3, 1.0]))
 @settings(max_examples=80, deadline=None)
 def test_solve_tridiagonal_bitwise_equal_to_solve_banded(seed, nx, pinned_share):
+    # every row of one solve_rows call, each row a system of its own
     rng = np.random.default_rng(seed)
-    ab, b = _tridiagonal_system(rng, nx, rng.random(nx) < pinned_share)
+    systems = [_tridiagonal_system(rng, nx, rng.random(nx) < pinned_share) for _ in range(3)]
+    ab = np.stack([a for a, _ in systems], axis=1)
+    b = np.stack([r for _, r in systems])
     kept = ab.copy(), b.copy()
-    got = solve_tridiagonal(ab, b)
-    assert got.tobytes() == solve_banded((1, 1), ab, b).tobytes()
+    out, live, errors = np.zeros(b.shape), np.ones(3, dtype=bool), {}
+    solve_rows(ab, b, out, live, errors)
+    assert live.all() and not errors
+    for r, (ab_r, b_r) in enumerate(systems):
+        assert out[r].tobytes() == solve_banded((1, 1), ab_r, b_r).tobytes()
     assert ab.tobytes() == kept[0].tobytes() and b.tobytes() == kept[1].tobytes()
 
 
@@ -185,8 +207,7 @@ def test_solve_implicit_bitwise_equal_to_solve_banded():
     ab[2, :-1] = -grid.dt * stencil.lower[1:]
     rhs = np.cos(grid.xs)
     assert stencil.implicit_bands(grid.dt).tobytes() == ab.tobytes()
-    assert (solve_implicit(stencil, grid.dt, rhs).tobytes()
-            == solve_banded((1, 1), ab, rhs).tobytes())
+    assert _step(stencil, grid.dt, rhs).tobytes() == solve_banded((1, 1), ab, rhs).tobytes()
 
 
 @pytest.mark.parametrize("row,col", [(1, 0), (1, 4), (0, 3), (2, 2), (0, 0), (2, 5), (None, 2)])
@@ -200,8 +221,11 @@ def test_solve_tridiagonal_rejects_non_finite_input(row, col, bad):
         ab[row, col] = bad
     with pytest.raises(ValueError):
         solve_banded((1, 1), ab, b)
-    with pytest.raises(ValueError, match="infs or NaNs"):
-        solve_tridiagonal(ab, b)
+    kept = ab.copy(), b.copy()
+    with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+        _solve(ab, b)
+    assert np.array_equal(ab, kept[0], equal_nan=True)
+    assert np.array_equal(b, kept[1], equal_nan=True)
 
 
 def test_solve_tridiagonal_rejects_singular_system():
@@ -209,5 +233,29 @@ def test_solve_tridiagonal_rejects_singular_system():
     b = np.ones(3)
     with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
         solve_banded((1, 1), ab, b)
-    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
-        solve_tridiagonal(ab, b)
+    with pytest.raises(np.linalg.LinAlgError, match="^singular matrix$"):
+        _solve(ab, b)
+
+
+def test_solve_rows_fails_each_bad_row_on_its_own():
+    # rows 1 and 3 are bad, row 4 is dead from the start; the finite rows
+    # are solved as if alone, and no failed or dead row of out is written
+    rng = np.random.default_rng(7)
+    systems = [_tridiagonal_system(rng, 6, np.zeros(6, dtype=bool)) for _ in range(5)]
+    ab = np.stack([a for a, _ in systems], axis=1)
+    b = np.stack([r for _, r in systems])
+    ab[0, 1, 0] = np.nan  # an unused corner
+    ab[:, 3, 0] = 0.0  # first column zero
+    kept = ab.copy(), b.copy()
+    out = np.full(b.shape, -7.0)
+    live = np.array([True, True, True, True, False])
+    errors = {}
+    solve_rows(ab, b, out, live, errors)
+    assert live.tolist() == [True, False, True, False, False]
+    assert sorted(errors) == [1, 3]
+    assert type(errors[1]) is ValueError and str(errors[1]) == "array must not contain infs or NaNs"
+    assert type(errors[3]) is np.linalg.LinAlgError and str(errors[3]) == "singular matrix"
+    for r in (0, 2):
+        assert out[r].tobytes() == solve_banded((1, 1), ab[:, r], b[r]).tobytes()
+    assert (out[[1, 3, 4]] == -7.0).all()
+    assert np.array_equal(ab, kept[0], equal_nan=True) and b.tobytes() == kept[1].tobytes()

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -121,22 +122,51 @@ def test_clamped_cross_check_scheme():
                 assert clamped.values[idx, 0, 2] == oracle[order][pair]
 
 
-@pytest.mark.parametrize("solve", [
-    lambda spec: solve_clamped(spec, build_grid(spec, 11, 5), order="minmax"),
-    lambda spec: solve_clamped(spec, build_grid(spec, 11, 5), order="maxmin"),
-    lambda spec: solve_single_obstacle(spec, build_grid(spec, 11, 5)),
-    lambda spec: deterministic_dp_oracle(spec, 11, 0.0),
-], ids=["clamped_minmax", "clamped_maxmin", "single_obstacle", "oracle"])
-def test_clamp_sweep_raises_at_its_cap(monkeypatch, solve):
+CLAMPED_SOLVES = {
+    "clamped_minmax": lambda spec: solve_clamped(spec, build_grid(spec, 11, 5), order="minmax"),
+    "clamped_maxmin": lambda spec: solve_clamped(spec, build_grid(spec, 11, 5), order="maxmin"),
+    "single_obstacle": lambda spec: solve_single_obstacle(spec, build_grid(spec, 11, 5)),
+}
+
+
+def _floor_binding_spec():
     # player 1 gains 1 per unit time in mode 1 and pays 0.25 to reach it, so
     # the floor binds and a level needs a second sweep to settle
     costs1, costs2 = uniform_costs((1, 2), (1, 2), 0.25, 0.45)
-    spec = build_spec(costs1=costs1, costs2=costs2,
+    return build_spec(costs1=costs1, costs2=costs2,
                       drivers={(1, 1): "1", (1, 2): "1", (2, 1): "0", (2, 2): "0"})
+
+
+@pytest.mark.parametrize("solve", [*CLAMPED_SOLVES.values(),
+                                   lambda spec: deterministic_dp_oracle(spec, 11, 0.0)],
+                         ids=[*CLAMPED_SOLVES, "oracle"])
+def test_clamp_sweep_raises_at_its_cap(monkeypatch, solve):
+    spec = _floor_binding_spec()
     solve(spec)
     monkeypatch.setattr(model, "SWEEP_CAP", 1)
     with pytest.raises(ConvergenceError, match="clamp sweep"):
         solve(spec)
+
+
+@pytest.mark.parametrize("infos,error,text", [
+    ((0, 1, -1), np.linalg.LinAlgError, "singular matrix"),
+    ((0, -1, 1), ValueError, "illegal value in the 1-th argument of gtsv"),
+], ids=["singular", "illegal"])
+@pytest.mark.parametrize("solve", CLAMPED_SOLVES.values(), ids=CLAMPED_SOLVES)
+def test_clamped_solves_raise_the_first_pair_error(monkeypatch, solve, infos, error, text):
+    # gtsv reports ``infos`` for the first pairs of the first level stepped,
+    # in pair order, and an illegal argument for every pair after them: the
+    # first failing pair's error is raised, before that level is clamped
+    spec = _floor_binding_spec()
+    reported = itertools.chain(infos, itertools.repeat(-1))
+    monkeypatch.setattr(grid_module, "dgtsv", lambda dl, d, du, b: (dl, d, du, b, next(reported)))
+    sweeps = []
+    clamp_sweep = solver.clamp_sweep
+    monkeypatch.setattr(solver, "clamp_sweep", lambda *args: sweeps.append(1) or clamp_sweep(*args))
+    with pytest.raises(error) as err:
+        solve(spec)
+    assert type(err.value) is error and str(err.value) == text
+    assert not sweeps
 
 
 # ---------------------------------------------------------------------------
