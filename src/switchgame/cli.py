@@ -23,7 +23,8 @@ import numpy as np
 from .config import RunConfig, load_config
 from .errors import ConfigError, ConvergenceError, PreconditionError, SwitchgameError
 from .grid import Grid, build_grid
-from .model import AssumptionReport, run_all_checks, validate_consistency, validate_costs
+from .model import (AssumptionReport, run_all_checks, sample_lattice, validate_consistency,
+                    validate_costs)
 from .simulate import simulate_paths
 from .solver import csv_rows, solve_maxmin, solve_minmax, solve_single_obstacle
 from . import game as game_mod
@@ -37,13 +38,13 @@ def _write_json(path, payload: dict):
 
 def cmd_validate(config: RunConfig) -> int:
     out = config.output
-    report = run_all_checks(config.spec, config.samples())
+    report = run_all_checks(config.spec, sample_lattice(config.spec))
     _write_json(os.path.join(out, "validate_report.json"), report.to_dict())
     return 0 if report.all_passed() else 1
 
 
 def _core_checks_pass(config: RunConfig) -> tuple[bool, dict]:
-    samples = config.samples()
+    samples = sample_lattice(config.spec)
     report = AssumptionReport({
         **validate_costs(config.spec, samples).checks,
         **validate_consistency(config.spec, sorted({x for _, x in samples})).checks,

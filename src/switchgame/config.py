@@ -34,15 +34,12 @@ from .model import (
     ModeSets,
     ProblemSpec,
     SwitchCostTable,
+    T_SAMPLES,
     TerminalTable,
+    X_SAMPLES,
 )
 from .simulate import SimParams
 from .solver import PenaltySchedule
-
-
-# the (t, x) sampling lattice of the validators
-T_SAMPLES = 5
-X_SAMPLES = 21
 
 
 @dataclass(frozen=True)
@@ -54,14 +51,6 @@ class RunConfig:
     sim: SimParams | None
     start_modes: tuple[int, int] | None
     output: str
-
-    def samples(self) -> list[tuple[float, float]]:
-        """(t, x) lattice used by the validators."""
-        T = self.spec.horizon
-        lo, hi = self.spec.domain
-        ts = [T * k / (T_SAMPLES - 1) for k in range(T_SAMPLES)]
-        xs = [lo + (hi - lo) * k / (X_SAMPLES - 1) for k in range(X_SAMPLES)]
-        return [(t, x) for t in ts for x in xs]
 
 
 def _need(doc: dict, key: str, where: str, default=None):
@@ -212,7 +201,7 @@ def parse_config(doc: dict, where: str = "<config>") -> RunConfig:
     horizon = _finite(doc, "horizon", where)
     if horizon <= 0:
         raise ConfigError(f"{where}.horizon", "must be a positive finite number")
-    # the sample lattice of RunConfig.samples must not overflow
+    # the sample lattice (model.sample_lattice) must not overflow
     if not math.isfinite(horizon * (T_SAMPLES - 1)):
         raise ConfigError(f"{where}.horizon", "is too large: the sample times overflow")
 

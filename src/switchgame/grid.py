@@ -141,30 +141,27 @@ def discretize_generator(spec: ProblemSpec, grid: Grid, t: float) -> GeneratorSt
     return GeneratorStencil(lower=lower, center=center, upper=upper)
 
 
-def solve_rows(ab: np.ndarray, b: np.ndarray, out: np.ndarray, live: np.ndarray,
-               errors: dict) -> None:
+def solve_rows(ab: np.ndarray, b: np.ndarray, out: np.ndarray, live: np.ndarray) -> None:
     """out[r] = the solution of the tridiagonal system ab[:, r] x = b[r] for
-    each live row r, with ``ab`` in solve_banded's (1, 1) layout on its
-    first axis: one LAPACK gtsv call per row.
+    each live row r in order, with ``ab`` in solve_banded's (1, 1) layout on
+    its first axis: one LAPACK gtsv call per row.
 
     gtsv gets the diagonals that ``solve_banded((1, 1), ab[:, r], b[r])``
     hands it, so each row is the same bit for bit, without that wrapper's
-    per-call overhead.  Its checks are kept per row: a non-finite entry
-    anywhere in the row's ``ab`` (the unused corners included) or ``b``
-    gives ValueError, a singular system LinAlgError.  A row that fails
-    leaves ``live``, its exception put in ``errors``, and its row of ``out``
-    is not written.  Neither ``ab`` nor ``b`` is modified.
+    per-call overhead.  Its checks are kept per row, and the first live row
+    that fails one raises: a non-finite entry anywhere in the row's ``ab``
+    (the unused corners included) or ``b`` gives ValueError, a singular
+    system LinAlgError.  The live rows before it are written; no dead or
+    failing row of ``out`` is, nor any row after it.  Neither ``ab`` nor
+    ``b`` is modified.
     """
     # one finiteness check for every row; only when it fails is each row checked
     finite = np.isfinite(ab).all() and np.isfinite(b).all()
     for r in np.flatnonzero(live):
-        if finite or (np.isfinite(ab[:, r]).all() and np.isfinite(b[r]).all()):
-            *_, x, info = dgtsv(ab[2, r, :-1], ab[1, r], ab[0, r, 1:], b[r])
-            if info == 0:
-                out[r] = x
-                continue
-            errors[r] = (np.linalg.LinAlgError("singular matrix") if info > 0 else
-                         ValueError(f"illegal value in the {-info}-th argument of gtsv"))
-        else:
-            errors[r] = ValueError("array must not contain infs or NaNs")
-        live[r] = False
+        if not (finite or (np.isfinite(ab[:, r]).all() and np.isfinite(b[r]).all())):
+            raise ValueError("array must not contain infs or NaNs")
+        *_, x, info = dgtsv(ab[2, r, :-1], ab[1, r], ab[0, r, 1:], b[r])
+        if info:
+            raise (np.linalg.LinAlgError("singular matrix") if info > 0 else
+                   ValueError(f"illegal value in the {-info}-th argument of gtsv"))
+        out[r] = x

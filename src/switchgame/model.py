@@ -28,6 +28,9 @@ from .errors import ConvergenceError, SpecificationError
 from .expressions import ZERO, EvalContext, ExpressionTree, evaluate, free_variables
 
 SEPARATION_TOL = 1e-12
+# the (t, x) sampling lattice of the validators and of the separation gate
+T_SAMPLES = 5
+X_SAMPLES = 21
 
 
 @dataclass(frozen=True)
@@ -175,6 +178,16 @@ class AssumptionReport:
             "all_passed": self.all_passed(),
             "checks": {name: {**asdict(c), "passed": c.passed} for name, c in self.checks.items()},
         }
+
+
+def sample_lattice(spec: ProblemSpec) -> list[tuple[float, float]]:
+    """T_SAMPLES times over [0, horizon] by X_SAMPLES states over the
+    domain, the (t, x) points at which the checks below sample a spec."""
+    lo, hi = spec.domain
+    ts = [spec.horizon * k / (T_SAMPLES - 1) for k in range(T_SAMPLES)]
+    # the last state can round past hi
+    xs = [min(lo + (hi - lo) * k / (X_SAMPLES - 1), hi) for k in range(X_SAMPLES)]
+    return [(t, x) for t in ts for x in xs]
 
 
 def _require_samples(spec: ProblemSpec, samples):

@@ -19,7 +19,7 @@ solution; sup_gap measures their residual distance.
 The two schemes are mirror images (swap the players and negate the
 rewards), so they share one level kernel: a scheme is its hard obstacle,
 its penalized obstacle and the comparison and reduction of its side,
-chosen once per scheme (_solve_ladder).  The level data they read,
+chosen once per scheme (_wavefront).  The level data they read,
 drivers and switching costs, is indexed (mode, mode, t, x) like the values
 and evaluated once over the whole (t, x) lattice (_LevelCache).
 
@@ -31,7 +31,7 @@ level update stable for arbitrarily large m * dt.
 
 Each penalty level of the schedule is one backward pass, warm-started
 from the pass before it, and a scheme's passes are solved as one backward
-wavefront (_solve_ladder).  Pass p at time level k reads only its own
+wavefront (_wavefront).  Pass p at time level k reads only its own
 level k + 1 and, as its warm start, pass p - 1's level k, so it can start
 as soon as pass p - 1 is done with that level: at wavefront step s, every
 pass p with 0 <= s - p <= nt - 2 works on level nt - 2 - (s - p).  Those
@@ -40,9 +40,9 @@ kernel covers at once.  Each keeps its own lexicographic Gauss-Seidel
 order, policies, tie width, sweep count and caps, and a row that has
 settled takes no further update while the others run on; the tridiagonal
 solves stay one per row (grid.solve_rows).  Fields, reports and errors are
-those of solving the passes one after the other: a pass that fails stops
-the passes after it, the passes before it run on, and the error raised is
-the first one in pass order.
+those of solving the passes one after the other: a failed wavefront is
+solved again one pass at a time (_solve_ladder), so the first pass that
+fails raises its error, not a later pass that failed at an earlier step.
 
 A third, direct clamping scheme ships as a cross-check only: one plain
 implicit step followed by clamping between the two obstacles in the order
@@ -61,7 +61,8 @@ from .errors import ConvergenceError, PreconditionError, SwitchgameError
 from .expressions import EvalContext, evaluate
 from .grid import (CellLookup, GeneratorStencil, Grid, discretize_generator,  # noqa: F401
                    solve_banded, solve_rows)
-from .model import ProblemSpec, ceiling, check_separation, clamp_sweep, cost_arrays, floor
+from .model import (ProblemSpec, ceiling, check_separation, clamp_sweep, cost_arrays, floor,
+                    sample_lattice)
 
 _ACTIVE_SET_CAP = 64
 FIXED_POINT_CAP = 500  # Gauss-Seidel sweeps over the pairs of one time level
@@ -243,8 +244,7 @@ def _next_policy(policy, proposed, lhs, rhs, tie):
     return proposed, (proposed != policy).any(axis=-1)
 
 
-def _solve_reaction_rows(bands, rhs, thresholds, scale, beyond, contact, bound, w, tie, live,
-                         errors):
+def _solve_reaction_rows(bands, rhs, thresholds, scale, beyond, contact, bound, w, tie, live):
     """Newton iteration on the penalty active sets with a frozen contact set.
 
     Each row of the (rows, nx) arrays is one pass (penalty level m), scale
@@ -257,8 +257,8 @@ def _solve_reaction_rows(bands, rhs, thresholds, scale, beyond, contact, bound, 
     np.greater) or concave (np.less) in w, so the active-set iteration is
     monotone and settles in a few tridiagonal solves, nodes within ``tie``
     of a threshold keeping their side (_next_policy); a settled row is not
-    solved again.  Returns w.  A row whose active set still changes after
-    _ACTIVE_SET_CAP solves gets a ConvergenceError in ``errors``.
+    solved again.  Returns w; raises at the first row whose solve fails, or
+    whose active set still changes after _ACTIVE_SET_CAP solves.
     """
     live = live.copy()
     active = [beyond(w, c) for c in thresholds]
@@ -278,7 +278,7 @@ def _solve_reaction_rows(bands, rhs, thresholds, scale, beyond, contact, bound, 
             ab[2, :, :-1][contact[:, 1:]] = 0.0
             b = np.where(contact, bound, b)
         prev, w = w, w.copy()
-        solve_rows(ab, b, w, live, errors)
+        solve_rows(ab, b, w, live)
         moving = np.zeros_like(live)
         proposed = []
         for act, c in zip(active, thresholds):
@@ -289,14 +289,12 @@ def _solve_reaction_rows(bands, rhs, thresholds, scale, beyond, contact, bound, 
         if not live.any():
             return w
         active = proposed
-    for r in np.flatnonzero(live):
-        errors[r] = ConvergenceError(
-            f"reaction active set still changing after {_ACTIVE_SET_CAP} solves",
-            residual=float(np.max(np.abs(w[r] - prev[r]))))
-    return w
+    r = live.argmax()
+    raise ConvergenceError(f"reaction active set still changing after {_ACTIVE_SET_CAP} solves",
+                           residual=float(np.max(np.abs(w[r] - prev[r]))))
 
 
-def _pair_step(stencil, bands, dt, rhs, thresholds, scale, bound, side, w, tie, live, errors):
+def _pair_step(stencil, bands, dt, rhs, thresholds, scale, bound, side, w, tie, live):
     """Solve one pair's implicit step with its reaction term and hard
     obstacle, for the live rows (passes) of the (rows, nx) arrays.
 
@@ -315,8 +313,8 @@ def _pair_step(stencil, bands, dt, rhs, thresholds, scale, bound, side, w, tie, 
     discrete comparison between the two schemes exact.  A node where
     w - bound and the residual tie within ``tie`` keeps its policy
     (_next_policy), and a row whose policy has settled is not solved again.
-    Returns w.  A row whose contact set still changes after _ACTIVE_SET_CAP
-    policies, or whose level solve fails, gets its error in ``errors``.
+    Returns w; raises at the first row whose level solve fails, or whose
+    contact set still changes after _ACTIVE_SET_CAP policies.
     """
     beyond, clip = side
     live = live.copy()
@@ -324,9 +322,7 @@ def _pair_step(stencil, bands, dt, rhs, thresholds, scale, bound, side, w, tie, 
     for _ in range(_ACTIVE_SET_CAP):
         prev = w
         w = _solve_reaction_rows(bands, rhs, thresholds, scale, beyond, contact, bound, w, tie,
-                                 live, errors)
-        if errors:
-            live[list(errors)] = False
+                                 live)
         reaction = np.zeros(rhs.shape)
         for c in thresholds:
             reaction += scale * clip(w - c, 0.0)
@@ -336,11 +332,9 @@ def _pair_step(stencil, bands, dt, rhs, thresholds, scale, bound, side, w, tie, 
         live &= changed
         if not live.any():
             return w
-    for r in np.flatnonzero(live):
-        errors[r] = ConvergenceError(
-            f"contact policy still changing after {_ACTIVE_SET_CAP} policies",
-            residual=float(np.max(np.abs(w[r] - prev[r]))))
-    return w
+    r = live.argmax()
+    raise ConvergenceError(f"contact policy still changing after {_ACTIVE_SET_CAP} policies",
+                           residual=float(np.max(np.abs(w[r] - prev[r]))))
 
 
 def _level_rhs(vnext: np.ndarray, dt: float, f: np.ndarray, k: int) -> np.ndarray:
@@ -354,17 +348,20 @@ def _level_rhs(vnext: np.ndarray, dt: float, f: np.ndarray, k: int) -> np.ndarra
     return rhs
 
 
-def _solve_ladder(cache: _LevelCache, direction: str, schedule: PenaltySchedule):
-    """The backward passes of every penalty level, as one wavefront (see the
-    module docstring).
+def _wavefront(cache: _LevelCache, direction: str, penalties: tuple[float, ...], tol: float,
+               warm: np.ndarray | None = None):
+    """The backward passes of the penalty levels ``penalties``, as one
+    wavefront (see the module docstring).  The first pass starts each level
+    from ``warm``, the field of the pass before it, or from its own next
+    level when ``warm`` is None.
 
     The scheme's hard obstacle, its penalized obstacle, the mode axis of the
     penalized player, the kernel's side and the end-of-level clamp are
     chosen once, here; the level loop is the same for both schemes.  Arrays
     of one wavefront step are indexed (mode, mode, row, x), one row per
     pass.  Returns each pass's values, shape (n1, n2, nt, nx), and its
-    fixed-point sweep count.  Raises the error of the first pass, in pass
-    order, that fails.
+    fixed-point sweep count.  Raises the first error it meets, which may be
+    a later pass's than the first that fails (_solve_ladder).
     """
     grid = cache.grid
     n1, n2 = len(cache.modes1), len(cache.modes2)
@@ -375,31 +372,20 @@ def _solve_ladder(cache: _LevelCache, direction: str, schedule: PenaltySchedule)
     else:
         hard, hard_costs, soft, soft_costs, own_axis = ceiling, cache.g2, floor, cache.g1, 0
         side, clamp_key = (np.less, np.minimum), "costs2"
-    penalties = schedule.levels
     values = [np.empty((n1, n2, nt, nx)) for _ in penalties]
     for v in values:
         v[:, :, nt - 1, :] = cache.terminal
+    starts = [warm, *values[:-1]]  # the field each pass starts a level from
     iterations = [0] * len(penalties)
-    retired, error = len(penalties), None  # the passes from `retired` on have stopped
 
     for step in range(nt - 2 + len(penalties)):
-        rows, rhs = [], []
-        for p in range(max(0, step - (nt - 2)), min(step + 1, retired)):
-            k = nt - 2 - (step - p)
-            try:
-                rhs.append(_level_rhs(values[p][:, :, k + 1], dt, cache.f[:, :, k], k))
-            except SwitchgameError as exc:
-                retired, error = p, exc
-                break
-            rows.append((p, k))
-        if not rows:
-            break
+        rows = [(p, nt - 2 - (step - p))
+                for p in range(max(0, step - (nt - 2)), min(step + 1, len(penalties)))]
         passes, ks = zip(*rows)
-        # each pass starts from the pass before's field at its level, the
-        # first from its own next level
-        cur = np.stack([values[p - 1][:, :, k] if p else values[p][:, :, k + 1] for p, k in rows],
-                       axis=2)
-        rhs = np.stack(rhs, axis=2)
+        rhs = np.stack([_level_rhs(values[p][:, :, k + 1], dt, cache.f[:, :, k], k)
+                        for p, k in rows], axis=2)
+        cur = np.stack([values[p][:, :, k + 1] if starts[p] is None else starts[p][:, :, k]
+                        for p, k in rows], axis=2)
         hard_k, soft_k = hard_costs[:, :, ks], soft_costs[:, :, ks]
         stencil = cache.stencil(list(ks))
         bands = stencil.implicit_bands(dt)
@@ -407,9 +393,10 @@ def _solve_ladder(cache: _LevelCache, direction: str, schedule: PenaltySchedule)
         scale = np.repeat(dt * np.array([penalties[p] for p in passes])[:, np.newaxis], nx, axis=1)
         peak = np.abs(cur).max(axis=(0, 1, 3))[:, np.newaxis]
         tie = np.repeat(TIE_TOL * (1.0 + peak), nx, axis=1)
-        where = [f"penalty {penalties[p]:g}, time level {k}" for p, k in rows]
+        # errors name the first row: only one-pass wavefronts raise out of
+        # _solve_ladder, so that is the row that failed
+        where = f"penalty {penalties[passes[0]]:g}, time level {ks[0]}"
 
-        errors = {}  # by row; a failing row stops the rows after it
         live = np.ones(len(rows), dtype=bool)
         sweeps = np.zeros(len(rows), dtype=int)
         for _ in range(FIXED_POINT_CAP):
@@ -421,49 +408,42 @@ def _solve_ladder(cache: _LevelCache, direction: str, schedule: PenaltySchedule)
                 # at all for a single-mode player
                 cands = soft(cur, soft_k, (a, b), each=True)
                 thresholds = [c for m, c in enumerate(cands) if m != (a, b)[own_axis]]
-                failed = {}
-                w = _pair_step(stencil, bands, dt, rhs[a, b], thresholds, scale, bound, side,
-                               cur[a, b], tie, live, failed)
-                for r, exc in failed.items():
-                    if isinstance(exc, ConvergenceError):
-                        wrapped = ConvergenceError(
-                            f"{direction} at {where[r]}, pair "
-                            f"({cache.modes1[a]},{cache.modes2[b]}): {exc.message}",
-                            residual=exc.residual)
-                        wrapped.__cause__ = exc
-                        exc = wrapped
-                    errors[r] = exc
-                    live[r:] = False
+                try:
+                    w = _pair_step(stencil, bands, dt, rhs[a, b], thresholds, scale, bound, side,
+                                   cur[a, b], tie, live)
+                except ConvergenceError as exc:
+                    raise ConvergenceError(
+                        f"{direction} at {where}, pair ({cache.modes1[a]},{cache.modes2[b]}): "
+                        f"{exc.message}", residual=exc.residual) from exc
                 residual = np.maximum(residual, np.abs(w - cur[a, b]).max(axis=-1))
                 cur[a, b] = w
-            live &= ~(residual < schedule.fixed_point_tol)
+            live &= ~(residual < tol)
             if not live.any():
                 break
-        for r in np.flatnonzero(live):
-            errors[r] = ConvergenceError(f"{direction} fixed point stalled at {where[r]}",
-                                         residual=float(residual[r]))
-
-        done = min(errors, default=len(rows))
-        try:
-            clamped = clamp_sweep(cur[:, :, :done], **{clamp_key: hard_k[:, :, :done]})
-        except ConvergenceError:
-            # sweep the rows one by one, up to the first that does not settle
-            clamped = np.empty_like(cur[:, :, :done])
-            for r in range(done):
-                try:
-                    clamped[:, :, r] = clamp_sweep(cur[:, :, r], **{clamp_key: hard_k[:, :, r]})
-                except ConvergenceError as exc:
-                    errors[r], done = exc, r
-                    break
-        for r in range(done):
-            values[passes[r]][:, :, ks[r], :] = clamped[:, :, r]
-            iterations[passes[r]] += int(sweeps[r])
-        if errors:
-            r = min(errors)
-            retired, error = passes[r], errors[r]
-    if error is not None:
-        raise error
+        if live.any():
+            raise ConvergenceError(f"{direction} fixed point stalled at {where}",
+                                   residual=float(residual[0]))
+        clamped = clamp_sweep(cur, **{clamp_key: hard_k})
+        for r, (p, k) in enumerate(rows):
+            values[p][:, :, k, :] = clamped[:, :, r]
+            iterations[p] += int(sweeps[r])
     return values, iterations
+
+
+def _solve_ladder(cache: _LevelCache, direction: str, schedule: PenaltySchedule):
+    """Each penalty level's backward pass, shape (n1, n2, nt, nx), and its
+    fixed-point sweep count: one wavefront, or when that fails one per pass,
+    each warm-started from the pass before, which raise in pass order."""
+    levels, tol = schedule.levels, schedule.fixed_point_tol
+    try:
+        return _wavefront(cache, direction, levels, tol)
+    except Exception:
+        values, iterations, warm = [], [], None
+        for m in levels:
+            (warm,), (sweeps,) = _wavefront(cache, direction, (m,), tol, warm)
+            values.append(warm)
+            iterations.append(sweeps)
+        return values, iterations
 
 
 def _excess_by_pair(values, cache: _LevelCache, penalty: float, direction: str) -> dict:
@@ -538,11 +518,9 @@ def _clamp_pass(cache: _LevelCache, f: np.ndarray, terminal: np.ndarray,
     for k in range(nt - 2, -1, -1):
         rhs = _level_rhs(v[:, :, k + 1], dt, f[:, :, k], k).reshape(n1 * n2, nx)
         bands = cache.stencil(k).implicit_bands(dt)  # the level's one I - dt L
-        stepped, errors = np.empty_like(rhs), {}
+        stepped = np.empty_like(rhs)
         solve_rows(np.broadcast_to(bands[:, np.newaxis], (3,) + rhs.shape), rhs, stepped,
-                   np.ones(n1 * n2, dtype=bool), errors)
-        if errors:
-            raise errors[min(errors)]
+                   np.ones(n1 * n2, dtype=bool))
         v[:, :, k, :] = clamp_sweep(stepped.reshape(n1, n2, nx),
                                     None if costs1 is None else costs1[:, :, k],
                                     None if costs2 is None else costs2[:, :, k], floor_last)
@@ -568,12 +546,6 @@ def solve_clamped(spec: ProblemSpec, grid: Grid, order: str = "minmax") -> Value
 # ---------------------------------------------------------------------------
 
 
-def _grid_samples(spec: ProblemSpec, grid: Grid):
-    ts = grid.times[:: max(1, grid.nt // 5)]
-    xs = grid.xs[:: max(1, grid.nx // 10)]
-    return [(float(t), float(x)) for t in ts for x in xs]
-
-
 def solve_single_obstacle(spec: ProblemSpec, grid: Grid) -> tuple[ValueField, ValueField]:
     """Backward induction for each player's own switching system, as the
     pair (single_lower, single_upper).
@@ -587,7 +559,7 @@ def solve_single_obstacle(spec: ProblemSpec, grid: Grid) -> tuple[ValueField, Va
     Both come from one level cache.  Requires separated rewards; raises
     PreconditionError otherwise.
     """
-    report = check_separation(spec, _grid_samples(spec, grid))
+    report = check_separation(spec, sample_lattice(spec))
     if not report.all_passed():
         raise PreconditionError(
             "rewards are not separated across players",

@@ -53,7 +53,8 @@ def _small_heat(tmp_path):
 
 
 # validate_report.json bytes of the shipped configs; they depend on the
-# validators' (t, x) sampling lattice (config.T_SAMPLES, config.X_SAMPLES)
+# (t, x) sampling lattice of the validators and of game's separation gate
+# (model.sample_lattice)
 VALIDATE_DIGESTS = {
     "e1_separated_2x2.json": "51a969dba91e1428a843ba3bf8447ecbb14ede578cba9411ddd2f2726aa6b899",
     "fail_zero_cost_loop.json": "7c75f143275bd1a90ae79c6012ff917cfff35e6d2c3bda973b35f2df231c4376",

@@ -16,13 +16,9 @@ def _simple_spec(drift="0", volatility="1", domain=(-2.0, 2.0), horizon=1.0):
 
 
 def _solve(ab, b):
-    """solve_rows on the one system ``ab`` x = ``b``: x, or the error it
-    records for the row."""
-    out, live, errors = np.zeros((1, b.size)), np.ones(1, dtype=bool), {}
-    solve_rows(ab[:, np.newaxis], b[np.newaxis], out, live, errors)
-    if errors:
-        assert not live[0]
-        raise errors[0]
+    """solve_rows on the one system ``ab`` x = ``b``."""
+    out = np.zeros((1, b.size))
+    solve_rows(ab[:, np.newaxis], b[np.newaxis], out, np.ones(1, dtype=bool))
     return out[0]
 
 
@@ -189,9 +185,9 @@ def test_solve_tridiagonal_bitwise_equal_to_solve_banded(seed, nx, pinned_share)
     ab = np.stack([a for a, _ in systems], axis=1)
     b = np.stack([r for _, r in systems])
     kept = ab.copy(), b.copy()
-    out, live, errors = np.zeros(b.shape), np.ones(3, dtype=bool), {}
-    solve_rows(ab, b, out, live, errors)
-    assert live.all() and not errors
+    out, live = np.zeros(b.shape), np.ones(3, dtype=bool)
+    solve_rows(ab, b, out, live)
+    assert live.all()
     for r, (ab_r, b_r) in enumerate(systems):
         assert out[r].tobytes() == solve_banded((1, 1), ab_r, b_r).tobytes()
     assert ab.tobytes() == kept[0].tobytes() and b.tobytes() == kept[1].tobytes()
@@ -237,25 +233,30 @@ def test_solve_tridiagonal_rejects_singular_system():
         _solve(ab, b)
 
 
-def test_solve_rows_fails_each_bad_row_on_its_own():
-    # rows 1 and 3 are bad, row 4 is dead from the start; the finite rows
-    # are solved as if alone, and no failed or dead row of out is written
+@pytest.mark.parametrize("first,error,text", [
+    ("non-finite", ValueError, "array must not contain infs or NaNs"),
+    ("singular", np.linalg.LinAlgError, "singular matrix"),
+], ids=["non-finite", "singular"])
+def test_solve_rows_raises_at_the_first_bad_live_row(first, error, text):
+    # row 1 is non-finite but dead, rows 3 and 4 are bad and live, ``first``
+    # the earlier: rows 0 and 2 are solved as if alone, and no dead, failing
+    # or later row of out is written
     rng = np.random.default_rng(7)
-    systems = [_tridiagonal_system(rng, 6, np.zeros(6, dtype=bool)) for _ in range(5)]
+    systems = [_tridiagonal_system(rng, 6, np.zeros(6, dtype=bool)) for _ in range(6)]
     ab = np.stack([a for a, _ in systems], axis=1)
     b = np.stack([r for _, r in systems])
-    ab[0, 1, 0] = np.nan  # an unused corner
-    ab[:, 3, 0] = 0.0  # first column zero
+    non_finite, singular = (3, 4) if first == "non-finite" else (4, 3)
+    b[1, 2] = np.inf
+    ab[0, non_finite, 0] = np.nan  # an unused corner
+    ab[:, singular, 0] = 0.0  # first column zero
     kept = ab.copy(), b.copy()
     out = np.full(b.shape, -7.0)
-    live = np.array([True, True, True, True, False])
-    errors = {}
-    solve_rows(ab, b, out, live, errors)
-    assert live.tolist() == [True, False, True, False, False]
-    assert sorted(errors) == [1, 3]
-    assert type(errors[1]) is ValueError and str(errors[1]) == "array must not contain infs or NaNs"
-    assert type(errors[3]) is np.linalg.LinAlgError and str(errors[3]) == "singular matrix"
+    live = np.array([True, False, True, True, True, True])
+    with pytest.raises(error) as err:
+        solve_rows(ab, b, out, live)
+    assert type(err.value) is error and str(err.value) == text
     for r in (0, 2):
         assert out[r].tobytes() == solve_banded((1, 1), ab[:, r], b[r]).tobytes()
-    assert (out[[1, 3, 4]] == -7.0).all()
+    assert (out[[1, 3, 4, 5]] == -7.0).all()
+    assert live.tolist() == [True, False, True, True, True, True]
     assert np.array_equal(ab, kept[0], equal_nan=True) and b.tobytes() == kept[1].tobytes()

@@ -17,6 +17,7 @@ from switchgame.model import (
     enumerate_product_loops,
     floor,
     loop_signed_sum,
+    sample_lattice,
     validate_consistency,
     validate_costs,
     validate_triangle,
@@ -220,6 +221,21 @@ def test_separation_identical_drivers():
     spec = build_spec(costs1=costs1, costs2=costs2, drivers=drivers)
     report = check_separation(spec, _lattice())
     assert report.checks["separation"].passed
+
+
+@given(lo=st.floats(-1e3, 1e3), width=st.floats(1e-3, 1e3), horizon=st.floats(1e-3, 1e3))
+@settings(max_examples=60, deadline=None)
+def test_sample_lattice_stays_in_the_domain(lo, width, horizon):
+    # lo + (hi - lo) * 20 / 20 can round past hi, as on [-0.1, 0.3], and
+    # every check that samples the lattice rejects a point outside it
+    costs1, costs2 = uniform_costs((1, 2), (1, 2), 1.0, 2.0)
+    for domain in ((lo, lo + width), (-0.1, 0.3)):
+        spec = build_spec(costs1=costs1, costs2=costs2, domain=domain, horizon=horizon)
+        samples = sample_lattice(spec)
+        assert len(samples) == 5 * 21 and samples[0] == (0.0, domain[0])
+        assert all(0.0 <= t <= horizon and domain[0] <= x <= domain[1] for t, x in samples)
+        assert check_separation(spec, samples).all_passed()
+        assert validate_costs(spec, samples).all_passed()
 
 
 @pytest.mark.parametrize("eps", [1e-6, 1e-3, 1.0])

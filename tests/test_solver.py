@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -665,6 +666,40 @@ def _ladder_error(monkeypatch, problem, scheme, ladder, caps, breakage):
 @pytest.mark.parametrize("case", LADDER_ERRORS, ids=[c[0] for c in LADDER_ERRORS])
 def test_ladder_raises_the_first_error_in_pass_order(monkeypatch, case):
     assert _ladder_error(monkeypatch, *case[1:]) == LADDER_ERROR_TEXTS[case[0]]
+
+
+def test_a_pass_never_reached_raises_no_warning_in_place_of_the_error(monkeypatch):
+    # under warnings as errors and without np.errstate: the infinite pass,
+    # which solving pass by pass never reaches, makes inf * 0 in its
+    # reaction's diagonal, and that warning must not replace pass 1's error
+    spec, nt, nx = seeded_spec(26)
+    monkeypatch.setattr(solver, "_ACTIVE_SET_CAP", 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError) as err:
+            solve_maxmin(spec, build_grid(spec, nt, nx), INF_LADDER)
+    assert str(err.value) == ("maxmin at penalty 4, time level 0, pair (2,1): reaction active "
+                              "set still changing after 2 solves (residual 1.239e-02)")
+
+
+@pytest.mark.parametrize("problem", ["e1", 0, 3, 12])
+def test_a_ladder_that_succeeds_is_solved_once(monkeypatch, problem):
+    # a failed ladder is solved again pass by pass; one that succeeds is not,
+    # so an error of the all-pass wavefront alone cannot hide behind the replay
+    if problem == "e1":
+        config = load_config(str(CONFIG_DIR / "e1_equality_2x2.json"))
+        spec, nt, nx, ladder = config.spec, 41, 33, config.schedule
+    else:
+        (spec, nt, nx), ladder = seeded_spec(problem), SCHED_FULL
+    runs = []
+    wavefront = solver._wavefront
+    monkeypatch.setattr(solver, "_wavefront",
+                        lambda cache, direction, *rest: runs.append(direction)
+                        or wavefront(cache, direction, *rest))
+    grid = build_grid(spec, nt, nx)
+    for solve in (solve_minmax, solve_maxmin):
+        solve(spec, grid, ladder)
+    assert runs == ["minmax", "maxmin"]
 
 
 # ---------------------------------------------------------------------------
