@@ -14,6 +14,13 @@ process; a run that exits non-zero, prints no result line or reports
 ``correct: false`` stops the script.  ``--cpus 0`` (a comma-separated list
 of CPU numbers) pins each run and every process it starts to those CPUs.
 
+Each side keeps its bytecode under its own fresh ``PYTHONPYCACHEPREFIX``
+directory, with ``PYTHONDONTWRITEBYTECODE`` unset: both sides compile on
+their first run and read their cache afterwards, and a ``__pycache__`` left
+in either tree is not read.  A side that imports from a cache and one that
+compiles differ by about 1 MB of ``peak_rss_mb``.  Each side's environment
+record names its prefix.
+
 Next to run.py's own metrics, each run records ``cpu_s``: the user and
 system CPU seconds of the run.py process and of every descendant it waited
 for (the forked children of the commands, the setup interpreters), as
@@ -87,15 +94,17 @@ def src_lines(checkout: Path) -> int:
 
 
 def _run(checkout: Path, workload: str, seed: int, seconds: float,
-         cpus: list[int] | None) -> tuple[dict, dict]:
+         cpus: list[int] | None, pycache: str) -> tuple[dict, dict]:
     """run.py's result line, with ``cpu_s`` and ``max_rss_mb`` added to its
-    metrics, and its environment record."""
+    metrics, and its environment record; bytecode goes under ``pycache``."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
                "--seconds", str(seconds), "--trace", "0"]
     pin = None if cpus is None else (lambda: os.sched_setaffinity(0, cpus))
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPYCACHEPREFIX"] = pycache
     with tempfile.TemporaryFile("w+") as stdout, tempfile.TemporaryFile("w+") as stderr:
         proc = subprocess.Popen(command, cwd=checkout, stdout=stdout, stderr=stderr, text=True,
-                                preexec_fn=pin)
+                                preexec_fn=pin, env=env)
         # wait4, not wait: its usage counts the children run.py waited for
         _, status, usage = os.wait4(proc.pid, 0)
         proc.returncode = os.waitstatus_to_exitcode(status)
@@ -122,21 +131,25 @@ def bench(baseline: Path, change: Path, workloads: list[str], pairs: int, seed: 
     doc = {"command": f"perfbench/run.py --seed {seed} --seconds {seconds} --trace 0",
            "cpus": cpus, "environment": {}, "workloads": {},
            "src_lines": {side: src_lines(checkouts[side]) for side in SIDES}}
-    for workload in workloads:
-        runs = {side: [] for side in SIDES}
-        raw = {side: [] for side in SIDES}
-        for i in range(pairs):
-            order = SIDES if i % 2 == 0 else SIDES[::-1]
-            for side in order:
-                result, env = _run(checkouts[side], workload, seed, seconds, cpus)
-                doc["environment"].setdefault(side, env)
-                metrics = result["metrics"]
-                runs[side].append(metrics)
-                raw[side].append({**{m: metrics[m]["value"] for m in METRICS},
-                                  "calls": result["attempted"]})
-                print(f"{workload} pair {i} {side}: wall_s {metrics['wall_s']['value']:.3f} "
-                      f"cpu_s {metrics['cpu_s']['value']:.1f}", flush=True)
-        doc["workloads"][workload] = {"summary": summarize(runs), "runs": raw}
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as caches:
+        pycache = {side: os.path.join(caches, side) for side in SIDES}
+        for workload in workloads:
+            runs = {side: [] for side in SIDES}
+            raw = {side: [] for side in SIDES}
+            for i in range(pairs):
+                order = SIDES if i % 2 == 0 else SIDES[::-1]
+                for side in order:
+                    result, env = _run(checkouts[side], workload, seed, seconds, cpus,
+                                       pycache[side])
+                    doc["environment"].setdefault(side,
+                                                  {**env, "PYTHONPYCACHEPREFIX": pycache[side]})
+                    metrics = result["metrics"]
+                    runs[side].append(metrics)
+                    raw[side].append({**{m: metrics[m]["value"] for m in METRICS},
+                                      "calls": result["attempted"]})
+                    print(f"{workload} pair {i} {side}: wall_s {metrics['wall_s']['value']:.3f} "
+                          f"cpu_s {metrics['cpu_s']['value']:.1f}", flush=True)
+            doc["workloads"][workload] = {"summary": summarize(runs), "runs": raw}
     return doc
 
 

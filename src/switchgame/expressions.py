@@ -11,8 +11,9 @@ Grammar (whitespace insignificant):
 NUMBER is a decimal literal with optional fraction and exponent.  The
 function set is fixed and closed: min/max (binary), exp/abs/sqrt/sin/cos
 (unary).  Exponents are non-negative integers only; general powers are
-deliberately unsupported.  Trees are immutable and evaluation is pure, so
-results never depend on call order.
+deliberately unsupported.  Nesting and tree height are at most MAX_DEPTH.
+Trees are immutable and evaluation is pure, so results never depend on
+call order.
 """
 
 from __future__ import annotations
@@ -114,11 +115,18 @@ def _tokenize(source: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+MAX_DEPTH = 100  # nesting of parentheses, negations and calls, and height of the tree
+
+
 class _Parser:
+    """Recursive descent; ``height`` is the height of the tree returned last."""
+
     def __init__(self, source: str):
         self.source = source
         self.tokens = _tokenize(source)
         self.pos = 0
+        self.nesting = 0
+        self.height = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -134,6 +142,11 @@ class _Parser:
             return self.advance()
         raise ExpressionSyntaxError("syntax error", offset, (repr(symbol),))
 
+    def bounded(self, depth: int, offset: int) -> int:
+        if depth > MAX_DEPTH:
+            raise ExpressionSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels", offset)
+        return depth
+
     def parse(self) -> ExpressionTree:
         tree = self.expr()
         kind, text, offset = self.peek()
@@ -142,26 +155,23 @@ class _Parser:
         return tree
 
     def expr(self) -> ExpressionTree:
-        node = self.term()
-        while True:
-            kind, text, offset = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                rhs = self.term()
-                node = BinOp(text, node, rhs, offset)
-            else:
-                return node
+        return self.chain(self.term, "+-")
 
     def term(self) -> ExpressionTree:
-        node = self.factor()
+        return self.chain(self.factor, "*/")
+
+    def chain(self, operand, ops: str) -> ExpressionTree:
+        """operand (op operand)* with ops of ``ops``, associated to the left."""
+        node, height = operand(), self.height
         while True:
             kind, text, offset = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                rhs = self.factor()
-                node = BinOp(text, node, rhs, offset)
-            else:
+            if kind != "op" or text not in ops:
+                self.height = height
                 return node
+            self.advance()
+            rhs = operand()
+            height = self.bounded(max(height, self.height) + 1, offset)
+            node = BinOp(text, node, rhs, offset)
 
     def factor(self) -> ExpressionTree:
         node = self.base()
@@ -172,24 +182,28 @@ class _Parser:
             if nkind != "number" or not re.fullmatch(r"\d+", ntext):
                 raise ExpressionSyntaxError("syntax error", noffset, ("non-negative integer exponent",))
             self.advance()
+            self.height = self.bounded(self.height + 1, offset)
             node = Pow(node, int(ntext), offset)
         return node
 
     def base(self) -> ExpressionTree:
         kind, text, offset = self.advance()
         if kind == "number":
+            self.height = 1
             return Const(float(text), offset)
         if kind == "ident":
             if text in VARIABLES:
+                self.height = 1
                 return Var(text, offset)
             if text in FUNCTIONS:
                 self.expect_op("(")
-                args = [self.expr()]
+                args, height = [self.inner(self.expr, offset)], self.height
                 while True:
                     pkind, ptext, poffset = self.peek()
                     if pkind == "op" and ptext == ",":
                         self.advance()
-                        args.append(self.expr())
+                        args.append(self.inner(self.expr, offset))
+                        height = max(height, self.height)
                     else:
                         break
                 self.expect_op(")")
@@ -198,16 +212,27 @@ class _Parser:
                     raise ExpressionSyntaxError(
                         f"{text} takes {arity} argument(s), got {len(args)}", offset
                     )
+                self.height = self.bounded(height + 1, offset)
                 return Call(text, tuple(args), offset)
             raise ExpressionSyntaxError(f"unknown identifier {text!r}", offset, VARIABLES + tuple(FUNCTIONS))
         if kind == "op" and text == "(":
-            node = self.expr()
+            node = self.inner(self.expr, offset)
             self.expect_op(")")
             return node
         if kind == "op" and text == "-":
-            return Neg(self.factor(), offset)
+            node = self.inner(self.factor, offset)
+            self.height = self.bounded(self.height + 1, offset)
+            return Neg(node, offset)
         expected = ("NUMBER", "'t'", "'x'", "function name", "'('", "'-'")
         raise ExpressionSyntaxError("syntax error", offset, expected)
+
+    def inner(self, parse, offset: int) -> ExpressionTree:
+        """parse(), one level deeper in the nesting that the token at
+        ``offset`` opens."""
+        self.nesting = self.bounded(self.nesting + 1, offset)
+        node = parse()
+        self.nesting -= 1
+        return node
 
 
 def parse_expression(source: str) -> ExpressionTree:
@@ -341,14 +366,14 @@ def free_variables(tree: ExpressionTree) -> set[str]:
 
 
 def to_source(tree: ExpressionTree) -> str:
-    """Render a tree back to source.  Fully parenthesized, so the output
-    re-parses to a structurally identical tree."""
+    """Render a tree back to source that re-parses to a structurally equal
+    tree, nested no deeper: every operation but a negation is parenthesized."""
     if isinstance(tree, Const):
         return repr(tree.value)
     if isinstance(tree, Var):
         return tree.name
     if isinstance(tree, Neg):
-        return f"(-{to_source(tree.operand)})"
+        return f"-{to_source(tree.operand)}"
     if isinstance(tree, BinOp):
         return f"({to_source(tree.left)} {tree.op} {to_source(tree.right)})"
     if isinstance(tree, Pow):

@@ -83,27 +83,25 @@ class SwitchingStrategy:
 
 
 def realize_strategies(strategies, spec: ProblemSpec, bundle: PathBundle) -> list[RealizedStrategy]:
-    """Each strategy realized against ``bundle``, as realizing them one by
-    one would: the feedback rules together in one pass over the steps, the
-    explicit schedules one at a time.  The error raised is the one of the
-    first strategy, in order, that fails."""
-    outcomes: dict[int, RealizedStrategy | Exception] = {}
-    for n, strategy in enumerate(strategies):
-        if strategy.start_mode not in _player_modes(spec, strategy.player):
-            outcomes[n] = ValueError(f"start mode {strategy.start_mode} is not a mode "
-                                     f"of player {strategy.player}")
-    feedback = [n for n, strategy in enumerate(strategies)
-                if n not in outcomes and strategy.feedback_field is not None]
-    if feedback:
-        outcomes.update(zip(feedback, _realize_feedback([strategies[n] for n in feedback],
-                                                        spec, bundle)))
-    out = []
-    for n, strategy in enumerate(strategies):
-        done = outcomes.get(n)
-        if isinstance(done, Exception):
-            raise done
-        out.append(done if done is not None else _realize_explicit(strategy, spec, bundle))
-    return out
+    """Each strategy realized against ``bundle``: the feedback rules
+    together in one pass over the steps, then the explicit schedules in
+    order.  Should the feedback pass raise, each strategy is realized again
+    on its own, in order, so the error raised is the one of the first
+    strategy that fails, as realizing them one by one would raise it."""
+    try:
+        for strategy in strategies:
+            if strategy.start_mode not in _player_modes(spec, strategy.player):
+                raise ValueError(f"start mode {strategy.start_mode} is not a mode "
+                                 f"of player {strategy.player}")
+        feedback = [s for s in strategies if s.feedback_field is not None]
+        realized = iter(_realize_feedback(feedback, spec, bundle) if feedback else ())
+    except (ValueError, ExpressionDomainError, AdmissibilityError):
+        if len(strategies) > 1:
+            for strategy in strategies:
+                realize_strategies((strategy,), spec, bundle)
+        raise
+    return [next(realized) if s.feedback_field is not None else _realize_explicit(s, spec, bundle)
+            for s in strategies]
 
 
 def _player_modes(spec: ProblemSpec, player: int) -> tuple[int, ...]:
@@ -214,116 +212,98 @@ class _Rollout:
         self.player = strategy.player
         self.modes = _player_modes(spec, self.player)
         table = spec.costs.costs1 if self.player == 1 else spec.costs.costs2
-        # (source, [(target, cost)]) in the player's mode order
-        self.costs = [(a, [(b, table[(source, target)]) for b, target in enumerate(self.modes)
-                           if b != a])
-                      for a, source in enumerate(self.modes)]
+        # per source position, [(target position, cost)] in the player's mode order
+        self.costs = [[(b, table[(source, target)]) for b, target in enumerate(self.modes)
+                       if target != source] for source in self.modes]
         rows = [self.field.index_of(m) for m in self.modes]
         self.rows = None if rows == list(range(len(self.field.mode_labels))) else rows
         n = len(self.modes)
-        self.n_paths, self.n_steps = n_paths, n_steps
+        self.n_paths = n_paths
         self.cur = np.full(n_paths, self.modes.index(strategy.start_mode),
                            dtype=np.min_scalar_type(n - 1))
         self.flat = self.cur.astype(np.intp) * n_paths + np.arange(n_paths)
         self.counts = np.zeros(n_paths, dtype=np.int64)
         self.track = np.empty((n_steps + 2, n_paths), dtype=self.cur.dtype)
-        self.track[0] = self.cur
+        self.track[:] = self.cur  # with a single mode nothing fires: the start fills the track
         self.best = np.empty((n, n_paths))
         self.target = np.empty((n, n_paths), dtype=self.cur.dtype)
-        self.costly = np.empty((n, n_paths), dtype=bool)
 
-    def step(self, k: int, t: float, xk: np.ndarray, values: np.ndarray) -> Exception | None:
+    def step(self, k: int, t: float, xk: np.ndarray, values: np.ndarray) -> None:
         """Fire the trigger at grid step k on every path; ``values`` are the
-        field's rows at (t, xk).  Returns the error that stops this rule.
+        field's rows at (t, xk).
 
-        Each source mode's best target is found over the whole row and
-        every path then reads its own mode's entry, with the comparisons
-        of the one-mode-at-a-time rule.  A cost that fails on the row is
-        evaluated again on the paths in its source mode only, which fails
-        where that rule failed; a source mode no path is in is skipped.
+        Every source mode goes at once, over the whole row.  Should that
+        raise, the step is replayed as the one-mode-at-a-time rule takes
+        it: each source mode in declared order, on the paths that were in
+        it when the step began, so the first mode that fails raises and a
+        cost that fails only off its mode's paths does not.
         """
         if self.rows is not None:
             values = values[self.rows]
         if self.player == 2:
             values = np.negative(values, out=values)
-        tol = TRIGGER_TOL
-        failed = len(self.modes)  # the source position whose cost failed
-        error = None
-        costly = []
         try:
-            for a, targets in self.costs:
-                backed = True
-                for n, (b, tree) in enumerate(targets):
-                    cost = self._cost(tree, a, t, xk)
-                    if cost is None:
-                        break
-                    if n == 0:
-                        np.subtract(values[b], cost, out=self.best[a])
-                        self.target[a] = b
-                        backed = cost > tol
-                        continue
-                    cand = values[b] - cost
-                    better = cand > self.best[a]
-                    np.copyto(self.best[a], cand, where=better)
-                    self.target[a][better] = b
-                    backed = np.where(better, cost > tol, backed)
-                costly.append(backed)
-        except ExpressionDomainError as exc:
-            failed, error = a, exc
-        own = values.take(self.flat)
-        best = self.best.take(self.flat)
-        fire = own <= best + tol
+            self._fire(t, xk, values, range(len(self.modes)))
+        except (ExpressionDomainError, AdmissibilityError):
+            for a, paths in [(a, np.flatnonzero(self.cur == a)) for a in range(len(self.modes))]:
+                if paths.size:
+                    self._fire(t, xk, values, (a,), paths)
+        self.track[k + 1:k + 3] = self.cur  # and the row after, until the next step writes it
+
+    def _fire(self, t: float, xk: np.ndarray, values: np.ndarray, sources, paths=None) -> None:
+        """Fire the trigger of the source positions ``sources`` on ``paths``
+        (every path when None), each of which is in one of them.  Each
+        source's best target is found over those paths and every path then
+        reads its own mode's entry.  Raises at the first failure, the cap at
+        the first path over it, and commits nothing then."""
+        if paths is not None:
+            xk, values = xk[paths], values[:, paths]
+        m = xk.size
+        best, target = self.best[:, :m], self.target[:, :m]
+        flat = self.flat if paths is None else self.cur[paths].astype(np.intp) * m + np.arange(m)
+        costly = []
+        for a in sources:
+            for n, (b, tree) in enumerate(self.costs[a]):
+                cost = evaluate(tree, EvalContext(t, xk))
+                if n == 0:
+                    np.subtract(values[b], cost, out=best[a])
+                    target[a] = b
+                    backed = cost > TRIGGER_TOL
+                    continue
+                cand = values[b] - cost
+                better = cand > best[a]
+                np.copyto(best[a], cand, where=better)
+                target[a][better] = b
+                backed = np.where(better, cost > TRIGGER_TOL, backed)
+            costly.append((a, backed))
+        own = values.take(flat)
+        reach = best.take(flat)
+        fire = own <= reach + TRIGGER_TOL
         # a touch with an essentially free switch is pure indifference
         # (both modes then carry the same value forever), so only a strict
         # gain or a touch backed by a real cost fires
-        if not all(np.ndim(c) == 0 and c for c in costly) or error is not None:
-            for a, backed in enumerate(costly):
-                self.costly[a] = backed
-            fire &= (own < best - tol) | self.costly.take(self.flat)
-        if error is not None:
-            # the one-mode-at-a-time rule fired the modes before the failing one
-            fire &= self.cur < failed
+        if not all(np.ndim(c) == 0 and c for _, c in costly):
+            table = np.empty(best.shape, dtype=bool)
+            for a, backed in costly:
+                table[a] = backed
+            fire &= (own < reach - TRIGGER_TOL) | table.take(flat)
         idx = np.flatnonzero(fire)
         if idx.size:
-            self.counts[idx] += 1
-            over = idx[self.counts[idx] > SWITCH_CAP]
+            where = idx if paths is None else paths[idx]
+            counts = self.counts[where] + 1
+            over = where[counts > SWITCH_CAP]
             if over.size:
-                # the first such path of the first mode in order
-                source = self.cur[over]
-                path = int(over[source == source.min()][0])
-                return AdmissibilityError("feedback strategy exceeded the switch cap", path_index=path)
-            new = self.target.take(self.flat[idx])
-            self.cur[idx] = new
-            self.flat[idx] = new.astype(np.intp) * self.n_paths + idx
-        if error is not None:
-            return error
-        self.track[k + 1] = self.cur
-        return None
-
-    def _cost(self, tree, source: int, t: float, xk: np.ndarray):
-        """The cost over the row, or on the paths in ``source`` only (zero
-        elsewhere) when the row fails; None when no path is in ``source``."""
-        try:
-            return evaluate(tree, EvalContext(t, xk))
-        except ExpressionDomainError:
-            sel = np.flatnonzero(self.cur == source)
-            if sel.size == 0:
-                return None
-            cost = np.zeros(self.n_paths)
-            cost[sel] = evaluate(tree, EvalContext(t, xk[sel]))
-            return cost
-
-    def realized(self) -> RealizedStrategy:
-        done = self.n_steps if len(self.modes) > 1 else 0
-        self.track[done + 1:] = self.cur
-        return RealizedStrategy(player=self.player, labels=self.modes, track=self.track)
+                raise AdmissibilityError("feedback strategy exceeded the switch cap",
+                                         path_index=int(over[0]))
+            new = target.take(flat[idx])
+            self.counts[where] = counts
+            self.cur[where] = new
+            self.flat[where] = new.astype(np.intp) * self.n_paths + where
 
 
-def _realize_feedback(strategies, spec: ProblemSpec,
-                      bundle: PathBundle) -> list[RealizedStrategy | Exception]:
+def _realize_feedback(strategies, spec: ProblemSpec, bundle: PathBundle) -> list[RealizedStrategy]:
     """Vectorized rollout of the value-field trigger rules over all paths,
-    every rule in one pass over the steps; a rule that fails stops there
-    and gives its error in place of its realization.
+    every rule in one pass over the steps; the first error met raises.
 
     At each grid step (the terminal step excluded: a switch there can only
     bleed cost) a rule fires when the current mode's value is dominated,
@@ -340,24 +320,17 @@ def _realize_feedback(strategies, spec: ProblemSpec,
     """
     n_paths, n_steps = bundle.n_paths, bundle.n_steps
     rollouts = [_Rollout(s, spec, n_paths, n_steps) for s in strategies]
-    errors: dict[int, Exception] = {}
-    # with a single mode nothing can fire: the start row fills the track
-    live = [n for n, r in enumerate(rollouts) if len(r.modes) > 1]
-    for k, xk in enumerate(bundle.states.T[:n_steps]):
-        if not live:
-            break
+    live = [r for r in rollouts if len(r.modes) > 1]
+    for k, xk in enumerate(bundle.states.T[:n_steps] if live else ()):
         t = float(bundle.times[k])
         lookups = {}
-        for n in list(live):
-            fld = rollouts[n].field
+        for rollout in live:
+            fld = rollout.field
             if id(fld.grid) not in lookups:
                 lookups[id(fld.grid)] = (_nearest_level(fld.grid.times, t), fld.grid.locate(xk))
             level, lookup = lookups[id(fld.grid)]
-            error = rollouts[n].step(k, t, xk, fld.interp_x(level, xk, lookup))
-            if error is not None:
-                errors[n] = error
-                live.remove(n)
-    return [errors.get(n) or r.realized() for n, r in enumerate(rollouts)]
+            rollout.step(k, t, xk, fld.interp_x(level, xk, lookup))
+    return [RealizedStrategy(player=r.player, labels=r.modes, track=r.track) for r in rollouts]
 
 
 def saddle_strategy(field: ValueField, start_mode: int) -> SwitchingStrategy:

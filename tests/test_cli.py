@@ -302,6 +302,24 @@ def test_bad_expression_reports_location(tmp_path, capsys):
     assert "drivers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "solve"])
+@pytest.mark.parametrize("drift", [
+    "(" * 3000 + "1" + ")" * 3000,
+    "-" * 3000 + "1",
+    "abs(" * 3000 + "x" + ")" * 3000,
+    "+".join(["x"] * 3001),  # parses by a loop, but is 3000 nodes deep
+], ids=["parentheses", "negations", "calls", "sum"])
+def test_expression_nested_too_deep_exits_2_with_location(tmp_path, capsys, command, drift):
+    doc = _load("e1_equality_2x2.json")
+    doc["grid"] = {"nt": 11, "nx": 9}
+    doc["diffusion"]["drift"] = drift
+    path, _ = _stage(tmp_path, doc)
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}.diffusion.drift: expression nested deeper than ")
+    assert "Traceback" not in err
+
+
 def test_invalid_system_name_exits_2(tmp_path):
     path, _ = _small_heat(tmp_path)
     with pytest.raises(SystemExit) as exc:

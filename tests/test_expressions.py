@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from switchgame.errors import ExpressionDomainError, ExpressionSyntaxError
 from switchgame.expressions import (
+    MAX_DEPTH,
     EvalContext,
     evaluate,
     evaluate_all,
@@ -28,6 +29,40 @@ def test_syntax_error_offset():
         parse_expression("x +")
     assert err.value.offset == 3
     assert err.value.expected
+
+
+_DEEP = {
+    "parentheses": lambda n: "(" * n + "x" + ")" * n,
+    "negations": lambda n: "-" * n + "x",
+    "calls": lambda n: "abs(" * n + "x" + ")" * n,
+    "sum": lambda n: "+".join(["x"] * (n + 1)),
+}
+
+
+@pytest.mark.parametrize("shape,depth,offset", [
+    ("parentheses", MAX_DEPTH + 1, MAX_DEPTH),  # the parenthesis one too deep
+    ("negations", MAX_DEPTH + 1, MAX_DEPTH),  # the negation one too deep, on the way down
+    ("negations", MAX_DEPTH, 0),  # MAX_DEPTH + 1 nodes deep, at the outermost
+    ("calls", MAX_DEPTH, 0),
+    ("sum", MAX_DEPTH, 2 * MAX_DEPTH - 1),  # the plus that makes the tree too deep
+])
+def test_expression_deeper_than_the_bound_is_a_syntax_error(shape, depth, offset):
+    with pytest.raises(ExpressionSyntaxError) as err:
+        parse_expression(_DEEP[shape](depth))
+    assert err.value.offset == offset
+    assert str(err.value) == f"expression nested deeper than {MAX_DEPTH} levels at offset {offset}"
+
+
+@pytest.mark.parametrize("shape,depth", [("parentheses", MAX_DEPTH), ("negations", MAX_DEPTH - 1),
+                                         ("calls", MAX_DEPTH - 1), ("sum", MAX_DEPTH - 1)])
+def test_expression_at_the_bound_parses_evaluates_and_renders(shape, depth):
+    tree = parse_expression(_DEEP[shape](depth))
+    x = np.array([-0.5, 2.0])
+    expected = {"parentheses": x, "negations": x * (-1) ** depth, "calls": np.abs(x),
+                "sum": x * depth + x}[shape]
+    assert np.array_equal(evaluate_all([tree, tree], EvalContext(0.0, x))[1], expected)
+    assert parse_expression(to_source(tree)) == tree
+    assert free_variables(tree) == {"x"}
 
 
 def test_domain_errors():

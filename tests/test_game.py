@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -565,6 +566,76 @@ def test_cost_failing_outside_its_source_mode_does_not_stop_realization():
                          drivers={(i, j): ("0", "1")[i - 1] for i in (1, 2) for j in (1, 2)})
     realized = saddle_strategy(field, 1).realize(failing, bundle)
     assert realized.track.T.tolist() == [[0] + [1] * 11] * bundle.n_paths
+
+
+def test_steps_replayed_mode_by_mode_keep_the_track(monkeypatch):
+    # switching pays, so paths at x >= 0 flip modes at every step, while
+    # paths below 0 go to mode 2 and stay; the cost out of mode 1 fails
+    # below x = -0.3, where at most steps some paths in mode 2 are and no
+    # path in mode 1 is, so those steps go mode by mode, each mode on the
+    # paths it held when the step began
+    spec = build_spec(costs1={(1, 2): "-0.5 + 0*sqrt(x + 0.3)", (2, 1): -0.5}, costs2={},
+                      modes2=(1,), volatility="0.3", domain=(-3.0, 3.0))
+    grid = build_grid(spec, 61, 61)
+    values = np.zeros((2, grid.nt, grid.nx))
+    values[1] = np.where(grid.xs < 0, 10.0, 0.0)
+    field = ValueField("single_lower", (1, 2), values, grid)
+    bundle = simulate_paths(spec, SimParams(n_paths=60, n_steps=60, seed=8))
+    replays = []
+    fire = game._Rollout._fire
+
+    def counting_fire(self, t, xk, values, sources, paths=None):
+        if paths is not None:
+            replays.append(t)
+        return fire(self, t, xk, values, sources, paths)
+
+    monkeypatch.setattr(game._Rollout, "_fire", counting_fire)
+    track = saddle_strategy(field, 1).realize(spec, bundle).track
+    assert len(set(replays)) == sum(np.any(x < -0.3) for x in bundle.states.T[:-1]) == 49
+    assert np.sum(track[1:] > track[:-1]) == 970 and np.sum(track[1:] < track[:-1]) == 927
+    # the bytes of the mode-by-mode rule's track
+    assert hashlib.sha256(track.tobytes()).hexdigest() == (
+        "6f9ef770d2aacd636f7da12e9c8b070de123d31c45f48c20a7ec91d0858511b2")
+
+
+def _capped_pair():
+    """Spec, bundle and the two feedback rules of a game in which both rules
+    pass the switch cap, player 2's first in time."""
+    costs1, costs2 = uniform_costs((1, 2), (1, 2), 0.1, 0.1)
+    spec = build_spec(costs1=costs1, costs2=costs2, volatility="0.3", domain=(-3.0, 3.0))
+    grid = build_grid(spec, 101, 41)
+    bundle = simulate_paths(spec, SimParams(n_paths=60, n_steps=100, seed=8, x0=0.5))
+    field1 = _flipping_field("single_lower", grid, 10, lambda xs: xs - 0.2)
+    field2 = _flipping_field("single_upper", grid, 0, lambda xs: -np.ones_like(xs))
+    return spec, bundle, saddle_strategy(field1, 1), saddle_strategy(field2, 1)
+
+
+def test_a_failing_feedback_pass_is_replayed_once_per_strategy(monkeypatch):
+    spec, bundle, saddle1, saddle2 = _capped_pair()
+    passes = []
+    feedback = game._realize_feedback
+
+    def counting_feedback(strategies, spec, bundle):
+        passes.append([id(s) for s in strategies])
+        return feedback(strategies, spec, bundle)
+
+    monkeypatch.setattr(game, "_realize_feedback", counting_feedback)
+    with pytest.raises(AdmissibilityError) as err:
+        verify_saddle(spec, bundle, saddle1, saddle2, [], [], start=(0.0, 0.5, 1, 1))
+    assert err.value.path_index == 1
+    # jointly, then player 1's rule alone, which raises
+    assert passes == [[id(saddle1), id(saddle2)], [id(saddle1)]]
+
+
+def test_a_duplicate_step_warns_once_ahead_of_a_failing_rule():
+    spec, bundle, _, saddle2 = _capped_pair()
+    duplicate = SwitchingStrategy(player=1, start_mode=1, schedule=((4, 2), (4, 1), (4, 2)))
+    with pytest.warns(UserWarning) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(AdmissibilityError):
+            game.realize_strategies((duplicate, saddle2), spec, bundle)
+    assert [str(w.message) for w in caught] == [
+        "multiple switches declared at one step; the last one wins"]
 
 
 def _relabel(track, labels, mapping):

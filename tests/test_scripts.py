@@ -2,6 +2,8 @@
 benchmark pairing script's summary is checked on synthetic runs."""
 
 import importlib.util
+import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -79,3 +81,52 @@ def test_bench_pair_summary_of_synthetic_runs(tmp_path):
     (package / "b.py").write_text("z = 3\n")
     (package / "notes.txt").write_text("not\ncounted\n")
     assert bench_pair.src_lines(tmp_path) == 3
+
+
+_FAKE_RUN = '''\
+import importlib.util, json, os, sys
+from pathlib import Path
+
+here = Path(__file__).resolve().parent
+cache = importlib.util.cache_from_source(str(here / "probe.py"))
+compiled = not os.path.exists(cache)
+import probe
+
+with open(here / "runs.jsonl", "a") as log:
+    log.write(json.dumps({"prefix": sys.pycache_prefix, "cached": probe.__cached__,
+                          "compiled": compiled,
+                          "dont_write": os.environ.get("PYTHONDONTWRITEBYTECODE")}) + "\\n")
+print("environment " + json.dumps({"python": "x"}))
+metric = {"value": 1.0, "unit": "s"}
+print(json.dumps({"correct": True, "attempted": 1,
+                  "metrics": {"wall_s": metric, "setup_s": metric, "peak_rss_mb": metric}}))
+'''
+
+
+def test_bench_pair_gives_each_side_its_own_fresh_bytecode_cache(tmp_path, monkeypatch):
+    # two synthetic checkouts whose run.py logs where its imports' bytecode
+    # lives; each tree holds a stale __pycache__ that must not be read
+    bench_pair = _bench_pair()
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    sides = {side: tmp_path / side for side in bench_pair.SIDES}
+    for checkout in sides.values():
+        (checkout / "perfbench" / "__pycache__").mkdir(parents=True)
+        (checkout / "perfbench" / "run.py").write_text(_FAKE_RUN)
+        (checkout / "perfbench" / "probe.py").write_text("VALUE = 1\n")
+        stale = importlib.util.cache_from_source(str(checkout / "perfbench" / "probe.py"))
+        Path(stale).write_bytes(b"not bytecode")
+    doc = bench_pair.bench(sides["baseline"], sides["change"], ["g1-game"], pairs=2, seed=1,
+                           seconds=1.0)
+    prefixes = []
+    for side, checkout in sides.items():
+        logs = [json.loads(line)
+                for line in (checkout / "perfbench" / "runs.jsonl").read_text().splitlines()]
+        prefix = doc["environment"][side]["PYTHONPYCACHEPREFIX"]
+        assert [log["prefix"] for log in logs] == [prefix, prefix]
+        assert all(log["cached"].startswith(prefix + os.sep) for log in logs)
+        # compiled on the first run, read from the prefix on the second
+        assert [log["compiled"] for log in logs] == [True, False]
+        assert [log["dont_write"] for log in logs] == [None, None]
+        assert not os.path.exists(prefix)  # removed with the run
+        prefixes.append(prefix)
+    assert prefixes[0] != prefixes[1]
