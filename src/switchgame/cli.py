@@ -29,6 +29,8 @@ from .simulate import simulate_paths
 from .solver import csv_rows, solve_maxmin, solve_minmax, solve_single_obstacle
 from . import game as game_mod
 
+PLAY_BLOCK = 5000  # paths that game simulates, realizes and prices at a time
+
 
 def _write_json(path, payload: dict):
     with open(path, "w") as handle:
@@ -225,8 +227,10 @@ def cmd_game(config: RunConfig) -> int:
 
     def play(paths: range):
         bundle = simulate_paths(config.spec, config.sim, paths)
-        return game_mod.roster_payoffs(config.spec, bundle, saddle1, saddle2,
-                                       challengers1, challengers2)
+        saddle, *attempts = game_mod.roster_payoffs(config.spec, bundle, saddle1, saddle2,
+                                                    challengers1, challengers2)
+        # the report reads a challenger's payoff per path and nothing else of it
+        return [saddle] + [game_mod.PayoffEstimate.of_paths(a.per_path) for a in attempts]
 
     payoffs = _play_halves(play, config.sim.n_paths)
     report = game_mod.saddle_report(payoffs, challengers1, challengers2, start, pde_value)
@@ -236,25 +240,34 @@ def cmd_game(config: RunConfig) -> int:
     return 0 if report.all_passed() else 1
 
 
+def _play_blocks(play, paths: range) -> list:
+    """``play`` on consecutive blocks of at most PLAY_BLOCK of the paths, in
+    path order: only one block's bundle, tracks and tables are alive at a
+    time."""
+    return [play(paths[start:start + PLAY_BLOCK]) for start in range(0, len(paths), PLAY_BLOCK)]
+
+
 def _play_halves(play, n_paths: int) -> list:
-    """``play(range(n_paths))``, from a forked child that plays the upper
-    half of the paths while this process plays the lower half, joined in
-    path order.  When either half raises, both are discarded and all paths
-    are played here, so what is raised is what playing them in one process
-    raises; a child that dies raises ChildProcessError."""
+    """``play(range(n_paths))``, as ``play`` on blocks (``_play_blocks``)
+    joined in path order.  When this process may run on two CPUs, a forked
+    child plays the upper half's blocks while this process plays the lower
+    half's.  When any block raises, all of them are discarded and
+    ``play(range(n_paths))`` is called here as one unblocked call, so what
+    is raised is what playing all paths in one process raises; a child that
+    dies raises ChildProcessError."""
     half = n_paths // 2
-    if half == 0:
+    if half == 0 or len(os.sched_getaffinity(0)) < 2:
+        with contextlib.suppress(Exception):
+            return game_mod.join_payoffs(_play_blocks(play, range(n_paths)))
         return play(range(n_paths))
-    with _forked(lambda: play(range(half, n_paths)), "upper-half game") as upper:
+    with _forked(lambda: _play_blocks(play, range(half, n_paths)), "upper-half game") as upper:
         try:
-            halves = [play(range(half)), upper()]
+            return game_mod.join_payoffs(_play_blocks(play, range(half)) + upper())
         except ChildProcessError:
             raise
         except Exception:
-            halves = None
-    if halves is None:
-        return play(range(n_paths))
-    return game_mod.join_payoffs(halves)
+            pass
+    return play(range(n_paths))
 
 
 def _write_payoffs(path, payoff: game_mod.PayoffEstimate) -> None:

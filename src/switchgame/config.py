@@ -162,7 +162,8 @@ def load_config(path: str) -> RunConfig:
             doc = json.load(handle)
     except OSError as exc:
         raise ConfigError(path, f"cannot read: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: arrays or objects nested deeper than the decoder recurses
         raise ConfigError(path, f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(path, "top level must be an object")

@@ -73,6 +73,20 @@ class Call:
 
 ExpressionTree = Const | Var | Neg | BinOp | Pow | Call
 
+
+def _cached_hash(node) -> int:
+    """The node's structural hash, computed once: ``_eval``'s memo looks up
+    every operator node at every evaluation, and a dataclass's own hash
+    walks the whole subtree each time."""
+    known = node.__dict__.get("_hash")
+    if known is None:
+        known = node.__dict__["_hash"] = type(node)._structural_hash(node)
+    return known
+
+
+for _node in (Neg, BinOp, Pow, Call):
+    _node._structural_hash, _node.__hash__ = _node.__hash__, _cached_hash
+
 ZERO = Const(0.0)
 
 
@@ -332,7 +346,7 @@ def evaluate_all(trees, ctx: EvalContext) -> list:
     with np.errstate(over="ignore", invalid="ignore"):
         for tree in trees:
             out = _eval(tree, ctx.t, ctx.x, memo)
-            if not np.all(np.isfinite(out)):
+            if not (math.isfinite(out) if isinstance(out, float) else np.isfinite(out).all()):
                 raise ExpressionDomainError("non-finite result", getattr(tree, "offset", 0))
             outs.append(out)
     return outs

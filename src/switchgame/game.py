@@ -282,12 +282,12 @@ class _Rollout:
         # a touch with an essentially free switch is pure indifference
         # (both modes then carry the same value forever), so only a strict
         # gain or a touch backed by a real cost fires
-        if not all(np.ndim(c) == 0 and c for _, c in costly):
+        if not all(not isinstance(c, np.ndarray) and c for _, c in costly):
             table = np.empty(best.shape, dtype=bool)
             for a, backed in costly:
                 table[a] = backed
             fire &= (own < reach - TRIGGER_TOL) | table.take(flat)
-        idx = np.flatnonzero(fire)
+        idx = fire.nonzero()[0]
         if idx.size:
             where = idx if paths is None else paths[idx]
             counts = self.counts[where] + 1
@@ -321,15 +321,16 @@ def _realize_feedback(strategies, spec: ProblemSpec, bundle: PathBundle) -> list
     n_paths, n_steps = bundle.n_paths, bundle.n_steps
     rollouts = [_Rollout(s, spec, n_paths, n_steps) for s in strategies]
     live = [r for r in rollouts if len(r.modes) > 1]
+    grids = {id(r.field.grid): r.field.grid for r in live}
+    # each grid's nearest time level to every step, as _nearest_level finds it
+    levels = {key: np.abs(grid.times - bundle.times[:, None]).argmin(axis=1)
+              for key, grid in grids.items()}
     for k, xk in enumerate(bundle.states.T[:n_steps] if live else ()):
         t = float(bundle.times[k])
-        lookups = {}
+        lookups = {key: grid.locate(xk) for key, grid in grids.items()}
         for rollout in live:
-            fld = rollout.field
-            if id(fld.grid) not in lookups:
-                lookups[id(fld.grid)] = (_nearest_level(fld.grid.times, t), fld.grid.locate(xk))
-            level, lookup = lookups[id(fld.grid)]
-            rollout.step(k, t, xk, fld.interp_x(level, xk, lookup))
+            key = id(rollout.field.grid)
+            rollout.step(k, t, xk, rollout.field.interp_x(levels[key][k], xk, lookups[key]))
     return [RealizedStrategy(player=r.player, labels=r.modes, track=r.track) for r in rollouts]
 
 
@@ -387,14 +388,15 @@ class PayoffEstimate:
     stderr: float
     n_paths: int
     per_path: np.ndarray
-    cost1_per_path: np.ndarray
-    cost2_per_path: np.ndarray
-    switches1: np.ndarray
-    switches2: np.ndarray
+    # None in an estimate that carries the payoffs alone
+    cost1_per_path: np.ndarray | None = None
+    cost2_per_path: np.ndarray | None = None
+    switches1: np.ndarray | None = None
+    switches2: np.ndarray | None = None
 
     @classmethod
-    def of_paths(cls, per_path, cost1_per_path, cost2_per_path, switches1,
-                 switches2) -> PayoffEstimate:
+    def of_paths(cls, per_path, cost1_per_path=None, cost2_per_path=None, switches1=None,
+                 switches2=None) -> PayoffEstimate:
         """The estimate whose per-path arrays these are: their mean and its
         standard error."""
         n_paths = per_path.size
@@ -412,9 +414,13 @@ _PER_PATH = ("per_path", "cost1_per_path", "cost2_per_path", "switches1", "switc
 
 def join_payoffs(parts) -> list[PayoffEstimate]:
     """Per roster entry, the estimates of consecutive ranges of paths, in
-    path order, joined into the estimate of all of them."""
-    return [PayoffEstimate.of_paths(*(np.concatenate([getattr(e, name) for e in entry])
-                                      for name in _PER_PATH))
+    path order, joined into the estimate of all of them.  An array that an
+    entry's estimates leave out (None) stays out."""
+    def joined(entry, name):
+        arrays = [getattr(e, name) for e in entry]
+        return None if arrays[0] is None else np.concatenate(arrays)
+
+    return [PayoffEstimate.of_paths(*(joined(entry, name) for name in _PER_PATH))
             for entry in zip(*parts)]
 
 

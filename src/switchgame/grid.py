@@ -48,16 +48,18 @@ class Grid:
         the floor guess from the spacing is corrected by one cell against
         ``xs``."""
         xs, nx = self.xs, self.nx
-        cell = np.clip((x - xs[0]) / self.dx, 0, nx - 2).astype(np.intp)
+        # np.minimum(np.maximum(...)) is np.clip without its per-call overhead
+        cell = np.minimum(np.maximum((x - xs[0]) / self.dx, 0), nx - 2).astype(np.intp)
         cell -= xs.take(cell) > x
         cell += xs.take(cell + 1) <= x
         # cell is -1 below the grid and nx - 1 at or above its last node
-        j = np.clip(cell, 0, nx - 2)
+        j = np.minimum(np.maximum(cell, 0), nx - 2)
         xj = xs.take(j)
-        exact = np.flatnonzero((cell != j) | (xj == x))
+        exact = ((cell != j) | (xj == x)).nonzero()[0]
         with np.errstate(over="ignore"):  # only off the grid, where the end values are taken
             offset = x - xj
-        return CellLookup(cell=j, offset=offset, exact=exact, nodes=np.clip(cell[exact], 0, nx - 1))
+        return CellLookup(cell=j, offset=offset, exact=exact,
+                          nodes=np.minimum(np.maximum(cell[exact], 0), nx - 1))
 
     def inner_mask(self) -> np.ndarray:
         """Boolean mask selecting the central INNER_FRACTION of the space nodes."""

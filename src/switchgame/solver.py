@@ -53,6 +53,7 @@ grid.solve_rows call (_clamp_pass).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,15 +120,21 @@ class ValueField:
         """
         if lookup is None:
             lookup = self.grid.locate(x)
-        xs = self.grid.xs
         ys = self.values[:, level, :]
-        slopes = (ys[:, 1:] - ys[:, :-1]) / (xs[1:] - xs[:-1])
+        slopes = self._slopes[:, level, :]
         # far outside the grid the formula may overflow; those points are
         # replaced by the end values below
         with np.errstate(over="ignore", invalid="ignore"):
             out = slopes.take(lookup.cell, axis=1) * lookup.offset + ys.take(lookup.cell, axis=1)
         out[:, lookup.exact] = ys.take(lookup.nodes, axis=1)
         return out
+
+    @functools.cached_property
+    def _slopes(self) -> np.ndarray:
+        """Every cell's slope (y[j+1] - y[j]) / (x[j+1] - x[j]), per mode and
+        level: interp_x is called once per step of every path block."""
+        xs = self.grid.xs
+        return (self.values[..., 1:] - self.values[..., :-1]) / (xs[1:] - xs[:-1])
 
     def meta_dict(self) -> dict:
         return {

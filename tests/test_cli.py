@@ -1,5 +1,6 @@
 import csv
 import errno
+import gc
 import hashlib
 import json
 import math
@@ -99,6 +100,19 @@ def test_malformed_json_exits_2(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{ not json")
     assert main(["validate", str(path)]) == 2
+
+
+@pytest.mark.parametrize("command", ["validate", "solve", "game"])
+def test_json_nested_too_deep_exits_2(tmp_path, capsys, command):
+    doc = _load("e1_equality_2x2.json")
+    doc["validation"] = "NESTED"
+    path = tmp_path / "nested.json"
+    depth = 100000
+    path.write_text(json.dumps(doc).replace('"NESTED"', "[" * depth + "]" * depth))
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: invalid JSON: ")
+    assert "Traceback" not in err
 
 
 def test_schema_error_exits_2(tmp_path):
@@ -459,7 +473,14 @@ def _in_the_child(monkeypatch, command, action):
                         lambda *args: original(*args) if os.getpid() == parent else action())
 
 
+def _cpus(monkeypatch, n):
+    """Make this process see ``n`` CPUs it may run on: game forks its
+    upper-half child only when it sees two or more."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
 def _child_dies(tmp_path, monkeypatch, command):
+    _cpus(monkeypatch, 2)
     _in_the_child(monkeypatch, command, lambda: os._exit(3))
     argv, out = _forking_run(tmp_path, command)
     with pytest.raises(ChildProcessError, match="exited with code 3"):
@@ -494,6 +515,7 @@ def _forks_although_python_warns_about_threads(tmp_path, monkeypatch, command):
         return pid
 
     monkeypatch.setattr(os, "fork", warning_fork)
+    _cpus(monkeypatch, 2)
     argv, out = _forking_run(tmp_path, command)
     assert main(argv) == 0
     assert (out / {"solve": "value_maxmin.csv", "game": "payoffs.csv"}[command]).exists()
@@ -512,7 +534,11 @@ def _closes_its_pipe_when_the_child_does_not_start(tmp_path, monkeypatch, comman
     def no_fork(process):
         raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
 
+    _cpus(monkeypatch, 2)
     argv, out = _forking_run(tmp_path, command)
+    # pipes that earlier tests left to the garbage collector are closed
+    # now, not while the call below allocates
+    gc.collect()
     before = _open_fds()
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_fork)
     try:
@@ -536,6 +562,7 @@ def test_game_closes_its_pipe_when_the_child_does_not_start(tmp_path, monkeypatc
 def test_game_plays_every_path_here_when_the_child_raises(tmp_path, monkeypatch):
     # the child's half is discarded with the parent's, and this process plays
     # all the paths again: the files are those of an undisturbed run
+    _cpus(monkeypatch, 2)
     argv, out = _forking_run(tmp_path / "undisturbed", "game")
     assert main(argv) == 0
     undisturbed = _file_bytes(out)
@@ -558,6 +585,7 @@ def test_game_raises_what_one_process_raises_when_both_halves_raise(tmp_path, mo
         raise ValueError(f"array must be finite ({bundle.n_paths} paths)")
 
     monkeypatch.setattr(game_mod, "roster_payoffs", roster_payoffs)
+    _cpus(monkeypatch, 2)
     argv, out = _forking_run(tmp_path, "game")
     with pytest.raises(ValueError, match=r"^array must be finite \(200 paths\)$") as caught:
         main(argv)
@@ -862,6 +890,7 @@ def test_game_writes_the_bytes_of_one_process(tmp_path, monkeypatch, paths, fork
     doc = _small_game_doc()
     doc["simulation"]["paths"] = paths
     path, out = _stage(tmp_path, doc)
+    _cpus(monkeypatch, 2)
     forked = _counting_forks(monkeypatch)
     assert main(["game", str(path)]) == 0
     assert len(forked) == forks
@@ -899,10 +928,100 @@ def test_game_failing_on_the_upper_half_fails_as_one_process(tmp_path, monkeypat
         _serial_game(path, tmp_path / "serial")
     assert f"path {failing_path}" in str(serial.value)
     assert failing_path >= 1001 // 2
+    _cpus(monkeypatch, 2)
     forked = _counting_forks(monkeypatch)
     assert main(["game", str(path)]) == 1
     assert capsys.readouterr().err == f"error: {serial.value}\n"
     assert len(forked) == 1
+    assert list(out.iterdir()) == []
+    assert multiprocessing.active_children() == []
+
+
+def test_game_on_one_cpu_forks_nothing_and_writes_the_same_bytes(tmp_path, monkeypatch):
+    doc = _small_game_doc()
+    doc["simulation"]["paths"] = 2001
+    path, out = _stage(tmp_path, doc)
+    _cpus(monkeypatch, 1)
+    forked = _counting_forks(monkeypatch)
+    assert main(["game", str(path)]) == 0
+    assert forked == []
+    assert _file_bytes(out) == _serial_game(path, tmp_path / "serial")
+
+
+def _spy_on_simulate_paths(monkeypatch, log):
+    """Append the pid of the process that makes each simulate_paths call,
+    and the start and stop of the call's paths, to the file ``log``."""
+    original = cli_mod.simulate_paths
+
+    def spy(spec, params, paths):
+        with open(log, "a") as handle:
+            handle.write(f"{os.getpid()} {paths.start} {paths.stop}\n")
+        return original(spec, params, paths)
+
+    monkeypatch.setattr(cli_mod, "simulate_paths", spy)
+
+
+def test_game_in_uneven_blocks_writes_the_bytes_of_one_process(tmp_path, monkeypatch):
+    # 1000 paths here in blocks of 300, 300, 300 and 100, and 1001 in the
+    # child in blocks of 300, 300, 300 and 101
+    monkeypatch.setattr(cli_mod, "PLAY_BLOCK", 300)
+    doc = _small_game_doc()
+    doc["simulation"]["paths"] = 2001
+    path, out = _stage(tmp_path, doc)
+    _cpus(monkeypatch, 2)
+    forked = _counting_forks(monkeypatch)
+    assert main(["game", str(path)]) == 0
+    assert len(forked) == 1
+    assert _file_bytes(out) == _serial_game(path, tmp_path / "serial")
+
+
+def test_game_simulates_no_more_than_a_block_of_paths_at_a_time(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli_mod, "PLAY_BLOCK", 300)
+    doc = _small_game_doc()
+    doc["simulation"]["paths"] = 2001
+    path, out = _stage(tmp_path, doc)
+    _cpus(monkeypatch, 2)
+    log = tmp_path / "calls.log"
+    _spy_on_simulate_paths(monkeypatch, log)
+    assert main(["game", str(path)]) == 0
+    calls = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+    # both processes play, and their blocks tile the paths once
+    assert len({pid for pid, _, _ in calls}) == 2
+    assert all(stop - start <= 300 for _, start, stop in calls)
+    ranges = sorted((start, stop) for _, start, stop in calls)
+    assert [start for start, _ in ranges] == [0] + [stop for _, stop in ranges[:-1]]
+    assert ranges[-1][1] == 2001
+
+
+@pytest.mark.parametrize("seed,cap,failing_path,cpus,calls", [
+    # only the lower half's second block, paths [300, 500), fails
+    (6, 6, 345, 2, [300, 200, 1001]),
+    # on one CPU this process plays every block; the second, [300, 600), fails
+    (6, 6, 345, 1, [300, 300, 1001]),
+    # the first block fails too, at path 228 and a later step than path 476
+    (2, 3, 476, 2, [300, 1001]),
+    (2, 3, 476, 1, [300, 1001]),
+], ids=["seed6-two-cpus", "seed6-one-cpu", "seed2-two-cpus", "seed2-one-cpu"])
+def test_game_failing_in_a_later_block_fails_as_one_process(tmp_path, monkeypatch, capsys, seed,
+                                                            cap, failing_path, cpus, calls):
+    monkeypatch.setattr(game_mod, "SWITCH_CAP", cap)
+    monkeypatch.setattr(cli_mod, "PLAY_BLOCK", 300)
+    path, out = _stage(tmp_path, _switching_game_doc(1001, seed))
+    with pytest.raises(SwitchgameError) as serial:
+        _serial_game(path, tmp_path / "serial")
+    assert f"path {failing_path}" in str(serial.value)
+    _cpus(monkeypatch, cpus)
+    log = tmp_path / "calls.log"
+    _spy_on_simulate_paths(monkeypatch, log)
+    forked = _counting_forks(monkeypatch)
+    assert main(["game", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {serial.value}\n"
+    assert len(forked) == (1 if cpus == 2 else 0)
+    # this process's blocks up to the one that raises, then all paths at once
+    mine = [stop - start for pid, start, stop in
+            (map(int, line.split()) for line in log.read_text().splitlines())
+            if pid == os.getpid()]
+    assert mine == calls
     assert list(out.iterdir()) == []
     assert multiprocessing.active_children() == []
 
