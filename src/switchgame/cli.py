@@ -148,7 +148,8 @@ def _forked(work, name: str):
     work's result.  An exception work raised is raised again there, with the
     child's traceback as its cause, and a child that dies raises
     ChildProcessError.  On leaving the block a child still alive is killed,
-    since it has sent all it will or is not wanted, and it is joined.
+    since it has sent all it will or is not wanted, and it is joined and
+    closed, with every pipe of the call.
     """
     # fork, not spawn: the child starts from this process's modules as they
     # are, without a fresh import, and its work is not pickled
@@ -171,6 +172,7 @@ def _forked(work, name: str):
             child.kill()
         if child.pid is not None:
             child.join()
+        child.close()  # else multiprocessing holds its sentinel pipe until the next fork
         from_child.close()
         to_parent.close()
 

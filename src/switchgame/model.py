@@ -410,20 +410,29 @@ def run_all_checks(spec: ProblemSpec, samples: list[tuple[float, float]]) -> Ass
 SWEEP_CAP = 64  # Gauss-Seidel sweeps clamp_sweep may make before it gives up
 
 
+def broadcast_stack(entries: Mapping[tuple[int, ...], object], lead: tuple[int, ...],
+                    shape: tuple[int, ...]) -> np.ndarray:
+    """entries[index] at their indices of a lead-shaped array, +inf elsewhere,
+    as a read-only view of shape lead + shape that stores the values at their
+    own broadcast shape only: a value free of an axis takes no memory along it."""
+    own = np.broadcast_shapes(*(np.shape(value) for value in entries.values()))
+    out = np.full(lead + (1,) * (len(shape) - len(own)) + own, math.inf)
+    for index, value in entries.items():
+        out[index] = value
+    return np.broadcast_to(out, lead + shape)
+
+
 def cost_array(table: Mapping[tuple[int, int], ExpressionTree], modes: tuple[int, ...],
                ctx: EvalContext) -> np.ndarray:
     """Switching costs at ctx as an array: out[a, b] = table[modes[a], modes[b]],
-    broadcast to the broadcast shape of ctx.t and ctx.x.  The diagonal is
-    +inf and never evaluated (staying put is not a switch), so the own mode
-    drops out of both obstacles and a single-mode player gets the obstacle
-    -inf or +inf."""
+    a read-only broadcast view (broadcast_stack) of the broadcast shape of
+    ctx.t and ctx.x.  The diagonal is +inf and never evaluated (staying put
+    is not a switch), so the own mode drops out of both obstacles and a
+    single-mode player gets the obstacle -inf or +inf."""
     n = len(modes)
-    out = np.full((n, n) + np.broadcast_shapes(np.shape(ctx.t), np.shape(ctx.x)), math.inf)
-    for a, i in enumerate(modes):
-        for b, k in enumerate(modes):
-            if a != b:
-                out[a, b] = evaluate(table[(i, k)], ctx)
-    return out
+    entries = {(a, b): evaluate(table[(i, k)], ctx)
+               for a, i in enumerate(modes) for b, k in enumerate(modes) if a != b}
+    return broadcast_stack(entries, (n, n), np.broadcast_shapes(np.shape(ctx.t), np.shape(ctx.x)))
 
 
 def cost_arrays(spec: ProblemSpec, ctx: EvalContext) -> tuple[np.ndarray, np.ndarray]:

@@ -59,16 +59,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, PreconditionError, SwitchgameError
-from .expressions import EvalContext, evaluate
+from .expressions import EvalContext, evaluate, free_variables
 from .grid import (CellLookup, GeneratorStencil, Grid, discretize_generator,  # noqa: F401
                    solve_banded, solve_rows)
-from .model import (ProblemSpec, ceiling, check_separation, clamp_sweep, cost_arrays, floor,
-                    sample_lattice)
+from .model import (ProblemSpec, broadcast_stack, ceiling, check_separation, clamp_sweep,
+                    cost_arrays, floor, sample_lattice)
 
 _ACTIVE_SET_CAP = 64
 FIXED_POINT_CAP = 500  # Gauss-Seidel sweeps over the pairs of one time level
 # relative width of a rounding-level tie in a policy decision (_next_policy)
 TIE_TOL = 1e-14
+LEVEL_BLOCK = 32  # time levels per slice of the report statistics (_sweep)
 
 
 @dataclass(frozen=True)
@@ -204,6 +205,8 @@ class _LevelCache:
     (mode, mode, t, x) like the values, each expression evaluated once over
     the whole lattice; terminal is indexed (i, j, x), and the generator
     weights lower, center and upper of every time level are stacked (t, x).
+    Each is stored at the shape its expressions need behind a read-only
+    broadcast view (model.broadcast_stack); weights free of t are made once.
     """
 
     def __init__(self, spec: ProblemSpec, grid: Grid):
@@ -212,16 +215,20 @@ class _LevelCache:
         self.modes2 = spec.modes.modes2
         n1, n2 = len(self.modes1), len(self.modes2)
         lattice = _lattice(grid)
-        self.f = np.empty((n1, n2, grid.nt, grid.nx))
+        drivers = {}
         self.terminal = np.empty((n1, n2, grid.nx))
         for (a, b), pair in zip(np.ndindex(n1, n2), spec.modes.pairs):
-            self.f[a, b] = evaluate(spec.drivers.f[pair], lattice)
+            drivers[a, b] = evaluate(spec.drivers.f[pair], lattice)
             self.terminal[a, b] = evaluate(spec.terminals.h[pair], EvalContext(spec.horizon, grid.xs))
+        self.f = broadcast_stack(drivers, (n1, n2), (grid.nt, grid.nx))
         self.g1, self.g2 = cost_arrays(spec, lattice)
-        self.lower, self.center, self.upper = (np.empty((grid.nt, grid.nx)) for _ in range(3))
-        for k, t in enumerate(grid.times):
+        free = free_variables(spec.diffusion.drift) | free_variables(spec.diffusion.volatility)
+        times = grid.times if "t" in free else grid.times[:1]
+        weights = np.empty((3, len(times), grid.nx))
+        for k, t in enumerate(times):
             s = discretize_generator(spec, grid, t)
-            self.lower[k], self.center[k], self.upper[k] = s.lower, s.center, s.upper
+            weights[:, k] = s.lower, s.center, s.upper
+        self.lower, self.center, self.upper = np.broadcast_to(weights, (3, grid.nt, grid.nx))
 
     def stencil(self, k) -> GeneratorStencil:
         """The generator stencil of time level k, or of each level in the
@@ -453,8 +460,10 @@ def _solve_ladder(cache: _LevelCache, direction: str, schedule: PenaltySchedule)
         return values, iterations
 
 
-def _excess_by_pair(values, cache: _LevelCache, penalty: float, direction: str) -> dict:
-    """Max over the grid of penalty * sum of obstacle excesses, per mode pair.
+def _excess_by_pair(values, cache: _LevelCache, penalty: float, direction: str,
+                    blocks: list[slice]) -> dict:
+    """Max over the grid of penalty * sum of obstacle excesses, per mode pair,
+    taken over the slices of time levels ``blocks``.
 
     The excesses are the reaction term's: (v^{ij} - v^{il} - costs2_{jl})^+
     descending, (v^{kj} - costs1_{ik} - v^{ij})^+ ascending; the own mode's
@@ -462,12 +471,15 @@ def _excess_by_pair(values, cache: _LevelCache, penalty: float, direction: str) 
     """
     out = {}
     for a, b in np.ndindex(values.shape[:2]):
-        if direction == "minmax":
-            excess = values[a, b] - values[a] - cache.g2[b]
-        else:
-            excess = floor(values, cache.g1, (a, b), each=True) - values[a, b]
-        total = np.maximum(excess, 0.0).sum(axis=0)
-        out[f"{cache.modes1[a]},{cache.modes2[b]}"] = max(0.0, penalty * float(np.max(total)))
+        worst = []
+        for s in blocks:
+            if direction == "minmax":
+                excess = values[a, b, s] - values[a, :, s] - cache.g2[b, :, s]
+            else:
+                excess = (floor(values[:, :, s], cache.g1[:, :, s], (a, b), each=True)
+                          - values[a, b, s])
+            worst.append(np.maximum(excess, 0.0).sum(axis=0).max())
+        out[f"{cache.modes1[a]},{cache.modes2[b]}"] = max(0.0, penalty * float(np.max(worst)))
     return out
 
 
@@ -476,14 +488,21 @@ def _sweep(spec: ProblemSpec, grid: Grid, schedule: PenaltySchedule, direction: 
     passes, iterations = _solve_ladder(cache, direction, schedule)
     report = SolveReport(system=direction, penalty_levels=list(schedule.levels),
                          iterations=iterations)
+    # maxima per slice of levels; np.max combines them and keeps a NaN, as on the whole field
+    blocks = [slice(k, k + LEVEL_BLOCK) for k in range(0, grid.nt, LEVEL_BLOCK)]
     prev = None
     for m, values in zip(schedule.levels, passes):
-        report.penalty_excess.append(_excess_by_pair(values, cache, m, direction))
+        report.penalty_excess.append(_excess_by_pair(values, cache, m, direction, blocks))
         if prev is not None:
-            report.sup_deltas.append(float(np.max(np.abs(values - prev))))
-            # descending scheme must not increase, ascending must not decrease
-            rise = float(np.max(values - prev if direction == "minmax" else prev - values))
-            report.monotonicity_violation = max(report.monotonicity_violation, rise)
+            deltas, rises = [], []
+            for s in blocks:
+                change = values[:, :, s] - prev[:, :, s]
+                deltas.append(np.abs(change).max())
+                # descending scheme must not increase, ascending must not decrease
+                rises.append((change if direction == "minmax" else -change).max())
+            report.sup_deltas.append(float(np.max(deltas)))
+            report.monotonicity_violation = max(report.monotonicity_violation,
+                                                float(np.max(rises)))
         report.sweep_fields.append(ValueField(system=direction, mode_labels=spec.modes.pairs,
                                               values=values.reshape(-1, grid.nt, grid.nx),
                                               grid=grid, penalty=m))

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import errno
 import gc
@@ -557,6 +558,44 @@ def test_solve_both_closes_its_pipe_when_the_child_does_not_start(tmp_path, monk
 
 def test_game_closes_its_pipe_when_the_child_does_not_start(tmp_path, monkeypatch):
     _closes_its_pipe_when_the_child_does_not_start(tmp_path, monkeypatch, "game")
+
+
+@contextlib.contextmanager
+def _no_collection():
+    """Hold the garbage collector off, so that what a call leaves open is
+    closed by the call itself or not at all."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _child_raises():
+    raise ValueError("raised in the child")
+
+
+@pytest.mark.parametrize("work", [lambda: 7, _child_raises], ids=["succeeds", "raises"])
+def test_forked_closes_every_pipe_it_opens(work):
+    with _no_collection():
+        before = set(os.listdir("/proc/self/fd"))
+        with contextlib.suppress(ValueError):
+            with cli_mod._forked(work, "test") as result:
+                assert result() == 7
+        assert set(os.listdir("/proc/self/fd")) == before
+    assert multiprocessing.active_children() == []
+
+
+def test_failing_solve_both_closes_every_pipe_it_opens(tmp_path, monkeypatch):
+    monkeypatch.setattr("switchgame.cli.solve_maxmin",
+                        _raise(ConvergenceError("maxmin fixed point stalled", 0.25)))
+    path, _ = _small_e1(tmp_path)
+    with _no_collection():
+        before = set(os.listdir("/proc/self/fd"))
+        assert main(["solve", str(path)]) == 1
+        assert set(os.listdir("/proc/self/fd")) == before
 
 
 def test_game_plays_every_path_here_when_the_child_raises(tmp_path, monkeypatch):

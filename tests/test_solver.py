@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -437,6 +438,27 @@ def test_a_pass_does_not_see_the_passes_after_it(spec, nt, nx):
         assert full.penalty_excess[:3] == short.penalty_excess
 
 
+@pytest.mark.xfail(strict=True, raises=ConvergenceError,
+                   reason="the max-min Gauss-Seidel fixed point can stall on a 3x3 spec that "
+                          "min-max solves: penalty 256, time level 8, residual 1.783e-11")
+def test_maxmin_converges_on_a_3x3_spec_that_minmax_solves():
+    # an example that test_a_pass_does_not_see_the_passes_after_it can draw
+    modes = (1, 2, 3)
+    pairs = [(i, j) for i in modes for j in modes]
+    slopes = (-0.557, 0.607, -0.715, 0.086, -0.818, 0.986, 0.75, 0.996, -0.021)
+    costs1, costs2 = uniform_costs(modes, modes, 0.288, 0.292)
+    spec = build_spec(modes1=modes, modes2=modes, costs1=costs1, costs2=costs2,
+                      drivers={p: f"(0.0) + ({c})*x" for p, c in zip(pairs, slopes)},
+                      terminals={p: "0.0*x^2 + (0.0)*x" for p in pairs}, volatility=0.338,
+                      domain=(-2.0, 2.0))
+    grid = build_grid(spec, 11, 11)
+    try:
+        solve_minmax(spec, grid, SCHED_FULL)
+    except ConvergenceError as exc:
+        pytest.fail(f"min-max no longer converges here: {exc}")
+    solve_maxmin(spec, grid, PenaltySchedule((256.0,), 1e-12))
+
+
 # SHA-256 of values.tobytes() + json.dumps(report.to_dict()), recorded with
 # the solver that ran the passes one after the other
 LADDER_DIGESTS = {
@@ -700,6 +722,113 @@ def test_a_ladder_that_succeeds_is_solved_once(monkeypatch, problem):
     for solve in (solve_minmax, solve_maxmin):
         solve(spec, grid, ladder)
     assert runs == ["minmax", "maxmin"]
+
+
+# ---------------------------------------------------------------------------
+# Level data at the shape its expressions need, statistics in blocks of levels
+# ---------------------------------------------------------------------------
+
+
+def _e1_grid():
+    config = load_config(str(CONFIG_DIR / "e1_equality_2x2.json"))
+    grid = build_grid(config.spec, config.nt, config.nx)
+    return config, grid
+
+
+def test_minmax_on_e1_holds_little_beyond_its_passes_and_drivers():
+    config, grid = _e1_grid()
+    field_bytes = len(config.spec.modes.pairs) * grid.nt * grid.nx * 8
+    tracemalloc.start()
+    try:
+        solve_minmax(config.spec, grid, config.schedule)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the five passes and the drivers f, and one field's worth for the
+    # level kernel's and the report's temporaries; whole-lattice costs,
+    # per-level weights and whole-field report temporaries need five more
+    assert peak <= (5 + 1 + 1) * field_bytes
+
+
+def test_e1_level_cache_stores_constant_data_once_and_read_only():
+    config, grid = _e1_grid()
+    cache = solver._LevelCache(config.spec, grid)
+    for costs in (cache.g1, cache.g2):  # constant costs
+        assert costs.shape == (2, 2, grid.nt, grid.nx) and costs.strides[2:] == (0, 0)
+    for weights in (cache.lower, cache.center, cache.upper):  # drift and volatility free of t
+        assert weights.shape == (grid.nt, grid.nx) and weights.strides[0] == 0
+    for data in (cache.f, cache.g1, cache.g2, cache.lower, cache.center, cache.upper):
+        with pytest.raises(ValueError, match="read-only"):
+            data[0, ...] = 0.0
+
+
+def _whole_lattice_cost_array(table, modes, ctx):
+    """cost_array as one value per lattice node: the reference."""
+    n = len(modes)
+    out = np.full((n, n) + np.broadcast_shapes(np.shape(ctx.t), np.shape(ctx.x)), math.inf)
+    for a, i in enumerate(modes):
+        for b, k in enumerate(modes):
+            if a != b:
+                out[a, b] = evaluate(table[(i, k)], ctx)
+    return out
+
+
+def test_level_cache_in_t_and_x_equals_per_level_and_whole_lattice_data():
+    spec = build_spec(modes1=(1, 2, 3), costs1={(1, 2): "0.1 + 0.05*t", (1, 3): "0.2",
+                                                (2, 1): "0.1 + 0.01*x^2", (2, 3): "0.2*(1 + t*x^2)",
+                                                (3, 1): "0.3", (3, 2): "0.3"},
+                      costs2={(1, 2): "0.1 + 0.02*x", (2, 1): "0.15"},
+                      drivers={(i, j): f"{i}*sin(x) - {j}*t" for i in (1, 2, 3) for j in (1, 2)},
+                      drift="0.1*t - 0.2*x", volatility="0.3 + 0.1*x^2", domain=(-2.0, 2.0))
+    grid = build_grid(spec, 13, 11)
+    cache = solver._LevelCache(spec, grid)
+    lattice = EvalContext(grid.times[:, np.newaxis], grid.xs)
+    stencils = [grid_module.discretize_generator(spec, grid, t) for t in grid.times]
+    for name in ("lower", "center", "upper"):
+        expected = np.stack([getattr(s, name) for s in stencils])
+        assert getattr(cache, name).tobytes() == expected.tobytes()
+    for data, table, modes in ((cache.g1, spec.costs.costs1, spec.modes.modes1),
+                               (cache.g2, spec.costs.costs2, spec.modes.modes2)):
+        assert data.tobytes() == _whole_lattice_cost_array(table, modes, lattice).tobytes()
+    assert cache.g2.strides[2] == 0  # player 2's costs are free of t
+    drivers = np.stack([evaluate(spec.drivers.f[p], lattice) for p in spec.modes.pairs])
+    assert cache.f.tobytes() == drivers.tobytes()
+
+
+@pytest.mark.parametrize("direction", ["minmax", "maxmin"])
+def test_sweep_statistics_are_the_whole_field_maxima(monkeypatch, direction):
+    # three passes over three blocks of levels, with a NaN in the last block
+    # of the second: np.max over the block maxima keeps it where the
+    # whole-field np.max does, and the report reads what the whole-field
+    # formulas give
+    spec = _stochastic_2x2()
+    grid = build_grid(spec, 2 * solver.LEVEL_BLOCK + 5, 9)
+    rng = np.random.default_rng(3)
+    passes = [rng.normal(size=(2, 2, grid.nt, grid.nx)) for _ in SCHED.levels]
+    passes[1][1, 0, -3, 4] = math.nan
+    monkeypatch.setattr(solver, "_solve_ladder", lambda *args: (passes, [0, 0, 0]))
+    solve = solve_minmax if direction == "minmax" else solve_maxmin
+    _, report = solve(spec, grid, SCHED)
+
+    cache = solver._LevelCache(spec, grid)
+    deltas, violation = [], 0.0
+    for prev, values in zip(passes, passes[1:]):
+        deltas.append(float(np.max(np.abs(values - prev))))
+        violation = max(violation, float(np.max(values - prev if direction == "minmax"
+                                                else prev - values)))
+    for m, values, reported in zip(SCHED.levels, passes, report.penalty_excess):
+        expected = {}
+        for a, b in np.ndindex(2, 2):
+            if direction == "minmax":
+                excess = values[a, b] - values[a] - cache.g2[b]
+            else:
+                excess = model.floor(values, cache.g1, (a, b), each=True) - values[a, b]
+            total = np.maximum(excess, 0.0).sum(axis=0)
+            expected[f"{a + 1},{b + 1}"] = max(0.0, m * float(np.max(total)))
+        assert reported == expected
+    np.testing.assert_array_equal(report.sup_deltas, deltas)
+    assert math.isnan(report.sup_deltas[0]) and math.isnan(report.sup_deltas[1])
+    assert report.monotonicity_violation == violation
 
 
 # ---------------------------------------------------------------------------
