@@ -377,20 +377,3 @@ def free_variables(tree: ExpressionTree) -> set[str]:
     for arg in tree.args:
         out |= free_variables(arg)
     return out
-
-
-def to_source(tree: ExpressionTree) -> str:
-    """Render a tree back to source that re-parses to a structurally equal
-    tree, nested no deeper: every operation but a negation is parenthesized."""
-    if isinstance(tree, Const):
-        return repr(tree.value)
-    if isinstance(tree, Var):
-        return tree.name
-    if isinstance(tree, Neg):
-        return f"-{to_source(tree.operand)}"
-    if isinstance(tree, BinOp):
-        return f"({to_source(tree.left)} {tree.op} {to_source(tree.right)})"
-    if isinstance(tree, Pow):
-        return f"({to_source(tree.base)})^{tree.exponent}"
-    args = ", ".join(to_source(arg) for arg in tree.args)
-    return f"{tree.func}({args})"

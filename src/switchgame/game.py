@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import AdmissibilityError, ExpressionDomainError, PreconditionError
 from .expressions import EvalContext, evaluate, evaluate_all
-from .model import ProblemSpec, ceiling, clamp_sweep, cost_arrays, floor
+from .model import ProblemSpec, clamp_sweep, cost_arrays
 from .simulate import PathBundle
 from .solver import ValueField
 
@@ -61,11 +61,6 @@ class RealizedStrategy:
     player: int
     labels: tuple[int, ...]
     track: np.ndarray  # (n_steps + 2, n_paths) mode positions
-
-    @property
-    def modes(self) -> np.ndarray:
-        """modes[p, k]: the mode label at grid step k on path p."""
-        return np.asarray(self.labels)[self.track[:-1]].T
 
 
 @dataclass(frozen=True)
@@ -120,22 +115,6 @@ def switch_at_start(spec: ProblemSpec, player: int, start_mode: int) -> Switchin
         return never_switch(player, start_mode)
     return SwitchingStrategy(player=player, start_mode=start_mode,
                              schedule=((0, others[0]),))
-
-
-def switch_every_step(spec: ProblemSpec, player: int, start_mode: int,
-                      cap: int = SWITCH_CAP) -> SwitchingStrategy:
-    """Cost-bleeding challenger: alternate between two modes every step."""
-    modes = _player_modes(spec, player)
-    others = [m for m in modes if m != start_mode]
-    if not others:
-        return never_switch(player, start_mode)
-    schedule = []
-    cur = start_mode
-    for step in range(cap):
-        nxt = others[0] if cur == start_mode else start_mode
-        schedule.append((step, nxt))
-        cur = nxt
-    return SwitchingStrategy(player=player, start_mode=start_mode, schedule=tuple(schedule))
 
 
 def random_switch(spec: ProblemSpec, player: int, start_mode: int, seed: int,
@@ -195,8 +174,10 @@ def _realize_explicit(strategy: SwitchingStrategy, spec: ProblemSpec,
                             track=np.broadcast_to(track[:, None], (n_steps + 2, n_paths)))
 
 
-def _nearest_level(times: np.ndarray, t: float) -> int:
-    return int(np.argmin(np.abs(times - t)))
+def _nearest_levels(times: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """The position in ``times`` of the time nearest to each of ``ts``, the
+    first on a tie."""
+    return np.abs(times - ts[:, np.newaxis]).argmin(axis=1)
 
 
 class _Rollout:
@@ -322,9 +303,7 @@ def _realize_feedback(strategies, spec: ProblemSpec, bundle: PathBundle) -> list
     rollouts = [_Rollout(s, spec, n_paths, n_steps) for s in strategies]
     live = [r for r in rollouts if len(r.modes) > 1]
     grids = {id(r.field.grid): r.field.grid for r in live}
-    # each grid's nearest time level to every step, as _nearest_level finds it
-    levels = {key: np.abs(grid.times - bundle.times[:, None]).argmin(axis=1)
-              for key, grid in grids.items()}
+    levels = {key: _nearest_levels(grid.times, bundle.times) for key, grid in grids.items()}
     for k, xk in enumerate(bundle.states.T[:n_steps] if live else ()):
         t = float(bundle.times[k])
         lookups = {key: grid.locate(xk) for key, grid in grids.items()}
@@ -386,7 +365,6 @@ def _switch_costs(realized: RealizedStrategy, spec: ProblemSpec,
 class PayoffEstimate:
     mean: float
     stderr: float
-    n_paths: int
     per_path: np.ndarray
     # None in an estimate that carries the payoffs alone
     cost1_per_path: np.ndarray | None = None
@@ -403,8 +381,7 @@ class PayoffEstimate:
         return cls(
             mean=float(np.mean(per_path)),
             stderr=float(np.std(per_path, ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0,
-            n_paths=n_paths, per_path=per_path,
-            cost1_per_path=cost1_per_path, cost2_per_path=cost2_per_path,
+            per_path=per_path, cost1_per_path=cost1_per_path, cost2_per_path=cost2_per_path,
             switches1=switches1, switches2=switches2,
         )
 
@@ -638,7 +615,7 @@ def saddle_from_fields(field1: ValueField, field2: ValueField,
     """The saddle pair built from the two single-player fields, and the PDE
     comparison value: their sum at the start."""
     t0, x0, i0, j0 = start
-    level = _nearest_level(field1.grid.times, t0)
+    level, = _nearest_levels(field1.grid.times, np.array([t0]))
     x = np.array([x0])
     pde_value = float(field1.interp_x(level, x)[field1.index_of(i0), 0]
                       + field2.interp_x(level, x)[field2.index_of(j0), 0])
@@ -666,10 +643,9 @@ def deterministic_dp_oracle(spec: ProblemSpec, nt: int, x: float) -> dict:
     """Exact backward induction on the time grid with the state frozen at x.
 
     Both clamp orders are reported: the "minmax" variant applies the
-    ceiling first then the floor, max(min(v, ceiling), floor) as
-    solve_clamped(order="minmax") does, the "maxmin" variant the reverse,
-    each iterated within the step to a fixed point because the obstacles
-    reference the values being computed.
+    ceiling first then the floor, max(min(v, ceiling), floor), the "maxmin"
+    variant the reverse, each iterated within the step to a fixed point
+    because the obstacles reference the values being computed.
     """
     _require_frozen(spec, x)
     if nt > ORACLE_MAX_NT:
@@ -699,45 +675,6 @@ def _oracle_tables(spec: ProblemSpec, nt: int, x: float, variant: str) -> np.nda
         levels[k] = clamp_sweep(cont, *cost_arrays(spec, EvalContext(float(times[k]), x)),
                                 floor_last=variant == "minmax")
     return levels
-
-
-def oracle_optimal_strategies(spec: ProblemSpec, nt: int, x: float,
-                              start: tuple[int, int], variant: str = "minmax"):
-    """Extract the oracle's own-play schedules by walking the value tables.
-
-    At each level the clamp that binds dictates the switch: a binding floor
-    is a player-1 declaration, a binding ceiling a player-2 declaration
-    (chains within one level are followed through the fixed point).
-    Returns (schedule1, schedule2, value at the start pair).
-    """
-    _require_frozen(spec, x)
-    levels = _oracle_tables(spec, nt, x, variant)
-    times = np.linspace(0.0, spec.horizon, nt)
-    modes1, modes2 = spec.modes.modes1, spec.modes.modes2
-    a, b = modes1.index(start[0]), modes2.index(start[1])
-    start_value = float(levels[0, a, b])
-    sched1: list[tuple[int, int]] = []
-    sched2: list[tuple[int, int]] = []
-    tol = 1e-11
-    for k in range(nt - 1):
-        values = levels[k]
-        g1, g2 = cost_arrays(spec, EvalContext(float(times[k]), x))
-        for _ in range(len(modes1) + len(modes2) + 2):
-            cont = _continuation(levels, spec, times, k, a, b, x)
-            # a binding obstacle's targets are the candidates the value sits on
-            if values[a, b] > cont + tol:
-                cands, labels, sched = floor(values, g1, (a, b), each=True), modes1, sched1
-            elif values[a, b] < cont - tol:
-                cands, labels, sched = ceiling(values, g2, (a, b), each=True), modes2, sched2
-            else:
-                break
-            hits = np.flatnonzero(np.abs(values[a, b] - cands) <= tol)
-            if hits.size == 0:
-                break
-            m = min(hits, key=labels.__getitem__)
-            sched.append((k, labels[m]))
-            a, b = (m, b) if sched is sched1 else (a, m)
-    return sched1, sched2, start_value
 
 
 def _continuation(levels, spec, times, k, a, b, x) -> float:

@@ -44,11 +44,12 @@ those of solving the passes one after the other: a failed wavefront is
 solved again one pass at a time (_solve_ladder), so the first pass that
 fails raises its error, not a later pass that failed at an earlier step.
 
-A third, direct clamping scheme ships as a cross-check only: one plain
-implicit step followed by clamping between the two obstacles in the order
-that matches the system being approximated.  Its backward pass, which the
-single-player solves share, steps a level's mode pairs as the rows of one
-grid.solve_rows call (_clamp_pass).
+The single-player solves run a plain backward clamp pass (_clamp_pass):
+one implicit step per level, a level's mode pairs solved as the rows of one
+grid.solve_rows call, then a clamp sweep.  The direct double-obstacle
+cross-check of the tests (solve_clamped in tests/helpers.py) runs the same
+pass with both obstacles, clamped in the order that matches the system
+being approximated.
 """
 
 from __future__ import annotations
@@ -407,8 +408,8 @@ def _wavefront(cache: _LevelCache, direction: str, penalties: tuple[float, ...],
         scale = np.repeat(dt * np.array([penalties[p] for p in passes])[:, np.newaxis], nx, axis=1)
         peak = np.abs(cur).max(axis=(0, 1, 3))[:, np.newaxis]
         tie = np.repeat(TIE_TOL * (1.0 + peak), nx, axis=1)
-        # errors name the first row: only one-pass wavefronts raise out of
-        # _solve_ladder, so that is the row that failed
+        # a pair's error names the first row, though a later row may have
+        # failed: only one-pass wavefronts raise out of _solve_ladder
         where = f"penalty {penalties[passes[0]]:g}, time level {ks[0]}"
 
         live = np.ones(len(rows), dtype=bool)
@@ -435,8 +436,10 @@ def _wavefront(cache: _LevelCache, direction: str, penalties: tuple[float, ...],
             if not live.any():
                 break
         if live.any():
-            raise ConvergenceError(f"{direction} fixed point stalled at {where}",
-                                   residual=float(residual[0]))
+            r = live.argmax()  # the first row still live, as _pair_step names it
+            raise ConvergenceError(f"{direction} fixed point stalled at penalty "
+                                   f"{penalties[passes[r]]:g}, time level {ks[r]}",
+                                   residual=float(residual[r]))
         clamped = clamp_sweep(cur, **{clamp_key: hard_k})
         for r, (p, k) in enumerate(rows):
             values[p][:, :, k, :] = clamped[:, :, r]
@@ -535,7 +538,8 @@ def _clamp_pass(cache: _LevelCache, f: np.ndarray, terminal: np.ndarray,
     may be None, leaving that obstacle out).  f and the costs are indexed
     (mode, mode, t, x) and terminal (i, j, x), like the cache's own arrays,
     of which they may be slices.  A failed step raises the error of the
-    first pair, in pair order, that fails.
+    first pair, in pair order, that fails.  solve_single_obstacle and the
+    tests' clamped cross-check (tests/helpers.py) call it.
     """
     n1, n2, nx = terminal.shape
     nt, dt = cache.grid.nt, cache.grid.dt
@@ -551,20 +555,6 @@ def _clamp_pass(cache: _LevelCache, f: np.ndarray, terminal: np.ndarray,
                                     None if costs1 is None else costs1[:, :, k],
                                     None if costs2 is None else costs2[:, :, k], floor_last)
     return v
-
-
-def solve_clamped(spec: ProblemSpec, grid: Grid, order: str = "minmax") -> ValueField:
-    """Direct double-obstacle cross-check: plain implicit step, then clamp.
-
-    order == "minmax" applies v := max(min(v_step, ceiling), floor);
-    order == "maxmin" applies v := min(max(v_step, floor), ceiling).
-    Clamps are swept Gauss-Seidel to a fixed point at each level.
-    """
-    cache = _LevelCache(spec, grid)
-    v = _clamp_pass(cache, cache.f, cache.terminal, cache.g1, cache.g2,
-                    floor_last=order == "minmax")
-    return ValueField(system=f"clamped_{order}", mode_labels=spec.modes.pairs,
-                      values=v.reshape(-1, grid.nt, grid.nx), grid=grid, penalty=None)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from switchgame.expressions import EvalContext, evaluate
 from switchgame.expressions import parse_expression as pe
+from switchgame.game import _continuation, _oracle_tables, _require_frozen
 from switchgame.model import (
     DiffusionCoefficients,
     DriverTable,
@@ -17,7 +18,11 @@ from switchgame.model import (
     ProblemSpec,
     SwitchCostTable,
     TerminalTable,
+    ceiling,
+    cost_arrays,
+    floor,
 )
+from switchgame.solver import ValueField, _clamp_pass, _LevelCache
 
 
 def build_spec(
@@ -286,3 +291,54 @@ def single_player_schedule_oracle(spec, nt, x, player, start_mode, max_switches=
                 else:
                     best = min(best, value)
     return best
+
+
+def solve_clamped(spec, grid, order="minmax"):
+    """Direct double-obstacle cross-check: plain implicit step, then clamp.
+
+    order == "minmax" applies v := max(min(v_step, ceiling), floor);
+    order == "maxmin" applies v := min(max(v_step, floor), ceiling).
+    Clamps are swept Gauss-Seidel to a fixed point at each level.
+    """
+    cache = _LevelCache(spec, grid)
+    v = _clamp_pass(cache, cache.f, cache.terminal, cache.g1, cache.g2,
+                    floor_last=order == "minmax")
+    return ValueField(system=f"clamped_{order}", mode_labels=spec.modes.pairs,
+                      values=v.reshape(-1, grid.nt, grid.nx), grid=grid, penalty=None)
+
+
+def oracle_optimal_strategies(spec, nt, x, start, variant="minmax"):
+    """Extract the oracle's own-play schedules by walking the value tables.
+
+    At each level the clamp that binds dictates the switch: a binding floor
+    is a player-1 declaration, a binding ceiling a player-2 declaration
+    (chains within one level are followed through the fixed point).
+    Returns (schedule1, schedule2, value at the start pair).
+    """
+    _require_frozen(spec, x)
+    levels = _oracle_tables(spec, nt, x, variant)
+    times = np.linspace(0.0, spec.horizon, nt)
+    modes1, modes2 = spec.modes.modes1, spec.modes.modes2
+    a, b = modes1.index(start[0]), modes2.index(start[1])
+    start_value = float(levels[0, a, b])
+    sched1, sched2 = [], []
+    tol = 1e-11
+    for k in range(nt - 1):
+        values = levels[k]
+        g1, g2 = cost_arrays(spec, EvalContext(float(times[k]), x))
+        for _ in range(len(modes1) + len(modes2) + 2):
+            cont = _continuation(levels, spec, times, k, a, b, x)
+            # a binding obstacle's targets are the candidates the value sits on
+            if values[a, b] > cont + tol:
+                cands, labels, sched = floor(values, g1, (a, b), each=True), modes1, sched1
+            elif values[a, b] < cont - tol:
+                cands, labels, sched = ceiling(values, g2, (a, b), each=True), modes2, sched2
+            else:
+                break
+            hits = np.flatnonzero(np.abs(values[a, b] - cands) <= tol)
+            if hits.size == 0:
+                break
+            m = min(hits, key=labels.__getitem__)
+            sched.append((k, labels[m]))
+            a, b = (m, b) if sched is sched1 else (a, m)
+    return sched1, sched2, start_value

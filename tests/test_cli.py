@@ -872,7 +872,7 @@ _CSV_FLOATS = st.one_of(
 def test_payoffs_csv_writes_csv_writer_bytes(tmp_path_factory, data, n):
     floats = lambda: np.array(data.draw(st.lists(_CSV_FLOATS, min_size=n, max_size=n)))
     counts = lambda: np.array(data.draw(st.lists(st.integers(0, 64), min_size=n, max_size=n)))
-    payoff = PayoffEstimate(mean=0.0, stderr=0.0, n_paths=n, per_path=floats(),
+    payoff = PayoffEstimate(mean=0.0, stderr=0.0, per_path=floats(),
                             cost1_per_path=floats(), cost2_per_path=floats(),
                             switches1=counts(), switches2=counts())
     folder = tmp_path_factory.mktemp("payoffs")

@@ -8,13 +8,34 @@ from hypothesis import given, settings, strategies as st
 from switchgame.errors import ExpressionDomainError, ExpressionSyntaxError
 from switchgame.expressions import (
     MAX_DEPTH,
+    BinOp,
+    Const,
     EvalContext,
+    Neg,
+    Pow,
+    Var,
     evaluate,
     evaluate_all,
     free_variables,
     parse_expression,
-    to_source,
 )
+
+
+def to_source(tree):
+    """Render a tree back to source that re-parses to a structurally equal
+    tree, nested no deeper: every operation but a negation is parenthesized."""
+    if isinstance(tree, Const):
+        return repr(tree.value)
+    if isinstance(tree, Var):
+        return tree.name
+    if isinstance(tree, Neg):
+        return f"-{to_source(tree.operand)}"
+    if isinstance(tree, BinOp):
+        return f"({to_source(tree.left)} {tree.op} {to_source(tree.right)})"
+    if isinstance(tree, Pow):
+        return f"({to_source(tree.base)})^{tree.exponent}"
+    args = ", ".join(to_source(arg) for arg in tree.args)
+    return f"{tree.func}({args})"
 
 
 def test_parse_and_eval_basic():

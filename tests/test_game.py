@@ -13,21 +13,20 @@ from switchgame.game import (
     default_challengers,
     deterministic_dp_oracle,
     never_switch,
-    oracle_optimal_strategies,
     payoff_estimate,
     payoff_estimates,
     random_switch,
     saddle_from_fields,
     saddle_strategy,
     switch_at_start,
-    switch_every_step,
     verify_saddle,
 )
 from switchgame.grid import build_grid
 from switchgame.simulate import SimParams, simulate_paths
 from switchgame.solver import ValueField, solve_single_obstacle
 
-from helpers import bilevel_tree_value, build_spec, frozen_diag_spec, uniform_costs
+from helpers import (bilevel_tree_value, build_spec, frozen_diag_spec, oracle_optimal_strategies,
+                     uniform_costs)
 
 
 def _frozen_bundle(spec, n_paths=4, n_steps=10, x0=0.0):
@@ -41,22 +40,27 @@ def _plain_spec(**kw):
     return build_spec(**defaults)
 
 
+def _modes(realized):
+    """modes[p, k]: the mode label at grid step k on path p."""
+    return np.asarray(realized.labels)[realized.track[:-1]].T
+
+
 # ---------------------------------------------------------------------------
-# Indicator process (RealizedStrategy.modes)
+# Indicator process (the mode labels of a realized track)
 # ---------------------------------------------------------------------------
 
 
 def test_indicator_constant_without_switches():
     spec = _plain_spec()
     bundle = _frozen_bundle(spec)
-    assert np.all(never_switch(1, 2).realize(spec, bundle).modes == 2)
+    assert np.all(_modes(never_switch(1, 2).realize(spec, bundle)) == 2)
 
 
 def test_indicator_switch_effective_strictly_after_declaration():
     spec = _plain_spec()
     bundle = _frozen_bundle(spec, n_steps=10)
     strategy = SwitchingStrategy(player=1, start_mode=1, schedule=((5, 2),))
-    modes = strategy.realize(spec, bundle).modes
+    modes = _modes(strategy.realize(spec, bundle))
     expected = [1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2]
     assert modes[0].tolist() == expected
 
@@ -68,7 +72,7 @@ def test_indicator_same_step_duplicate_warns_and_last_wins():
     bundle = _frozen_bundle(spec)
     strategy = SwitchingStrategy(player=1, start_mode=1, schedule=((4, 2), (4, 3)))
     with pytest.warns(UserWarning):
-        modes = strategy.realize(spec, bundle).modes
+        modes = _modes(strategy.realize(spec, bundle))
     assert modes[0, 5] == 3
 
 
@@ -97,7 +101,7 @@ def test_explicit_realization_is_one_read_only_track_over_paths():
     assert realized.track.strides[1] == 0
     assert not realized.track.flags.writeable
     assert realized.track.T.tolist() == [[0] * 4 + [1] * 8] * 5
-    assert realized.modes.tolist() == [[1] * 4 + [2] * 7] * 5
+    assert _modes(realized).tolist() == [[1] * 4 + [2] * 7] * 5
 
 
 def test_explicit_schedule_over_cap_is_inadmissible():
@@ -143,7 +147,7 @@ def test_cost_charged_for_terminal_step_declaration():
     spec = _plain_spec()
     bundle = _frozen_bundle(spec, n_steps=10)
     at_end = SwitchingStrategy(player=1, start_mode=1, schedule=((10, 2),))
-    assert np.all(at_end.realize(spec, bundle).modes == 1)  # never shows in the indicator
+    assert np.all(_modes(at_end.realize(spec, bundle)) == 1)  # never shows in the indicator
     est = payoff_estimate(spec, bundle, at_end, never_switch(2, 1))
     assert np.all(est.cost1_per_path == 1.0)  # but costs
     assert np.all(est.switches1 == 1)  # and counts
@@ -214,7 +218,10 @@ def test_zero_sum_bookkeeping_mode_independence():
     reference = payoff_estimate(spec, bundle, never_switch(1, 1), never_switch(2, 1))
     for s1, s2 in [
         (switch_at_start(spec, 1, 1), never_switch(2, 2)),
-        (switch_every_step(spec, 1, 1, cap=10), switch_at_start(spec, 2, 1)),
+        # a switch at every step, alternating between modes 2 and 1
+        (SwitchingStrategy(player=1, start_mode=1,
+                           schedule=tuple((k, 2 - k % 2) for k in range(10))),
+         switch_at_start(spec, 2, 1)),
     ]:
         est = payoff_estimate(spec, bundle, s1, s2)
         assert np.allclose(est.per_path, reference.per_path, atol=1e-12)
@@ -396,7 +403,9 @@ def test_verify_saddle_standard_roster(small_game):
 
 def test_cost_bleeding_challenger_strictly_dominated(small_game):
     spec, _, _, _, bundle, saddle1, saddle2 = small_game
-    bleeder = switch_every_step(spec, 1, 1, cap=40)
+    # cost-bleeding challenger: a switch at every step, alternating between modes 2 and 1
+    bleeder = SwitchingStrategy(player=1, start_mode=1,
+                                schedule=tuple((k, 2 - k % 2) for k in range(40)))
     base = payoff_estimate(spec, bundle, saddle1, saddle2)
     bled = payoff_estimate(spec, bundle, bleeder, saddle2)
     # 40 switches at cost 0.15 each, minus the attainable reward spread
@@ -671,7 +680,7 @@ def test_realization_keeps_labels_outside_uint8(labels):
         ref = ref_strategy.realize(ref_spec, bundle)
         got = strategy.realize(spec, bundle)
         assert np.array_equal(got.track, ref.track)
-        assert np.array_equal(got.modes, _relabel(ref.modes, (1, 2), labels))
+        assert np.array_equal(_modes(got), _relabel(_modes(ref), (1, 2), labels))
         ref_pay = payoff_estimate(ref_spec, bundle, ref, never_switch(2, 1))
         pay = payoff_estimate(spec, bundle, got, never_switch(2, 1))
         assert pay.switches1.sum() > 0
@@ -689,7 +698,7 @@ def test_feedback_target_is_the_first_best_mode_in_declared_order():
     field, _ = solve_single_obstacle(spec, build_grid(spec, 11, 9))
     bundle = _frozen_bundle(spec, n_paths=3, n_steps=10)
     realized = saddle_strategy(field, 1).realize(spec, bundle)
-    assert realized.modes.tolist() == [[1] + [3] * 10] * 3
+    assert _modes(realized).tolist() == [[1] + [3] * 10] * 3
     sched1, _, _ = oracle_optimal_strategies(spec, 11, 0.0, (1, 1))
     assert sched1 == [(0, 2)]
 
@@ -799,8 +808,8 @@ def _reference_payoff(spec, bundle, r1, r2):
     pairs = spec.modes.pairs
     index = {pair: code for code, pair in enumerate(pairs)}
     # the pair on [t_k, t_{k+1}) is the one at step k + 1
-    codes = np.array([[index[(a, b)] for a, b in zip(r1.modes[:, k].tolist(),
-                                                     r2.modes[:, k].tolist())]
+    codes = np.array([[index[(a, b)] for a, b in zip(_modes(r1)[:, k].tolist(),
+                                                     _modes(r2)[:, k].tolist())]
                       for k in range(1, n_steps + 1)])
     reward = np.zeros(n_paths)
     step_reward = np.empty(n_paths)
@@ -821,8 +830,8 @@ def _reference_payoff(spec, bundle, r1, r2):
             vals = np.asarray(evaluate(spec.terminals.h[pair], EvalContext(spec.horizon, xT[idx])),
                               dtype=float)
             terminal[idx] = np.broadcast_to(vals, idx.shape)
-    cost1, switches1 = _reference_switch_costs(spec, bundle, 1, _records_from_modes(r1.modes))
-    cost2, switches2 = _reference_switch_costs(spec, bundle, 2, _records_from_modes(r2.modes))
+    cost1, switches1 = _reference_switch_costs(spec, bundle, 1, _records_from_modes(_modes(r1)))
+    cost2, switches2 = _reference_switch_costs(spec, bundle, 2, _records_from_modes(_modes(r2)))
     return terminal + reward - cost1 + cost2, cost1, cost2, switches1, switches2
 
 
@@ -845,7 +854,7 @@ def roster_game():
     field1, field2 = solve_single_obstacle(spec, grid)
     real1 = saddle_strategy(field1, 1).realize(spec, bundle)
     real2 = saddle_strategy(field2, 1).realize(spec, bundle)
-    assert np.any(real1.modes != 1) and np.any(real2.modes != 1)
+    assert np.any(_modes(real1) != 1) and np.any(_modes(real2) != 1)
     challengers = [
         switch_at_start(spec, 1, 1), random_switch(spec, 1, 1, 5, bundle.n_steps),
         switch_at_start(spec, 2, 1), random_switch(spec, 2, 1, 6, bundle.n_steps),
@@ -875,8 +884,8 @@ def test_feedback_saddle_tracks_keep_their_bytes(roster_game):
     # player 2 has three modes here, so its trigger picks between two
     # candidate targets (the cand > best comparison), which a 2x2 game never does
     real1, real2 = roster_game[2][0]
-    assert np.unique(real2.modes).tolist() == [1, 2, 3]
-    digests = [hashlib.sha256(np.ascontiguousarray(r.modes, dtype=np.int64).tobytes()).hexdigest()
+    assert np.unique(_modes(real2)).tolist() == [1, 2, 3]
+    digests = [hashlib.sha256(np.ascontiguousarray(_modes(r), dtype=np.int64).tobytes()).hexdigest()
                for r in (real1, real2)]
     assert digests == ["1ea7d04a1232739aa6601dda04b1853ebef21e28c2196ce8719f037beffc28f3",
                        "1b149d59d69286c085064fcd6e29b609fb5c1696a62696e3ed33d798ded65784"]

@@ -23,7 +23,6 @@ from switchgame.solver import (
     ValueField,
     barrier_respect_check,
     decomposition_check,
-    solve_clamped,
     solve_maxmin,
     solve_minmax,
     solve_single_obstacle,
@@ -31,7 +30,7 @@ from switchgame.solver import (
 )
 
 from helpers import (build_spec, frozen_diag_spec, generated_specs, heat_spec, seeded_spec,
-                     single_player_schedule_oracle, uniform_costs)
+                     single_player_schedule_oracle, solve_clamped, uniform_costs)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SCHED = PenaltySchedule(levels=(1.0, 4.0, 16.0), fixed_point_tol=1e-12)
@@ -438,10 +437,7 @@ def test_a_pass_does_not_see_the_passes_after_it(spec, nt, nx):
         assert full.penalty_excess[:3] == short.penalty_excess
 
 
-@pytest.mark.xfail(strict=True, raises=ConvergenceError,
-                   reason="the max-min Gauss-Seidel fixed point can stall on a 3x3 spec that "
-                          "min-max solves: penalty 256, time level 8, residual 1.783e-11")
-def test_maxmin_converges_on_a_3x3_spec_that_minmax_solves():
+def _maxmin_stall_spec():
     # an example that test_a_pass_does_not_see_the_passes_after_it can draw
     modes = (1, 2, 3)
     pairs = [(i, j) for i in modes for j in modes]
@@ -451,12 +447,33 @@ def test_maxmin_converges_on_a_3x3_spec_that_minmax_solves():
                       drivers={p: f"(0.0) + ({c})*x" for p, c in zip(pairs, slopes)},
                       terminals={p: "0.0*x^2 + (0.0)*x" for p in pairs}, volatility=0.338,
                       domain=(-2.0, 2.0))
-    grid = build_grid(spec, 11, 11)
+    return spec, build_grid(spec, 11, 11)
+
+
+@pytest.mark.xfail(strict=True, raises=ConvergenceError,
+                   reason="the max-min Gauss-Seidel fixed point can stall on a 3x3 spec that "
+                          "min-max solves: penalty 256, time level 8, residual 1.783e-11")
+def test_maxmin_converges_on_a_3x3_spec_that_minmax_solves():
+    spec, grid = _maxmin_stall_spec()
     try:
         solve_minmax(spec, grid, SCHED_FULL)
     except ConvergenceError as exc:
         pytest.fail(f"min-max no longer converges here: {exc}")
     solve_maxmin(spec, grid, PenaltySchedule((256.0,), 1e-12))
+
+
+def test_a_wavefront_stall_names_the_pass_that_stalled():
+    # the ladder's error comes from solving the passes one at a time; the
+    # wavefront's own error, its context, must name the same pass and level,
+    # not a row that had already converged
+    spec, grid = _maxmin_stall_spec()
+    with pytest.raises(ConvergenceError) as err:
+        solve_maxmin(spec, grid, SCHED_FULL)
+    wavefront = err.value.__context__
+    assert type(wavefront) is ConvergenceError
+    assert str(err.value) == ("maxmin fixed point stalled at penalty 256, time level 8 "
+                              "(residual 2.165e-11)")
+    assert str(wavefront) == str(err.value)
 
 
 # SHA-256 of values.tobytes() + json.dumps(report.to_dict()), recorded with
