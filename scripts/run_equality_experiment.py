@@ -13,7 +13,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from switchgame.config import load_config
 from switchgame.grid import build_grid
-from switchgame.solver import barrier_respect_check, solve_maxmin, solve_minmax, sup_gap
+from switchgame.solver import (PenaltySchedule, barrier_respect_check, solve_maxmin, solve_minmax,
+                               sup_gap)
 
 
 def main():
@@ -29,7 +30,11 @@ def main():
     print(f"grid {cfg.nt} x {cfg.nx}, dt = {grid.dt:.5f}, dx = {grid.dx:.5f}")
     print(f"{'penalty':>10} {'inner gap':>12} {'desc excess':>12} {'asc excess':>12}")
     for idx, m in enumerate(rmin.penalty_levels):
-        gap = sup_gap(rmin.sweep_fields[idx], rmax.sweep_fields[idx])
+        # a pass does not see the passes after it: pass idx is the last field
+        # of the ladder of the first idx + 1 levels
+        prefix = PenaltySchedule(cfg.schedule.levels[:idx + 1], cfg.schedule.fixed_point_tol)
+        gap = sup_gap(solve_minmax(cfg.spec, grid, prefix)[0],
+                      solve_maxmin(cfg.spec, grid, prefix)[0])
         exc_d = max(rmin.penalty_excess[idx].values())
         exc_a = max(rmax.penalty_excess[idx].values())
         print(f"{m:>10.0f} {gap:>12.6f} {exc_d:>12.5f} {exc_a:>12.5f}")

@@ -12,11 +12,14 @@ import argparse
 import contextlib
 import csv
 import json
+import math
+import mmap
 import multiprocessing
 import os
 import sys
 import traceback
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
@@ -26,7 +29,7 @@ from .grid import Grid, build_grid
 from .model import (AssumptionReport, run_all_checks, sample_lattice, validate_consistency,
                     validate_costs)
 from .simulate import simulate_paths
-from .solver import csv_rows, solve_maxmin, solve_minmax, solve_single_obstacle
+from .solver import csv_rows, gap_table, solve_maxmin, solve_minmax, solve_single_obstacle
 from . import game as game_mod
 
 PLAY_BLOCK = 5000  # paths that game simulates, realizes and prices at a time
@@ -63,8 +66,6 @@ def _solve(name: str, config: RunConfig, grid: Grid):
     name in the output directory; ``_publish`` gives it its own name."""
     solver = solve_minmax if name == "minmax" else solve_maxmin
     fld, report = solver(config.spec, grid, config.schedule)
-    # only the last level's field is written; let the others go
-    report.sweep_fields.clear()
     fld.to_csv(_part_path(config.output, name))
     return fld, report
 
@@ -180,27 +181,34 @@ def _forked(work, name: str):
 def _solve_both(config: RunConfig, grid: Grid) -> int:
     """Both schemes at once: a forked child solves max-min while this
     process solves min-max, and each writes its own value file under a
-    temporary name.  The files, exit codes and errors are those of solving
-    them one after the other: the value files are published only once both
-    schemes have succeeded, and when either fails, no value file is written
-    and the min-max error comes first."""
+    temporary name.  The child copies its field into a shared anonymous
+    mapping made before the fork and sends only its report and the field's
+    metadata, so the field is not pickled.  The files, exit codes and errors
+    are those of solving the schemes one after the other: the value files
+    are published only once both schemes have succeeded, and when either
+    fails, no value file is written and the min-max error comes first."""
     out = config.output
-    with _forked(lambda: _solve("maxmin", config, grid), "max-min") as maxmin:
-        try:
-            fa, report_a = _solve("minmax", config, grid)
-            fb, report_b = maxmin()
-        except ConvergenceError as exc:
-            return _not_converged(out, exc)
+    shape = (len(config.spec.modes.pairs), grid.nt, grid.nx)
+    with mmap.mmap(-1, 8 * math.prod(shape)) as shared:
+        def solve_maxmin_into_shared():
+            fld, report = _solve("maxmin", config, grid)
+            np.frombuffer(shared).reshape(shape)[...] = fld.values
+            return replace(fld, values=None), report
 
-    mask = grid.inner_mask()
-    # max over the pairs of |minmax - maxmin| per (t, inner x); its max is sup_gap
-    diff = np.max(np.abs(fa.values - fb.values), axis=0)[:, mask]
+        with _forked(solve_maxmin_into_shared, "max-min") as maxmin:
+            try:
+                fa, report_a = _solve("minmax", config, grid)
+                fb, report_b = maxmin()
+            except ConvergenceError as exc:
+                return _not_converged(out, exc)
+        diff = gap_table(fa, replace(fb, values=np.frombuffer(shared).reshape(shape)))
+
     _publish(out, "minmax", fa)
     _publish(out, "maxmin", fb)
     for name, report in (("minmax", report_a), ("maxmin", report_b)):
         report.final_gap = float(np.max(diff))
         _write_json(os.path.join(out, f"solve_report_{name}.json"), report.to_dict())
-    x_texts = [repr(x) for x in grid.xs[mask].tolist()]
+    x_texts = [repr(x) for x in grid.xs[grid.inner_mask()].tolist()]
     with open(os.path.join(out, "gap_minmax_maxmin.csv"), "w", newline="") as handle:
         handle.write("t,x,gap\r\n")
         for t, row in zip(grid.times.tolist(), diff):

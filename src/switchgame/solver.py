@@ -14,7 +14,7 @@ scheme (solve_maxmin) mirrors this: hard ceiling, penalized floor
 
 and fields increase in n.  Between them the discrete fields are sandwiched,
 and as the penalty grows both converge to the same double-obstacle
-solution; sup_gap measures their residual distance.
+solution; gap_table and sup_gap measure their residual distance.
 
 The two schemes are mirror images (swap the players and negate the
 rewards), so they share one level kernel: a scheme is its hard obstacle,
@@ -39,10 +39,14 @@ passes are the rows of one array that every numpy operation of the level
 kernel covers at once.  Each keeps its own lexicographic Gauss-Seidel
 order, policies, tie width, sweep count and caps, and a row that has
 settled takes no further update while the others run on; the tridiagonal
-solves stay one per row (grid.solve_rows).  Fields, reports and errors are
-those of solving the passes one after the other: a failed wavefront is
-solved again one pass at a time (_solve_ladder), so the first pass that
-fails raises its error, not a later pass that failed at an earlier step.
+solves stay one per row (grid.solve_rows).  A pass is held only as its
+latest level, which is all that it and the pass after it read next; only
+the last pass, the field that is returned, is kept whole.  The report's
+statistics, which cover every pass and level, are taken as the levels
+finish.  Fields, reports and errors are those of solving the passes one
+after the other: a failed wavefront is solved again one pass at a time
+(_solve_ladder), so the first pass that fails raises its error, not a
+later pass that failed at an earlier step.
 
 The single-player solves run a plain backward clamp pass (_clamp_pass):
 one implicit step per level, a level's mode pairs solved as the rows of one
@@ -70,7 +74,7 @@ _ACTIVE_SET_CAP = 64
 FIXED_POINT_CAP = 500  # Gauss-Seidel sweeps over the pairs of one time level
 # relative width of a rounding-level tie in a policy decision (_next_policy)
 TIE_TOL = 1e-14
-LEVEL_BLOCK = 32  # time levels per slice of the report statistics (_sweep)
+LEVEL_BLOCK = 32  # time levels per slice of the gap table (gap_table)
 
 
 @dataclass(frozen=True)
@@ -175,6 +179,10 @@ def csv_rows(lead: str, cells: list[str], values: np.ndarray) -> str:
 
 @dataclass
 class SolveReport:
+    """A scheme's penalty sweep, one entry per penalty level (sup_deltas
+    from the second on), taken while the ladder is solved (_wavefront): no
+    pass but the last is kept."""
+
     system: str
     penalty_levels: list[float] = field(default_factory=list)
     sup_deltas: list[float] = field(default_factory=list)
@@ -182,11 +190,9 @@ class SolveReport:
     iterations: list[int] = field(default_factory=list)
     monotonicity_violation: float = 0.0
     final_gap: float | None = None
-    sweep_fields: list[ValueField] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        """Every field but the sweep's value fields."""
-        return {k: v for k, v in vars(self).items() if k != "sweep_fields"}
+        return dict(vars(self))
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +369,19 @@ def _level_rhs(vnext: np.ndarray, dt: float, f: np.ndarray, k: int) -> np.ndarra
     return rhs
 
 
+def _excess_maxima(levels: np.ndarray, soft_k: np.ndarray, direction: str) -> np.ndarray:
+    """Max over x of the sum of the reaction term's obstacle excesses,
+    (v^{ij} - v^{il} - costs2_{jl})^+ descending and
+    (v^{kj} - costs1_{ik} - v^{ij})^+ ascending, indexed (i, j, row) like
+    the levels (i, j, row, x); soft_k holds the costs of each row's level.
+    The own mode's excess is 0 through the infinite diagonal cost."""
+    if direction == "minmax":  # indexed (i, j, l, row, x)
+        excess, terms = levels[:, :, np.newaxis] - levels[:, np.newaxis] - soft_k, 2
+    else:  # indexed (k, i, j, row, x)
+        excess, terms = floor(levels, soft_k, each=True) - levels, 0
+    return np.maximum(excess, 0.0).sum(axis=terms).max(axis=-1)
+
+
 def _wavefront(cache: _LevelCache, direction: str, penalties: tuple[float, ...], tol: float,
                warm: np.ndarray | None = None):
     """The backward passes of the penalty levels ``penalties``, as one
@@ -374,9 +393,16 @@ def _wavefront(cache: _LevelCache, direction: str, penalties: tuple[float, ...],
     penalized player, the kernel's side and the end-of-level clamp are
     chosen once, here; the level loop is the same for both schemes.  Arrays
     of one wavefront step are indexed (mode, mode, row, x), one row per
-    pass.  Returns each pass's values, shape (n1, n2, nt, nx), and its
-    fixed-point sweep count.  Raises the first error it meets, which may be
-    a later pass's than the first that fails (_solve_ladder).
+    pass.  Each pass keeps only its latest level.
+
+    Returns the last pass's values, shape (n1, n2, nt, nx), and per pass
+    its fixed-point sweep count and the report's statistics over its whole
+    field: _excess_maxima, indexed (i, j, pass), the max |change| from the
+    pass before (``warm`` for the first pass; 0 without it) and the max
+    rise against the scheme's direction.  They are running maxima over the
+    levels as they finish, seeded with the terminal level; np.maximum keeps
+    a NaN as np.max over the field does.  Raises the first error it meets,
+    which may be a later pass's than the first that fails (_solve_ladder).
     """
     grid = cache.grid
     n1, n2 = len(cache.modes1), len(cache.modes2)
@@ -387,20 +413,26 @@ def _wavefront(cache: _LevelCache, direction: str, penalties: tuple[float, ...],
     else:
         hard, hard_costs, soft, soft_costs, own_axis = ceiling, cache.g2, floor, cache.g1, 0
         side, clamp_key = (np.less, np.minimum), "costs2"
-    values = [np.empty((n1, n2, nt, nx)) for _ in penalties]
-    for v in values:
-        v[:, :, nt - 1, :] = cache.terminal
-    starts = [warm, *values[:-1]]  # the field each pass starts a level from
-    iterations = [0] * len(penalties)
+    n_passes = len(penalties)
+    latest = np.empty((n_passes, n1, n2, nx))  # each pass's latest level
+    latest[:] = cache.terminal
+    last = np.empty((n1, n2, nt, nx))
+    last[:, :, nt - 1, :] = cache.terminal
+    iterations = np.zeros(n_passes, dtype=int)
+    excess = np.repeat(_excess_maxima(cache.terminal[:, :, np.newaxis],
+                                      soft_costs[:, :, [nt - 1]], direction), n_passes, axis=2)
+    # the terminal level, which every pass shares, changes by 0
+    deltas, rises = np.zeros(n_passes), np.zeros(n_passes)
 
-    for step in range(nt - 2 + len(penalties)):
+    for step in range(nt - 2 + n_passes):
         rows = [(p, nt - 2 - (step - p))
-                for p in range(max(0, step - (nt - 2)), min(step + 1, len(penalties)))]
+                for p in range(max(0, step - (nt - 2)), min(step + 1, n_passes))]
         passes, ks = zip(*rows)
-        rhs = np.stack([_level_rhs(values[p][:, :, k + 1], dt, cache.f[:, :, k], k)
-                        for p, k in rows], axis=2)
-        cur = np.stack([values[p][:, :, k + 1] if starts[p] is None else starts[p][:, :, k]
-                        for p, k in rows], axis=2)
+        rhs = np.stack([_level_rhs(latest[p], dt, cache.f[:, :, k], k) for p, k in rows], axis=2)
+        # pass p - 1 made its level k one step ago
+        start = np.stack([latest[p - 1] if p else latest[p] if warm is None else warm[:, :, k]
+                          for p, k in rows], axis=2)
+        cur = start.copy()
         hard_k, soft_k = hard_costs[:, :, ks], soft_costs[:, :, ks]
         stencil = cache.stencil(list(ks))
         bands = stencil.implicit_bands(dt)
@@ -441,84 +473,61 @@ def _wavefront(cache: _LevelCache, direction: str, penalties: tuple[float, ...],
                                    f"{penalties[passes[r]]:g}, time level {ks[r]}",
                                    residual=float(residual[r]))
         clamped = clamp_sweep(cur, **{clamp_key: hard_k})
-        for r, (p, k) in enumerate(rows):
-            values[p][:, :, k, :] = clamped[:, :, r]
-            iterations[p] += int(sweeps[r])
-    return values, iterations
+        lo, hi = passes[0], passes[-1] + 1
+        iterations[lo:hi] += sweeps
+        excess[:, :, lo:hi] = np.maximum(excess[:, :, lo:hi],
+                                         _excess_maxima(clamped, soft_k, direction))
+        # the first pass has no pass before it unless it is warm-started
+        first = int(lo == 0 and warm is None)
+        change = clamped[:, :, first:] - start[:, :, first:]
+        # descending must not increase, ascending must not decrease
+        rise = change if direction == "minmax" else -change
+        known = slice(lo + first, hi)
+        deltas[known] = np.maximum(deltas[known], np.abs(change).max(axis=(0, 1, 3)))
+        rises[known] = np.maximum(rises[known], rise.max(axis=(0, 1, 3)))
+        latest[lo:hi] = np.moveaxis(clamped, 2, 0)
+        if hi == n_passes:
+            last[:, :, ks[-1]] = clamped[:, :, -1]
+    return last, iterations, excess, deltas, rises
 
 
 def _solve_ladder(cache: _LevelCache, direction: str, schedule: PenaltySchedule):
-    """Each penalty level's backward pass, shape (n1, n2, nt, nx), and its
-    fixed-point sweep count: one wavefront, or when that fails one per pass,
-    each warm-started from the pass before, which raise in pass order."""
+    """_wavefront's results for the whole schedule: one wavefront, or when
+    that fails one per pass, each warm-started from the whole field of the
+    pass before, which raise in pass order."""
     levels, tol = schedule.levels, schedule.fixed_point_tol
     try:
         return _wavefront(cache, direction, levels, tol)
     except Exception:
-        values, iterations, warm = [], [], None
+        warm, per_pass = None, []
         for m in levels:
-            (warm,), (sweeps,) = _wavefront(cache, direction, (m,), tol, warm)
-            values.append(warm)
-            iterations.append(sweeps)
-        return values, iterations
-
-
-def _excess_by_pair(values, cache: _LevelCache, penalty: float, direction: str,
-                    blocks: list[slice]) -> dict:
-    """Max over the grid of penalty * sum of obstacle excesses, per mode pair,
-    taken over the slices of time levels ``blocks``.
-
-    The excesses are the reaction term's: (v^{ij} - v^{il} - costs2_{jl})^+
-    descending, (v^{kj} - costs1_{ik} - v^{ij})^+ ascending; the own mode's
-    is 0 through the infinite diagonal cost.
-    """
-    out = {}
-    for a, b in np.ndindex(values.shape[:2]):
-        worst = []
-        for s in blocks:
-            if direction == "minmax":
-                excess = values[a, b, s] - values[a, :, s] - cache.g2[b, :, s]
-            else:
-                excess = (floor(values[:, :, s], cache.g1[:, :, s], (a, b), each=True)
-                          - values[a, b, s])
-            worst.append(np.maximum(excess, 0.0).sum(axis=0).max())
-        out[f"{cache.modes1[a]},{cache.modes2[b]}"] = max(0.0, penalty * float(np.max(worst)))
-    return out
+            warm, *stats = _wavefront(cache, direction, (m,), tol, warm)
+            per_pass.append(stats)
+        return warm, *(np.concatenate(s, axis=-1) for s in zip(*per_pass))
 
 
 def _sweep(spec: ProblemSpec, grid: Grid, schedule: PenaltySchedule, direction: str):
     cache = _LevelCache(spec, grid)
-    passes, iterations = _solve_ladder(cache, direction, schedule)
+    values, iterations, excess, deltas, rises = _solve_ladder(cache, direction, schedule)
     report = SolveReport(system=direction, penalty_levels=list(schedule.levels),
-                         iterations=iterations)
-    # maxima per slice of levels; np.max combines them and keeps a NaN, as on the whole field
-    blocks = [slice(k, k + LEVEL_BLOCK) for k in range(0, grid.nt, LEVEL_BLOCK)]
-    prev = None
-    for m, values in zip(schedule.levels, passes):
-        report.penalty_excess.append(_excess_by_pair(values, cache, m, direction, blocks))
-        if prev is not None:
-            deltas, rises = [], []
-            for s in blocks:
-                change = values[:, :, s] - prev[:, :, s]
-                deltas.append(np.abs(change).max())
-                # descending scheme must not increase, ascending must not decrease
-                rises.append((change if direction == "minmax" else -change).max())
-            report.sup_deltas.append(float(np.max(deltas)))
-            report.monotonicity_violation = max(report.monotonicity_violation,
-                                                float(np.max(rises)))
-        report.sweep_fields.append(ValueField(system=direction, mode_labels=spec.modes.pairs,
-                                              values=values.reshape(-1, grid.nt, grid.nx),
-                                              grid=grid, penalty=m))
-        prev = values
-    return report.sweep_fields[-1], report
+                         iterations=iterations.tolist(), sup_deltas=deltas[1:].tolist())
+    for p, m in enumerate(schedule.levels):
+        report.penalty_excess.append({f"{cache.modes1[a]},{cache.modes2[b]}":
+                                      max(0.0, m * float(excess[a, b, p]))
+                                      for a, b in np.ndindex(excess.shape[:2])})
+    for rise in rises[1:].tolist():
+        report.monotonicity_violation = max(report.monotonicity_violation, rise)
+    return ValueField(system=direction, mode_labels=spec.modes.pairs,
+                      values=values.reshape(-1, grid.nt, grid.nx), grid=grid,
+                      penalty=schedule.levels[-1]), report
 
 
 def solve_minmax(spec: ProblemSpec, grid: Grid, schedule: PenaltySchedule):
     """Descending penalized scheme: hard floor, penalized ceiling.
 
     Caller is responsible for having validated costs and terminal
-    consistency.  Returns the field at the last penalty level and a report
-    holding the whole sweep.
+    consistency.  Returns the field at the last penalty level and the
+    report of the whole sweep (SolveReport).
     """
     return _sweep(spec, grid, schedule, "minmax")
 
@@ -596,15 +605,27 @@ def solve_single_obstacle(spec: ProblemSpec, grid: Grid) -> tuple[ValueField, Va
 # ---------------------------------------------------------------------------
 
 
-def sup_gap(field_a: ValueField, field_b: ValueField) -> float:
-    """Sup-norm of the difference over the inner nodes (Grid.inner_mask),
-    all time levels and all mode pairs."""
+def gap_table(field_a: ValueField, field_b: ValueField) -> np.ndarray:
+    """The max over the mode pairs of |a - b| at each time level and inner
+    node (Grid.inner_mask), shape (nt, inner nodes), taken over slices of
+    LEVEL_BLOCK time levels: the gap table of ``solve --system both``."""
     if field_a.values.shape != field_b.values.shape:
         raise ValueError("fields have different shapes")
     if field_a.mode_labels != field_b.mode_labels:
         raise ValueError("fields have different mode labels")
-    mask = field_a.grid.inner_mask()
-    return float(np.max(np.abs(field_a.values[:, :, mask] - field_b.values[:, :, mask])))
+    grid = field_a.grid
+    mask = grid.inner_mask()
+    out = np.empty((grid.nt, int(mask.sum())))
+    for k in range(0, grid.nt, LEVEL_BLOCK):
+        s = slice(k, k + LEVEL_BLOCK)
+        out[s] = np.max(np.abs(field_a.values[:, s] - field_b.values[:, s]), axis=0)[:, mask]
+    return out
+
+
+def sup_gap(field_a: ValueField, field_b: ValueField) -> float:
+    """Sup-norm of the difference over the inner nodes, all time levels and
+    all mode pairs: the max of gap_table."""
+    return float(np.max(gap_table(field_a, field_b)))
 
 
 @dataclass

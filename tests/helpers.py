@@ -22,7 +22,7 @@ from switchgame.model import (
     cost_arrays,
     floor,
 )
-from switchgame.solver import ValueField, _clamp_pass, _LevelCache
+from switchgame.solver import PenaltySchedule, ValueField, _clamp_pass, _LevelCache
 
 
 def build_spec(
@@ -291,6 +291,15 @@ def single_player_schedule_oracle(spec, nt, x, player, start_mode, max_switches=
                 else:
                     best = min(best, value)
     return best
+
+
+def prefix_ladder(solve, spec, grid, schedule):
+    """Each pass of a penalty ladder as a field: pass p is the last field of
+    the ladder of the first p + 1 levels, which is what the full ladder's
+    pass p is (a pass does not see the passes after it)."""
+    return [solve(spec, grid, PenaltySchedule(schedule.levels[:p + 1],
+                                              schedule.fixed_point_tol))[0]
+            for p in range(len(schedule.levels))]
 
 
 def solve_clamped(spec, grid, order="minmax"):

@@ -25,7 +25,7 @@ from switchgame.solver import (
     sup_gap,
 )
 
-from helpers import bilevel_tree_value
+from helpers import bilevel_tree_value, prefix_ladder
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -52,6 +52,14 @@ def e1(tmp_path_factory):
     return cfg, grid, fmin, rmin, fmax, rmax, elapsed
 
 
+@pytest.fixture(scope="module")
+def e1_passes(e1):
+    """Each pass of both schemes' E1 ladders (prefix_ladder): min-max, max-min."""
+    cfg, grid = e1[:2]
+    return tuple(prefix_ladder(solve, cfg.spec, grid, cfg.schedule)
+                 for solve in (solve_minmax, solve_maxmin))
+
+
 def test_e0_heat_sanity(tmp_path):
     cfg = load_config(str(_config("e0_heat.json", tmp_path)))
     grid = build_grid(cfg.spec, cfg.nt, cfg.nx)
@@ -67,9 +75,9 @@ def test_e0_heat_sanity(tmp_path):
           f"{elapsed:.2f}s")
 
 
-def test_e1_equality_of_the_two_schemes(e1):
-    _, _, _, rmin, _, rmax, elapsed = e1
-    gaps = [sup_gap(a, b) for a, b in zip(rmin.sweep_fields, rmax.sweep_fields)]
+def test_e1_equality_of_the_two_schemes(e1, e1_passes):
+    elapsed = e1[-1]
+    gaps = [sup_gap(a, b) for a, b in zip(*e1_passes)]
     assert gaps[-1] <= 1e-2
     assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
     assert elapsed < 60.0
@@ -77,11 +85,10 @@ def test_e1_equality_of_the_two_schemes(e1):
           f"{[round(g, 6) for g in gaps]} (final <= 1e-2), {elapsed:.1f}s")
 
 
-def test_e1_gap_falls_as_one_over_the_penalty(e1):
+def test_e1_gap_falls_as_one_over_the_penalty(e1_passes):
     # E1's ladder multiplies the penalty by 4 each level; a gap of order 1/m
     # falls by about 4 between the last two levels
-    _, _, _, rmin, _, rmax, _ = e1
-    gaps = [sup_gap(a, b) for a, b in zip(rmin.sweep_fields, rmax.sweep_fields)]
+    gaps = [sup_gap(a, b) for a, b in zip(*e1_passes)]
     ratio = gaps[-2] / gaps[-1]
     assert 3.5 <= ratio <= 4.5
     print(f"\n[PASS] E1 penalty rate: last sup_gap ratio {ratio:.4f} (target [3.5, 4.5])")
@@ -103,15 +110,15 @@ def test_e1_grid_order_of_the_value_at_the_origin(e1):
           f"{coarse:.3e}, {fine:.3e} (target [0.8, 1.2])")
 
 
-def test_e2_sandwich_ordering(e1):
-    _, _, _, rmin, _, rmax, _ = e1
+def test_e2_sandwich_ordering(e1_passes):
+    pmin, pmax = e1_passes
     tol = 1e-8
     worst = 0.0
-    for prev, nxt in zip(rmax.sweep_fields, rmax.sweep_fields[1:]):
+    for prev, nxt in zip(pmax, pmax[1:]):
         worst = max(worst, float(np.max(prev.values - nxt.values)))
-    for prev, nxt in zip(rmin.sweep_fields, rmin.sweep_fields[1:]):
+    for prev, nxt in zip(pmin, pmin[1:]):
         worst = max(worst, float(np.max(nxt.values - prev.values)))
-    for asc, desc in zip(rmax.sweep_fields, rmin.sweep_fields):
+    for asc, desc in zip(pmax, pmin):
         worst = max(worst, float(np.max(asc.values - desc.values)))
     violating = worst > tol
     assert not violating

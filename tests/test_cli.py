@@ -7,7 +7,9 @@ import json
 import math
 import multiprocessing
 import os
+import pickle
 import re
+import types
 import warnings
 from pathlib import Path
 
@@ -23,7 +25,8 @@ from switchgame.game import (PayoffEstimate, default_challengers, saddle_from_fi
                             verify_saddle)
 from switchgame.grid import build_grid
 from switchgame.simulate import simulate_paths
-from switchgame.solver import ValueField, solve_single_obstacle
+from switchgame.solver import (ValueField, solve_maxmin, solve_minmax, solve_single_obstacle,
+                               sup_gap)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -653,6 +656,79 @@ def test_solve_both_writes_the_bytes_of_two_separate_runs(tmp_path):
         assert reports[0].pop("final_gap") is not None
         assert reports[1].pop("final_gap") is None
         assert reports[0] == reports[1]
+
+
+def test_sup_gap_is_the_max_of_the_gap_table(tmp_path):
+    doc = _load("e1_equality_2x2.json")
+    doc["grid"] = {"nt": 41, "nx": 33}
+    path, out = _stage(tmp_path, doc)
+    assert main(["solve", str(path)]) == 0
+    table = max(float(row["gap"]) for row in _csv_rows(out / "gap_minmax_maxmin.csv"))
+    config = load_config(str(path))
+    grid = build_grid(config.spec, config.nt, config.nx)
+    gap = sup_gap(solve_minmax(config.spec, grid, config.schedule)[0],
+                  solve_maxmin(config.spec, grid, config.schedule)[0])
+    assert gap.hex() == table.hex()
+    report = json.loads((out / "solve_report_minmax.json").read_text())
+    assert report["final_gap"].hex() == gap.hex()
+
+
+def test_solve_both_does_not_send_the_max_min_field_through_the_pipe(tmp_path, monkeypatch):
+    # the child copies its field into memory shared with this process; what
+    # it pickles into the pipe is its report and the field's metadata
+    sizes = []
+    from_child = cli_mod._from_child
+
+    class Measured:
+        def __init__(self, conn):
+            self.conn = conn
+
+        def recv(self):
+            data = self.conn.recv_bytes()
+            sizes.append(len(data))
+            return pickle.loads(data)
+
+    monkeypatch.setattr(cli_mod, "_from_child",
+                        lambda child, conn, name: from_child(child, Measured(conn), name))
+    doc = _load("e1_equality_2x2.json")
+    path, out = _stage(tmp_path, doc)
+    assert main(["solve", str(path)]) == 0
+    field_bytes = 4 * doc["grid"]["nt"] * doc["grid"]["nx"] * 8
+    assert len(sizes) == 1 and sizes[0] < 0.01 * field_bytes
+    values = np.array([float(row["value"]) for row in _csv_rows(out / "value_maxmin.csv")])
+    gaps = np.array([float(row["gap"]) for row in _csv_rows(out / "gap_minmax_maxmin.csv")])
+    assert values.size * 8 == field_bytes and np.all(np.isfinite(values))
+    assert 0.0 < gaps.max() < 1e-2
+
+
+def _mmaps_made(monkeypatch):
+    """The shared mappings that cli makes, recorded."""
+    made = []
+
+    class Recorded(cli_mod.mmap.mmap):
+        def __new__(cls, *args):
+            made.append(super().__new__(cls, *args))
+            return made[-1]
+
+    monkeypatch.setattr(cli_mod, "mmap", types.SimpleNamespace(mmap=Recorded))
+    return made
+
+
+@pytest.mark.parametrize("outcome", ["succeeds", "does_not_converge", "raises"])
+def test_solve_both_releases_its_shared_mapping(tmp_path, monkeypatch, outcome):
+    made = _mmaps_made(monkeypatch)
+    if outcome == "does_not_converge":
+        monkeypatch.setattr("switchgame.solver.FIXED_POINT_CAP", 1)
+    elif outcome == "raises":
+        monkeypatch.setattr("switchgame.cli.solve_minmax", _raise(ValueError("array must be finite")))
+    path, _ = _small_e1(tmp_path)
+    if outcome == "raises":
+        with pytest.raises(ValueError, match="array must be finite"):
+            main(["solve", str(path)])
+    else:
+        assert main(["solve", str(path)]) == (0 if outcome == "succeeds" else 1)
+    assert len(made) == 1 and made[0].closed
+    assert multiprocessing.active_children() == []
 
 
 _TO_CSV = ValueField.to_csv

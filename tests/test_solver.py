@@ -29,8 +29,8 @@ from switchgame.solver import (
     sup_gap,
 )
 
-from helpers import (build_spec, frozen_diag_spec, generated_specs, heat_spec, seeded_spec,
-                     single_player_schedule_oracle, solve_clamped, uniform_costs)
+from helpers import (build_spec, frozen_diag_spec, generated_specs, heat_spec, prefix_ladder,
+                     seeded_spec, single_player_schedule_oracle, solve_clamped, uniform_costs)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SCHED = PenaltySchedule(levels=(1.0, 4.0, 16.0), fixed_point_tol=1e-12)
@@ -184,25 +184,34 @@ def sweep_results():
     return spec, grid, fmin, rmin, fmax, rmax
 
 
-def test_sweep_is_monotone_in_penalty(sweep_results):
+@pytest.fixture(scope="module")
+def sweep_passes(sweep_results):
+    """Each pass of both schemes' ladders (prefix_ladder): min-max, max-min."""
+    spec, grid = sweep_results[:2]
+    return tuple(prefix_ladder(solve, spec, grid, SCHED_FULL)
+                 for solve in (solve_minmax, solve_maxmin))
+
+
+def test_sweep_is_monotone_in_penalty(sweep_results, sweep_passes):
     _, _, _, rmin, _, rmax = sweep_results
-    for prev, nxt in zip(rmin.sweep_fields, rmin.sweep_fields[1:]):
+    pmin, pmax = sweep_passes
+    for prev, nxt in zip(pmin, pmin[1:]):
         assert np.max(nxt.values - prev.values) <= 1e-10
-    for prev, nxt in zip(rmax.sweep_fields, rmax.sweep_fields[1:]):
+    for prev, nxt in zip(pmax, pmax[1:]):
         assert np.max(prev.values - nxt.values) <= 1e-10
     assert rmin.monotonicity_violation <= 1e-10
     assert rmax.monotonicity_violation <= 1e-10
 
 
-def test_two_schemes_are_ordered(sweep_results):
-    _, _, _, rmin, _, rmax = sweep_results
-    for asc, desc in zip(rmax.sweep_fields, rmin.sweep_fields):
+def test_two_schemes_are_ordered(sweep_passes):
+    pmin, pmax = sweep_passes
+    for asc, desc in zip(pmax, pmin):
         assert np.max(asc.values - desc.values) <= 1e-10
 
 
-def test_gap_shrinks_along_sweep(sweep_results):
-    _, _, _, rmin, _, rmax = sweep_results
-    gaps = [sup_gap(a, b) for a, b in zip(rmin.sweep_fields, rmax.sweep_fields)]
+def test_gap_shrinks_along_sweep(sweep_passes):
+    pmin, pmax = sweep_passes
+    gaps = [sup_gap(a, b) for a, b in zip(pmin, pmax)]
     assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
     assert gaps[-1] < gaps[0]
 
@@ -425,13 +434,18 @@ def test_schemes_are_mirror_images(spec, nt, nx):
 @settings(max_examples=10, deadline=None)
 def test_a_pass_does_not_see_the_passes_after_it(spec, nt, nx):
     # the passes of a ladder are solved together; the first three come out
-    # as they do when they are the whole ladder
+    # as they do when they are the whole ladder, and the last field is that
+    # of solving the passes one after the other, each warm-started from the
+    # whole field of the one before
     grid = build_grid(spec, nt, nx)
-    for solve in (solve_minmax, solve_maxmin):
-        _, full = solve(spec, grid, SCHED_FULL)
+    cache = solver._LevelCache(spec, grid)
+    for direction, solve in (("minmax", solve_minmax), ("maxmin", solve_maxmin)):
+        field, full = solve(spec, grid, SCHED_FULL)
         _, short = solve(spec, grid, SCHED)
-        for a, b in zip(full.sweep_fields[:3], short.sweep_fields, strict=True):
-            assert a.values.tobytes() == b.values.tobytes()
+        warm = None
+        for m in SCHED_FULL.levels:
+            warm = solver._wavefront(cache, direction, (m,), SCHED_FULL.fixed_point_tol, warm)[0]
+        assert field.values.tobytes() == warm.tobytes()
         assert full.iterations[:3] == short.iterations
         assert full.sup_deltas[:2] == short.sup_deltas
         assert full.penalty_excess[:3] == short.penalty_excess
@@ -741,8 +755,29 @@ def test_a_ladder_that_succeeds_is_solved_once(monkeypatch, problem):
     assert runs == ["minmax", "maxmin"]
 
 
+@pytest.mark.parametrize("problem", [0, 3])
+def test_a_ladder_solved_pass_by_pass_reports_what_the_wavefront_does(monkeypatch, problem):
+    # the replay's one-pass wavefronts take each pass's statistics against
+    # the field it is warm-started from
+    spec, nt, nx = seeded_spec(problem)
+    grid = build_grid(spec, nt, nx)
+    solved = {solve: solve(spec, grid, SCHED_FULL) for solve in (solve_minmax, solve_maxmin)}
+    wavefront = solver._wavefront
+
+    def one_pass_only(cache, direction, penalties, *rest):
+        if len(penalties) > 1:
+            raise ConvergenceError("a wavefront of several passes", residual=1.0)
+        return wavefront(cache, direction, penalties, *rest)
+
+    monkeypatch.setattr(solver, "_wavefront", one_pass_only)
+    for solve, (field, report) in solved.items():
+        replayed, replayed_report = solve(spec, grid, SCHED_FULL)
+        assert replayed.values.tobytes() == field.values.tobytes()
+        assert replayed_report.to_dict() == report.to_dict()
+
+
 # ---------------------------------------------------------------------------
-# Level data at the shape its expressions need, statistics in blocks of levels
+# Level data at the shape its expressions need, statistics as the levels finish
 # ---------------------------------------------------------------------------
 
 
@@ -765,6 +800,20 @@ def test_minmax_on_e1_holds_little_beyond_its_passes_and_drivers():
     # level kernel's and the report's temporaries; whole-lattice costs,
     # per-level weights and whole-field report temporaries need five more
     assert peak <= (5 + 1 + 1) * field_bytes
+
+
+def test_minmax_on_e1_holds_only_its_last_pass_whole():
+    config, grid = _e1_grid()
+    field_bytes = len(config.spec.modes.pairs) * grid.nt * grid.nx * 8
+    tracemalloc.start()
+    try:
+        solve_minmax(config.spec, grid, config.schedule)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the last pass, the drivers f and one field's worth for the level
+    # kernel's temporaries: the passes before the last keep one level each
+    assert peak <= 3 * field_bytes
 
 
 def test_e1_level_cache_stores_constant_data_once_and_read_only():
@@ -812,40 +861,89 @@ def test_level_cache_in_t_and_x_equals_per_level_and_whole_lattice_data():
     assert cache.f.tobytes() == drivers.tobytes()
 
 
-@pytest.mark.parametrize("direction", ["minmax", "maxmin"])
-def test_sweep_statistics_are_the_whole_field_maxima(monkeypatch, direction):
-    # three passes over three blocks of levels, with a NaN in the last block
-    # of the second: np.max over the block maxima keeps it where the
-    # whole-field np.max does, and the report reads what the whole-field
-    # formulas give
-    spec = _stochastic_2x2()
-    grid = build_grid(spec, 2 * solver.LEVEL_BLOCK + 5, 9)
-    rng = np.random.default_rng(3)
-    passes = [rng.normal(size=(2, 2, grid.nt, grid.nx)) for _ in SCHED.levels]
-    passes[1][1, 0, -3, 4] = math.nan
-    monkeypatch.setattr(solver, "_solve_ladder", lambda *args: (passes, [0, 0, 0]))
-    solve = solve_minmax if direction == "minmax" else solve_maxmin
-    _, report = solve(spec, grid, SCHED)
-
+def _whole_field_statistics(spec, grid, passes, direction):
+    """The report's sup_deltas, monotonicity_violation and penalty_excess by
+    the whole-field formulas, from each pass's field."""
     cache = solver._LevelCache(spec, grid)
+    n1, n2 = len(spec.modes.modes1), len(spec.modes.modes2)
+    passes = [f.values.reshape(n1, n2, grid.nt, grid.nx) for f in passes]
     deltas, violation = [], 0.0
     for prev, values in zip(passes, passes[1:]):
         deltas.append(float(np.max(np.abs(values - prev))))
         violation = max(violation, float(np.max(values - prev if direction == "minmax"
                                                 else prev - values)))
-    for m, values, reported in zip(SCHED.levels, passes, report.penalty_excess):
+    excess = []
+    for m, values in zip(SCHED.levels, passes):
         expected = {}
-        for a, b in np.ndindex(2, 2):
+        for a, b in np.ndindex(n1, n2):
             if direction == "minmax":
-                excess = values[a, b] - values[a] - cache.g2[b]
+                terms = values[a, b] - values[a] - cache.g2[b]
             else:
-                excess = model.floor(values, cache.g1, (a, b), each=True) - values[a, b]
-            total = np.maximum(excess, 0.0).sum(axis=0)
-            expected[f"{a + 1},{b + 1}"] = max(0.0, m * float(np.max(total)))
-        assert reported == expected
+                terms = model.floor(values, cache.g1, (a, b), each=True) - values[a, b]
+            total = np.maximum(terms, 0.0).sum(axis=0)
+            expected[f"{spec.modes.modes1[a]},{spec.modes.modes2[b]}"] = max(
+                0.0, m * float(np.max(total)))
+        excess.append(expected)
+    return deltas, violation, excess
+
+
+@pytest.mark.parametrize("direction", ["minmax", "maxmin"])
+def test_sweep_statistics_are_the_whole_field_maxima(monkeypatch, direction):
+    # the statistics are taken as the levels finish; they are the maxima of
+    # the whole-field formulas over each pass's field, here with a NaN put
+    # into the last pass's level 0, the last level solved and one that no
+    # other level reads: np.maximum keeps it where the whole-field np.max does
+    spec = _stochastic_2x2()
+    grid = build_grid(spec, 21, 9)
+    solve = solve_minmax if direction == "minmax" else solve_maxmin
+    passes = prefix_ladder(solve, spec, grid, SCHED)
+    # the wavefront's last step clamps only the last pass's level 0
+    steps, clamp_sweep = itertools.count(), solver.clamp_sweep
+
+    def clamp_with_a_nan(base, **costs):
+        out = clamp_sweep(base, **costs)
+        if next(steps) == grid.nt - 3 + len(SCHED.levels):
+            out[1, 0, -1, 4] = math.nan
+        return out
+
+    monkeypatch.setattr(solver, "clamp_sweep", clamp_with_a_nan)
+    field, report = solve(spec, grid, SCHED)
+    passes[-1].values[2, 0, 4] = math.nan
+    assert field.values.tobytes() == passes[-1].values.tobytes()
+
+    deltas, violation, excess = _whole_field_statistics(spec, grid, passes, direction)
+    assert report.penalty_excess == excess
     np.testing.assert_array_equal(report.sup_deltas, deltas)
-    assert math.isnan(report.sup_deltas[0]) and math.isnan(report.sup_deltas[1])
+    assert not math.isnan(report.sup_deltas[0]) and math.isnan(report.sup_deltas[1])
     assert report.monotonicity_violation == violation
+
+
+@pytest.mark.parametrize("direction", ["minmax", "maxmin"])
+def test_sweep_statistics_include_the_terminal_level(direction):
+    # terminal values off their obstacles by 0.9 - 0.1 = 0.8 at (2,1) in
+    # min-max and at (1,1) in max-min: the terminal level, which no pass
+    # solves, carries the largest excess of every pass
+    costs1, costs2 = uniform_costs((1, 2), (1, 2), 0.1, 0.1)
+    spec = build_spec(costs1=costs1, costs2=costs2,
+                      terminals={(1, 1): "0", (1, 2): "0", (2, 1): "0.9", (2, 2): "0"},
+                      volatility="0.3")
+    grid = build_grid(spec, 11, 9)
+    solve = solve_minmax if direction == "minmax" else solve_maxmin
+    passes = prefix_ladder(solve, spec, grid, SCHED)
+    _, report = solve(spec, grid, SCHED)
+    deltas, violation, excess = _whole_field_statistics(spec, grid, passes, direction)
+    assert report.penalty_excess == excess
+    assert report.sup_deltas == deltas
+    assert report.monotonicity_violation == violation
+    pair = "2,1" if direction == "minmax" else "1,1"
+    for m, reported in zip(SCHED.levels, report.penalty_excess):
+        assert reported[pair] == pytest.approx(m * 0.8, rel=1e-12)
+    # without the terminal level the excess is smaller
+    solved = [replace(f, values=f.values[:, :-1], grid=Grid(grid.nt - 1, grid.nx,
+                                                            grid.times[:-1], grid.xs))
+              for f in passes]
+    _, _, without = _whole_field_statistics(spec, solved[0].grid, solved, direction)
+    assert all(w[pair] < r[pair] for w, r in zip(without, report.penalty_excess))
 
 
 # ---------------------------------------------------------------------------
@@ -995,9 +1093,10 @@ def test_three_by_three_with_drift_keeps_scheme_structure():
     fmax, rmax = solve_maxmin(spec, grid, sched)
     assert rmin.monotonicity_violation == 0.0
     assert rmax.monotonicity_violation == 0.0
-    for asc, desc in zip(rmax.sweep_fields, rmin.sweep_fields):
+    pmin, pmax = (prefix_ladder(solve, spec, grid, sched) for solve in (solve_minmax, solve_maxmin))
+    for asc, desc in zip(pmax, pmin):
         assert np.max(asc.values - desc.values) <= 1e-10
-    gaps = [sup_gap(a, b) for a, b in zip(rmin.sweep_fields, rmax.sweep_fields)]
+    gaps = [sup_gap(a, b) for a, b in zip(pmin, pmax)]
     assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
     assert barrier_respect_check(fmin, spec, grid, 5e-3).passed
 
