@@ -282,13 +282,17 @@ def _play_halves(play, n_paths: int) -> list:
 
 def _write_payoffs(path, payoff: game_mod.PayoffEstimate) -> None:
     """payoffs.csv: path, payoff, switches1, switches2, costA, costB per path,
-    as one block of csv.writer's rows."""
-    cells = [f"{p},{v!r},{a},{b},{c!r}" for p, (v, a, b, c) in enumerate(zip(
-        payoff.per_path.tolist(), payoff.switches1.tolist(), payoff.switches2.tolist(),
-        payoff.cost1_per_path.tolist()))]
+    as csv.writer's rows (no number or float repr needs quoting), formatted
+    and written PLAY_BLOCK paths at a time."""
+    columns = (payoff.per_path, payoff.switches1, payoff.switches2,
+               payoff.cost1_per_path, payoff.cost2_per_path)
     with open(path, "w", newline="") as handle:
         handle.write("path,payoff,switches1,switches2,costA,costB\r\n")
-        handle.write(csv_rows("", cells, payoff.cost2_per_path))
+        for start in range(0, len(payoff.per_path), PLAY_BLOCK):
+            stop = start + PLAY_BLOCK
+            block = [column[start:stop].tolist() for column in columns]
+            handle.write("".join([f"{p},{v!r},{a},{b},{c!r},{d!r}\r\n"
+                                  for p, v, a, b, c, d in zip(range(start, stop), *block)]))
 
 
 def cmd_oracle(config: RunConfig) -> int:

@@ -39,7 +39,9 @@ class SimParams:
 
 @dataclass(frozen=True, eq=False)
 class PathBundle:
-    states: np.ndarray  # (n_paths, n_steps + 1): a step-major buffer, transposed
+    # (n_paths, n_steps + 1): the transpose of the step-major buffer into
+    # which simulate_paths drew the normals before overwriting them
+    states: np.ndarray
     times: np.ndarray   # (n_steps + 1,)
     params: SimParams
     clamp_events: int = 0
@@ -53,10 +55,13 @@ class PathBundle:
         return self.states.shape[1] - 1
 
 
-def normal_increments(seed: int, paths: range, n_steps: int) -> np.ndarray:
-    """Standard normals keyed by (seed, path, step), independent of call order:
-    one row per path of ``paths``."""
-    out = np.empty((len(paths), n_steps))
+def normal_increments(seed: int, paths: range, out: np.ndarray) -> np.ndarray:
+    """Standard normals keyed by (seed, path, step), independent of call order,
+    written step-major into ``out`` (n_steps, len(paths)): column i holds path
+    ``paths[i]``'s normals, one step a row.  Returns ``out``."""
+    # the generator fills only contiguous arrays: a path is drawn into one
+    # row, then copied into its column
+    row = np.empty(out.shape[0])
     bg = np.random.Philox(key=seed)
     normal = np.random.Generator(bg).standard_normal
     # the state setter reads plain lists as well as arrays; moving a path
@@ -65,11 +70,11 @@ def normal_increments(seed: int, paths: range, n_steps: int) -> np.ndarray:
     counter = [0, 0, 0, 0]
     state = {**fresh, "buffer": fresh["buffer"].tolist(),
              "state": {"counter": counter, "key": fresh["state"]["key"].tolist()}}
-    for p, row in zip(paths, out):
+    for i, p in enumerate(paths):
         # path p's stream starts p * _PATH_STRIDE blocks into the keyed stream
         counter[0] = p * _PATH_STRIDE
         bg.state = state
-        normal(n_steps, out=row)
+        out[:, i] = normal(out=row)
     return out
 
 
@@ -101,17 +106,18 @@ def simulate_paths(spec: ProblemSpec, params: SimParams, paths: range | None = N
     dt = times[1] - times[0]
     sqrt_dt = np.sqrt(dt)
 
-    normals = normal_increments(params.seed, paths, steps)
-    normals *= sqrt_dt  # now the Brownian increments dB_k
-
     lo, hi = spec.domain
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo) * CLAMP_FACTOR
     box_lo, box_hi = mid - half, mid + half
 
-    # step-major, so each step reads and writes one contiguous row
+    # step-major, so each step reads and writes one contiguous row.  Row
+    # k + 1 holds the Brownian increment dB_k until step k overwrites it with
+    # X_{k+1}: one buffer holds a block's normals and states.
     rows = np.empty((steps + 1, n))
     rows[0] = params.x0
+    normal_increments(params.seed, paths, rows[1:])
+    rows[1:] *= sqrt_dt
     clamp_events = 0
     for k in range(steps):
         xk = rows[k]
@@ -124,7 +130,7 @@ def simulate_paths(spec: ProblemSpec, params: SimParams, paths: range | None = N
             raise ExpressionDomainError(
                 f"coefficient failed at step {k}, path {path}: {exc}", exc.offset
             ) from exc
-        nxt = xk + b * dt + sig * normals[:, k]
+        nxt = xk + b * dt + sig * rows[k + 1]
         clipped = np.clip(nxt, box_lo, box_hi, out=rows[k + 1])
         clamp_events += int(np.sum(clipped != nxt))
 

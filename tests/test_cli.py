@@ -9,6 +9,7 @@ import multiprocessing
 import os
 import pickle
 import re
+import tracemalloc
 import types
 import warnings
 from pathlib import Path
@@ -877,9 +878,12 @@ def test_game_small_run_passes(tmp_path):
     assert mean == pytest.approx(report["saddle_mean"], abs=1e-9)
 
 
-def test_g1_game_output_digests(tmp_path):
+@pytest.mark.parametrize("block", [5000, 300])
+def test_g1_game_output_digests(tmp_path, monkeypatch, block):
     # the shipped G1 game at 2000 paths; any change to these bytes is a change
-    # in what the game command computes or how it writes it
+    # in what the game command computes or how it writes it, and the size of
+    # the path blocks changes none of them
+    monkeypatch.setattr(cli_mod, "PLAY_BLOCK", block)
     doc = _load("g1_game_2x2.json")
     doc["simulation"]["paths"] = 2000
     path, out = _stage(tmp_path, doc)
@@ -943,15 +947,12 @@ _CSV_FLOATS = st.one_of(
 )
 
 
-@given(data=st.data(), n=st.integers(1, 6))
-@settings(max_examples=60, deadline=None)
-def test_payoffs_csv_writes_csv_writer_bytes(tmp_path_factory, data, n):
+def _payoffs_match_csv_writer(folder, data, n):
     floats = lambda: np.array(data.draw(st.lists(_CSV_FLOATS, min_size=n, max_size=n)))
     counts = lambda: np.array(data.draw(st.lists(st.integers(0, 64), min_size=n, max_size=n)))
     payoff = PayoffEstimate(mean=0.0, stderr=0.0, per_path=floats(),
                             cost1_per_path=floats(), cost2_per_path=floats(),
                             switches1=counts(), switches2=counts())
-    folder = tmp_path_factory.mktemp("payoffs")
     _write_payoffs(folder / "fast.csv", payoff)
     # the csv.writer loop the block write replaced
     with open(folder / "reference.csv", "w", newline="") as handle:
@@ -962,6 +963,43 @@ def test_payoffs_csv_writes_csv_writer_bytes(tmp_path_factory, data, n):
                              int(payoff.switches2[p]), repr(float(payoff.cost1_per_path[p])),
                              repr(float(payoff.cost2_per_path[p]))])
     assert (folder / "fast.csv").read_bytes() == (folder / "reference.csv").read_bytes()
+
+
+@given(data=st.data(), n=st.integers(1, 6))
+@settings(max_examples=60, deadline=None)
+def test_payoffs_csv_writes_csv_writer_bytes(tmp_path_factory, data, n):
+    _payoffs_match_csv_writer(tmp_path_factory.mktemp("payoffs"), data, n)
+
+
+@given(data=st.data(), n=st.integers(1, 7))
+@settings(max_examples=60, deadline=None)
+def test_payoffs_csv_in_blocks_of_two_writes_csv_writer_bytes(tmp_path_factory, data, n):
+    # blocks of two rows: the path index runs on across every block boundary
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli_mod, "PLAY_BLOCK", 2)
+        _payoffs_match_csv_writer(tmp_path_factory.mktemp("payoffs"), data, n)
+
+
+def _payoffs_write_peak(folder, n):
+    rng = np.random.default_rng(n)
+    payoff = PayoffEstimate(mean=0.0, stderr=0.0, per_path=rng.standard_normal(n),
+                            cost1_per_path=rng.standard_normal(n),
+                            cost2_per_path=rng.standard_normal(n),
+                            switches1=rng.integers(0, 9, n), switches2=rng.integers(0, 9, n))
+    tracemalloc.start()
+    try:
+        _write_payoffs(folder / f"payoffs_{n}.csv", payoff)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_payoffs_csv_memory_is_bounded_by_its_block(tmp_path):
+    # the rows are formatted and written PLAY_BLOCK paths at a time, so
+    # eight blocks of paths need about one block's memory
+    block = cli_mod.PLAY_BLOCK
+    assert _payoffs_write_peak(tmp_path, 8 * block) <= 1.5 * _payoffs_write_peak(tmp_path, block)
 
 
 def _serial_game(path, out):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -51,18 +53,18 @@ def test_bitwise_determinism():
 
 def test_increments_keyed_by_path():
     # path p's stream must not depend on how many paths are generated
-    small = normal_increments(7, range(4), 16)
-    large = normal_increments(7, range(9), 16)
-    assert np.array_equal(small, large[:4])
+    small = normal_increments(7, range(4), np.empty((16, 4)))
+    large = normal_increments(7, range(9), np.empty((16, 9)))
+    assert np.array_equal(small, large[:, :4])
 
 
 def test_increments_match_independent_per_path_streams():
     # the stream of path p is the keyed Philox stream advanced p * _PATH_STRIDE blocks
-    rows = normal_increments(3, range(12), 25)
+    steps = normal_increments(3, range(12), np.empty((25, 12)))
     for p in (0, 1, 11):
         bg = np.random.Philox(key=3)
         bg.advance(p * _PATH_STRIDE)
-        assert np.array_equal(rows[p], np.random.Generator(bg).standard_normal(25))
+        assert np.array_equal(steps[:, p], np.random.Generator(bg).standard_normal(25))
 
 
 def test_clamp_box_counts_events(monkeypatch):
@@ -93,11 +95,18 @@ def test_coefficient_domain_error_carries_path_and_step():
 
 
 def _path_major_reference(spec, params):
-    """simulate_paths as a path-major loop: one strided column per step."""
+    """simulate_paths as a path-major loop: one strided column per step, the
+    normals of path p drawn from its own keyed Philox stream, advanced
+    p * _PATH_STRIDE blocks."""
     n, steps = params.n_paths, params.n_steps
     times = np.linspace(params.t0, spec.horizon, steps + 1)
     dt = times[1] - times[0]
-    normals = normal_increments(params.seed, range(n), steps) * np.sqrt(dt)
+    normals = np.empty((n, steps))
+    for p in range(n):
+        bg = np.random.Philox(key=params.seed)
+        bg.advance(p * _PATH_STRIDE)
+        normals[p] = np.random.Generator(bg).standard_normal(steps)
+    normals *= np.sqrt(dt)
     lo, hi = spec.domain
     half = 0.5 * (hi - lo) * simulate.CLAMP_FACTOR
     states = np.empty((n, steps + 1))
@@ -156,3 +165,17 @@ def test_coefficient_domain_error_names_the_path_of_the_whole_bundle():
                       domain=(-1.0, 1.0))
     with pytest.raises(ExpressionDomainError, match="step 0, path 3:"):
         simulate_paths(spec, SimParams(n_paths=8, n_steps=5, seed=13, x0=0.0), range(3, 8))
+
+
+def test_simulate_paths_holds_one_buffer_of_normals_and_states():
+    spec = _spec(drift="0.1*x", volatility="0.4")
+    params = SimParams(n_paths=2000, n_steps=200, seed=5)
+    tracemalloc.start()
+    try:
+        bundle = simulate_paths(spec, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the normals are drawn into the states buffer, so beyond it only one
+    # step's temporaries and one path's row of normals are held
+    assert peak <= 1.25 * bundle.states.nbytes
