@@ -48,6 +48,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -93,6 +94,33 @@ def src_lines(checkout: Path) -> int:
                for path in (checkout / "src" / "switchgame").glob("*.py"))
 
 
+@contextmanager
+def checkout_of(baseline: str):
+    """``baseline`` as a source checkout directory: the directory itself, or
+    a git revision of this repository checked out with ``git worktree add
+    --detach`` into a temporary directory, which is removed on exit."""
+    if Path(baseline).is_dir():
+        yield Path(baseline).resolve()
+        return
+    worktree = Path(tempfile.mkdtemp(prefix="bench-baseline-"))
+    try:
+        subprocess.run(["git", "worktree", "add", "--detach", str(worktree), baseline],
+                       cwd=ROOT, check=True, capture_output=True)
+        yield worktree.resolve()
+    finally:
+        subprocess.run(["git", "worktree", "remove", "--force", str(worktree)], cwd=ROOT,
+                       check=False, capture_output=True)
+        shutil.rmtree(worktree, ignore_errors=True)
+
+
+def fresh_python_env(pycache: str) -> dict:
+    """This environment for a child interpreter that keeps its bytecode
+    under ``pycache`` and writes it there."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPYCACHEPREFIX"] = pycache
+    return env
+
+
 def _run(checkout: Path, workload: str, seed: int, seconds: float,
          cpus: list[int] | None, pycache: str) -> tuple[dict, dict]:
     """run.py's result line, with ``cpu_s`` and ``max_rss_mb`` added to its
@@ -100,8 +128,7 @@ def _run(checkout: Path, workload: str, seed: int, seconds: float,
     command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
                "--seconds", str(seconds), "--trace", "0"]
     pin = None if cpus is None else (lambda: os.sched_setaffinity(0, cpus))
-    env = {key: value for key, value in os.environ.items() if key != "PYTHONDONTWRITEBYTECODE"}
-    env["PYTHONPYCACHEPREFIX"] = pycache
+    env = fresh_python_env(pycache)
     with tempfile.TemporaryFile("w+") as stdout, tempfile.TemporaryFile("w+") as stderr:
         proc = subprocess.Popen(command, cwd=checkout, stdout=stdout, stderr=stderr, text=True,
                                 preexec_fn=pin, env=env)
@@ -169,21 +196,8 @@ def main(argv=None) -> int:
                         default=None, help="pin every run to these CPUs, such as 0 or 0,1")
     args = parser.parse_args(argv)
 
-    worktree = None
-    baseline = Path(args.baseline)
-    if not baseline.is_dir():
-        worktree = Path(tempfile.mkdtemp(prefix="bench-baseline-"))
-        subprocess.run(["git", "worktree", "add", "--detach", str(worktree), args.baseline],
-                       cwd=ROOT, check=True, capture_output=True)
-        baseline = worktree
-    try:
-        doc = bench(baseline.resolve(), ROOT, args.workload, args.pairs, args.seed, args.seconds,
-                    args.cpus)
-    finally:
-        if worktree is not None:
-            subprocess.run(["git", "worktree", "remove", "--force", str(worktree)], cwd=ROOT,
-                           check=False, capture_output=True)
-            shutil.rmtree(worktree, ignore_errors=True)
+    with checkout_of(args.baseline) as baseline:
+        doc = bench(baseline, ROOT, args.workload, args.pairs, args.seed, args.seconds, args.cpus)
     doc["baseline"] = args.baseline_name or args.baseline
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     for workload, entry in doc["workloads"].items():

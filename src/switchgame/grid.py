@@ -9,23 +9,47 @@ the drift keeps only its inward-pointing upwind part, which preserves the
 positive-coefficient structure.  The implicit backward step
 (I - dt L) v = v_next + dt source is then an M-matrix solve, giving the
 discrete comparison principle and unconditional sup-norm stability.
-Every implicit step of the package is solved by solve_rows, the one gtsv call.
+Every implicit step of the package is solved by solve_rows, the one gtsv call:
+LAPACK's dgtsv from the OpenBLAS that numpy's wheel ships, bound through
+ctypes once at import (_load_gtsv), which fails loudly when it is not there.
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
-# no longer called here; the name stays bound because perfbench's
-# solver.tridiag span patches it in this module and in solver
-from scipy.linalg import solve_banded  # noqa: F401
-from scipy.linalg.lapack import dgtsv
 
 from .model import ProblemSpec
 from .expressions import EvalContext, evaluate
 
 INNER_FRACTION = 0.5  # central share of the space nodes where diagnostics are read
+GTSV_SYMBOL = "scipy_dgtsv_64_"  # dgtsv of numpy's OpenBLAS, with int64 (ILP64) integers
+
+
+def _load_gtsv(libs: Path):
+    """The GTSV_SYMBOL of the OpenBLAS in the directory ``libs``, bound with
+    ctypes as LAPACK declares it: gtsv(n, nrhs, dl, d, du, b, ldb, info),
+    every argument an address and every integer an int64.  Raises
+    ImportError, naming ``libs`` and the symbol, when no library there
+    exports it."""
+    for path in sorted(libs.glob("lib*openblas64_*.so")):
+        gtsv = getattr(ctypes.CDLL(str(path)), GTSV_SYMBOL, None)
+        if gtsv is not None:
+            gtsv.argtypes = [ctypes.c_void_p] * 8
+            gtsv.restype = None
+            return gtsv
+    raise ImportError(f"no library in {libs} exports {GTSV_SYMBOL}: switchgame solves its "
+                      "tridiagonal systems with the LAPACK of numpy's own OpenBLAS")
+
+
+# numpy's wheel installs its OpenBLAS in numpy.libs, next to the numpy package
+dgtsv = _load_gtsv(Path(np.__file__).resolve().parent.parent / "numpy.libs")
+# never called; the name stays bound because perfbench's solver.tridiag span
+# patches it in this module and in solver
+solve_banded = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,13 +181,29 @@ def solve_rows(ab: np.ndarray, b: np.ndarray, out: np.ndarray, live: np.ndarray)
     failing row of ``out`` is, nor any row after it.  Neither ``ab`` nor
     ``b`` is modified.
     """
+    rows, n = b.shape
+    if not rows * n:
+        return  # nothing to solve, and an empty buffer has no address
+    # gtsv factors in place, so the three diagonals and the right-hand sides
+    # are copied once into one workspace, and every row's arguments are
+    # addresses in it; ints holds gtsv's N (= LDB), NRHS and INFO.
+    # c_char.from_buffer takes an address at a third of ndarray.ctypes' cost.
+    work = np.empty((4, rows, n))
+    work[:3] = ab
+    work[3] = b
+    ints = np.array((n, 1, 0), dtype=np.int64)
+    at_n = ctypes.addressof(ctypes.c_char.from_buffer(ints))
+    plane = rows * n * 8  # bytes from one plane of the workspace to the next
+    base = ctypes.addressof(ctypes.c_char.from_buffer(work)) + plane
     # one finiteness check for every row; only when it fails is each row checked
-    finite = np.isfinite(ab).all() and np.isfinite(b).all()
-    for r in np.flatnonzero(live):
-        if not (finite or (np.isfinite(ab[:, r]).all() and np.isfinite(b[r]).all())):
+    finite = np.isfinite(work).all()
+    for r in live.nonzero()[0].tolist():
+        if not (finite or np.isfinite(work[:, r]).all()):
             raise ValueError("array must not contain infs or NaNs")
-        *_, x, info = dgtsv(ab[2, r, :-1], ab[1, r], ab[0, r, 1:], b[r])
+        d = base + r * n * 8  # row r's main diagonal, in plane 1
+        dgtsv(at_n, at_n + 8, d + plane, d, d - plane + 8, d + 2 * plane, at_n, at_n + 16)
+        info = ints.item(2)
         if info:
             raise (np.linalg.LinAlgError("singular matrix") if info > 0 else
                    ValueError(f"illegal value in the {-info}-th argument of gtsv"))
-        out[r] = x
+        out[r] = work[3, r]

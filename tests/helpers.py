@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import ctypes
 import math
 import random
 
 import numpy as np
 from hypothesis import strategies as st
 
+from switchgame import grid
 from switchgame.expressions import EvalContext, evaluate
 from switchgame.expressions import parse_expression as pe
 from switchgame.game import _continuation, _oracle_tables, _require_frozen
@@ -54,6 +56,24 @@ def build_spec(
         horizon=horizon,
         domain=domain,
     )
+
+
+def gtsv_reporting(info_of):
+    """A stand-in for grid.dgtsv, called as LAPACK's gtsv on addresses:
+    ``info_of(d)``, given the main diagonal of the row about to be solved,
+    returns the INFO to report for it without solving, or None to solve it
+    with the real gtsv."""
+    real = grid.dgtsv
+
+    def gtsv(n, nrhs, dl, d, du, b, ldb, info):
+        size = ctypes.c_int64.from_address(n).value
+        reported = info_of(np.ctypeslib.as_array((ctypes.c_double * size).from_address(d)))
+        if reported is None:
+            real(n, nrhs, dl, d, du, b, ldb, info)
+        else:
+            ctypes.c_int64.from_address(info).value = reported
+
+    return gtsv
 
 
 def uniform_costs(modes1, modes2, c1, c2):

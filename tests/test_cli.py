@@ -9,6 +9,8 @@ import multiprocessing
 import os
 import pickle
 import re
+import subprocess
+import sys
 import tracemalloc
 import types
 import warnings
@@ -1206,3 +1208,34 @@ def test_outputs_byte_reproducible(tmp_path):
     assert main(["solve", str(path_a)]) == 0
     assert main(["solve", str(path_b)]) == 0
     assert {n: b for n, b in _file_bytes(out_a).items()} == _file_bytes(out_b)
+
+
+_NO_SCIPY = '''\
+import json, sys
+from switchgame import cli
+solve_config, game_config = sys.argv[1:]
+codes = [cli.main(["validate", solve_config]), cli.main(["solve", "--system", "both", solve_config]),
+         cli.main(["game", game_config])]
+print(json.dumps({"codes": codes,
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+'''
+
+
+def test_no_command_imports_scipy(tmp_path):
+    # in a fresh interpreter, since this test session imports scipy itself;
+    # a lazy import inside a function would show in sys.modules too
+    doc = _load("e1_equality_2x2.json")
+    doc["grid"] = {"nt": 41, "nx": 33}
+    solve_config, _ = _stage(tmp_path / "e1", doc)
+    doc = _load("g1_game_2x2.json")
+    doc["simulation"]["paths"] = 2000
+    game_config, _ = _stage(tmp_path / "g1", doc)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", _NO_SCIPY, str(solve_config), str(game_config)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    # E1 is not separated, so its validation reports a failed check
+    assert result == {"codes": [1, 0, 0], "scipy": []}

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from scipy.linalg import solve_banded
 
+from switchgame import grid as grid_module
 from switchgame.grid import build_grid, discretize_generator, solve_rows
 
 from helpers import build_spec
@@ -260,3 +261,47 @@ def test_solve_rows_raises_at_the_first_bad_live_row(first, error, text):
     assert (out[[1, 3, 4, 5]] == -7.0).all()
     assert live.tolist() == [True, False, True, True, True, True]
     assert np.array_equal(ab, kept[0], equal_nan=True) and b.tobytes() == kept[1].tobytes()
+
+
+@pytest.mark.parametrize("nx", [121, 481])
+@pytest.mark.parametrize("rows", [1, 4, 20])
+def test_solve_rows_workspace_loop_bitwise_equal_to_solve_banded(nx, rows):
+    # one gtsv call per live row on addresses into one copied workspace:
+    # each live row as solve_banded solves it alone, no dead row written
+    rng = np.random.default_rng(nx * rows)
+    systems = [_tridiagonal_system(rng, nx, rng.random(nx) < 0.3) for _ in range(rows)]
+    ab = np.stack([a for a, _ in systems], axis=1)
+    b = np.stack([r for _, r in systems])
+    for live in (np.ones(rows, dtype=bool), rng.random(rows) < 0.5, np.arange(rows) % 3 == 1):
+        out = np.full(b.shape, -7.0)
+        solve_rows(ab, b, out, live)
+        for r in range(rows):
+            expected = solve_banded((1, 1), ab[:, r], b[r]) if live[r] else np.full(nx, -7.0)
+            assert out[r].tobytes() == expected.tobytes()
+
+
+def test_solve_rows_leaves_a_read_only_broadcast_ab_and_b_as_they_were():
+    # the clamp pass hands every row the same read-only bands
+    rng = np.random.default_rng(3)
+    bands, _ = _tridiagonal_system(rng, 121, np.zeros(121, dtype=bool))
+    ab = np.broadcast_to(bands[:, np.newaxis], (3, 4, 121))
+    b = rng.standard_normal((4, 121))
+    kept = bands.tobytes(), b.tobytes()
+    out = np.empty_like(b)
+    solve_rows(ab, b, out, np.ones(4, dtype=bool))
+    assert not ab.flags.writeable
+    assert (bands.tobytes(), b.tobytes()) == kept
+    for r in range(4):
+        assert out[r].tobytes() == solve_banded((1, 1), bands, b[r]).tobytes()
+
+
+def test_solve_rows_of_an_empty_batch_writes_nothing():
+    out = np.empty((0, 5))
+    solve_rows(np.empty((3, 0, 5)), np.empty((0, 5)), out, np.zeros(0, dtype=bool))
+    assert out.shape == (0, 5)
+
+
+def test_gtsv_loader_fails_loudly_without_the_library(tmp_path):
+    with pytest.raises(ImportError) as err:
+        grid_module._load_gtsv(tmp_path)
+    assert str(tmp_path) in str(err.value) and "scipy_dgtsv_64_" in str(err.value)

@@ -1,5 +1,6 @@
 """The experiment scripts run end to end from the repository root; the
-benchmark pairing script's summary is checked on synthetic runs."""
+benchmark pairing script's summary is checked on synthetic runs, and the
+byte-identity check on a reduced matrix."""
 
 import importlib.util
 import json
@@ -130,3 +131,49 @@ def test_bench_pair_gives_each_side_its_own_fresh_bytecode_cache(tmp_path, monke
         assert not os.path.exists(prefix)  # removed with the run
         prefixes.append(prefix)
     assert prefixes[0] != prefixes[1]
+
+
+# a reduced fingerprint matrix: a report, the value CSVs of both schemes and an exit-2 error
+_REDUCED = ["--case", "validate-e0_heat", "--case", "solve-e0", "--case", "game-fail_triangle"]
+
+
+def _fingerprint():
+    spec = importlib.util.spec_from_file_location("fingerprint", ROOT / "scripts" / "fingerprint.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_fingerprint_of_this_checkout_against_itself_exits_0(tmp_path):
+    done = subprocess.run([sys.executable, "scripts/fingerprint.py", "--baseline", str(ROOT),
+                           "--out", str(tmp_path), *_REDUCED],
+                          cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "fingerprint: 3 cases identical"
+    prints = {side: json.loads((tmp_path / f"{side}.json").read_text())
+              for side in ("baseline", "change")}
+    assert prints["baseline"] == prints["change"]
+    assert prints["change"]["game-fail_triangle"]["exit"] == 2
+    assert "value_minmax.csv" in prints["change"]["solve-e0"]["files"]
+
+
+def test_fingerprint_names_a_flipped_byte_of_a_value_csv(monkeypatch, capsys):
+    # the second solve-e0 run is the change side's: one byte of its min-max
+    # value CSV is flipped before the files are hashed
+    fingerprint = _fingerprint()
+    run_case, runs = fingerprint.run_case, []
+
+    def flipping(checkout, name, run_dir, pycache):
+        result = run_case(checkout, name, run_dir, pycache)
+        runs.append(name)
+        if runs.count("solve-e0") == 2 and name == "solve-e0":
+            csv = run_dir / "out" / "value_minmax.csv"
+            data = bytearray(csv.read_bytes())
+            data[-2] ^= 1
+            csv.write_bytes(bytes(data))
+        return result
+
+    monkeypatch.setattr(fingerprint, "run_case", flipping)
+    assert fingerprint.main(["--baseline", str(ROOT), *_REDUCED]) == 1
+    assert runs.count("solve-e0") == 2
+    assert capsys.readouterr().err == "fingerprint: solve-e0: file value_minmax.csv differs\n"

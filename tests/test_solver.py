@@ -29,8 +29,9 @@ from switchgame.solver import (
     sup_gap,
 )
 
-from helpers import (build_spec, frozen_diag_spec, generated_specs, heat_spec, prefix_ladder,
-                     seeded_spec, single_player_schedule_oracle, solve_clamped, uniform_costs)
+from helpers import (build_spec, frozen_diag_spec, generated_specs, gtsv_reporting, heat_spec,
+                     prefix_ladder, seeded_spec, single_player_schedule_oracle, solve_clamped,
+                     uniform_costs)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SCHED = PenaltySchedule(levels=(1.0, 4.0, 16.0), fixed_point_tol=1e-12)
@@ -160,7 +161,7 @@ def test_clamped_solves_raise_the_first_pair_error(monkeypatch, solve, infos, er
     # first failing pair's error is raised, before that level is clamped
     spec = _floor_binding_spec()
     reported = itertools.chain(infos, itertools.repeat(-1))
-    monkeypatch.setattr(grid_module, "dgtsv", lambda dl, d, du, b: (dl, d, du, b, next(reported)))
+    monkeypatch.setattr(grid_module, "dgtsv", gtsv_reporting(lambda d: next(reported)))
     sweeps = []
     clamp_sweep = solver.clamp_sweep
     monkeypatch.setattr(solver, "clamp_sweep", lambda *args: sweeps.append(1) or clamp_sweep(*args))
@@ -564,9 +565,8 @@ def _break(monkeypatch, caps, overflow=False, singular=False, clamp=False):
         monkeypatch.setattr(solver, "_level_rhs", lambda vnext, dt, f, k: level_rhs(
             np.full_like(vnext, np.inf) if _overflows(vnext, k) else vnext, dt, f, k))
     if singular:
-        dgtsv = grid_module.dgtsv
-        monkeypatch.setattr(grid_module, "dgtsv", lambda dl, d, du, b: (
-            (dl, d, du, b, 1) if _singular(d) else dgtsv(dl, d, du, b)))
+        monkeypatch.setattr(grid_module, "dgtsv",
+                            gtsv_reporting(lambda d: 1 if _singular(d) else None))
 
 
 INF_LADDER = PenaltySchedule(levels=(1.0, 4.0, math.inf), fixed_point_tol=1e-12)
