@@ -2,7 +2,7 @@
 """Byte-identity check: run one matrix of commands on a baseline checkout and
 on this one, and compare everything they print and write.
 
-    python3 scripts/fingerprint.py --baseline HEAD~1 [--out DIR] [--case NAME ...]
+    python3 scripts/fingerprint.py --baseline HEAD~1 [--out DIR]
 
 ``--baseline`` is a checkout directory or a git revision, handled as
 ``scripts/bench_pair.py`` handles it, and each side keeps its bytecode under
@@ -15,8 +15,7 @@ and the sha256 of every file it wrote.
 
 The script exits 0 when the two fingerprints are equal, and 1 at the first
 difference in matrix order, which it names.  ``--out`` writes the fingerprints
-to ``baseline.json`` and ``change.json`` there; ``--case`` runs only the named
-cases.
+to ``baseline.json`` and ``change.json`` there.
 """
 
 from __future__ import annotations
@@ -113,10 +112,8 @@ def main(argv=None) -> int:
                         help="a checkout directory or a git revision of this repository")
     parser.add_argument("--out", type=Path, default=None,
                         help="write baseline.json and change.json into this directory")
-    parser.add_argument("--case", action="append", choices=list(MATRIX), default=None,
-                        help="run only these cases (default: all)")
     args = parser.parse_args(argv)
-    cases = args.case or list(MATRIX)
+    cases = list(MATRIX)
 
     prints = {}
     with checkout_of(args.baseline) as baseline, \

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from scipy.linalg import solve_banded
 
@@ -176,22 +176,31 @@ def _tridiagonal_system(rng, nx, pinned):
     return ab, b
 
 
-@given(seed=st.integers(0, 2**32 - 1), nx=st.integers(3, 300),
-       pinned_share=st.sampled_from([0.0, 0.3, 1.0]))
+@given(seed=st.integers(0, 2**32 - 1), nx=st.integers(3, 481), rows=st.integers(1, 20),
+       pinned_share=st.sampled_from([0.0, 0.3, 1.0]), live_share=st.sampled_from([0.5, 1.0]))
+@example(seed=1, nx=121, rows=1, pinned_share=0.3, live_share=1.0)
+@example(seed=2, nx=121, rows=4, pinned_share=0.3, live_share=0.5)
+@example(seed=3, nx=121, rows=20, pinned_share=0.3, live_share=0.5)
+@example(seed=4, nx=481, rows=1, pinned_share=0.3, live_share=1.0)
+@example(seed=5, nx=481, rows=4, pinned_share=0.3, live_share=0.5)
+@example(seed=6, nx=481, rows=20, pinned_share=0.3, live_share=0.5)
 @settings(max_examples=80, deadline=None)
-def test_solve_tridiagonal_bitwise_equal_to_solve_banded(seed, nx, pinned_share):
-    # every row of one solve_rows call, each row a system of its own
+def test_solve_tridiagonal_bitwise_equal_to_solve_banded(seed, nx, rows, pinned_share, live_share):
+    # every live row of one solve_rows call, each row a system of its own,
+    # as solve_banded solves it alone; no dead row written
     rng = np.random.default_rng(seed)
-    systems = [_tridiagonal_system(rng, nx, rng.random(nx) < pinned_share) for _ in range(3)]
+    systems = [_tridiagonal_system(rng, nx, rng.random(nx) < pinned_share) for _ in range(rows)]
     ab = np.stack([a for a, _ in systems], axis=1)
     b = np.stack([r for _, r in systems])
-    kept = ab.copy(), b.copy()
-    out, live = np.zeros(b.shape), np.ones(3, dtype=bool)
+    live = rng.random(rows) < live_share
+    kept = ab.copy(), b.copy(), live.copy()
+    out = np.full(b.shape, -7.0)
     solve_rows(ab, b, out, live)
-    assert live.all()
     for r, (ab_r, b_r) in enumerate(systems):
-        assert out[r].tobytes() == solve_banded((1, 1), ab_r, b_r).tobytes()
+        expected = solve_banded((1, 1), ab_r, b_r) if live[r] else np.full(nx, -7.0)
+        assert out[r].tobytes() == expected.tobytes()
     assert ab.tobytes() == kept[0].tobytes() and b.tobytes() == kept[1].tobytes()
+    assert (live == kept[2]).all()
 
 
 def test_solve_implicit_bitwise_equal_to_solve_banded():
@@ -261,23 +270,6 @@ def test_solve_rows_raises_at_the_first_bad_live_row(first, error, text):
     assert (out[[1, 3, 4, 5]] == -7.0).all()
     assert live.tolist() == [True, False, True, True, True, True]
     assert np.array_equal(ab, kept[0], equal_nan=True) and b.tobytes() == kept[1].tobytes()
-
-
-@pytest.mark.parametrize("nx", [121, 481])
-@pytest.mark.parametrize("rows", [1, 4, 20])
-def test_solve_rows_workspace_loop_bitwise_equal_to_solve_banded(nx, rows):
-    # one gtsv call per live row on addresses into one copied workspace:
-    # each live row as solve_banded solves it alone, no dead row written
-    rng = np.random.default_rng(nx * rows)
-    systems = [_tridiagonal_system(rng, nx, rng.random(nx) < 0.3) for _ in range(rows)]
-    ab = np.stack([a for a, _ in systems], axis=1)
-    b = np.stack([r for _, r in systems])
-    for live in (np.ones(rows, dtype=bool), rng.random(rows) < 0.5, np.arange(rows) % 3 == 1):
-        out = np.full(b.shape, -7.0)
-        solve_rows(ab, b, out, live)
-        for r in range(rows):
-            expected = solve_banded((1, 1), ab[:, r], b[r]) if live[r] else np.full(nx, -7.0)
-            assert out[r].tobytes() == expected.tobytes()
 
 
 def test_solve_rows_leaves_a_read_only_broadcast_ab_and_b_as_they_were():

@@ -134,22 +134,21 @@ def test_bench_pair_gives_each_side_its_own_fresh_bytecode_cache(tmp_path, monke
 
 
 # a reduced fingerprint matrix: a report, the value CSVs of both schemes and an exit-2 error
-_REDUCED = ["--case", "validate-e0_heat", "--case", "solve-e0", "--case", "game-fail_triangle"]
+_REDUCED = ("validate-e0_heat", "solve-e0", "game-fail_triangle")
 
 
-def _fingerprint():
+def _fingerprint(monkeypatch):
     spec = importlib.util.spec_from_file_location("fingerprint", ROOT / "scripts" / "fingerprint.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    monkeypatch.setattr(module, "MATRIX", {name: module.MATRIX[name] for name in _REDUCED})
     return module
 
 
-def test_fingerprint_of_this_checkout_against_itself_exits_0(tmp_path):
-    done = subprocess.run([sys.executable, "scripts/fingerprint.py", "--baseline", str(ROOT),
-                           "--out", str(tmp_path), *_REDUCED],
-                          cwd=ROOT, capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "fingerprint: 3 cases identical"
+def test_fingerprint_of_this_checkout_against_itself_exits_0(tmp_path, monkeypatch, capsys):
+    fingerprint = _fingerprint(monkeypatch)
+    assert fingerprint.main(["--baseline", str(ROOT), "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "fingerprint: 3 cases identical"
     prints = {side: json.loads((tmp_path / f"{side}.json").read_text())
               for side in ("baseline", "change")}
     assert prints["baseline"] == prints["change"]
@@ -160,7 +159,7 @@ def test_fingerprint_of_this_checkout_against_itself_exits_0(tmp_path):
 def test_fingerprint_names_a_flipped_byte_of_a_value_csv(monkeypatch, capsys):
     # the second solve-e0 run is the change side's: one byte of its min-max
     # value CSV is flipped before the files are hashed
-    fingerprint = _fingerprint()
+    fingerprint = _fingerprint(monkeypatch)
     run_case, runs = fingerprint.run_case, []
 
     def flipping(checkout, name, run_dir, pycache):
@@ -174,6 +173,6 @@ def test_fingerprint_names_a_flipped_byte_of_a_value_csv(monkeypatch, capsys):
         return result
 
     monkeypatch.setattr(fingerprint, "run_case", flipping)
-    assert fingerprint.main(["--baseline", str(ROOT), *_REDUCED]) == 1
+    assert fingerprint.main(["--baseline", str(ROOT)]) == 1
     assert runs.count("solve-e0") == 2
     assert capsys.readouterr().err == "fingerprint: solve-e0: file value_minmax.csv differs\n"
