@@ -12,8 +12,6 @@ import argparse
 import contextlib
 import csv
 import json
-import math
-import mmap
 import multiprocessing
 import os
 import sys
@@ -29,7 +27,8 @@ from .grid import Grid, build_grid
 from .model import (AssumptionReport, run_all_checks, sample_lattice, validate_consistency,
                     validate_costs)
 from .simulate import simulate_paths
-from .solver import csv_rows, gap_table, solve_maxmin, solve_minmax, solve_single_obstacle
+from .solver import (csv_rows, gap_table, level_blocks, solve_maxmin, solve_minmax,
+                     solve_single_obstacle)
 from . import game as game_mod
 
 PLAY_BLOCK = 5000  # paths that game simulates, realizes and prices at a time
@@ -118,37 +117,46 @@ class _ChildTraceback(Exception):
 
 
 def _child_main(work, to_parent, from_child) -> None:
-    """The forked side of ``_forked``: send work's result, or the exception
-    it raised and its traceback."""
+    """The forked side of ``_forked``: send each message that work yields,
+    then the end, or the exception work raised and its traceback."""
     from_child.close()  # so that a send to a parent that is gone fails, not blocks
     try:
-        message = (None, work())
+        for message in work():
+            to_parent.send(("message", message))
     except Exception as exc:
-        message = (exc, traceback.format_exc())
-    to_parent.send(message)
+        to_parent.send(("raised", (exc, traceback.format_exc())))
+    else:
+        to_parent.send(("end", None))
 
 
 def _from_child(child, conn, name: str):
-    """The child's result; an exception it sent, or its death, is raised here."""
-    try:
-        exc, payload = conn.recv()
-    except EOFError:
-        child.join()
-        raise ChildProcessError(
-            f"the {name} child process exited with code {child.exitcode}") from None
-    if exc is not None:
-        raise exc from _ChildTraceback(name, payload)
-    return payload
+    """The child's messages, in order; an exception it sent, or its death, is
+    raised here."""
+    while True:
+        try:
+            kind, payload = conn.recv()
+        except EOFError:
+            child.join()
+            raise ChildProcessError(
+                f"the {name} child process exited with code {child.exitcode}") from None
+        if kind == "end":
+            return
+        if kind == "raised":
+            exc, text = payload
+            raise exc from _ChildTraceback(name, text)
+        yield payload
 
 
 @contextlib.contextmanager
 def _forked(work, name: str):
-    """Run ``work()`` in a forked child while the ``with`` block runs here.
+    """Iterate ``work()`` in a forked child while the ``with`` block runs here.
 
-    Yields a function that waits for the child's one message and returns
-    work's result.  An exception work raised is raised again there, with the
-    child's traceback as its cause, and a child that dies raises
-    ChildProcessError.  On leaving the block a child still alive is killed,
+    Yields an iterator over the messages that work yields, each pickled
+    through a pipe as the child sends it.  An exception work raised is
+    raised again by the iterator, with the child's traceback as its cause,
+    and a child that dies raises ChildProcessError.  A message the block
+    does not read waits in the child, so the child can run ahead only by
+    the pipe's buffer.  On leaving the block a child still alive is killed,
     since it has sent all it will or is not wanted, and it is joined and
     closed, with every pipe of the call.
     """
@@ -167,7 +175,7 @@ def _forked(work, name: str):
                                     DeprecationWarning)
             child.start()
         to_parent.close()
-        yield lambda: _from_child(child, from_child, name)
+        yield _from_child(child, from_child, name)
     finally:
         if child.is_alive():
             child.kill()
@@ -181,27 +189,27 @@ def _forked(work, name: str):
 def _solve_both(config: RunConfig, grid: Grid) -> int:
     """Both schemes at once: a forked child solves max-min while this
     process solves min-max, and each writes its own value file under a
-    temporary name.  The child copies its field into a shared anonymous
-    mapping made before the fork and sends only its report and the field's
-    metadata, so the field is not pickled.  The files, exit codes and errors
-    are those of solving the schemes one after the other: the value files
-    are published only once both schemes have succeeded, and when either
-    fails, no value file is written and the min-max error comes first."""
+    temporary name.  The child then sends its report and the field's
+    metadata, and its values in blocks of LEVEL_BLOCK time levels, which
+    this process folds into the gap table as they come, so neither
+    process holds the other's field.  The files, exit codes and errors are
+    those of solving the schemes one after the other: the value files are
+    published only once both schemes have succeeded, and when either fails,
+    no value file is written and the min-max error comes first."""
     out = config.output
-    shape = (len(config.spec.modes.pairs), grid.nt, grid.nx)
-    with mmap.mmap(-1, 8 * math.prod(shape)) as shared:
-        def solve_maxmin_into_shared():
-            fld, report = _solve("maxmin", config, grid)
-            np.frombuffer(shared).reshape(shape)[...] = fld.values
-            return replace(fld, values=None), report
 
-        with _forked(solve_maxmin_into_shared, "max-min") as maxmin:
-            try:
-                fa, report_a = _solve("minmax", config, grid)
-                fb, report_b = maxmin()
-            except ConvergenceError as exc:
-                return _not_converged(out, exc)
-        diff = gap_table(fa, replace(fb, values=np.frombuffer(shared).reshape(shape)))
+    def solve_maxmin_in_blocks():
+        fld, report = _solve("maxmin", config, grid)
+        yield replace(fld, values=None), report
+        yield from level_blocks(fld.values)
+
+    with _forked(solve_maxmin_in_blocks, "max-min") as maxmin:
+        try:
+            fa, report_a = _solve("minmax", config, grid)
+            fb, report_b = next(maxmin)
+        except ConvergenceError as exc:
+            return _not_converged(out, exc)
+        diff = gap_table(fa, maxmin)
 
     _publish(out, "minmax", fa)
     _publish(out, "maxmin", fb)
@@ -270,9 +278,11 @@ def _play_halves(play, n_paths: int) -> list:
         with contextlib.suppress(Exception):
             return game_mod.join_payoffs(_play_blocks(play, range(n_paths)))
         return play(range(n_paths))
-    with _forked(lambda: _play_blocks(play, range(half, n_paths)), "upper-half game") as upper:
+    # the child's half is one message: it would wait on the pipe's buffer
+    # after its first block until this process had played its own half
+    with _forked(lambda: [_play_blocks(play, range(half, n_paths))], "upper-half game") as upper:
         try:
-            return game_mod.join_payoffs(_play_blocks(play, range(half)) + upper())
+            return game_mod.join_payoffs(_play_blocks(play, range(half)) + next(upper))
         except ChildProcessError:
             raise
         except Exception:

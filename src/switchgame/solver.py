@@ -21,7 +21,9 @@ rewards), so they share one level kernel: a scheme is its hard obstacle,
 its penalized obstacle and the comparison and reduction of its side,
 chosen once per scheme (_wavefront).  The level data they read,
 drivers and switching costs, is indexed (mode, mode, t, x) like the values
-and evaluated once over the whole (t, x) lattice (_LevelCache).
+and evaluated one block of LEVEL_BLOCK time levels at a time (_LevelCache):
+a backward pass reads the levels in descending order, so no array of the
+whole (t, x) lattice is made but the field that is returned.
 
 Within one time level the per-pair implicit steps are iterated to a joint
 fixed point in lexicographic Gauss-Seidel order.  The reaction term is
@@ -60,6 +62,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,7 +77,7 @@ _ACTIVE_SET_CAP = 64
 FIXED_POINT_CAP = 500  # Gauss-Seidel sweeps over the pairs of one time level
 # relative width of a rounding-level tie in a policy decision (_next_policy)
 TIE_TOL = 1e-14
-LEVEL_BLOCK = 32  # time levels per slice of the gap table (gap_table)
+LEVEL_BLOCK = 32  # time levels per block of level data (_LevelCache) and of gap_table
 
 
 @dataclass(frozen=True)
@@ -154,27 +157,31 @@ class ValueField:
         }
 
     def to_csv(self, path) -> None:
-        """Columns: i, j, t_index, x_index, t, x, value; one row per node."""
+        """Columns: i, j, t_index, x_index, t, x, value; one row per node,
+        written as csv_rows writes them.  The rows of one (pair, level) are
+        made by two % operations on a template of the grid's rows: one puts
+        in the pair's and level's texts, the next the values."""
         t_texts = [repr(t) for t in self.grid.times.tolist()]
-        nodes = [(n, repr(x)) for n, x in enumerate(self.grid.xs.tolist())]
+        rows = "".join([f"%s{n},%s,{x!r},%%r\r\n" for n, x in enumerate(self.grid.xs.tolist())])
         with open(path, "w", newline="") as handle:
             handle.write("i,j,t_index,x_index,t,x,value\r\n")
             for label, values in zip(self.mode_labels, self.values):
                 i, j = label if isinstance(label, tuple) else (label, "")
                 for k, t in enumerate(t_texts):
-                    cells = [f"{n},{t},{x}" for n, x in nodes]
-                    handle.write(csv_rows(f"{i},{j},{k},", cells, values[k]))
+                    template = rows % ((f"{i},{j},{k},", t) * self.grid.nx)
+                    handle.write(template % tuple(values[k].tolist()))
 
 
 def csv_rows(lead: str, cells: list[str], values: np.ndarray) -> str:
     """CSV rows ``lead + cells[n] + "," + repr(values[n])``, each ended by
-    "\r\n".
+    "\r\n", made by one % operation on a template of %r slots.
 
     These are csv.writer's bytes for the same cells as long as none of them
     holds a comma, a quote or a line break, which csv.writer would quote;
-    numbers and float reprs never do.
+    numbers and float reprs never do, nor do they hold the % that the
+    template would read as a slot.
     """
-    return "".join([f"{lead}{cell},{v!r}\r\n" for cell, v in zip(cells, values.tolist())])
+    return (lead + (",%r\r\n" + lead).join(cells) + ",%r\r\n") % tuple(values.tolist())
 
 
 @dataclass
@@ -205,42 +212,86 @@ def _lattice(grid: Grid) -> EvalContext:
     return EvalContext(grid.times[:, np.newaxis], grid.xs)
 
 
+class _LevelData(NamedTuple):
+    """The level data of some time levels, one row per level: the drivers f
+    and both players' cost arrays g1, g2 indexed (mode, mode, row, x) like
+    the values, and the generator weights lower, center, upper (row, x)."""
+
+    f: np.ndarray
+    g1: np.ndarray
+    g2: np.ndarray
+    lower: np.ndarray
+    center: np.ndarray
+    upper: np.ndarray
+
+    def rows(self, index) -> _LevelData:
+        return _LevelData(*(data[..., index, :] for data in self))
+
+    @property
+    def stencil(self) -> GeneratorStencil:
+        """The generator stencil of each row."""
+        return GeneratorStencil(self.lower, self.center, self.upper)
+
+
 class _LevelCache:
     """The level data of one (spec, grid), shared by the solvers.
 
-    The drivers f and both players' cost arrays g1, g2 are indexed
-    (mode, mode, t, x) like the values, each expression evaluated once over
-    the whole lattice; terminal is indexed (i, j, x), and the generator
-    weights lower, center and upper of every time level are stacked (t, x).
-    Each is stored at the shape its expressions need behind a read-only
-    broadcast view (model.broadcast_stack); weights free of t are made once.
+    terminal is indexed (i, j, x).  The data of the time levels is held one
+    block of at most LEVEL_BLOCK consecutive levels at a time, each block
+    stored at the shape its expressions need behind a read-only broadcast
+    view (model.broadcast_stack); weights free of t are made once.  When
+    ``levels`` asks for levels that the held block does not hold, the block
+    that ends with them replaces it.  A backward pass asks for windows of
+    consecutive levels that move down one level at a time, so a new block
+    starts with the first window that leaves the block before, and only
+    that window's other levels are evaluated twice: none in a clamp pass,
+    one fewer than the passes in a wavefront.
     """
 
     def __init__(self, spec: ProblemSpec, grid: Grid):
-        self.grid = grid
+        self.spec, self.grid = spec, grid
         self.modes1 = spec.modes.modes1
         self.modes2 = spec.modes.modes2
         n1, n2 = len(self.modes1), len(self.modes2)
-        lattice = _lattice(grid)
-        drivers = {}
         self.terminal = np.empty((n1, n2, grid.nx))
         for (a, b), pair in zip(np.ndindex(n1, n2), spec.modes.pairs):
-            drivers[a, b] = evaluate(spec.drivers.f[pair], lattice)
             self.terminal[a, b] = evaluate(spec.terminals.h[pair], EvalContext(spec.horizon, grid.xs))
-        self.f = broadcast_stack(drivers, (n1, n2), (grid.nt, grid.nx))
-        self.g1, self.g2 = cost_arrays(spec, lattice)
         free = free_variables(spec.diffusion.drift) | free_variables(spec.diffusion.volatility)
-        times = grid.times if "t" in free else grid.times[:1]
-        weights = np.empty((3, len(times), grid.nx))
-        for k, t in enumerate(times):
-            s = discretize_generator(spec, grid, t)
-            weights[:, k] = s.lower, s.center, s.upper
-        self.lower, self.center, self.upper = np.broadcast_to(weights, (3, grid.nt, grid.nx))
+        self._weights = None if "t" in free else self._weights_at(grid.times[:1])
+        self._held = (0, 0, None)  # the held block's first level, its end and its data
 
-    def stencil(self, k) -> GeneratorStencil:
-        """The generator stencil of time level k, or of each level in the
-        list k, one row per level."""
-        return GeneratorStencil(self.lower[k], self.center[k], self.upper[k])
+    def _weights_at(self, times: np.ndarray) -> np.ndarray:
+        """The generator weights lower, center, upper at each of ``times``,
+        stacked (3, t, x)."""
+        weights = np.empty((3, len(times), self.grid.nx))
+        for k, t in enumerate(times):
+            s = discretize_generator(self.spec, self.grid, t)
+            weights[:, k] = s.lower, s.center, s.upper
+        return weights
+
+    def _evaluate(self, lo: int, hi: int) -> _LevelData:
+        """The level data of the time levels [lo, hi), each expression
+        evaluated once over them."""
+        spec, grid = self.spec, self.grid
+        times = grid.times[lo:hi]
+        shape = (len(times), grid.nx)
+        ctx = EvalContext(times[:, np.newaxis], grid.xs)
+        n1, n2 = len(self.modes1), len(self.modes2)
+        drivers = {index: evaluate(spec.drivers.f[pair], ctx)
+                   for index, pair in zip(np.ndindex(n1, n2), spec.modes.pairs)}
+        weights = self._weights_at(times) if self._weights is None else self._weights
+        return _LevelData(broadcast_stack(drivers, (n1, n2), shape), *cost_arrays(spec, ctx),
+                          *np.broadcast_to(weights, (3,) + shape))
+
+    def levels(self, lo: int, hi: int) -> _LevelData:
+        """The level data of the time levels [lo, hi), one row per level, as
+        read-only views of the held block."""
+        start, end = self._held[:2]
+        if not start <= lo < hi <= end:
+            self._held = (0, 0, None)  # let the held block go first
+            start, end = min(lo, max(hi - LEVEL_BLOCK, 0)), hi
+            self._held = (start, end, self._evaluate(start, end))
+        return self._held[2].rows(slice(lo - start, hi - start))
 
 
 # ---------------------------------------------------------------------------
@@ -408,10 +459,10 @@ def _wavefront(cache: _LevelCache, direction: str, penalties: tuple[float, ...],
     n1, n2 = len(cache.modes1), len(cache.modes2)
     nt, nx, dt = grid.nt, grid.nx, grid.dt
     if direction == "minmax":
-        hard, hard_costs, soft, soft_costs, own_axis = floor, cache.g1, ceiling, cache.g2, 1
+        hard, hard_costs, soft, soft_costs, own_axis = floor, "g1", ceiling, "g2", 1
         side, clamp_key = (np.greater, np.maximum), "costs1"
     else:
-        hard, hard_costs, soft, soft_costs, own_axis = ceiling, cache.g2, floor, cache.g1, 0
+        hard, hard_costs, soft, soft_costs, own_axis = ceiling, "g2", floor, "g1", 0
         side, clamp_key = (np.less, np.minimum), "costs2"
     n_passes = len(penalties)
     latest = np.empty((n_passes, n1, n2, nx))  # each pass's latest level
@@ -420,7 +471,8 @@ def _wavefront(cache: _LevelCache, direction: str, penalties: tuple[float, ...],
     last[:, :, nt - 1, :] = cache.terminal
     iterations = np.zeros(n_passes, dtype=int)
     excess = np.repeat(_excess_maxima(cache.terminal[:, :, np.newaxis],
-                                      soft_costs[:, :, [nt - 1]], direction), n_passes, axis=2)
+                                      getattr(cache.levels(nt - 1, nt), soft_costs), direction),
+                       n_passes, axis=2)
     # the terminal level, which every pass shares, changes by 0
     deltas, rises = np.zeros(n_passes), np.zeros(n_passes)
 
@@ -428,13 +480,15 @@ def _wavefront(cache: _LevelCache, direction: str, penalties: tuple[float, ...],
         rows = [(p, nt - 2 - (step - p))
                 for p in range(max(0, step - (nt - 2)), min(step + 1, n_passes))]
         passes, ks = zip(*rows)
-        rhs = np.stack([_level_rhs(latest[p], dt, cache.f[:, :, k], k) for p, k in rows], axis=2)
+        data = cache.levels(ks[0], ks[-1] + 1)  # the rows' levels are consecutive
+        rhs = np.stack([_level_rhs(latest[p], dt, data.f[:, :, r], k)
+                        for r, (p, k) in enumerate(rows)], axis=2)
         # pass p - 1 made its level k one step ago
         start = np.stack([latest[p - 1] if p else latest[p] if warm is None else warm[:, :, k]
                           for p, k in rows], axis=2)
         cur = start.copy()
-        hard_k, soft_k = hard_costs[:, :, ks], soft_costs[:, :, ks]
-        stencil = cache.stencil(list(ks))
+        hard_k, soft_k = getattr(data, hard_costs), getattr(data, soft_costs)
+        stencil = data.stencil
         bands = stencil.implicit_bands(dt)
         # dt * penalty and the tie width (_next_policy) of each row, at every node
         scale = np.repeat(dt * np.array([penalties[p] for p in passes])[:, np.newaxis], nx, axis=1)
@@ -488,6 +542,9 @@ def _wavefront(cache: _LevelCache, direction: str, penalties: tuple[float, ...],
         latest[lo:hi] = np.moveaxis(clamped, 2, 0)
         if hi == n_passes:
             last[:, :, ks[-1]] = clamped[:, :, -1]
+        # these view the cache's held block, which the cache lets go before
+        # it makes the next one: nothing here may hold it then
+        del data, hard_k, soft_k, stencil
     return last, iterations, excess, deltas, rises
 
 
@@ -537,32 +594,34 @@ def solve_maxmin(spec: ProblemSpec, grid: Grid, schedule: PenaltySchedule):
     return _sweep(spec, grid, schedule, "maxmin")
 
 
-def _clamp_pass(cache: _LevelCache, f: np.ndarray, terminal: np.ndarray,
-                costs1: np.ndarray | None = None, costs2: np.ndarray | None = None,
+def _clamp_pass(cache: _LevelCache, pick, terminal: np.ndarray,
                 floor_last: bool = False) -> np.ndarray:
-    """Backward pass over values indexed (i, j, t, x): per pair one plain
-    implicit step from the next level with source f[i, j, k], the pairs of
-    a level solved as the rows of one solve_rows call, then
-    clamp_sweep with the level's costs1[:, :, k] and costs2[:, :, k] (either
-    may be None, leaving that obstacle out).  f and the costs are indexed
-    (mode, mode, t, x) and terminal (i, j, x), like the cache's own arrays,
-    of which they may be slices.  A failed step raises the error of the
-    first pair, in pair order, that fails.  solve_single_obstacle and the
-    tests' clamped cross-check (tests/helpers.py) call it.
+    """Backward pass over values indexed (i, j, t, x), with
+    ``pick(data) = (f, costs1, costs2)`` taken from each level's data of the
+    cache (a _LevelData of one row): per pair one plain implicit step from
+    the next level with source f[i, j], the pairs of a level solved as the
+    rows of one solve_rows call, then clamp_sweep with costs1 and costs2
+    (either may be None, leaving that obstacle out).  f and the costs are
+    indexed (mode, mode, 1, x) and terminal (i, j, x), like the cache's own
+    arrays, of which they may be slices.  A failed step raises the error of
+    the first pair, in pair order, that fails.  solve_single_obstacle and
+    the tests' clamped cross-check (tests/helpers.py) call it.
     """
     n1, n2, nx = terminal.shape
     nt, dt = cache.grid.nt, cache.grid.dt
     v = np.empty((n1, n2, nt, nx))
     v[:, :, nt - 1, :] = terminal
     for k in range(nt - 2, -1, -1):
-        rhs = _level_rhs(v[:, :, k + 1], dt, f[:, :, k], k).reshape(n1 * n2, nx)
-        bands = cache.stencil(k).implicit_bands(dt)  # the level's one I - dt L
+        data = cache.levels(k, k + 1)
+        f, costs1, costs2 = pick(data)
+        rhs = _level_rhs(v[:, :, k + 1], dt, f[:, :, 0], k).reshape(n1 * n2, nx)
+        bands = data.stencil.implicit_bands(dt)  # the level's one I - dt L
         stepped = np.empty_like(rhs)
-        solve_rows(np.broadcast_to(bands[:, np.newaxis], (3,) + rhs.shape), rhs, stepped,
+        solve_rows(np.broadcast_to(bands, (3,) + rhs.shape), rhs, stepped,
                    np.ones(n1 * n2, dtype=bool))
         v[:, :, k, :] = clamp_sweep(stepped.reshape(n1, n2, nx),
-                                    None if costs1 is None else costs1[:, :, k],
-                                    None if costs2 is None else costs2[:, :, k], floor_last)
+                                    None if costs1 is None else costs1[:, :, 0],
+                                    None if costs2 is None else costs2[:, :, 0], floor_last)
     return v
 
 
@@ -591,9 +650,9 @@ def solve_single_obstacle(spec: ProblemSpec, grid: Grid) -> tuple[ValueField, Va
             witness=report.checks["separation"].witnesses[:1],
         )
     cache = _LevelCache(spec, grid)
-    v1 = _clamp_pass(cache, cache.f[:, :1], cache.terminal[:, :1], costs1=cache.g1)
-    v2 = _clamp_pass(cache, cache.f[:1] - cache.f[:1, :1],
-                     cache.terminal[:1] - cache.terminal[:1, :1], costs2=cache.g2)
+    v1 = _clamp_pass(cache, lambda data: (data.f[:, :1], data.g1, None), cache.terminal[:, :1])
+    v2 = _clamp_pass(cache, lambda data: (data.f[:1] - data.f[:1, :1], None, data.g2),
+                     cache.terminal[:1] - cache.terminal[:1, :1])
     return tuple(ValueField(system=system, mode_labels=tuple(modes),
                             values=v.reshape(-1, grid.nt, grid.nx), grid=grid)
                  for system, modes, v in (("single_lower", cache.modes1, v1),
@@ -605,27 +664,39 @@ def solve_single_obstacle(spec: ProblemSpec, grid: Grid) -> tuple[ValueField, Va
 # ---------------------------------------------------------------------------
 
 
-def gap_table(field_a: ValueField, field_b: ValueField) -> np.ndarray:
+def level_blocks(values: np.ndarray):
+    """values[:, k:k + LEVEL_BLOCK] for k = 0, LEVEL_BLOCK, ...: a field's
+    values (pairs, nt, nx) in blocks of time levels, in order."""
+    return (values[:, k:k + LEVEL_BLOCK] for k in range(0, values.shape[1], LEVEL_BLOCK))
+
+
+def gap_table(field_a: ValueField, blocks_b) -> np.ndarray:
     """The max over the mode pairs of |a - b| at each time level and inner
-    node (Grid.inner_mask), shape (nt, inner nodes), taken over slices of
-    LEVEL_BLOCK time levels: the gap table of ``solve --system both``."""
-    if field_a.values.shape != field_b.values.shape:
-        raise ValueError("fields have different shapes")
-    if field_a.mode_labels != field_b.mode_labels:
-        raise ValueError("fields have different mode labels")
+    node (Grid.inner_mask), shape (nt, inner nodes): the gap table of
+    ``solve --system both``.  ``blocks_b`` holds the values of field b as
+    level_blocks gives them, and is read one block at a time; raises
+    ValueError when they do not cover field a's values block by block."""
     grid = field_a.grid
     mask = grid.inner_mask()
     out = np.empty((grid.nt, int(mask.sum())))
-    for k in range(0, grid.nt, LEVEL_BLOCK):
-        s = slice(k, k + LEVEL_BLOCK)
-        out[s] = np.max(np.abs(field_a.values[:, s] - field_b.values[:, s]), axis=0)[:, mask]
+    k = 0
+    for block in blocks_b:
+        a = field_a.values[:, k:k + LEVEL_BLOCK]
+        if block.shape != a.shape:
+            raise ValueError("fields have different shapes")
+        out[k:k + LEVEL_BLOCK] = np.max(np.abs(a - block), axis=0)[:, mask]
+        k += LEVEL_BLOCK
+    if k < grid.nt:
+        raise ValueError("fields have different shapes")
     return out
 
 
 def sup_gap(field_a: ValueField, field_b: ValueField) -> float:
     """Sup-norm of the difference over the inner nodes, all time levels and
     all mode pairs: the max of gap_table."""
-    return float(np.max(gap_table(field_a, field_b)))
+    if field_a.mode_labels != field_b.mode_labels:
+        raise ValueError("fields have different mode labels")
+    return float(np.max(gap_table(field_a, level_blocks(field_b.values))))
 
 
 @dataclass

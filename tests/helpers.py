@@ -330,7 +330,7 @@ def solve_clamped(spec, grid, order="minmax"):
     Clamps are swept Gauss-Seidel to a fixed point at each level.
     """
     cache = _LevelCache(spec, grid)
-    v = _clamp_pass(cache, cache.f, cache.terminal, cache.g1, cache.g2,
+    v = _clamp_pass(cache, lambda data: (data.f, data.g1, data.g2), cache.terminal,
                     floor_last=order == "minmax")
     return ValueField(system=f"clamped_{order}", mode_labels=spec.modes.pairs,
                       values=v.reshape(-1, grid.nt, grid.nx), grid=grid, penalty=None)

@@ -12,7 +12,6 @@ import re
 import subprocess
 import sys
 import tracemalloc
-import types
 import warnings
 from pathlib import Path
 
@@ -20,16 +19,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from switchgame import cli as cli_mod, game as game_mod
+from switchgame import cli as cli_mod, game as game_mod, solver as solver_mod
 from switchgame.cli import _write_json, _write_payoffs, main
 from switchgame.config import load_config
-from switchgame.errors import ConvergenceError, SwitchgameError
+from switchgame.errors import ConvergenceError, ExpressionDomainError, SwitchgameError
 from switchgame.game import (PayoffEstimate, default_challengers, saddle_from_fields,
                             verify_saddle)
 from switchgame.grid import build_grid
 from switchgame.simulate import simulate_paths
-from switchgame.solver import (ValueField, solve_maxmin, solve_minmax, solve_single_obstacle,
-                               sup_gap)
+from switchgame.solver import (LEVEL_BLOCK, ValueField, gap_table, level_blocks, solve_maxmin,
+                               solve_minmax, solve_single_obstacle, sup_gap)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -583,13 +582,13 @@ def _child_raises():
     raise ValueError("raised in the child")
 
 
-@pytest.mark.parametrize("work", [lambda: 7, _child_raises], ids=["succeeds", "raises"])
+@pytest.mark.parametrize("work", [lambda: [7], _child_raises], ids=["succeeds", "raises"])
 def test_forked_closes_every_pipe_it_opens(work):
     with _no_collection():
         before = set(os.listdir("/proc/self/fd"))
         with contextlib.suppress(ValueError):
-            with cli_mod._forked(work, "test") as result:
-                assert result() == 7
+            with cli_mod._forked(work, "test") as messages:
+                assert list(messages) == [7]
         assert set(os.listdir("/proc/self/fd")) == before
     assert multiprocessing.active_children() == []
 
@@ -662,24 +661,34 @@ def test_solve_both_writes_the_bytes_of_two_separate_runs(tmp_path):
 
 
 def test_sup_gap_is_the_max_of_the_gap_table(tmp_path):
+    # the command folds the max-min blocks into the gap table as they come;
+    # at 41 time levels, a whole block and a part of one, the table is that
+    # of the two fields solved here, and sup_gap its max
     doc = _load("e1_equality_2x2.json")
     doc["grid"] = {"nt": 41, "nx": 33}
     path, out = _stage(tmp_path, doc)
     assert main(["solve", str(path)]) == 0
-    table = max(float(row["gap"]) for row in _csv_rows(out / "gap_minmax_maxmin.csv"))
     config = load_config(str(path))
     grid = build_grid(config.spec, config.nt, config.nx)
-    gap = sup_gap(solve_minmax(config.spec, grid, config.schedule)[0],
-                  solve_maxmin(config.spec, grid, config.schedule)[0])
-    assert gap.hex() == table.hex()
-    report = json.loads((out / "solve_report_minmax.json").read_text())
-    assert report["final_gap"].hex() == gap.hex()
+    fa, fb = (solve(config.spec, grid, config.schedule)[0] for solve in (solve_minmax, solve_maxmin))
+    table = gap_table(fa, level_blocks(fb.values))
+    xs = grid.xs[grid.inner_mask()].tolist()
+    expected = "t,x,gap\r\n" + "".join(f"{t!r},{x!r},{gap!r}\r\n" for t, row in
+                                       zip(grid.times.tolist(), table.tolist())
+                                       for x, gap in zip(xs, row))
+    assert (out / "gap_minmax_maxmin.csv").read_bytes() == expected.encode()
+    gap = sup_gap(fa, fb)
+    assert gap.hex() == float(np.max(table)).hex()
+    for name in ("minmax", "maxmin"):
+        report = json.loads((out / f"solve_report_{name}.json").read_text())
+        assert report["final_gap"].hex() == gap.hex()
 
 
-def test_solve_both_does_not_send_the_max_min_field_through_the_pipe(tmp_path, monkeypatch):
-    # the child copies its field into memory shared with this process; what
-    # it pickles into the pipe is its report and the field's metadata
-    sizes = []
+def test_solve_both_sends_the_max_min_field_one_level_block_at_a_time(tmp_path, monkeypatch):
+    # the child sends its report and the field's metadata, then its values
+    # a block of LEVEL_BLOCK time levels at a time: no message is larger
+    # than one block, and the blocks make up the field once
+    messages, sizes = [], []
     from_child = cli_mod._from_child
 
     class Measured:
@@ -689,48 +698,79 @@ def test_solve_both_does_not_send_the_max_min_field_through_the_pipe(tmp_path, m
         def recv(self):
             data = self.conn.recv_bytes()
             sizes.append(len(data))
-            return pickle.loads(data)
+            messages.append(pickle.loads(data))
+            return messages[-1]
 
     monkeypatch.setattr(cli_mod, "_from_child",
                         lambda child, conn, name: from_child(child, Measured(conn), name))
     doc = _load("e1_equality_2x2.json")
     path, out = _stage(tmp_path, doc)
     assert main(["solve", str(path)]) == 0
-    field_bytes = 4 * doc["grid"]["nt"] * doc["grid"]["nx"] * 8
-    assert len(sizes) == 1 and sizes[0] < 0.01 * field_bytes
+    nt, nx = doc["grid"]["nt"], doc["grid"]["nx"]
+    assert max(sizes) < 4 * LEVEL_BLOCK * nx * 8 + 1024
+    assert [kind for kind, _ in messages] == ["message"] * (2 + (nt - 1) // LEVEL_BLOCK) + ["end"]
     values = np.array([float(row["value"]) for row in _csv_rows(out / "value_maxmin.csv")])
+    blocks = np.concatenate([block for _, block in messages[1:-1]], axis=1)
+    assert blocks.tobytes() == values.reshape(4, nt, nx).tobytes()
     gaps = np.array([float(row["gap"]) for row in _csv_rows(out / "gap_minmax_maxmin.csv")])
-    assert values.size * 8 == field_bytes and np.all(np.isfinite(values))
-    assert 0.0 < gaps.max() < 1e-2
+    assert np.all(np.isfinite(values)) and 0.0 < gaps.max() < 1e-2
 
 
-def _mmaps_made(monkeypatch):
-    """The shared mappings that cli makes, recorded."""
-    made = []
+def test_solve_both_child_that_dies_between_blocks_leaves_nothing(tmp_path, monkeypatch):
+    blocks, read = cli_mod.level_blocks, []
 
-    class Recorded(cli_mod.mmap.mmap):
-        def __new__(cls, *args):
-            made.append(super().__new__(cls, *args))
-            return made[-1]
+    def one_block_then_death(values):
+        yield next(blocks(values))
+        os._exit(3)
 
-    monkeypatch.setattr(cli_mod, "mmap", types.SimpleNamespace(mmap=Recorded))
-    return made
+    def gap_table(field, blocks):
+        return solver_mod.gap_table(field, (read.append(block) or block for block in blocks))
+
+    monkeypatch.setattr(cli_mod, "level_blocks", one_block_then_death)
+    monkeypatch.setattr(cli_mod, "gap_table", gap_table)
+    doc = _load("e1_equality_2x2.json")
+    doc["grid"] = {"nt": 41, "nx": 33}
+    path, out = _stage(tmp_path, doc)
+    with pytest.raises(ChildProcessError, match="^the max-min child process exited with code 3$"):
+        main(["solve", str(path)])
+    assert len(read) == 1
+    assert list(out.iterdir()) == []
+    assert multiprocessing.active_children() == []
+
+
+def test_solve_both_driver_that_fails_at_the_first_time_level_exits_1(tmp_path, capsys):
+    # level data is evaluated a block at a time from the last level down, so
+    # t = 0 is reached only at the last block; the error is min-max's, as
+    # solving it here raises it
+    doc = _load("e1_equality_2x2.json")
+    doc["grid"] = {"nt": 41, "nx": 33}
+    doc["drivers"]["1,2"] = "0.3*sin(x) - 0.01/t"
+    path, out = _stage(tmp_path, doc)
+    config = load_config(str(path))
+    grid = build_grid(config.spec, config.nt, config.nx)
+    with pytest.raises(ExpressionDomainError) as caught:
+        solve_minmax(config.spec, grid, config.schedule)
+    assert main(["solve", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {caught.value}\n"
+    assert list(out.iterdir()) == []
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("outcome", ["succeeds", "does_not_converge", "raises"])
-def test_solve_both_releases_its_shared_mapping(tmp_path, monkeypatch, outcome):
-    made = _mmaps_made(monkeypatch)
+def test_solve_both_leaves_no_child_or_pipe_behind(tmp_path, monkeypatch, outcome):
     if outcome == "does_not_converge":
         monkeypatch.setattr("switchgame.solver.FIXED_POINT_CAP", 1)
     elif outcome == "raises":
         monkeypatch.setattr("switchgame.cli.solve_minmax", _raise(ValueError("array must be finite")))
     path, _ = _small_e1(tmp_path)
-    if outcome == "raises":
-        with pytest.raises(ValueError, match="array must be finite"):
-            main(["solve", str(path)])
-    else:
-        assert main(["solve", str(path)]) == (0 if outcome == "succeeds" else 1)
-    assert len(made) == 1 and made[0].closed
+    with _no_collection():
+        before = set(os.listdir("/proc/self/fd"))
+        if outcome == "raises":
+            with pytest.raises(ValueError, match="array must be finite"):
+                main(["solve", str(path)])
+        else:
+            assert main(["solve", str(path)]) == (0 if outcome == "succeeds" else 1)
+        assert set(os.listdir("/proc/self/fd")) == before
     assert multiprocessing.active_children() == []
 
 

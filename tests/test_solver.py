@@ -796,9 +796,10 @@ def test_minmax_on_e1_holds_little_beyond_its_passes_and_drivers():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the five passes and the drivers f, and one field's worth for the
-    # level kernel's and the report's temporaries; whole-lattice costs,
-    # per-level weights and whole-field report temporaries need five more
+    # five passes whole, and one field's worth for the level kernel's and
+    # the report's temporaries and a block of level data, with a field to
+    # spare; whole-lattice costs, per-level weights and whole-field report
+    # temporaries need five more
     assert peak <= (5 + 1 + 1) * field_bytes
 
 
@@ -811,21 +812,34 @@ def test_minmax_on_e1_holds_only_its_last_pass_whole():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the last pass, the drivers f and one field's worth for the level
-    # kernel's temporaries: the passes before the last keep one level each
-    assert peak <= 3 * field_bytes
+    # the last pass and one field's worth for the level kernel's temporaries
+    # and a block of level data: the passes before the last keep one level
+    # each, and no level data is held for the whole lattice
+    assert peak <= 2 * field_bytes
 
 
 def test_e1_level_cache_stores_constant_data_once_and_read_only():
     config, grid = _e1_grid()
     cache = solver._LevelCache(config.spec, grid)
-    for costs in (cache.g1, cache.g2):  # constant costs
-        assert costs.shape == (2, 2, grid.nt, grid.nx) and costs.strides[2:] == (0, 0)
-    for weights in (cache.lower, cache.center, cache.upper):  # drift and volatility free of t
-        assert weights.shape == (grid.nt, grid.nx) and weights.strides[0] == 0
-    for data in (cache.f, cache.g1, cache.g2, cache.lower, cache.center, cache.upper):
+    block = cache.levels(32, 64)
+    rows = solver.LEVEL_BLOCK
+    assert block.f.shape == (2, 2, rows, grid.nx)
+    for costs in (block.g1, block.g2):  # constant costs
+        assert costs.shape == (2, 2, rows, grid.nx) and costs.strides[2:] == (0, 0)
+    for weights in (block.lower, block.center, block.upper):  # drift and volatility free of t
+        assert weights.shape == (rows, grid.nx) and weights.strides[0] == 0
+    for data in block:
         with pytest.raises(ValueError, match="read-only"):
             data[0, ...] = 0.0
+
+
+def test_level_cache_makes_the_block_that_ends_with_the_levels_it_lacks():
+    config, grid = _e1_grid()
+    cache = solver._LevelCache(config.spec, grid)
+    for lo, hi, held in ((99, 101, (69, 101)), (94, 97, (69, 101)), (60, 65, (33, 65)),
+                         (0, 40, (0, 40)), (3, 4, (0, 40)), (140, 151, (119, 151))):
+        data = cache.levels(lo, hi)
+        assert cache._held[:2] == held and data.f.shape[2] == hi - lo
 
 
 def _whole_lattice_cost_array(table, modes, ctx):
@@ -839,6 +853,21 @@ def _whole_lattice_cost_array(table, modes, ctx):
     return out
 
 
+def _whole_lattice_level_data(spec, grid):
+    """The level data of every time level, each expression evaluated once
+    over the whole lattice and each level's weights by its own
+    discretize_generator: the reference of the cache's blocks."""
+    lattice = EvalContext(grid.times[:, np.newaxis], grid.xs)
+    n1, n2 = len(spec.modes.modes1), len(spec.modes.modes2)
+    drivers = np.stack([np.broadcast_to(evaluate(spec.drivers.f[p], lattice), (grid.nt, grid.nx))
+                        for p in spec.modes.pairs]).reshape(n1, n2, grid.nt, grid.nx)
+    stencils = [grid_module.discretize_generator(spec, grid, t) for t in grid.times]
+    return solver._LevelData(
+        drivers, _whole_lattice_cost_array(spec.costs.costs1, spec.modes.modes1, lattice),
+        _whole_lattice_cost_array(spec.costs.costs2, spec.modes.modes2, lattice),
+        *(np.stack([getattr(s, name) for s in stencils]) for name in ("lower", "center", "upper")))
+
+
 def test_level_cache_in_t_and_x_equals_per_level_and_whole_lattice_data():
     spec = build_spec(modes1=(1, 2, 3), costs1={(1, 2): "0.1 + 0.05*t", (1, 3): "0.2",
                                                 (2, 1): "0.1 + 0.01*x^2", (2, 3): "0.2*(1 + t*x^2)",
@@ -848,23 +877,72 @@ def test_level_cache_in_t_and_x_equals_per_level_and_whole_lattice_data():
                       drift="0.1*t - 0.2*x", volatility="0.3 + 0.1*x^2", domain=(-2.0, 2.0))
     grid = build_grid(spec, 13, 11)
     cache = solver._LevelCache(spec, grid)
-    lattice = EvalContext(grid.times[:, np.newaxis], grid.xs)
-    stencils = [grid_module.discretize_generator(spec, grid, t) for t in grid.times]
-    for name in ("lower", "center", "upper"):
-        expected = np.stack([getattr(s, name) for s in stencils])
-        assert getattr(cache, name).tobytes() == expected.tobytes()
-    for data, table, modes in ((cache.g1, spec.costs.costs1, spec.modes.modes1),
-                               (cache.g2, spec.costs.costs2, spec.modes.modes2)):
-        assert data.tobytes() == _whole_lattice_cost_array(table, modes, lattice).tobytes()
-    assert cache.g2.strides[2] == 0  # player 2's costs are free of t
-    drivers = np.stack([evaluate(spec.drivers.f[p], lattice) for p in spec.modes.pairs])
-    assert cache.f.tobytes() == drivers.tobytes()
+    data = cache.levels(0, grid.nt)
+    for got, expected in zip(data, _whole_lattice_level_data(spec, grid)):
+        assert got.tobytes() == expected.tobytes()
+    assert data.g2.strides[2] == 0  # player 2's costs are free of t
+
+
+@pytest.mark.parametrize("nt", [13, 32, 33, 70])
+def test_block_wise_level_data_is_the_whole_lattice_data(monkeypatch, nt):
+    # numpy's elementwise functions give the same bits on a block's column
+    # of t as on the whole one: every level a backward pass reads, through
+    # the wavefront and through the clamp pass, is the whole-lattice data,
+    # and a pass evaluates its levels a block at a time, in descending order
+    spec = build_spec(costs1={(1, 2): "0.1 + 0.05*sin(3*t)*exp(-x^2)", (2, 1): "0.08 + 0.02*cos(t)"},
+                      costs2={(1, 2): "0.06 + 0.01*exp(t)*cos(x)", (2, 1): "0.05"},
+                      drivers={(i, j): f"{i}*sin(2*t + x)*exp(-t) + {j}*cos(3*t)*sin(x)"
+                               for i in (1, 2) for j in (1, 2)},
+                      terminals={(i, j): f"{i - j}*0.1*cos(x)" for i in (1, 2) for j in (1, 2)},
+                      drift="0.2*sin(5*t) - 0.1*x", volatility="0.3 + 0.1*exp(-t)*cos(x)^2",
+                      domain=(-2.0, 2.0))
+    grid = build_grid(spec, nt, 9)
+    reference = _whole_lattice_level_data(spec, grid)
+    read, evaluated = [], []
+    levels, evaluate_levels = solver._LevelCache.levels, solver._LevelCache._evaluate
+
+    def recorded_levels(cache, lo, hi):
+        data = levels(cache, lo, hi)
+        read.append((lo, hi, data))
+        return data
+
+    def recorded_evaluate(cache, lo, hi):
+        evaluated.append((lo, hi))
+        return evaluate_levels(cache, lo, hi)
+
+    def blocks_of_a_pass(top, overlap):
+        # a block of LEVEL_BLOCK levels, then the block that ends where the
+        # pass's windows of overlap + 1 levels leave it
+        blocks, end = [], top + 1
+        while not blocks or blocks[-1][0]:
+            blocks.append((max(end - solver.LEVEL_BLOCK, 0), end))
+            end = blocks[-1][0] + overlap
+        return blocks
+
+    monkeypatch.setattr(solver._LevelCache, "levels", recorded_levels)
+    monkeypatch.setattr(solver._LevelCache, "_evaluate", recorded_evaluate)
+    # the wavefront reads the terminal level's costs, the clamp passes do
+    # not; the second clamp pass starts from the first's last block when
+    # that holds every level
+    clamp = blocks_of_a_pass(nt - 2, 0)
+    for solve, blocks in ((lambda: solve_minmax(spec, grid, SCHED),
+                           blocks_of_a_pass(nt - 1, len(SCHED.levels) - 1)),
+                          (lambda: solve_single_obstacle(spec, grid),
+                           clamp + (clamp if len(clamp) > 1 else []))):
+        read.clear()
+        evaluated.clear()
+        solve()
+        assert evaluated == blocks
+        assert {k for lo, hi, _ in read for k in range(lo, hi)} == set(range(blocks[0][1]))
+        for lo, hi, data in read:
+            for got, expected in zip(data, reference):
+                assert got.tobytes() == expected[..., lo:hi, :].tobytes()
 
 
 def _whole_field_statistics(spec, grid, passes, direction):
     """The report's sup_deltas, monotonicity_violation and penalty_excess by
     the whole-field formulas, from each pass's field."""
-    cache = solver._LevelCache(spec, grid)
+    g1, g2 = model.cost_arrays(spec, EvalContext(grid.times[:, np.newaxis], grid.xs))
     n1, n2 = len(spec.modes.modes1), len(spec.modes.modes2)
     passes = [f.values.reshape(n1, n2, grid.nt, grid.nx) for f in passes]
     deltas, violation = [], 0.0
@@ -877,9 +955,9 @@ def _whole_field_statistics(spec, grid, passes, direction):
         expected = {}
         for a, b in np.ndindex(n1, n2):
             if direction == "minmax":
-                terms = values[a, b] - values[a] - cache.g2[b]
+                terms = values[a, b] - values[a] - g2[b]
             else:
-                terms = model.floor(values, cache.g1, (a, b), each=True) - values[a, b]
+                terms = model.floor(values, g1, (a, b), each=True) - values[a, b]
             total = np.maximum(terms, 0.0).sum(axis=0)
             expected[f"{spec.modes.modes1[a]},{spec.modes.modes2[b]}"] = max(
                 0.0, m * float(np.max(total)))
