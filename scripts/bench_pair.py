@@ -6,10 +6,10 @@ between a baseline checkout and this one, and write one BENCH file.
         --workload g1-game --pairs 10 --seconds 10
 
 ``--baseline`` is either a directory holding a source checkout or a git
-revision, which is then checked out with ``git worktree add --detach`` into
-a temporary directory and removed afterwards.  Pair i runs the baseline
-first when i is even and this checkout first when it is odd, so a drift of
-the machine over the run does not favour one side.  Each run is a fresh
+revision, whose tree ``git archive`` then extracts into a temporary
+directory that is removed afterwards.  Pair i runs the baseline first when
+i is even and this checkout first when it is odd, so a drift of the machine
+over the run does not favour one side.  Each run is a fresh
 process; a run that exits non-zero, prints no result line or reports
 ``correct: false`` stops the script.  ``--cpus 0`` (a comma-separated list
 of CPU numbers) pins each run and every process it starts to those CPUs.
@@ -41,12 +41,13 @@ side's ``src/switchgame/*.py`` ("src_lines").
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
-import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
@@ -97,20 +98,18 @@ def src_lines(checkout: Path) -> int:
 @contextmanager
 def checkout_of(baseline: str):
     """``baseline`` as a source checkout directory: the directory itself, or
-    a git revision of this repository checked out with ``git worktree add
-    --detach`` into a temporary directory, which is removed on exit."""
+    the tree of a git revision of this repository, which ``git archive``
+    extracts into a temporary directory that is removed on exit.  Nothing is
+    registered with git, so a killed run leaves no worktree behind."""
     if Path(baseline).is_dir():
         yield Path(baseline).resolve()
         return
-    worktree = Path(tempfile.mkdtemp(prefix="bench-baseline-"))
-    try:
-        subprocess.run(["git", "worktree", "add", "--detach", str(worktree), baseline],
-                       cwd=ROOT, check=True, capture_output=True)
-        yield worktree.resolve()
-    finally:
-        subprocess.run(["git", "worktree", "remove", "--force", str(worktree)], cwd=ROOT,
-                       check=False, capture_output=True)
-        shutil.rmtree(worktree, ignore_errors=True)
+    with tempfile.TemporaryDirectory(prefix="bench-baseline-") as tree:
+        archive = subprocess.run(["git", "archive", baseline], cwd=ROOT, check=True,
+                                 capture_output=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tree, filter="data")
+        yield Path(tree).resolve()
 
 
 def fresh_python_env(pycache: str) -> dict:

@@ -4,14 +4,15 @@ on this one, and compare everything they print and write.
 
     python3 scripts/fingerprint.py --baseline HEAD~1 [--out DIR]
 
-``--baseline`` is a checkout directory or a git revision, handled as
-``scripts/bench_pair.py`` handles it, and each side keeps its bytecode under
-its own fresh ``PYTHONPYCACHEPREFIX``.  Every case of ``MATRIX`` runs
-``python -m switchgame`` in a fresh interpreter on the side's own shipped
-config, edited as the case says, with its output directed to one fixed
-scratch directory, so that the paths a command prints are the same on both
-sides.  A side's fingerprint maps each case to its exit code, stdout, stderr
-and the sha256 of every file it wrote.
+``--baseline`` is a checkout directory or a git revision, whose tree ``git
+archive`` extracts into a temporary directory (``bench_pair.checkout_of``),
+and each side keeps its bytecode under its own fresh
+``PYTHONPYCACHEPREFIX``.  Every case of ``MATRIX`` runs ``python -m
+switchgame`` in a fresh interpreter on the side's own shipped config,
+edited as the case says, with its output directed to one fixed scratch
+directory, so that the paths a command prints are the same on both sides.
+A side's fingerprint maps each case to its exit code, stdout, stderr and
+the sha256 of every file it wrote.
 
 The script exits 0 when the two fingerprints are equal, and 1 at the first
 difference in matrix order, which it names.  ``--out`` writes the fingerprints
@@ -39,6 +40,11 @@ SHIPPED = ("e0_heat", "e1_equality_2x2", "e1_separated_2x2", "e5_oracle_2x2", "g
 # sections, CPUs the command is pinned to or None)
 MATRIX = {
     **{f"validate-{config}": (["validate"], config, {}, None) for config in SHIPPED},
+    # player-2 costs of t and x: cost non-negativity and the triangle fail
+    # with witness values that vary over the sample lattice
+    "validate-fail_triangle-tx": (["validate"], "fail_triangle", {"costs": {"player2": {
+        "1->2": "0.5 + 0.5*x", "2->1": "1 - t*x", "2->3": "1 + 0.2*sin(3*x)", "3->2": "1",
+        "1->3": "2 + t*x", "3->1": "3 - 0.25*x^2"}}}, None),
     "solve-e0": (["solve"], "e0_heat", {}, None),
     "solve-e1": (["solve"], "e1_equality_2x2", {}, None),
     "solve-e1-minmax": (["solve", "--system", "minmax"], "e1_equality_2x2", {}, None),

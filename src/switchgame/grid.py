@@ -143,17 +143,20 @@ class GeneratorStencil:
         return ab
 
 
-def discretize_generator(spec: ProblemSpec, grid: Grid, t: float) -> GeneratorStencil:
+def discretize_generator(spec: ProblemSpec, grid: Grid, t: float | np.ndarray) -> GeneratorStencil:
+    """The generator stencil at time t, or one stencil per row when t is an
+    array of times (a column, such as times[:, np.newaxis])."""
     xs = grid.xs
     dx = grid.dx
     ctx = EvalContext(t, xs)
-    b = np.broadcast_to(np.asarray(evaluate(spec.diffusion.drift, ctx), dtype=float), xs.shape).copy()
-    sig = np.broadcast_to(np.asarray(evaluate(spec.diffusion.volatility, ctx), dtype=float), xs.shape).copy()
+    shape = np.broadcast_shapes(np.shape(t), xs.shape)
+    b, sig = (np.broadcast_to(np.asarray(evaluate(expr, ctx), dtype=float), shape).copy()
+              for expr in (spec.diffusion.drift, spec.diffusion.volatility))
 
     diff = sig * sig / (2.0 * dx * dx)
     # zero-curvature boundary: no second-difference contribution at the ends
-    diff[0] = 0.0
-    diff[-1] = 0.0
+    diff[..., 0] = 0.0
+    diff[..., -1] = 0.0
 
     up_drift = np.maximum(b, 0.0) / dx
     down_drift = np.maximum(-b, 0.0) / dx
@@ -161,8 +164,8 @@ def discretize_generator(spec: ProblemSpec, grid: Grid, t: float) -> GeneratorSt
     upper = diff + up_drift
     lower = diff + down_drift
     # one-sided differences at the ends keep only the inward direction
-    upper[-1] = 0.0
-    lower[0] = 0.0
+    upper[..., -1] = 0.0
+    lower[..., 0] = 0.0
     center = -(lower + upper)
     return GeneratorStencil(lower=lower, center=center, upper=upper)
 

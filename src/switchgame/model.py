@@ -10,9 +10,10 @@ The validators are executable versions of the structural standing
 assumptions: non-negative costs with no cost-free switching loop, terminal
 rewards compatible with the switching obstacles at the horizon, a strict
 triangle inequality for the player-2 costs, and (optionally) separability
-of rewards across the two players.  Checks are sampled at user-supplied
-(t, x) points; exact verification for arbitrary expressions is
-undecidable, so a pass is a statement about the sampled lattice.
+of rewards across the two players.  Each check evaluates every expression
+it needs once, as arrays over one fixed (t, x) lattice (sample_lattice);
+exact verification for arbitrary expressions is undecidable, so a pass is
+a statement about that lattice.
 """
 
 from __future__ import annotations
@@ -180,23 +181,22 @@ class AssumptionReport:
         }
 
 
-def sample_lattice(spec: ProblemSpec) -> list[tuple[float, float]]:
-    """T_SAMPLES times over [0, horizon] by X_SAMPLES states over the
-    domain, the (t, x) points at which the checks below sample a spec."""
+def sample_lattice(spec: ProblemSpec) -> EvalContext:
+    """The (t, x) lattice at which the checks below evaluate a spec:
+    T_SAMPLES times over [0, horizon] as a column by X_SAMPLES states over
+    the domain as a row."""
     lo, hi = spec.domain
     ts = [spec.horizon * k / (T_SAMPLES - 1) for k in range(T_SAMPLES)]
     # the last state can round past hi
     xs = [min(lo + (hi - lo) * k / (X_SAMPLES - 1), hi) for k in range(X_SAMPLES)]
-    return [(t, x) for t in ts for x in xs]
+    return EvalContext(np.array(ts)[:, np.newaxis], np.array(xs))
 
 
-def _require_samples(spec: ProblemSpec, samples):
-    if not samples:
-        raise ValueError("samples must be non-empty")
-    lo, hi = spec.domain
-    for t, x in samples:
-        if not (0.0 <= t <= spec.horizon) or not (lo <= x <= hi):
-            raise ValueError(f"sample ({t}, {x}) outside [0, T] x domain")
+def _hits(lattice: EvalContext, mask: np.ndarray):
+    """The t, x and index of each true entry of a mask indexed (t, x, ...)
+    over the lattice, in row-major order."""
+    for at in map(tuple, np.argwhere(mask).tolist()):
+        yield float(lattice.t[at[0], 0]), float(lattice.x[at[1]]), at
 
 
 # ---------------------------------------------------------------------------
@@ -245,161 +245,132 @@ def enumerate_product_loops(modes: ModeSets, max_len: int | None = None):
     return _simple_loops(modes.pairs, neighbors, max_len)
 
 
-def enumerate_single_loops(modes: tuple[int, ...]):
-    """Yield simple loops within one player's mode set."""
-    return _simple_loops(modes, lambda cur: (m for m in modes if m != cur), len(modes))
-
-
-def loop_signed_sum(spec: ProblemSpec, loop, t: float, x: float) -> float:
-    """Signed cost sum along a product-graph loop: player-1 moves count
-    -costs1, player-2 moves count +costs2."""
-    total = 0.0
-    ctx = EvalContext(t, x)
-    for (i1, j1), (i2, j2) in zip(loop[:-1], loop[1:]):
-        if i1 != i2:
-            total -= float(evaluate(spec.costs.costs1[(i1, i2)], ctx))
-        else:
-            total += float(evaluate(spec.costs.costs2[(j1, j2)], ctx))
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Validators
 # ---------------------------------------------------------------------------
 
 
-def validate_costs(spec: ProblemSpec, samples: list[tuple[float, float]]) -> AssumptionReport:
-    """Check cost non-negativity and the no-free-loop condition at samples.
+def _by_label(costs: np.ndarray, modes: tuple[int, ...]) -> dict:
+    """A cost_array's entries keyed by the transition's mode labels."""
+    return {(i, k): costs[a, b] for a, i in enumerate(modes) for b, k in enumerate(modes)}
+
+
+def validate_costs(spec: ProblemSpec) -> AssumptionReport:
+    """Check cost non-negativity and the no-free-loop condition on the
+    sample lattice.
 
     Produces the cost_nonnegativity and non_free_loop fragments.  The loop
     check covers every simple loop of the product graph up to
-    |modes1|+|modes2| steps: the signed sum of costs along the loop must be
-    nonzero at every sample.  Pure one-player loops must additionally have
-    strictly positive total cost.
+    |modes1|+|modes2| steps: the signed sum of costs along the loop
+    (player-1 moves count -costs1, player-2 moves +costs2) must be nonzero
+    at every sample.  Pure one-player loops must additionally have strictly
+    positive total cost.
     """
-    _require_samples(spec, samples)
+    lattice = sample_lattice(spec)
+    modes = {1: spec.modes.modes1, 2: spec.modes.modes2}
+    costs = {player: _by_label(g, modes[player])
+             for player, g in zip(modes, cost_arrays(spec, lattice))}
     nonneg = CheckResult("cost_nonnegativity")
-    for table, player in ((spec.costs.costs1, 1), (spec.costs.costs2, 2)):
-        for key, expr in sorted(table.items()):
-            for t, x in samples:
-                value = float(evaluate(expr, EvalContext(t, x)))
-                if value < 0:
-                    nonneg.witnesses.append(
-                        {"player": player, "transition": list(key), "t": t, "x": x, "value": value}
-                    )
+    for player, table in costs.items():
+        for key in sorted(table):  # a diagonal's +inf is never negative
+            value = table[key]
+            for t, x, at in _hits(lattice, value < 0):
+                nonneg.witnesses.append({"player": player, "transition": list(key), "t": t,
+                                         "x": x, "value": float(value[at])})
 
     loops = CheckResult("non_free_loop")
     for loop in enumerate_product_loops(spec.modes):
-        for t, x in samples:
-            total = loop_signed_sum(spec, loop, t, x)
-            if abs(total) <= 1e-12:
-                loops.witnesses.append(
-                    {"loop": [list(p) for p in loop], "t": t, "x": x, "sum": total}
-                )
-    for modes, table, player in (
-        (spec.modes.modes1, spec.costs.costs1, 1),
-        (spec.modes.modes2, spec.costs.costs2, 2),
-    ):
-        for loop in enumerate_single_loops(modes):
-            for t, x in samples:
-                ctx = EvalContext(t, x)
-                total = sum(
-                    float(evaluate(table[(a, b)], ctx)) for a, b in zip(loop[:-1], loop[1:])
-                )
-                if total <= 1e-12:
-                    loops.witnesses.append(
-                        {"player": player, "loop": list(loop), "t": t, "x": x, "sum": total}
-                    )
+        total = 0.0
+        for (i1, j1), (i2, j2) in zip(loop[:-1], loop[1:]):
+            total = total - costs[1][i1, i2] if i1 != i2 else total + costs[2][j1, j2]
+        for t, x, at in _hits(lattice, abs(total) <= 1e-12):
+            loops.witnesses.append({"loop": [list(p) for p in loop], "t": t, "x": x,
+                                    "sum": float(total[at])})
+    for player, labels in modes.items():
+        for loop in _simple_loops(labels, lambda cur: (m for m in labels if m != cur),
+                                  len(labels)):
+            total = sum(costs[player][step] for step in zip(loop[:-1], loop[1:]))
+            for t, x, at in _hits(lattice, total <= 1e-12):
+                loops.witnesses.append({"player": player, "loop": list(loop), "t": t, "x": x,
+                                        "sum": float(total[at])})
     return AssumptionReport({nonneg.name: nonneg, loops.name: loops})
 
 
-def validate_consistency(spec: ProblemSpec, x_samples: list[float]) -> AssumptionReport:
+def validate_consistency(spec: ProblemSpec) -> AssumptionReport:
     """Check that terminal rewards are compatible with the obstacles at T:
-    max_k (h^{kj} - costs1_{ik}(T)) <= h^{ij} <= min_l (h^{il} + costs2_{jl}(T))."""
-    if not x_samples:
-        raise ValueError("x_samples must be non-empty")
-    lo, hi = spec.domain
-    for x in x_samples:
-        if not (lo <= x <= hi):
-            raise ValueError(f"sample x={x} outside domain")
-    T = spec.horizon
+    max_k (h^{kj} - costs1_{ik}(T)) <= h^{ij} <= min_l (h^{il} + costs2_{jl}(T))
+    at each distinct state of the sample lattice."""
     modes = spec.modes
+    # not np.unique, whose import of numpy.ma would add to solve's peak memory
+    ctx = EvalContext(spec.horizon, np.array(sorted(set(sample_lattice(spec).x.tolist()))))
+    h = pair_array(spec.terminals.h, modes, ctx)
+    g1, g2 = cost_arrays(spec, ctx)
+    lower, upper = floor(h, g1), ceiling(h, g2)
+    slack = 1e-12 * (1.0 + np.abs(h))
+    outside = (h < lower - slack) | (h > upper + slack)
     result = CheckResult("terminal_consistency")
-    for x in x_samples:
-        ctx = EvalContext(T, x)
-        h = np.array([[float(evaluate(spec.terminals.h[(i, j)], ctx)) for j in modes.modes2]
-                      for i in modes.modes1])
-        g1, g2 = cost_arrays(spec, ctx)
-        lower, upper = floor(h, g1), ceiling(h, g2)
-        for a, b in np.ndindex(h.shape):
-            value = float(h[a, b])
-            slack = 1e-12 * (1.0 + abs(value))
-            if value < lower[a, b] - slack or value > upper[a, b] + slack:
-                result.witnesses.append(
-                    {"pair": [modes.modes1[a], modes.modes2[b]], "x": x,
-                     "lower": float(lower[a, b]), "value": value, "upper": float(upper[a, b])}
-                )
+    for c, a, b in np.argwhere(np.moveaxis(outside, -1, 0)).tolist():
+        result.witnesses.append(
+            {"pair": [modes.modes1[a], modes.modes2[b]], "x": float(ctx.x[c]),
+             "lower": float(lower[a, b, c]), "value": float(h[a, b, c]),
+             "upper": float(upper[a, b, c])}
+        )
     return AssumptionReport({result.name: result})
 
 
-def validate_triangle(spec: ProblemSpec, samples: list[tuple[float, float]]) -> AssumptionReport:
+def validate_triangle(spec: ProblemSpec) -> AssumptionReport:
     """Check the strict triangle inequality for player-2 costs over every
-    triple of distinct player-2 modes.  Vacuously true with fewer than three
-    modes.  Smoothness of the cost surfaces is recorded as assumed, not
-    checked."""
-    _require_samples(spec, samples)
+    triple of distinct player-2 modes on the sample lattice.  Vacuously
+    true with fewer than three modes.  Smoothness of the cost surfaces is
+    recorded as assumed, not checked."""
+    lattice = sample_lattice(spec)
+    modes2 = spec.modes.modes2
+    # a vacuous check evaluates nothing, so it cannot raise
+    costs2 = (_by_label(cost_array(spec.costs.costs2, modes2, lattice), modes2)
+              if len(modes2) >= 3 else {})
     result = CheckResult("strict_triangle")
     result.assumed.append("player-2 cost smoothness (C^{1,2}) is assumed, not machine-checked")
-    costs2 = spec.costs.costs2
-    for j1, j2, j3 in itertools.permutations(spec.modes.modes2, 3):
-        for t, x in samples:
-            ctx = EvalContext(t, x)
-            direct = float(evaluate(costs2[(j1, j3)], ctx))
-            via = float(evaluate(costs2[(j1, j2)], ctx)) + float(evaluate(costs2[(j2, j3)], ctx))
-            if direct >= via - 1e-12:
-                result.witnesses.append({"triple": [j1, j2, j3], "t": t, "x": x,
-                                         "direct": direct, "via": via})
+    for j1, j2, j3 in itertools.permutations(modes2, 3):
+        direct, via = costs2[j1, j3], costs2[j1, j2] + costs2[j2, j3]
+        for t, x, at in _hits(lattice, direct >= via - 1e-12):
+            result.witnesses.append({"triple": [j1, j2, j3], "t": t, "x": x,
+                                     "direct": float(direct[at]), "via": float(via[at])})
     return AssumptionReport({result.name: result})
 
 
-def check_separation(spec: ProblemSpec, samples: list[tuple[float, float]]) -> AssumptionReport:
+def check_separation(spec: ProblemSpec) -> AssumptionReport:
     """Check that rewards split as f^{ij} = f1^i + f2^j and h^{ij} = h1^i + h2^j.
 
     Numerically: f^{ij} - f^{i j0} must not depend on i (and likewise for h)
-    at every sample, within absolute tolerance 1e-12, with j0 the first
-    player-2 mode.  The components are then f1^i = f^{i j0} and
-    f2^j = f^{i0 j} - f^{i0 j0}, with i0 the first player-1 mode, as
+    at every sample of the lattice, within absolute tolerance 1e-12, with
+    j0 the first player-2 mode.  The components are then f1^i = f^{i j0}
+    and f2^j = f^{i0 j} - f^{i0 j0}, with i0 the first player-1 mode, as
     solver.solve_single_obstacle reads them.
     """
-    _require_samples(spec, samples)
-    modes1, modes2 = spec.modes.modes1, spec.modes.modes2
-    j0 = modes2[0]
+    lattice = sample_lattice(spec)
+    spreads = []
+    # the terminals are free of t (TerminalTable): each sample's t gives their value at T
+    for table in (spec.drivers.f, spec.terminals.h):
+        values = pair_array(table, spec.modes, lattice)
+        diffs = values - values[:, :1]
+        spreads.append(diffs.max(axis=0) - diffs.min(axis=0))
+    # indexed (t, x, field, mode2), the witnesses' order
+    spread = np.moveaxis(np.stack(spreads), (0, 1), (2, 3))
     result = CheckResult("separation")
-
-    for t, x in samples:
-        ctx = EvalContext(t, x)
-        fvals = {p: float(evaluate(spec.drivers.f[p], ctx)) for p in spec.modes.pairs}
-        hvals = {p: float(evaluate(spec.terminals.h[p], EvalContext(spec.horizon, x))) for p in spec.modes.pairs}
-        for label, vals in (("driver", fvals), ("terminal", hvals)):
-            for j in modes2:
-                diffs = [vals[(i, j)] - vals[(i, j0)] for i in modes1]
-                spread = max(diffs) - min(diffs)
-                if spread > SEPARATION_TOL:
-                    result.witnesses.append(
-                        {"field": label, "mode2": j, "t": t, "x": x, "spread": spread}
-                    )
-
+    for t, x, at in _hits(lattice, spread > SEPARATION_TOL):
+        result.witnesses.append({"field": ("driver", "terminal")[at[2]],
+                                 "mode2": spec.modes.modes2[at[3]], "t": t, "x": x,
+                                 "spread": float(spread[at])})
     return AssumptionReport({result.name: result})
 
 
-def run_all_checks(spec: ProblemSpec, samples: list[tuple[float, float]]) -> AssumptionReport:
+def run_all_checks(spec: ProblemSpec) -> AssumptionReport:
     """Run every machine-checkable assumption and merge the fragments."""
-    x_samples = sorted({x for _, x in samples})
     return AssumptionReport({
-        **validate_costs(spec, samples).checks,
-        **validate_consistency(spec, x_samples).checks,
-        **validate_triangle(spec, samples).checks,
-        **check_separation(spec, samples).checks,
+        **validate_costs(spec).checks,
+        **validate_consistency(spec).checks,
+        **validate_triangle(spec).checks,
+        **check_separation(spec).checks,
     })
 
 
@@ -433,6 +404,17 @@ def cost_array(table: Mapping[tuple[int, int], ExpressionTree], modes: tuple[int
     entries = {(a, b): evaluate(table[(i, k)], ctx)
                for a, i in enumerate(modes) for b, k in enumerate(modes) if a != b}
     return broadcast_stack(entries, (n, n), np.broadcast_shapes(np.shape(ctx.t), np.shape(ctx.x)))
+
+
+def pair_array(table: Mapping[tuple[int, int], ExpressionTree], modes: ModeSets,
+               ctx: EvalContext) -> np.ndarray:
+    """A driver or terminal table at ctx as an array: out[a, b] =
+    table[modes1[a], modes2[b]], a read-only broadcast view (broadcast_stack)
+    of the broadcast shape of ctx.t and ctx.x."""
+    lead = (len(modes.modes1), len(modes.modes2))
+    entries = {index: evaluate(table[pair], ctx)
+               for index, pair in zip(np.ndindex(lead), modes.pairs)}
+    return broadcast_stack(entries, lead, np.broadcast_shapes(np.shape(ctx.t), np.shape(ctx.x)))
 
 
 def cost_arrays(spec: ProblemSpec, ctx: EvalContext) -> tuple[np.ndarray, np.ndarray]:

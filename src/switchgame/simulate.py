@@ -43,7 +43,6 @@ class PathBundle:
     # which simulate_paths drew the normals before overwriting them
     states: np.ndarray
     times: np.ndarray   # (n_steps + 1,)
-    params: SimParams
     clamp_events: int = 0
 
     @property
@@ -134,4 +133,4 @@ def simulate_paths(spec: ProblemSpec, params: SimParams, paths: range | None = N
         clipped = np.clip(nxt, box_lo, box_hi, out=rows[k + 1])
         clamp_events += int(np.sum(clipped != nxt))
 
-    return PathBundle(states=rows.T, times=times, params=params, clamp_events=clamp_events)
+    return PathBundle(states=rows.T, times=times, clamp_events=clamp_events)

@@ -67,11 +67,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConvergenceError, PreconditionError, SwitchgameError
-from .expressions import EvalContext, evaluate, free_variables
+# evaluate is unused here (the level data evaluates through model.pair_array),
+# but perfbench/spans.py rebinds solver.evaluate and needs it to exist
+from .expressions import EvalContext, evaluate, free_variables  # noqa: F401
 from .grid import (CellLookup, GeneratorStencil, Grid, discretize_generator,  # noqa: F401
                    solve_banded, solve_rows)
-from .model import (ProblemSpec, broadcast_stack, ceiling, check_separation, clamp_sweep,
-                    cost_arrays, floor, sample_lattice)
+from .model import (ProblemSpec, ceiling, check_separation, clamp_sweep, cost_arrays, floor,
+                    pair_array)
 
 _ACTIVE_SET_CAP = 64
 FIXED_POINT_CAP = 500  # Gauss-Seidel sweeps over the pairs of one time level
@@ -252,10 +254,7 @@ class _LevelCache:
         self.spec, self.grid = spec, grid
         self.modes1 = spec.modes.modes1
         self.modes2 = spec.modes.modes2
-        n1, n2 = len(self.modes1), len(self.modes2)
-        self.terminal = np.empty((n1, n2, grid.nx))
-        for (a, b), pair in zip(np.ndindex(n1, n2), spec.modes.pairs):
-            self.terminal[a, b] = evaluate(spec.terminals.h[pair], EvalContext(spec.horizon, grid.xs))
+        self.terminal = pair_array(spec.terminals.h, spec.modes, EvalContext(spec.horizon, grid.xs))
         free = free_variables(spec.diffusion.drift) | free_variables(spec.diffusion.volatility)
         self._weights = None if "t" in free else self._weights_at(grid.times[:1])
         self._held = (0, 0, None)  # the held block's first level, its end and its data
@@ -263,11 +262,8 @@ class _LevelCache:
     def _weights_at(self, times: np.ndarray) -> np.ndarray:
         """The generator weights lower, center, upper at each of ``times``,
         stacked (3, t, x)."""
-        weights = np.empty((3, len(times), self.grid.nx))
-        for k, t in enumerate(times):
-            s = discretize_generator(self.spec, self.grid, t)
-            weights[:, k] = s.lower, s.center, s.upper
-        return weights
+        s = discretize_generator(self.spec, self.grid, times[:, np.newaxis])
+        return np.stack((s.lower, s.center, s.upper))
 
     def _evaluate(self, lo: int, hi: int) -> _LevelData:
         """The level data of the time levels [lo, hi), each expression
@@ -276,11 +272,8 @@ class _LevelCache:
         times = grid.times[lo:hi]
         shape = (len(times), grid.nx)
         ctx = EvalContext(times[:, np.newaxis], grid.xs)
-        n1, n2 = len(self.modes1), len(self.modes2)
-        drivers = {index: evaluate(spec.drivers.f[pair], ctx)
-                   for index, pair in zip(np.ndindex(n1, n2), spec.modes.pairs)}
         weights = self._weights_at(times) if self._weights is None else self._weights
-        return _LevelData(broadcast_stack(drivers, (n1, n2), shape), *cost_arrays(spec, ctx),
+        return _LevelData(pair_array(spec.drivers.f, spec.modes, ctx), *cost_arrays(spec, ctx),
                           *np.broadcast_to(weights, (3,) + shape))
 
     def levels(self, lo: int, hi: int) -> _LevelData:
@@ -643,7 +636,7 @@ def solve_single_obstacle(spec: ProblemSpec, grid: Grid) -> tuple[ValueField, Va
     Both come from one level cache.  Requires separated rewards; raises
     PreconditionError otherwise.
     """
-    report = check_separation(spec, sample_lattice(spec))
+    report = check_separation(spec)
     if not report.all_passed():
         raise PreconditionError(
             "rewards are not separated across players",

@@ -199,12 +199,12 @@ def _tiny_game_doc(key, value):
 
 @pytest.mark.parametrize("command", ["validate", "solve", "game"])
 def test_terminal_that_overflows_exits_1_without_traceback(tmp_path, capsys, command):
-    # the terminals' x^2 overflows a float at x = 1e200
+    # the terminals' x^2 overflows a float at x = 1e200; the checks evaluate
+    # over the sample lattice at once, so the error names the offset of the
+    # whole expression's root, its "+", not that of the "^"
     path, _ = _stage(tmp_path, _tiny_game_doc("domain", {"min": -1e200, "max": 1e200}))
     assert main([command, str(path)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: non-finite result at offset ")
-    assert "Traceback" not in err
+    assert capsys.readouterr().err == "error: non-finite result at offset 9\n"
 
 
 @pytest.mark.parametrize("command", ["solve", "game"])

@@ -6,17 +6,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from switchgame.errors import SpecificationError
-from switchgame.expressions import EvalContext
+from switchgame.expressions import EvalContext, evaluate
 from switchgame.expressions import parse_expression as pe
 from switchgame.model import (
+    SEPARATION_TOL,
+    AssumptionReport,
+    CheckResult,
     ModeSets,
     SwitchCostTable,
+    _simple_loops,
     ceiling,
     check_separation,
     cost_array,
     enumerate_product_loops,
     floor,
-    loop_signed_sum,
+    run_all_checks,
     sample_lattice,
     validate_consistency,
     validate_costs,
@@ -25,7 +29,18 @@ from switchgame.model import (
 
 from helpers import build_spec, uniform_costs
 
-SAMPLES = [(0.0, 0.0), (0.5, -0.5), (1.0, 0.75)]
+
+def loop_signed_sum(spec, loop, t: float, x: float) -> float:
+    """Signed cost sum along a product-graph loop at one point: player-1
+    moves count -costs1, player-2 moves count +costs2."""
+    total = 0.0
+    ctx = EvalContext(t, x)
+    for (i1, j1), (i2, j2) in zip(loop[:-1], loop[1:]):
+        if i1 != i2:
+            total -= float(evaluate(spec.costs.costs1[(i1, i2)], ctx))
+        else:
+            total += float(evaluate(spec.costs.costs2[(j1, j2)], ctx))
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -36,7 +51,7 @@ SAMPLES = [(0.0, 0.0), (0.5, -0.5), (1.0, 0.75)]
 def test_mixed_loop_costs_pass():
     costs1, costs2 = uniform_costs((1, 2), (1, 2), 1.0, 2.0)
     spec = build_spec(costs1=costs1, costs2=costs2)
-    report = validate_costs(spec, SAMPLES)
+    report = validate_costs(spec)
     assert report.checks["cost_nonnegativity"].passed
     assert report.checks["non_free_loop"].passed
     # the four-step mixed loop sums to -1+2-1+2 = 2 at every sample
@@ -47,7 +62,7 @@ def test_mixed_loop_costs_pass():
 def test_equal_costs_create_free_loop():
     costs1, costs2 = uniform_costs((1, 2), (1, 2), 1.0, 1.0)
     spec = build_spec(costs1=costs1, costs2=costs2)
-    report = validate_costs(spec, SAMPLES)
+    report = validate_costs(spec)
     assert not report.checks["non_free_loop"].passed
     witness = report.checks["non_free_loop"].witnesses[0]
     assert len(witness["loop"]) == 5  # the 4-step mixed loop, closed
@@ -57,7 +72,7 @@ def test_negative_cost_rejected():
     costs1, costs2 = uniform_costs((1, 2), (1, 2), 1.0, 2.0)
     costs1[(1, 2)] = -0.5
     spec = build_spec(costs1=costs1, costs2=costs2)
-    report = validate_costs(spec, SAMPLES)
+    report = validate_costs(spec)
     assert not report.checks["cost_nonnegativity"].passed
     assert report.checks["cost_nonnegativity"].witnesses
 
@@ -65,18 +80,9 @@ def test_negative_cost_rejected():
 def test_zero_second_player_costs_fail_pure_loop():
     costs1, costs2 = uniform_costs((1, 2), (1, 2), 1.0, 0.0)
     spec = build_spec(costs1=costs1, costs2=costs2)
-    report = validate_costs(spec, SAMPLES)
+    report = validate_costs(spec)
     assert not report.checks["non_free_loop"].passed
     assert report.checks["cost_nonnegativity"].passed
-
-
-def test_empty_samples_rejected():
-    costs1, costs2 = uniform_costs((1, 2), (1, 2), 1.0, 2.0)
-    spec = build_spec(costs1=costs1, costs2=costs2)
-    with pytest.raises(ValueError):
-        validate_costs(spec, [])
-    with pytest.raises(ValueError):
-        validate_costs(spec, [(0.0, 99.0)])
 
 
 def _naive_loops(modes: ModeSets, max_len):
@@ -115,7 +121,7 @@ def test_constant_cost_verdict_matches_naive_oracle():
     for c1, c2 in ((0.3, 0.5), (0.25, 0.25), (1.0, 2.0)):
         costs1, costs2 = uniform_costs((1, 2, 3), (1, 2), c1, c2)
         spec = build_spec(modes1=(1, 2, 3), modes2=(1, 2), costs1=costs1, costs2=costs2)
-        report = validate_costs(spec, [(0.0, 0.0)])
+        report = validate_costs(spec)
         naive_ok = all(
             abs(loop_signed_sum(spec, list(loop), 0.0, 0.0)) > 1e-12
             for loop in _naive_loops(spec.modes, 5)
@@ -132,7 +138,7 @@ def test_constant_cost_verdict_matches_naive_oracle():
 def test_consistency_zero_terminals():
     costs1, costs2 = uniform_costs((1, 2), (1, 2), 1.0, 1.0)
     spec = build_spec(costs1=costs1, costs2=costs2)
-    report = validate_consistency(spec, [0.0, 0.5])
+    report = validate_consistency(spec)
     assert report.checks["terminal_consistency"].passed
 
 
@@ -142,7 +148,7 @@ def test_consistency_violation_with_witness():
         costs1={(1, 2): 1.0, (2, 1): 1.0}, costs2={},
         terminals={(1, 1): "5", (2, 1): "1"},
     )
-    report = validate_consistency(spec, [0.0])
+    report = validate_consistency(spec)
     check = report.checks["terminal_consistency"]
     assert not check.passed
     assert any(w["pair"] == [2, 1] for w in check.witnesses)
@@ -152,7 +158,7 @@ def test_consistency_identical_terminals():
     costs1, costs2 = uniform_costs((1, 2), (1, 2), 0.5, 0.5)
     spec = build_spec(costs1=costs1, costs2=costs2,
                       terminals={p: "x" for p in ((1, 1), (1, 2), (2, 1), (2, 2))})
-    report = validate_consistency(spec, [-1.0, 0.0, 1.0])
+    report = validate_consistency(spec)
     assert report.checks["terminal_consistency"].passed
 
 
@@ -170,14 +176,14 @@ def _three_mode_spec(c13):
 
 def test_triangle_passes_for_uniform_costs():
     spec = _three_mode_spec(1.0)
-    report = validate_triangle(spec, SAMPLES)
+    report = validate_triangle(spec)
     assert report.checks["strict_triangle"].passed
     assert report.checks["strict_triangle"].assumed  # smoothness recorded as assumed
 
 
 def test_triangle_violation():
     spec = _three_mode_spec(3.0)
-    report = validate_triangle(spec, SAMPLES)
+    report = validate_triangle(spec)
     check = report.checks["strict_triangle"]
     assert not check.passed
     assert any(w["triple"] == [1, 2, 3] for w in check.witnesses)
@@ -186,7 +192,7 @@ def test_triangle_violation():
 def test_triangle_vacuous_for_two_modes():
     costs1, costs2 = uniform_costs((1, 2), (1, 2), 1.0, 2.0)
     spec = build_spec(costs1=costs1, costs2=costs2)
-    report = validate_triangle(spec, SAMPLES)
+    report = validate_triangle(spec)
     assert report.checks["strict_triangle"].passed
 
 
@@ -195,15 +201,11 @@ def test_triangle_vacuous_for_two_modes():
 # ---------------------------------------------------------------------------
 
 
-def _lattice(n=10):
-    return [(t, x) for t in np.linspace(0, 1, n) for x in np.linspace(-1, 1, n)]
-
-
 def test_separation_additive_rewards():
     costs1, costs2 = uniform_costs((1, 2), (1, 2), 1.0, 2.0)
     drivers = {(i, j): f"{i}*x + {j}*t" for i in (1, 2) for j in (1, 2)}
     spec = build_spec(costs1=costs1, costs2=costs2, drivers=drivers)
-    report = check_separation(spec, _lattice())
+    report = check_separation(spec)
     assert report.checks["separation"].passed
 
 
@@ -211,7 +213,7 @@ def test_separation_rejects_cross_term():
     costs1, costs2 = uniform_costs((1, 2), (1, 2), 1.0, 2.0)
     drivers = {(i, j): f"{i}*{j}*x" for i in (1, 2) for j in (1, 2)}
     spec = build_spec(costs1=costs1, costs2=costs2, drivers=drivers)
-    report = check_separation(spec, _lattice())
+    report = check_separation(spec)
     assert not report.checks["separation"].passed
 
 
@@ -219,23 +221,24 @@ def test_separation_identical_drivers():
     costs1, costs2 = uniform_costs((1, 2), (1, 2), 1.0, 2.0)
     drivers = {p: "sin(x)*t" for p in ((1, 1), (1, 2), (2, 1), (2, 2))}
     spec = build_spec(costs1=costs1, costs2=costs2, drivers=drivers)
-    report = check_separation(spec, _lattice())
+    report = check_separation(spec)
     assert report.checks["separation"].passed
 
 
 @given(lo=st.floats(-1e3, 1e3), width=st.floats(1e-3, 1e3), horizon=st.floats(1e-3, 1e3))
 @settings(max_examples=60, deadline=None)
 def test_sample_lattice_stays_in_the_domain(lo, width, horizon):
-    # lo + (hi - lo) * 20 / 20 can round past hi, as on [-0.1, 0.3], and
-    # every check that samples the lattice rejects a point outside it
+    # lo + (hi - lo) * 20 / 20 can round past hi, as on [-0.1, 0.3]
     costs1, costs2 = uniform_costs((1, 2), (1, 2), 1.0, 2.0)
     for domain in ((lo, lo + width), (-0.1, 0.3)):
         spec = build_spec(costs1=costs1, costs2=costs2, domain=domain, horizon=horizon)
-        samples = sample_lattice(spec)
-        assert len(samples) == 5 * 21 and samples[0] == (0.0, domain[0])
-        assert all(0.0 <= t <= horizon and domain[0] <= x <= domain[1] for t, x in samples)
-        assert check_separation(spec, samples).all_passed()
-        assert validate_costs(spec, samples).all_passed()
+        lattice = sample_lattice(spec)
+        assert lattice.t.shape == (5, 1) and lattice.x.shape == (21,)
+        assert lattice.t[0, 0] == 0.0 and lattice.x[0] == domain[0]
+        assert np.all((0.0 <= lattice.t) & (lattice.t <= horizon))
+        assert np.all((domain[0] <= lattice.x) & (lattice.x <= domain[1]))
+        assert check_separation(spec).all_passed()
+        assert validate_costs(spec).all_passed()
 
 
 @pytest.mark.parametrize("eps", [1e-6, 1e-3, 1.0])
@@ -243,8 +246,115 @@ def test_separation_detects_small_coupling(eps):
     costs1, costs2 = uniform_costs((1, 2), (1, 2), 1.0, 2.0)
     drivers = {(i, j): f"{i}*x + {j}*t + {eps}*{i}*{j}" for i in (1, 2) for j in (1, 2)}
     spec = build_spec(costs1=costs1, costs2=costs2, drivers=drivers)
-    report = check_separation(spec, _lattice())
+    report = check_separation(spec)
     assert not report.checks["separation"].passed
+
+
+# ---------------------------------------------------------------------------
+# Every validator against a per-point reference
+# ---------------------------------------------------------------------------
+
+# expressions of t and x that are finite on every lattice; drawing each entry
+# from a short list makes equal costs, and with them free loops, likely
+_TX = ("0", "0.5", "1", "x", "t*x", "abs(x) - 0.2", "0.3 + 0.1*cos(3*x)", "t^2 - 0.1",
+       "sqrt(1 + x^2)", "exp(-t) - 0.5", "1/(2 + sin(x))", "max(x, t) - 0.5", "min(x, 0)")
+_X = ("0", "0.2", "x", "-x", "0.1*x^2", "sin(x)", "abs(x)")
+
+
+@st.composite
+def _specs(draw):
+    labels = st.lists(st.integers(1, 6), min_size=1, max_size=3, unique=True)
+    modes1, modes2 = draw(labels), draw(labels)
+    pairs = [(i, j) for i in modes1 for j in modes2]
+    lo = draw(st.floats(-2.0, 1.0))
+    return build_spec(
+        modes1=modes1, modes2=modes2,
+        costs1={(a, b): draw(st.sampled_from(_TX)) for a in modes1 for b in modes1 if a != b},
+        costs2={(a, b): draw(st.sampled_from(_TX)) for a in modes2 for b in modes2 if a != b},
+        drivers={p: draw(st.sampled_from(_TX)) for p in pairs},
+        terminals={p: draw(st.sampled_from(_X)) for p in pairs},
+        horizon=draw(st.sampled_from((0.3, 1.0, 2.5))),
+        domain=(lo, lo + draw(st.floats(0.5, 3.0))),
+    )
+
+
+def _at(expr, t: float, x: float) -> float:
+    return float(evaluate(expr, EvalContext(t, x)))
+
+
+def _reference_checks(spec) -> dict:
+    """Every check, evaluating each expression at one lattice point at a time."""
+    lo, hi = spec.domain
+    ts = [spec.horizon * k / 4 for k in range(5)]
+    xs = [min(lo + (hi - lo) * k / 20, hi) for k in range(21)]
+    points = [(t, x) for t in ts for x in xs]
+    modes1, modes2, T = spec.modes.modes1, spec.modes.modes2, spec.horizon
+    costs = {1: spec.costs.costs1, 2: spec.costs.costs2}
+    names = ("cost_nonnegativity", "non_free_loop", "terminal_consistency", "strict_triangle",
+             "separation")
+    out = {name: CheckResult(name) for name in names}
+    out["strict_triangle"].assumed.append(
+        "player-2 cost smoothness (C^{1,2}) is assumed, not machine-checked")
+    for player, table in costs.items():
+        for key in sorted(table):
+            for t, x in points:
+                if (value := _at(table[key], t, x)) < 0:
+                    out["cost_nonnegativity"].witnesses.append(
+                        {"player": player, "transition": list(key), "t": t, "x": x, "value": value})
+    for loop in enumerate_product_loops(spec.modes):
+        for t, x in points:
+            if abs(total := loop_signed_sum(spec, loop, t, x)) <= 1e-12:
+                out["non_free_loop"].witnesses.append(
+                    {"loop": [list(p) for p in loop], "t": t, "x": x, "sum": total})
+    for player, modes in ((1, modes1), (2, modes2)):
+        for loop in _simple_loops(modes, lambda cur: (m for m in modes if m != cur), len(modes)):
+            for t, x in points:
+                total = sum(_at(costs[player][step], t, x) for step in zip(loop[:-1], loop[1:]))
+                if total <= 1e-12:
+                    out["non_free_loop"].witnesses.append(
+                        {"player": player, "loop": list(loop), "t": t, "x": x, "sum": total})
+    for x in sorted(set(xs)):
+        h = {p: _at(spec.terminals.h[p], T, x) for p in spec.modes.pairs}
+        for i, j in spec.modes.pairs:
+            lower = max((h[k, j] - _at(costs[1][i, k], T, x) for k in modes1 if k != i),
+                        default=-math.inf)
+            upper = min((h[i, l] + _at(costs[2][j, l], T, x) for l in modes2 if l != j),
+                        default=math.inf)
+            slack = 1e-12 * (1.0 + abs(h[i, j]))
+            if h[i, j] < lower - slack or h[i, j] > upper + slack:
+                out["terminal_consistency"].witnesses.append(
+                    {"pair": [i, j], "x": x, "lower": lower, "value": h[i, j], "upper": upper})
+    for j1, j2, j3 in itertools.permutations(modes2, 3):
+        for t, x in points:
+            direct = _at(costs[2][j1, j3], t, x)
+            via = _at(costs[2][j1, j2], t, x) + _at(costs[2][j2, j3], t, x)
+            if direct >= via - 1e-12:
+                out["strict_triangle"].witnesses.append(
+                    {"triple": [j1, j2, j3], "t": t, "x": x, "direct": direct, "via": via})
+    for t, x in points:
+        for field, table, at_t in (("driver", spec.drivers.f, t),
+                                   ("terminal", spec.terminals.h, T)):
+            for j in modes2:
+                diffs = [_at(table[i, j], at_t, x) - _at(table[i, modes2[0]], at_t, x)
+                         for i in modes1]
+                if (spread := max(diffs) - min(diffs)) > SEPARATION_TOL:
+                    out["separation"].witnesses.append(
+                        {"field": field, "mode2": j, "t": t, "x": x, "spread": spread})
+    return out
+
+
+@given(spec=_specs())
+@settings(max_examples=40, deadline=None)
+def test_validators_match_a_per_point_reference(spec):
+    # costs, drivers and terminals that vary over the lattice, with unsorted
+    # mode labels: the witnesses, their order and their values are the
+    # reference's
+    expected = _reference_checks(spec)
+    for validate in (validate_costs, validate_consistency, validate_triangle, check_separation,
+                     run_all_checks):
+        report = validate(spec)
+        assert report.to_dict() == AssumptionReport(
+            {name: expected[name] for name in report.checks}).to_dict()
 
 
 # ---------------------------------------------------------------------------

@@ -133,6 +133,22 @@ def test_bench_pair_gives_each_side_its_own_fresh_bytecode_cache(tmp_path, monke
     assert prefixes[0] != prefixes[1]
 
 
+def _worktrees() -> str:
+    return subprocess.run(["git", "worktree", "list", "--porcelain"], cwd=ROOT, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_checkout_of_a_revision_registers_no_worktree():
+    bench_pair = _bench_pair()
+    before = _worktrees()
+    with bench_pair.checkout_of("HEAD") as tree:
+        assert (tree / "src" / "switchgame" / "cli.py").is_file()
+        assert (tree / "perfbench" / "run.py").is_file()
+        assert _worktrees() == before
+    assert _worktrees() == before
+    assert not tree.exists()
+
+
 # a reduced fingerprint matrix: a report, the value CSVs of both schemes and an exit-2 error
 _REDUCED = ("validate-e0_heat", "solve-e0", "game-fail_triangle")
 
