@@ -56,6 +56,9 @@ MATRIX = {
     "game-g1": (["game"], "g1_game_2x2", {}, None),
     "game-g1-seed7": (["game"], "g1_game_2x2", {"simulation": {"seed": 7}}, None),
     "game-g1-one-cpu": (["game"], "g1_game_2x2", {}, [0]),
+    # halves of 26,000 and 26,001 paths, neither a multiple of cli.PLAY_BLOCK
+    "game-g1-52001": (["game"], "g1_game_2x2", {"simulation": {"paths": 52001}}, None),
+    "game-g1-52001-one-cpu": (["game"], "g1_game_2x2", {"simulation": {"paths": 52001}}, [0]),
     "solve-fail_consistency": (["solve"], "fail_consistency", {}, None),
     "solve-fail_zero_cost_loop": (["solve"], "fail_zero_cost_loop", {}, None),
     "game-fail_nonseparated": (["game"], "fail_nonseparated", {}, None),

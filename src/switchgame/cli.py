@@ -262,28 +262,19 @@ def _play_blocks(play, paths: range) -> list:
 
 
 def _play_halves(play, n_paths: int) -> list:
-    """``play(range(n_paths))``, as ``play`` on blocks (``_play_blocks``)
-    joined in path order.  When this process may run on two CPUs, a forked
-    child plays the upper half's blocks while this process plays the lower
-    half's.  When any block raises, all of them are discarded and
-    ``play(range(n_paths))`` is called here as one unblocked call, so what
-    is raised is what playing all paths in one process raises; a child that
-    dies raises ChildProcessError."""
-    half = n_paths // 2
-    if half == 0 or len(os.sched_getaffinity(0)) < 2:
-        with contextlib.suppress(Exception):
-            return game_mod.join_payoffs(_play_blocks(play, range(n_paths)))
-        return play(range(n_paths))
+    """``play(range(n_paths))``, as ``play`` on the blocks (``_play_blocks``)
+    of the lower half ``[0, n//2)`` and then of the upper half, joined in
+    path order.  When this process may run on two CPUs, a forked child
+    plays the upper half's blocks while this process plays the lower
+    half's.  What is raised is the error of the first block, in path order,
+    that raises; a child that dies raises ChildProcessError."""
+    lower, upper = range(n_paths // 2), range(n_paths // 2, n_paths)
+    if not lower or len(os.sched_getaffinity(0)) < 2:
+        return game_mod.join_payoffs(_play_blocks(play, lower) + _play_blocks(play, upper))
     # the child's half is one message: it would wait on the pipe's buffer
     # after its first block until this process had played its own half
-    with _forked(lambda: [_play_blocks(play, range(half, n_paths))], "upper-half game") as upper:
-        try:
-            return game_mod.join_payoffs(_play_blocks(play, range(half)) + next(upper))
-        except ChildProcessError:
-            raise
-        except Exception:
-            pass
-    return play(range(n_paths))
+    with _forked(lambda: [_play_blocks(play, upper)], "upper-half game") as upper_blocks:
+        return game_mod.join_payoffs(_play_blocks(play, lower) + next(upper_blocks))
 
 
 def _write_payoffs(path, payoff: game_mod.PayoffEstimate) -> None:

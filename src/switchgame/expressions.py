@@ -303,12 +303,7 @@ def _eval(node: ExpressionTree, t, x, memo: dict | None = None):
         else:
             out = left / right
     elif isinstance(node, Pow):
-        base = _eval(node.base, t, x, memo)
-        out = _power(base, node.exponent)
-        # C pow's offsets: a finite Python float whose power overflows
-        # raises here, an array's or a numpy scalar's inf at the root
-        if type(base) is float and math.isfinite(base) and not math.isfinite(out):
-            raise ExpressionDomainError("non-finite result", node.offset)
+        out = _power(_eval(node.base, t, x, memo), node.exponent)
     else:
         args = [_eval(arg, t, x, memo) for arg in node.args]
         if node.func == "min":
@@ -355,8 +350,10 @@ def evaluate_all(trees, ctx: EvalContext) -> list:
 def evaluate(tree: ExpressionTree, ctx: EvalContext):
     """Evaluate ``tree`` at ``ctx``; scalars in give scalars out, arrays broadcast.
 
-    Division by zero, sqrt of a negative, and overflow all raise
-    ExpressionDomainError rather than returning a non-finite value.
+    Division by zero and sqrt of a negative raise ExpressionDomainError at
+    their node, and a non-finite value raises it at the root: an overflow
+    inside the expression raises only if it reaches the value, for a
+    scalar and an array alike.
     """
     return evaluate_all((tree,), ctx)[0]
 

@@ -145,7 +145,8 @@ def _realize_explicit(strategy: SwitchingStrategy, spec: ProblemSpec,
     if any(s2 < s1 for (s1, _), (s2, _) in zip(schedule, schedule[1:])):
         raise ValueError("switch steps must be non-decreasing")
     if len(schedule) > SWITCH_CAP:
-        raise AdmissibilityError("explicit schedule exceeds switch cap", path_index=0)
+        raise AdmissibilityError("explicit schedule exceeds switch cap",
+                                 path_index=bundle.paths[0])
 
     # same-step duplicates: the last declaration wins
     deduped: dict[int, int] = {}
@@ -188,7 +189,7 @@ class _Rollout:
     for its current mode.
     """
 
-    def __init__(self, strategy: SwitchingStrategy, spec: ProblemSpec, n_paths: int, n_steps: int):
+    def __init__(self, strategy: SwitchingStrategy, spec: ProblemSpec, bundle: PathBundle):
         self.field = strategy.feedback_field
         self.player = strategy.player
         self.modes = _player_modes(spec, self.player)
@@ -199,12 +200,13 @@ class _Rollout:
         rows = [self.field.index_of(m) for m in self.modes]
         self.rows = None if rows == list(range(len(self.field.mode_labels))) else rows
         n = len(self.modes)
-        self.n_paths = n_paths
+        self.paths = bundle.paths  # the error names the path by its index among all paths
+        self.n_paths = n_paths = bundle.n_paths
         self.cur = np.full(n_paths, self.modes.index(strategy.start_mode),
                            dtype=np.min_scalar_type(n - 1))
         self.flat = self.cur.astype(np.intp) * n_paths + np.arange(n_paths)
         self.counts = np.zeros(n_paths, dtype=np.int64)
-        self.track = np.empty((n_steps + 2, n_paths), dtype=self.cur.dtype)
+        self.track = np.empty((bundle.n_steps + 2, n_paths), dtype=self.cur.dtype)
         self.track[:] = self.cur  # with a single mode nothing fires: the start fills the track
         self.best = np.empty((n, n_paths))
         self.target = np.empty((n, n_paths), dtype=self.cur.dtype)
@@ -275,7 +277,7 @@ class _Rollout:
             over = where[counts > SWITCH_CAP]
             if over.size:
                 raise AdmissibilityError("feedback strategy exceeded the switch cap",
-                                         path_index=int(over[0]))
+                                         path_index=self.paths[over[0]])
             new = target.take(flat[idx])
             self.counts[where] = counts
             self.cur[where] = new
@@ -299,12 +301,11 @@ def _realize_feedback(strategies, spec: ProblemSpec, bundle: PathBundle) -> list
     rounding symmetric in sign, so (-v) - c == -(v + c) bit for bit, and
     comparisons ignore the sign of zero.
     """
-    n_paths, n_steps = bundle.n_paths, bundle.n_steps
-    rollouts = [_Rollout(s, spec, n_paths, n_steps) for s in strategies]
+    rollouts = [_Rollout(s, spec, bundle) for s in strategies]
     live = [r for r in rollouts if len(r.modes) > 1]
     grids = {id(r.field.grid): r.field.grid for r in live}
     levels = {key: _nearest_levels(grid.times, bundle.times) for key, grid in grids.items()}
-    for k, xk in enumerate(bundle.states.T[:n_steps] if live else ()):
+    for k, xk in enumerate(bundle.states.T[:bundle.n_steps] if live else ()):
         t = float(bundle.times[k])
         lookups = {key: grid.locate(xk) for key, grid in grids.items()}
         for rollout in live:

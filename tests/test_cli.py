@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import csv
 import errno
 import gc
@@ -603,39 +604,60 @@ def test_failing_solve_both_closes_every_pipe_it_opens(tmp_path, monkeypatch):
         assert set(os.listdir("/proc/self/fd")) == before
 
 
-def test_game_plays_every_path_here_when_the_child_raises(tmp_path, monkeypatch):
-    # the child's half is discarded with the parent's, and this process plays
-    # all the paths again: the files are those of an undisturbed run
-    _cpus(monkeypatch, 2)
-    argv, out = _forking_run(tmp_path / "undisturbed", "game")
-    assert main(argv) == 0
-    undisturbed = _file_bytes(out)
+def _raising_from(monkeypatch, log, first):
+    """Spy on simulate_paths as _spy_on_simulate_paths does, and raise on
+    every block of paths that starts at path ``first`` or later."""
+    _spy_on_simulate_paths(monkeypatch, log)
+    spied = cli_mod.simulate_paths
 
-    def array_must_be_finite():
-        raise ValueError("array must be finite")
+    def raising(spec, params, paths):
+        bundle = spied(spec, params, paths)
+        if paths.start >= first:
+            raise ValueError(f"array must be finite (paths {paths.start} to {paths.stop})")
+        return bundle
 
-    _in_the_child(monkeypatch, "game", array_must_be_finite)
-    argv, out = _forking_run(tmp_path / "child_raises", "game")
-    assert main(argv) == 0
-    assert _file_bytes(out) == undisturbed
+    monkeypatch.setattr(cli_mod, "simulate_paths", raising)
+
+
+def _simulated(log):
+    """The (pid, start, stop) of each simulate_paths call in ``log``."""
+    return [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["one-cpu", "two-cpus"])
+def test_game_raises_what_the_upper_halfs_first_failing_block_raises(tmp_path, monkeypatch,
+                                                                      cpus):
+    # 200 paths in blocks of 30: [130, 160), the upper half's second block,
+    # is the first to raise; on two CPUs the child plays it
+    monkeypatch.setattr(cli_mod, "PLAY_BLOCK", 30)
+    _cpus(monkeypatch, cpus)
+    log = tmp_path / "calls.log"
+    _raising_from(monkeypatch, log, 130)
+    argv, out = _forking_run(tmp_path, "game")
+    with pytest.raises(ValueError, match=r"^array must be finite \(paths 130 to 160\)$"):
+        main(argv)
+    assert sorted((start, stop) for _, start, stop in _simulated(log)) == [
+        (0, 30), (30, 60), (60, 90), (90, 100), (100, 130), (130, 160)]
+    assert list(out.iterdir()) == []
     assert multiprocessing.active_children() == []
 
 
-def test_game_raises_what_one_process_raises_when_both_halves_raise(tmp_path, monkeypatch):
-    calls = []
-
-    def roster_payoffs(spec, bundle, *args):
-        calls.append(bundle.n_paths)
-        raise ValueError(f"array must be finite ({bundle.n_paths} paths)")
-
-    monkeypatch.setattr(game_mod, "roster_payoffs", roster_payoffs)
-    _cpus(monkeypatch, 2)
+@pytest.mark.parametrize("cpus", [1, 2], ids=["one-cpu", "two-cpus"])
+def test_game_raises_what_the_lower_half_raises_when_both_halves_raise(tmp_path, monkeypatch,
+                                                                       cpus):
+    # every block from path 30 on raises: [30, 60) is the first, in the
+    # lower half; the upper half's error does not show
+    monkeypatch.setattr(cli_mod, "PLAY_BLOCK", 30)
+    _cpus(monkeypatch, cpus)
+    log = tmp_path / "calls.log"
+    _raising_from(monkeypatch, log, 30)
     argv, out = _forking_run(tmp_path, "game")
-    with pytest.raises(ValueError, match=r"^array must be finite \(200 paths\)$") as caught:
+    with pytest.raises(ValueError, match=r"^array must be finite \(paths 30 to 60\)$") as caught:
         main(argv)
-    # the lower half here, then all 200 paths; neither error of a half shows
-    assert calls == [100, 200]
     assert caught.value.__cause__ is None and caught.value.__context__ is None
+    calls = _simulated(log)
+    assert [(start, stop) for pid, start, stop in calls if pid == os.getpid()] == [(0, 30), (30, 60)]
+    assert all(stop - start <= 30 for _, start, stop in calls)
     assert list(out.iterdir()) == []
     assert multiprocessing.active_children() == []
 
@@ -1044,10 +1066,11 @@ def test_payoffs_csv_memory_is_bounded_by_its_block(tmp_path):
     assert _payoffs_write_peak(tmp_path, 8 * block) <= 1.5 * _payoffs_write_peak(tmp_path, block)
 
 
-def _serial_game(path, out):
+def _serial_game(path, out, paths=None):
     """The game command's two files as saddle_from_fields and verify_saddle
-    make them in one process on the whole path bundle, written as the
-    command writes them; or the error that raises."""
+    make them in one process on the whole path bundle (or on the paths of
+    the range ``paths``), written as the command writes them; or the error
+    that raises."""
     config = load_config(str(path))
     grid = build_grid(config.spec, config.nt, config.nx)
     field1, field2 = solve_single_obstacle(config.spec, grid)
@@ -1057,7 +1080,7 @@ def _serial_game(path, out):
                    for player, mode in ((1, i0), (2, j0))]
     start = (config.sim.t0, config.sim.x0, i0, j0)
     saddle1, saddle2, pde_value = saddle_from_fields(field1, field2, start)
-    report = verify_saddle(config.spec, simulate_paths(config.spec, config.sim),
+    report = verify_saddle(config.spec, simulate_paths(config.spec, config.sim, paths),
                            saddle1, saddle2, *challengers, start=start, pde_value=pde_value)
     out.mkdir()
     _write_json(out / "game_report.json", report.to_dict())
@@ -1105,31 +1128,48 @@ def _switching_game_doc(paths, seed):
     return doc
 
 
-@pytest.mark.parametrize("seed,cap,volatility,failing_path", [
+def _raises_what_its_first_failing_block_raises(tmp_path, monkeypatch, capsys, path, cpus,
+                                                 block, failing_path):
+    """Run the game config at ``path`` on ``cpus`` CPUs and check that it
+    fails with the error of playing the paths of ``block`` alone, which
+    names ``failing_path``, and writes nothing.  Returns this process's
+    simulate_paths calls."""
+    with pytest.raises(SwitchgameError) as alone:
+        _serial_game(path, tmp_path / "alone", range(*block))
+    assert f"path {failing_path}" in str(alone.value)
+    _cpus(monkeypatch, cpus)
+    log = tmp_path / "calls.log"
+    _spy_on_simulate_paths(monkeypatch, log)
+    forked = _counting_forks(monkeypatch)
+    assert main(["game", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {alone.value}\n"
+    assert len(forked) == (1 if cpus == 2 else 0)
+    calls = _simulated(log)
+    assert all(stop - start <= cli_mod.PLAY_BLOCK for _, start, stop in calls)
+    assert list(path.parent.joinpath("out").iterdir()) == []
+    assert multiprocessing.active_children() == []
+    return [(start, stop) for pid, start, stop in calls if pid == os.getpid()]
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["one-cpu", "two-cpus"])
+@pytest.mark.parametrize("seed,cap,volatility,block,failing_path", [
     # only path 683 switches 7 times
-    (2, 6, "1", 683),
-    # the first path over the cap is 938, and some paths of the lower half pass it later
-    (77, 3, "1", 938),
+    (2, 6, "1", (500, 1001), 683),
+    # path 938 is the first over the cap; paths of the lower half pass it
+    # at later steps, and the lower half's block comes first
+    (77, 3, "1", (0, 500), 491),
     # only paths of the upper half pass x = 3.1, where the volatility fails
-    (5, 64, "1 + 0*sqrt(3.1 - x)", 705),
-])
-def test_game_failing_on_the_upper_half_fails_as_one_process(tmp_path, monkeypatch, capsys, seed,
-                                                              cap, volatility, failing_path):
+    (5, 64, "1 + 0*sqrt(3.1 - x)", (500, 1001), 705),
+], ids=["seed2", "seed77", "seed5"])
+def test_game_failing_in_one_block_of_a_half_raises_what_that_block_raises(
+        tmp_path, monkeypatch, capsys, seed, cap, volatility, block, failing_path, cpus):
+    # 1001 paths: each half is one block
     monkeypatch.setattr(game_mod, "SWITCH_CAP", cap)
     doc = _switching_game_doc(1001, seed)
     doc["diffusion"]["volatility"] = volatility
-    path, out = _stage(tmp_path, doc)
-    with pytest.raises(SwitchgameError) as serial:
-        _serial_game(path, tmp_path / "serial")
-    assert f"path {failing_path}" in str(serial.value)
-    assert failing_path >= 1001 // 2
-    _cpus(monkeypatch, 2)
-    forked = _counting_forks(monkeypatch)
-    assert main(["game", str(path)]) == 1
-    assert capsys.readouterr().err == f"error: {serial.value}\n"
-    assert len(forked) == 1
-    assert list(out.iterdir()) == []
-    assert multiprocessing.active_children() == []
+    path, _ = _stage(tmp_path, doc)
+    _raises_what_its_first_failing_block_raises(tmp_path, monkeypatch, capsys, path, cpus,
+                                                block, failing_path)
 
 
 def test_game_on_one_cpu_forks_nothing_and_writes_the_same_bytes(tmp_path, monkeypatch):
@@ -1188,37 +1228,21 @@ def test_game_simulates_no_more_than_a_block_of_paths_at_a_time(tmp_path, monkey
     assert ranges[-1][1] == 2001
 
 
-@pytest.mark.parametrize("seed,cap,failing_path,cpus,calls", [
+@pytest.mark.parametrize("cpus", [1, 2], ids=["one-cpu", "two-cpus"])
+@pytest.mark.parametrize("seed,cap,block,failing_path,calls", [
     # only the lower half's second block, paths [300, 500), fails
-    (6, 6, 345, 2, [300, 200, 1001]),
-    # on one CPU this process plays every block; the second, [300, 600), fails
-    (6, 6, 345, 1, [300, 300, 1001]),
+    (6, 6, (300, 500), 345, [(0, 300), (300, 500)]),
     # the first block fails too, at path 228 and a later step than path 476
-    (2, 3, 476, 2, [300, 1001]),
-    (2, 3, 476, 1, [300, 1001]),
-], ids=["seed6-two-cpus", "seed6-one-cpu", "seed2-two-cpus", "seed2-one-cpu"])
-def test_game_failing_in_a_later_block_fails_as_one_process(tmp_path, monkeypatch, capsys, seed,
-                                                            cap, failing_path, cpus, calls):
+    (2, 3, (0, 300), 228, [(0, 300)]),
+], ids=["seed6", "seed2"])
+def test_game_raises_what_its_first_failing_block_raises(tmp_path, monkeypatch, capsys, seed, cap,
+                                                         block, failing_path, calls, cpus):
     monkeypatch.setattr(game_mod, "SWITCH_CAP", cap)
     monkeypatch.setattr(cli_mod, "PLAY_BLOCK", 300)
-    path, out = _stage(tmp_path, _switching_game_doc(1001, seed))
-    with pytest.raises(SwitchgameError) as serial:
-        _serial_game(path, tmp_path / "serial")
-    assert f"path {failing_path}" in str(serial.value)
-    _cpus(monkeypatch, cpus)
-    log = tmp_path / "calls.log"
-    _spy_on_simulate_paths(monkeypatch, log)
-    forked = _counting_forks(monkeypatch)
-    assert main(["game", str(path)]) == 1
-    assert capsys.readouterr().err == f"error: {serial.value}\n"
-    assert len(forked) == (1 if cpus == 2 else 0)
-    # this process's blocks up to the one that raises, then all paths at once
-    mine = [stop - start for pid, start, stop in
-            (map(int, line.split()) for line in log.read_text().splitlines())
-            if pid == os.getpid()]
-    assert mine == calls
-    assert list(out.iterdir()) == []
-    assert multiprocessing.active_children() == []
+    path, _ = _stage(tmp_path, _switching_game_doc(1001, seed))
+    # this process's blocks up to the one that raises, and no more
+    assert _raises_what_its_first_failing_block_raises(
+        tmp_path, monkeypatch, capsys, path, cpus, block, failing_path) == calls
 
 
 def test_zero_cost_trivial_game_exact_equalities(tmp_path):
@@ -1279,3 +1303,87 @@ def test_no_command_imports_scipy(tmp_path):
     result = json.loads(done.stdout.splitlines()[-1])
     # E1 is not separated, so its validation reports a failed check
     assert result == {"codes": [1, 0, 0], "scipy": []}
+
+
+# values a mutation puts in a config: each of JSON's kinds, numbers at the
+# edge of a float and past an int64, and expressions that fail to parse, fail
+# to evaluate or overflow; a number or an expression is replaced by one of
+# its own kind three times in four, so that more configs get past the
+# parser
+_NUMBERS = [0, -1, 0.5, 3, 2**70, 1e308, -1e308, 1e-300]
+_EXPRESSIONS = ["x", "-t*x^3", "1/(x - x)", "sqrt(x - 4)", "(1e200*x)^2", "min((1e200*x)^2, 1)",
+                "exp(1e5*x)", "x^", "x^2.5", "1 +"]
+_ODD_VALUES = [None, True, False, "", "runs/q", [], [[]], [1, [2]], {}, {"1": {"2": []}},
+               *_NUMBERS, *_EXPRESSIONS]
+_ADDED_KEYS = ["extra", "nt", "seed", "paths", "1,1", "1->2", "player1", "simulation",
+               "penalties", "start"]
+# grid and simulation sizes above these are cut to them
+_FUZZ_CAPS = {("grid", "nt"): 21, ("grid", "nx"): 21, ("simulation", "paths"): 50,
+              ("simulation", "steps"): 20}
+
+
+def _locations(node, where=()):
+    """The key path of every value inside a JSON document, depth first."""
+    if not isinstance(node, (dict, list)):
+        return
+    for key, value in list(node.items() if isinstance(node, dict) else enumerate(node)):
+        yield where + (key,)
+        yield from _locations(value, where + (key,))
+
+
+def _at(doc, where):
+    for key in where:
+        doc = doc[key]
+    return doc
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+@st.composite
+def _mutated_configs(draw):
+    """A shipped config with one to three keys (mostly one) dropped, added
+    or given an odd value, its grid and simulation cut to _FUZZ_CAPS."""
+    # a Random seeded by hypothesis picks uniformly: drawn through
+    # hypothesis, the choices lean to the first location, the modes
+    rnd = draw(st.randoms(use_true_random=True))
+    doc = _load(rnd.choice(sorted(p.name for p in CONFIG_DIR.glob("*.json"))))
+    for _ in range(rnd.choice([1, 1, 2, 3])):
+        kind = rnd.choice(["drop", "add", "replace"])
+        odd = copy.deepcopy(rnd.choice(_ODD_VALUES))
+        if kind == "add":
+            node = _at(doc, rnd.choice([()] + [w for w in _locations(doc)
+                                               if isinstance(_at(doc, w), (dict, list))]))
+            if isinstance(node, dict):
+                node[rnd.choice(_ADDED_KEYS)] = odd
+            else:
+                node.append(odd)
+            continue
+        where = rnd.choice(list(_locations(doc)))
+        parent, old = _at(doc, where[:-1]), _at(doc, where)
+        if kind == "drop":
+            del parent[where[-1]]
+        elif (isinstance(old, str) or _is_number(old)) and rnd.random() < 0.75:
+            parent[where[-1]] = rnd.choice(_NUMBERS if _is_number(old) else _EXPRESSIONS)
+        else:
+            parent[where[-1]] = odd
+    for (section, key), cap in _FUZZ_CAPS.items():
+        if isinstance(doc.get(section), dict) and _is_number(doc[section].get(key)):
+            doc[section][key] = min(doc[section][key], cap)
+    return doc
+
+
+@given(doc=_mutated_configs())
+@settings(max_examples=300, deadline=None)
+def test_mutated_configs_exit_0_1_or_2(tmp_path_factory, doc):
+    # every command, from a working directory of its own, since a config's
+    # output is relative to it; a warning is an error here, as under -W error
+    folder = tmp_path_factory.mktemp("fuzz")
+    (folder / "config.json").write_text(json.dumps(doc))
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+        patch.chdir(folder)
+        warnings.simplefilter("error")
+        codes = [main([command, "config.json"]) for command in ("validate", "solve", "game",
+                                                                 "oracle")]
+    assert set(codes) <= {0, 1, 2}

@@ -152,10 +152,27 @@ def test_power_of_a_scalar_and_of_the_lattice_agree_bit_for_bit(exponent):
             assert got == want, (t, exponent)
 
 
-def test_power_that_overflows_raises_at_the_power_node():
+def test_power_that_overflows_raises_at_the_root():
     with pytest.raises(ExpressionDomainError) as err:
         evaluate(parse_expression("1 + x^3"), EvalContext(0.0, 1e120))
-    assert err.value.offset == 5
+    assert err.value.offset == 2
+
+
+def _value_or_error(source, x):
+    try:
+        return np.asarray(evaluate(parse_expression(source), EvalContext(0.0, x))).ravel().tolist()
+    except ExpressionDomainError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("source,x,expected", [
+    ("min((1e200*x)^2, 1)", 0.5, [1.0]),
+    ("1/(1 + (1e200*x)^2)", 0.5, [0.0]),
+    ("x^2 - x^2", 1e200, "non-finite result at offset 4"),
+])
+def test_a_float_and_an_array_overflow_alike(source, x, expected):
+    # an overflow inside the expression raises only if it reaches the value
+    assert _value_or_error(source, x) == _value_or_error(source, np.array([x])) == expected
 
 
 _ROW_EXPRESSIONS = [

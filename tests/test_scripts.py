@@ -133,19 +133,34 @@ def test_bench_pair_gives_each_side_its_own_fresh_bytecode_cache(tmp_path, monke
     assert prefixes[0] != prefixes[1]
 
 
-def _worktrees() -> str:
-    return subprocess.run(["git", "worktree", "list", "--porcelain"], cwd=ROOT, check=True,
-                          capture_output=True, text=True).stdout
+def _git(repo, *args) -> str:
+    return subprocess.run(["git", "-c", "user.name=test", "-c", "user.email=test@example.com",
+                           "-c", "commit.gpgsign=false", *args],
+                          cwd=repo, check=True, capture_output=True, text=True).stdout
 
 
-def test_checkout_of_a_revision_registers_no_worktree():
+def _worktrees(repo) -> str:
+    return _git(repo, "worktree", "list", "--porcelain")
+
+
+def test_checkout_of_a_revision_registers_no_worktree(tmp_path, monkeypatch):
+    # a throwaway repository of its own, so that the test runs in a copy of
+    # this one that is not a git work tree as well
+    repo = tmp_path / "repo"
+    for name in ("src/switchgame/cli.py", "perfbench/run.py"):
+        (repo / name).parent.mkdir(parents=True, exist_ok=True)
+        (repo / name).write_text("")
+    _git(repo, "init", "-q")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "tree")
     bench_pair = _bench_pair()
-    before = _worktrees()
+    monkeypatch.setattr(bench_pair, "ROOT", repo)
+    before = _worktrees(repo)
     with bench_pair.checkout_of("HEAD") as tree:
         assert (tree / "src" / "switchgame" / "cli.py").is_file()
         assert (tree / "perfbench" / "run.py").is_file()
-        assert _worktrees() == before
-    assert _worktrees() == before
+        assert _worktrees(repo) == before
+    assert _worktrees(repo) == before
     assert not tree.exists()
 
 
